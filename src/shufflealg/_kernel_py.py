@@ -1,17 +1,13 @@
-"""Sparse integer polynomials in (u, t), pure-Python kernel.
+"""Sparse integer polynomials in (u, t).
 
 A polynomial is a dict mapping a packed monomial key to a nonzero int
 coefficient.  The key packs the exponents as (eu << 32) | et, so plain
 integer comparison of keys is the lex order with u before t.  Exponents
-are non-negative; Laurent behaviour lives in the fraction layer above.
-
-The compiled module `_kernel` exports the same functions.
+are non-negative; Laurent behaviour lives in the scalar layer above.
 """
 
 KEY_SHIFT = 32
 KEY_MASK = (1 << KEY_SHIFT) - 1
-
-IS_COMPILED = False
 
 
 def pack(eu, et):
@@ -39,25 +35,6 @@ def p_add(a, b):
 
 def p_neg(a):
     return {k: -c for k, c in a.items()}
-
-
-def p_sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return out
-
-
-def p_scale(a, c):
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(a)
-    return {k: v * c for k, v in a.items()}
 
 
 def p_mul_mono(a, key, c):

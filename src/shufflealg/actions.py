@@ -94,17 +94,7 @@ class ActionHandle:
 
     def y1(self, f: VElem) -> VElem:
         """The handle's own y_1, from the commutator formula."""
-        dom = f.dom
-        k = f.k
-        g = f
-        for j in range(1, k):
-            g = vk.act_T(g, j, inverse=self.star)
-        comm = self.dplus(vk.act_dminus(g)) - vk.act_dminus(self.dplus(g))
-        if self.star:
-            scale = dom.q_power(k) / (dom.one - dom.q)
-        else:
-            scale = dom.one / (dom.q_power(k - 1) * (dom.q - dom.one))
-        return comm.scale(scale)
+        return vk.commutator_y1(f, self.dplus, self.star)
 
     def y(self, f: VElem, i: int) -> VElem:
         """y_i via the Hecke recursion from y_1."""

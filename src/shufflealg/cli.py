@@ -2,7 +2,8 @@
 
 Subcommands: paths (enum/stats/chi), actions (build/lhs), sweep (path/dp),
 braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
-deterministic ordering; exit status is nonzero when a verification fails.
+deterministic ordering; exit status is 1 when a verification fails and 2,
+with a JSON {"error": ...} on stdout, when the input cannot be computed.
 """
 
 from __future__ import annotations
@@ -158,11 +159,7 @@ def cmd_verify(args):
                "passed": rep.passed, "cases": rep.cases,
                "witness": rep.witness}, args.out)
         return 0 if rep.passed else 1
-    try:
-        report = vf.run_suite(args.name, dom)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = vf.run_suite(args.name, dom)
     _emit(report, args.out)
     return 0 if not report["failures"] else 1
 
@@ -242,7 +239,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        _emit({"error": f"{type(exc).__name__}: {exc}"})
+        return 2
 
 
 if __name__ == "__main__":

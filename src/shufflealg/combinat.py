@@ -383,6 +383,19 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
     return SymFunc(dom, cap, coeffs)
 
 
+def dyck_path_count(m: int, n: int) -> int:
+    """Number of (m, n)-Dyck paths: north/east lattice paths from (0, 0) to
+    (m, n) whose every point (x, y) has m*y >= n*x (see DyckPath)."""
+    ways = [1] + [0] * n  # ways[y] = paths to (x, y) for the current column x
+    for x in range(m + 1):
+        for y in range(n + 1):
+            if m * y < n * x:
+                ways[y] = 0
+            elif y:
+                ways[y] += ways[y - 1]
+    return ways[n]
+
+
 def word_enumeration_size(n: int) -> int:
     """Words over {1..n} of length n whose letter multiplicities decrease,
     i.e. one representative per monomial (an ordered-set-partition count)."""

@@ -1,24 +1,25 @@
-"""Exact scalars: rational functions in u and t over the integers, u^2 = q.
+"""Exact scalars: Laurent polynomials in u and t over Q, with u^2 = q.
 
-Every coefficient in the library is a CoefRat (exact mode) or a Fraction
-(fast mode, all scalars evaluated at a fixed rational point up front).
-Both are immutable and support +, -, *, /, ** and truthiness, so the rest
-of the code is generic over the scalar type via a Domain object.
+A CoefRat is num / den: num is an integer polynomial and den a single
+monomial c*u^a*t^b with c > 0.  Division by a monomial is free.  Division
+by anything else divides the numerator exactly by the divisor's primitive
+part and raises CoefRatError on a remainder; in this library that divisor
+is always q - 1 (or 1 - q), from the Carlsson-Mellit commutator formula
+for y_1.
+
+Fast mode uses a Fraction instead (all scalars evaluated at a fixed
+rational point up front).  Both are immutable and support +, -, *, /, **
+and truthiness, so the rest of the code is generic over the scalar type
+via a Domain object.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
+from math import gcd
 
-if os.environ.get("SHUFFLEALG_PURE_KERNEL"):
-    from . import _kernel_py as K
-else:
-    try:
-        from . import _kernel as K  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as K
+from . import _kernel_py as K
 
 pack = K.pack
 unpack = K.unpack
@@ -31,7 +32,6 @@ class CoefRatError(ArithmeticError):
 
 
 def _int_content(p):
-    from math import gcd
     g = 0
     for c in p.values():
         g = gcd(g, c)
@@ -46,56 +46,31 @@ def _mono_content_key(p):
     return pack(eu, et)
 
 
-def _sympy_gcd(a, b):
-    # Slow path, only reached when neither argument divides the other.
-    from sympy import ZZ
-    from sympy.polys.rings import ring
-    R, _, _ = ring("u,t", ZZ)
-    pa = R.from_dict({unpack(k): c for k, c in a.items()})
-    pb = R.from_dict({unpack(k): c for k, c in b.items()})
-    g = pa.gcd(pb)
-    return {pack(*mono): int(c) for mono, c in g.to_dict().items()}
-
-
 def _normalize(num, den):
-    if not den:
-        raise CoefRatError("zero denominator")
+    """Cancel the common monomial and integer content; make den positive."""
+    if len(den) != 1:
+        raise CoefRatError("denominator must be one nonzero monomial")
     if not num:
         return {}, dict(_ONE)
-    kc = _mono_content_key(num)
-    kd = _mono_content_key(den)
-    common = pack(min(kc >> K.KEY_SHIFT, kd >> K.KEY_SHIFT),
-                  min(kc & K.KEY_MASK, kd & K.KEY_MASK))
-    if common:
-        num = {k - common: c for k, c in num.items()}
-        den = {k - common: c for k, c in den.items()}
-    from math import gcd
-    g = gcd(_int_content(num), _int_content(den))
-    if g > 1:
-        num = {k: c // g for k, c in num.items()}
-        den = {k: c // g for k, c in den.items()}
-    if den != _ONE and den != {0: -1}:
-        q = K.p_divexact(num, den)
-        if q is not None:
-            num, den = q, dict(_ONE)
-        else:
-            q = K.p_divexact(den, num)
-            if q is not None:
-                num, den = dict(_ONE), q
-            else:
-                g = _sympy_gcd(num, den)
-                if len(g) > 1 or g != _ONE:
-                    num = K.p_divexact(num, g)
-                    den = K.p_divexact(den, g)
-                    assert num is not None and den is not None
-    if den[max(den)] < 0:
-        num = K.p_neg(num)
-        den = K.p_neg(den)
+    if den == _ONE:
+        return num, den
+    ((kd, cd),) = den.items()
+    common = 0
+    if kd:
+        kc = _mono_content_key(num)
+        common = pack(min(kc >> K.KEY_SHIFT, kd >> K.KEY_SHIFT),
+                      min(kc & K.KEY_MASK, kd & K.KEY_MASK))
+    g = gcd(_int_content(num), cd)
+    if cd < 0:
+        g = -g
+    if common or g != 1:
+        num = {k - common: c // g for k, c in num.items()}
+        den = {kd - common: cd // g}
     return num, den
 
 
 class CoefRat:
-    """Normalized fraction of integer polynomials in u, t."""
+    """Laurent polynomial num / den in u, t; den is one positive monomial."""
 
     __slots__ = ("num", "den")
 
@@ -125,7 +100,7 @@ class CoefRat:
             return CoefRat.from_int(0)
         nu, du = (eu, 0) if eu >= 0 else (0, -eu)
         nt, dt = (et, 0) if et >= 0 else (0, -et)
-        return CoefRat({pack(nu, nt): c}, {pack(du, dt): 1}, _normalized=c > 0 or bool(pack(du, dt)))
+        return CoefRat({pack(nu, nt): c}, {pack(du, dt): 1}, _normalized=True)
 
     # -- arithmetic --------------------------------------------------
     def __add__(self, other):
@@ -136,8 +111,13 @@ class CoefRat:
             if self.den == _ONE:
                 return CoefRat(num, dict(_ONE), _normalized=True)
             return CoefRat(num, dict(self.den))
-        num = K.p_add(K.p_mul(self.num, other.den), K.p_mul(other.num, self.den))
-        return CoefRat(num, K.p_mul(self.den, other.den))
+        ((ka, ca),) = self.den.items()
+        ((kb, cb),) = other.den.items()
+        k = pack(max(ka >> K.KEY_SHIFT, kb >> K.KEY_SHIFT), max(ka & K.KEY_MASK, kb & K.KEY_MASK))
+        c = ca * cb // gcd(ca, cb)
+        num = K.p_add(K.p_mul_mono(self.num, k - ka, c // ca),
+                      K.p_mul_mono(other.num, k - kb, c // cb))
+        return CoefRat(num, {k: c})
 
     def __neg__(self):
         return CoefRat(K.p_neg(self.num), dict(self.den), _normalized=True)
@@ -150,22 +130,36 @@ class CoefRat:
     def __mul__(self, other):
         if not isinstance(other, CoefRat):
             return NotImplemented
+        num = K.p_mul(self.num, other.num)
         if self.den == _ONE and other.den == _ONE:
-            return CoefRat(K.p_mul(self.num, other.num), dict(_ONE), _normalized=True)
-        return CoefRat(K.p_mul(self.num, other.num), K.p_mul(self.den, other.den))
+            return CoefRat(num, dict(_ONE), _normalized=True)
+        ((ka, ca),) = self.den.items()
+        ((kb, cb),) = other.den.items()
+        return CoefRat(num, {ka + kb: ca * cb})
 
     def __truediv__(self, other):
         if not isinstance(other, CoefRat):
             return NotImplemented
-        if not other.num:
+        div = other.num
+        if not div:
             raise CoefRatError("division by zero")
-        return CoefRat(K.p_mul(self.num, other.den), K.p_mul(self.den, other.num))
+        num = self.num
+        if len(div) > 1:
+            # divide num exactly by the primitive part; the content joins den
+            kc = _mono_content_key(div)
+            g = _int_content(div)
+            num = K.p_divexact(num, {k - kc: c // g for k, c in div.items()})
+            if num is None:
+                raise CoefRatError(f"({self}) is not divisible by ({other})")
+            div = {kc: g}
+        ((kd, cd),) = self.den.items()
+        ((kv, cv),) = div.items()
+        ((ko, co),) = other.den.items()
+        return CoefRat(K.p_mul_mono(num, ko, co), {kd + kv: cd * cv})
 
     def __pow__(self, n: int):
         if n < 0:
-            if not self.num:
-                raise CoefRatError("division by zero")
-            base = CoefRat(dict(self.den), dict(self.num))
+            base = CoefRat.from_int(1) / self
             n = -n
         else:
             base = self
@@ -330,9 +324,10 @@ class ExactDomain:
 class FastDomain:
     """Scalar factory for fast mode: everything is a Fraction at (q0, t0).
 
-    q0 = u0^2 for a random rational u0, so odd u-powers stay exact.  Fast
-    mode is a pre-screen only; identities it accepts must be re-proved in
-    exact mode.
+    q0 = u0^2 for a random rational u0, so odd u-powers stay exact.  The
+    point may not be a pole of the algebra's scalars: q0 = 0, q0 = 1 (the
+    division by q - 1) or t0 = 0.  Fast mode is a pre-screen only;
+    identities it accepts must be re-proved in exact mode.
     """
 
     name = "fast"
@@ -345,6 +340,9 @@ class FastDomain:
             t0 = Fraction(rng.randint(2, 19), rng.randint(2, 19) * 5 + 2)
         self.u0 = Fraction(u0)
         self.t0 = Fraction(t0)
+        if self.u0 in (-1, 0, 1) or not self.t0:
+            raise ValueError(f"fast-mode point u0 = {self.u0}, t0 = {self.t0} is a pole "
+                             "(q0 must not be 0 or 1, t0 must not be 0); pick another --seed")
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self.u = self.u0

@@ -182,7 +182,7 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                         Bp = braid_at(src, h_src)
                         base = br.evaluate(Bp, _dplus_power(dom, len(src), dp.cap))
                         comm = vk.act_dminus(vk.act_dplus(base)) - vk.act_dplus(vk.act_dminus(base))
-                        want = comm.scale(dom.monomial(1, 1 - k_dst, 0) / (dom.q - dom.one))
+                        want = comm.scale(dom.monomial(1, 1 - k_dst, 0)).divide(dom.q - dom.one)
                     elif kind == "D":
                         Bp = braid_at(src, h_src)
                         base = br.evaluate(Bp, _dplus_power(dom, len(src), dp.cap))
@@ -507,7 +507,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
     alphas.sort()
     skipped = []
     per_word = cb.word_enumeration_size(cfg.g * cfg.n1)
-    if per_word * _path_count_bound(cfg) > cfg.budget:
+    if per_word * cb.dyck_path_count(cfg.g * cfg.m1, cfg.g * cfg.n1) > cfg.budget:
         skipped = [list(a) for a in alphas]
         return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "mode": cfg.mode,
                 "cap": cfg.cap, "ok": False, "results": [],
@@ -519,27 +519,22 @@ def verify_shuffle(cfg: JobConfig) -> dict:
                     for alpha in alphas]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_shuffle_entry, payloads))
+        rhs_method = "parking_sum"
     else:
         dom = make_domain(cfg.mode, seed=cfg.seed)
         tower = ac.ActionTower(dom)
-        cached_dp = _load_dp_cache(cfg, dom)
+        dp = _load_dp_cache(cfg, dom)
         results = []
         for alpha in alphas:
             t0 = time.monotonic()
             lhs = ac.lhs_compositional(cfg.m1, cfg.n1, cfg.g, alpha, dom, tower)
-            if cached_dp is not None:
-                rhs = sw.assemble_composition(cfg.m1, cfg.n1, cfg.g, alpha, cached_dp, dom)
-            else:
-                rhs = cb.rhs_compositional(cfg.m1, cfg.n1, cfg.g, alpha, dom)
+            rhs = sw.assemble_composition(cfg.m1, cfg.n1, cfg.g, alpha, dp, dom)
             results.append(_compare_entry(alpha, lhs, rhs, dom, cfg.mode, t0))
+        rhs_method = "coloring_dp"
     ok_all = all(e["equal"] and e["integer_q_degree"] for e in results)
     return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "mode": cfg.mode,
-            "cap": cfg.cap, "ok": ok_all, "results": results, "skipped": skipped}
-
-
-def _path_count_bound(cfg: JobConfig) -> int:
-    from math import comb
-    return comb(cfg.g * (cfg.m1 + cfg.n1), cfg.g * cfg.m1)
+            "cap": cfg.cap, "ok": ok_all, "results": results, "skipped": skipped,
+            "rhs_method": rhs_method}
 
 
 def _coeff_diff(lhs, rhs, dom):

@@ -4,7 +4,8 @@ Elements are stored as {(partition, y-exponent vector): scalar}.  Operator
 words are tuples of generators in written order and act rightmost-first,
 matching operator composition.  The skew divided-difference operator T_i
 is applied through a cached two-variable table; the division by
-(y_{i+1} - y_i) it requires is performed exactly and asserted remainder-free.
+(y_{i+1} - y_i) it requires is exact, and a remainder raises
+StepDivisionError.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 
 from . import symfunc as sf
 from .symfunc import SymFunc, mono_mult_table, partitions_of
+
+
+class StepDivisionError(ArithmeticError):
+    """A division by (y_{i+1} - y_i) that should be exact left a remainder."""
 
 
 class VElem:
@@ -73,6 +78,11 @@ class VElem:
         return VElem(self.dom, self.k, self.cap,
                      {key: c * s for key, c in self.terms.items()})
 
+    def divide(self, d) -> "VElem":
+        """Coefficient-wise c / d; in exact mode d must divide every c."""
+        return VElem(self.dom, self.k, self.cap,
+                     {key: c / d for key, c in self.terms.items()})
+
     def __eq__(self, other):
         if not isinstance(other, VElem):
             return NotImplemented
@@ -98,7 +108,7 @@ class VElem:
 # ------------------------------------------------------------- T operators
 
 def _divide_by_step(num: dict, dom):
-    """Divide {(a,b): scalar} exactly by (y2 - y1); assert zero remainder."""
+    """Divide {(a,b): scalar} exactly by (y2 - y1); raise on a remainder."""
     if not num:
         return {}
     rows: dict = {}
@@ -124,7 +134,8 @@ def _divide_by_step(num: dict, dom):
             rem[a] = s
         elif a in rem:
             del rem[a]
-    assert not rem, "division by (y_{i+1} - y_i) left a remainder"
+    if rem:
+        raise StepDivisionError("division by (y_{i+1} - y_i) left a remainder")
     return {(a, b): c for b, row in quo_rows.items() for a, c in row.items() if c}
 
 
@@ -251,35 +262,39 @@ def act_y(f: VElem, i: int) -> VElem:
     return out
 
 
-def act_y1_from_commutator(f: VElem) -> VElem:
-    """y_1 = (d_+ d_- - d_- d_+) T_{k-1}...T_1 / (q^{k-1}(q-1)); must equal act_y(f, 1)."""
+def commutator_y1(f: VElem, dplus, star: bool = False) -> VElem:
+    """y_1 of the action with raising operator `dplus`, from the commutator formula.
+
+    q-algebra: (dplus d_- - d_- dplus) T_{k-1}...T_1 / (q^{k-1}(q-1));
+    conjugate algebra (star): T_i inverted and q^k / (1-q) as the scalar.
+    The commutator is divisible by (q-1); a remainder raises.
+    """
     dom = f.dom
     k = f.k
     g = f
     for j in range(1, k):
-        g = act_T(g, j)
-    comm = act_dplus(act_dminus(g)) - act_dminus(act_dplus(g))
-    scale = dom.one / (dom.q_power(k - 1) * (dom.q - dom.one))
-    return comm.scale(scale)
+        g = act_T(g, j, inverse=star)
+    comm = dplus(act_dminus(g)) - act_dminus(dplus(g))
+    if star:
+        return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
+    return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
+
+
+def act_y1_from_commutator(f: VElem) -> VElem:
+    """y_1 from the commutator formula; must equal act_y(f, 1)."""
+    return commutator_y1(f, act_dplus)
 
 
 def act_z(f: VElem, i: int) -> VElem:
     """z_i, the commuting family coming from the conjugate-algebra y's."""
     if not 1 <= i <= f.k:
         raise ValueError(f"z_{i} is not defined on V_{f.k}")
-    dom = f.dom
     if i == 1:
-        k = f.k
-        g = f
-        for j in range(1, k):
-            g = act_T(g, j, inverse=True)
-        comm = act_dplus_star(act_dminus(g)) - act_dminus(act_dplus_star(g))
-        scale = dom.q_power(k) / (dom.one - dom.q)
-        return comm.scale(scale)
+        return commutator_y1(f, act_dplus_star, star=True)
     g = act_T(f, i - 1)
     g = act_z(g, i - 1)
     g = act_T(g, i - 1)
-    return g.scale(dom.q_power(-1))
+    return g.scale(f.dom.q_power(-1))
 
 
 def act_ytilde(f: VElem, i: int) -> VElem:
@@ -545,12 +560,12 @@ def standard_relations(dom, k: int):
         add(f"y{i+1} = q T{i}^-1 y{i} T{i}^-1 @k={k}", (y(i + 1),),
             [(q, (Ti(i), y(i), Ti(i)))])
 
-    # y_i from the commutator formula coincides with multiplication
+    # y_i from the commutator formula coincides with multiplication:
+    # q^{k-1}(q-1) y_1 = (d_+ d_- - d_- d_+) T_{k-1}...T_1
     if k >= 1:
         train = tuple(("T", a) for a in range(k - 1, 0, -1))
-        c = one / (dom.q_power(k - 1) * (q - one))
-        add(f"y1 from commutator @k={k}", (y(1),),
-            [(c, (dp, dm) + train), (-c, (dm, dp) + train)])
+        add(f"y1 from commutator @k={k}", [(dom.q_power(k - 1) * (q - one), (y(1),))],
+            [(one, (dp, dm) + train), (-one, (dm, dp) + train)])
 
     # z relations (conjugate y's) and the intertwining laws
     for i in range(1, k):

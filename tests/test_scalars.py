@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shufflealg.scalars import CoefRat, CoefRatError, FastDomain, arith
+import shufflealg
+from shufflealg import _kernel_py as K
+from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain, FastDomain, arith
 
 
 def test_u_squared_is_q(dom):
@@ -28,7 +35,7 @@ def test_eval_at(dom):
     assert (dom.q + dom.t).eval_at(2, 3) == 5
     assert (dom.u * dom.u).eval_at(4, 0) == 4
     with pytest.raises(CoefRatError):
-        (dom.one / (dom.q - dom.one)).eval_at(1, 5)
+        (dom.one / (dom.q * dom.t)).eval_at(1, 0)
 
 
 def test_eval_needs_square_root(dom):
@@ -72,10 +79,11 @@ def test_normalize_idempotent(dom):
 
 
 def test_denominator_sign_canonical(dom):
-    r = dom.one / (dom.one - dom.q)  # denominator normalizes to q - 1, numerator -1
-    lead = max(r.den)
-    assert r.den[lead] > 0
-    assert r == -(dom.one / (dom.q - dom.one))
+    with pytest.raises(CoefRatError):
+        dom.one / (dom.one - dom.q)  # not a Laurent polynomial
+    r = dom.t / dom.monomial(-3, 2, 0)
+    assert r.den == {K.pack(2, 0): 3}
+    assert r.num == {K.pack(0, 1): -1}
 
 
 def test_eval_homomorphism_random(dom):
@@ -102,9 +110,54 @@ def test_fast_domain_consistency():
 
 
 def test_gcd_fallback_path(dom):
-    # neither side divides the other: (q^2-1)*t / (2q-2) -> (q+1)*t / 2
+    # the divisor's content moves to the denominator: (q^2-1)*t / (2q-2) -> (q+1)*t / 2
     num = (dom.q * dom.q - dom.one) * dom.t
     den = (dom.q - dom.one) * dom.monomial(2)
     r = num / den
     assert r * den == num
     assert r == (dom.q + dom.one) * dom.t / dom.monomial(2)
+
+
+def test_divexact_rejects_nondivisible():
+    u, t = {K.pack(1, 0): 1}, {K.pack(0, 1): 1}
+    assert K.p_divexact(u, t) is None
+    with pytest.raises(ZeroDivisionError):
+        K.p_divexact(u, {})
+
+
+def test_big_coefficients_stay_exact():
+    big = 10 ** 40
+    a = {K.pack(2, 1): big}
+    b = {K.pack(1, 1): big}
+    assert K.p_mul(a, b) == {K.pack(3, 2): big * big}
+    assert K.p_divexact(K.p_mul(a, b), b) == a
+
+
+_DOM = ExactDomain()
+_laurent = st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(-2, 2)),
+                    max_size=5).map(
+    lambda terms: sum((_DOM.monomial(*term) for term in terms), _DOM.zero))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent, _laurent)
+def test_exact_division_round_trip(a, b):
+    qm1 = _DOM.q - _DOM.one
+    assert (a * qm1) / qm1 == a
+    if b:
+        assert (a * b) / b == a
+
+
+def test_sympy_never_imported():
+    code = ("import sys\n"
+            "from shufflealg.scalars import ExactDomain\n"
+            "from shufflealg.verify import JobConfig, relations_suite, verify_shuffle\n"
+            "assert not relations_suite(ExactDomain(), 2, 2)['failures']\n"
+            "assert verify_shuffle(JobConfig(1, 1, 2))['ok']\n"
+            "print('sympy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shufflealg.__file__)))
+    env.pop("SHUFFLEALG_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

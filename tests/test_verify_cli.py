@@ -22,7 +22,7 @@ def test_suite_report_shape(fdom):
 
 def test_verify_shuffle_smallest(dom):
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=1))
-    assert rep["ok"]
+    assert rep["ok"] and rep["rhs_method"] == "coloring_dp"
     assert rep["results"][0]["alpha"] == [1]
 
 
@@ -47,6 +47,15 @@ def test_verify_shuffle_budget_skip():
 def test_verify_shuffle_parallel():
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, jobs=2))
     assert rep["ok"] and len(rep["results"]) == 2
+    assert rep["rhs_method"] == "parking_sum"
+
+
+def test_verify_shuffle_budget_prices_dyck_paths():
+    # 55 (4,8)-Dyck paths times Fubini(8) = 545835 words fit the default budget
+    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=4, alpha=(4,)))
+    assert rep["ok"] and not rep["skipped"]
+    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=5))
+    assert not rep["ok"] and len(rep["skipped"]) == 16
 
 
 def test_verify_shuffle_bad_config():
@@ -127,6 +136,15 @@ def test_cli_verify_suite(capsys):
 def test_cli_verify_shuffle_exit_status(capsys):
     code, data = _run_cli(["verify", "shuffle", "--m1", "2", "--n1", "1", "--g", "1"], capsys)
     assert code == 0 and data["ok"]
+
+
+def test_cli_fast_mode_pole_is_json_error(capsys):
+    # seed 261 draws u0 = 15/15, so q0 = 1 and (q - 1) would be divided by zero
+    code = cli.main(["--mode", "fast", "--seed", "261", "verify", "shuffle",
+                     "--m1", "1", "--n1", "1", "--g", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert "pole" in json.loads(captured.out)["error"]
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -73,8 +73,11 @@ def test_y_from_commutator_is_multiplication(dom):
 
 
 def test_exact_division_assertion(dom):
-    with pytest.raises(AssertionError):
+    with pytest.raises(vk.StepDivisionError):
         vk._divide_by_step({(0, 1): dom.one}, dom)  # y2 alone is not divisible
+    with pytest.raises(ArithmeticError):
+        vk._divide_by_step({(2, 0): dom.one, (0, 1): dom.q}, dom)
+    assert vk._divide_by_step({(0, 1): dom.t, (1, 0): -dom.t}, dom) == {(0, 0): dom.t}
 
 
 def test_word_parsing(dom):
