@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import vkspace as vk
+from .scalars import InvariantError
 from .symfunc import SymFunc
 from .vkspace import VElem
 
@@ -58,7 +59,8 @@ def mediant_decompose(m: int, n: int) -> MediantWord:
         chain.append(mid)
         if mid == (m, n):
             word = MediantWord(tuple(letters), (left, right), tuple(chain))
-            assert word.replay() == (left, right)
+            if word.replay() != (left, right):
+                raise InvariantError("mediant word does not replay to its sector")
             return word
         # steeper than the mediant <=> n*mid_m - m*mid_n > 0
         if n * mid[0] - m * mid[1] > 0:

@@ -1,17 +1,21 @@
 """The positive punctured-torus braid monoid and its operator representation.
 
-Strand positions live on the antidiagonal of the unit torus cell and are
-exact rational functions of the tie-breaking infinitesimal eps (EpsRat),
-ordered by their behaviour as eps -> 0+.  Braid words evaluate on V_*
-through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
+Strand positions live on the antidiagonal of the torus cell at slope
+s = n1/m1 - eps.  A position x is stored as X = x (s + 1), in units of the
+corner t = 1/(s + 1), so the corner sits at 1 and the far end of the cell
+at s + 1.  Each X is a polynomial germ in the tie-breaking infinitesimal eps
+(EpsRat), ordered by its behaviour as eps -> 0+.  Braid words evaluate on
+V_* through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
 z_i -> (qt)^{-1} z_i.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from math import floor, gcd
 
 from . import vkspace as vk
 from .combinat import SlopeValue
@@ -20,86 +24,28 @@ from .vkspace import VElem
 
 # ------------------------------------------------------------------- EpsRat
 
-def _ptrim(t):
-    t = list(t)
-    while t and not t[-1]:
-        t.pop()
-    return tuple(t)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                        for i in range(n)))
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    # univariate division over Q, b != 0
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _ptrim(a):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[i + d] -= c * y
-        a = list(_ptrim(a))
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a:
-        a = tuple(c / a[-1] for c in a)
-    return a
-
-
 class DegenerateGeometry(ArithmeticError):
     """An exact coincidence (point at the puncture, a wall, or a collision)."""
 
 
 class EpsRat:
-    """Rational function of eps, ordered by its germ at eps -> 0+."""
+    """Polynomial c[0] + c[1] eps + ... in eps, ordered by its germ at eps -> 0+.
 
-    __slots__ = ("num", "den")
+    Trailing zero coefficients are trimmed, so the coefficient tuple is
+    canonical and equality is tuple equality.
+    """
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num, den = _ptrim(num), _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        i = next((i for i, c in enumerate(den) if c), None)
-        if i is not None and den[i] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self.num, self.den = num, den
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        c = list(coeffs)
+        while c and not c[-1]:
+            c.pop()
+        self.c = tuple(c)
 
     @staticmethod
     def const(fr) -> "EpsRat":
-        fr = Fraction(fr)
-        return EpsRat((fr,))
+        return EpsRat((Fraction(fr),))
 
     @staticmethod
     def eps() -> "EpsRat":
@@ -110,37 +56,29 @@ class EpsRat:
         return EpsRat((Fraction(h.r), Fraction(h.e)))
 
     def __add__(self, other):
-        if self.den == other.den:
-            return EpsRat(_padd(self.num, other.num), self.den)
-        return EpsRat(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-                      _pmul(self.den, other.den))
+        return EpsRat(a + b for a, b in zip_longest(self.c, other.c, fillvalue=0))
 
     def __neg__(self):
-        return EpsRat(_pneg(self.num), self.den)
+        return EpsRat(-a for a in self.c)
 
     def __sub__(self, other):
-        return self + (-other)
+        return EpsRat(a - b for a, b in zip_longest(self.c, other.c, fillvalue=0))
 
     def __mul__(self, other):
-        return EpsRat(_pmul(self.num, other.num), _pmul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError
-        return EpsRat(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        out = [Fraction(0)] * max(0, len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return EpsRat(out)
 
     def sign(self) -> int:
-        # denominator is normalized positive near 0+
-        for c in self.num:
-            if c:
-                return 1 if c > 0 else -1
-        return 0
+        return next((1 if a > 0 else -1 for a in self.c if a), 0)
 
     def __eq__(self, other):
-        return isinstance(other, EpsRat) and (self - other).sign() == 0
+        return isinstance(other, EpsRat) and self.c == other.c
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self.c)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -154,38 +92,34 @@ class EpsRat:
     def __ge__(self, other):
         return (self - other).sign() >= 0
 
-    def floor(self) -> int:
-        if not self.den or not self.den[0]:
-            raise DegenerateGeometry("pole at eps = 0")
-        r0 = (self.num[0] if self.num else Fraction(0)) / self.den[0]
+    def floor_div(self, d: "EpsRat") -> int:
+        """floor(self / d) as eps -> 0+, for a divisor with d(0) > 0."""
+        r0 = (self.c[0] if self.c else Fraction(0)) / d.c[0]
         if r0.denominator != 1:
-            return r0.numerator // r0.denominator
-        d = (self - EpsRat.const(r0)).sign()
-        if d > 0:
-            return int(r0)
-        if d < 0:
-            return int(r0) - 1
-        raise DegenerateGeometry("exactly integral value")
+            return floor(r0)
+        side = (self - d * EpsRat.const(r0)).sign()
+        if not side:
+            raise DegenerateGeometry("exactly integral value")
+        return int(r0) if side > 0 else int(r0) - 1
 
     def ceil(self) -> int:
-        return -(-self).floor()
-
-    def frac(self) -> "EpsRat":
-        return self - EpsRat.const(self.floor())
+        return -(-self).floor_div(ONE)
 
     def __repr__(self):
-        return f"EpsRat({self.num}/{self.den})"
+        return f"EpsRat{self.c}"
+
+
+ONE = EpsRat.const(1)   # the corner t, in units of t
 
 
 # -------------------------------------------------------------- point configs
 
 @dataclass(frozen=True)
 class PointConfig:
-    """k labelled points on the antidiagonal, with the slope data."""
+    """k labelled points on the antidiagonal, with the slope."""
 
-    v: tuple          # EpsRat positions in (0, 1), by strand label
+    v: tuple          # EpsRat positions in (0, s + 1), in units of t, by strand label
     s: EpsRat         # slope (n1/m1 - eps)
-    t: EpsRat         # 1/(s+1)
 
     @property
     def k(self) -> int:
@@ -195,18 +129,22 @@ class PointConfig:
         return 1 + sum(1 for w in self.v if w < x)
 
 
+def _slope(m1: int, n1: int) -> EpsRat:
+    return EpsRat((Fraction(n1, m1), Fraction(-1)))
+
+
 def make_config(m1: int, n1: int, positions) -> PointConfig:
-    s = EpsRat((Fraction(n1, m1), Fraction(-1)))
-    t = EpsRat.const(1) / (s + EpsRat.const(1))
-    return PointConfig(tuple(positions), s, t)
+    """Points given as fractions of the antidiagonal, stored in units of t."""
+    s = _slope(m1, n1)
+    return PointConfig(tuple(p * (s + ONE) for p in positions), s)
 
 
 def opnext(cfg: PointConfig, x: EpsRat) -> EpsRat:
-    if x == cfg.t:
+    if x == ONE:
         raise DegenerateGeometry("point sits exactly on the departure corner")
-    if x < cfg.t:
-        return x + (EpsRat.const(1) - cfg.t)
-    return x - cfg.t
+    if x < ONE:
+        return x + cfg.s
+    return x - ONE
 
 
 # --------------------------------------------------------------- braid words
@@ -282,9 +220,9 @@ def elementary_step(cfg: PointConfig, i: int):
             raise DegenerateGeometry("moved point collides with another strand")
     a = cfg.sorted_position(x)
     newv = cfg.v[:i - 1] + (nx,) + cfg.v[i:]
-    new_cfg = PointConfig(newv, cfg.s, cfg.t)
+    new_cfg = PointConfig(newv, cfg.s)
     ap = new_cfg.sorted_position(nx)
-    if x < cfg.t:
+    if x < ONE:
         gens = tuple(train_down(ap, a)) + (("z", a),)
     else:
         gens = tuple(star(train_up(ap, a))) + (("yt", a),)
@@ -316,7 +254,7 @@ def special_braid(cfg: PointConfig, alpha, order=None):
     trajs = trajectories(cfg, alpha)
     flat = [p for tr in trajs for p in tr]
     for idx, p in enumerate(flat):
-        if p.sign() <= 0 or p >= EpsRat.const(1):
+        if p.sign() <= 0 or p >= cfg.s + ONE:
             raise DegenerateGeometry("trajectory leaves the open interval")
         for p2 in flat[idx + 1:]:
             if p == p2:
@@ -325,7 +263,6 @@ def special_braid(cfg: PointConfig, alpha, order=None):
         order = [i for i in range(cfg.k, 0, -1) for _ in range(alpha[i - 1] - 1)]
     else:
         order = list(order)
-        from collections import Counter
         if Counter(order) != Counter(i for i in range(1, cfg.k + 1)
                                      for _ in range(alpha[i - 1] - 1)):
             raise ValueError("order is not a rearrangement of the move multiset")
@@ -447,22 +384,23 @@ def safe_height(lower: SlopeValue, upper: SlopeValue, m1: int, n1: int) -> Slope
 def coloring_geometry(m1: int, n1: int, intervals, h: SlopeValue):
     """Initial positions and crossing counts of a coloring's intervals."""
     he = EpsRat.from_slope_value(h)
-    s = EpsRat((Fraction(n1, m1), Fraction(-1)))
-    t = EpsRat.const(1) / (s + EpsRat.const(1))
+    s = _slope(m1, n1)
+    s1 = s + ONE
     vs, alphas = [], []
     for (xi, yi) in intervals:
-        xa = EpsRat.const(xi)
-        xb = (EpsRat.const(yi) - he) / s
-        if not xa < xb:
+        # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s;
+        # both sides of each comparison are multiplied by s > 0
+        above = EpsRat.const(yi) - he
+        if not EpsRat.const(xi) * s < above:
             raise DegenerateGeometry("interval is empty at this height")
-        jmin = ((xa / t) + he).ceil()
-        jmax = ((xb / t) + he).floor()
-        assert jmin <= jmax, "every interval crosses the antidiagonal"
-        v = (t * (EpsRat.const(jmax) - he)).frac()
-        vs.append(v)
+        jmin = (EpsRat.const(xi) * s1 + he).ceil()
+        jmax = (above * s1 + he * s).floor_div(s)
+        if jmin > jmax:
+            raise DegenerateGeometry("interval does not cross the antidiagonal")
+        v = EpsRat.const(jmax) - he
+        vs.append(v - s1 * EpsRat.const(v.floor_div(s1)))
         alphas.append(jmax - jmin + 1)
-    cfg = PointConfig(tuple(vs), s, t)
-    return cfg, tuple(alphas)
+    return PointConfig(tuple(vs), s), tuple(alphas)
 
 
 def braid_of_coloring(m1: int, n1: int, intervals, h: SlopeValue):
@@ -503,25 +441,25 @@ def single_strand_braid(m: int, n: int) -> BraidWord:
     n-1 horizontal and m-1 vertical wall crossings."""
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("need coprime positive m, n")
-    s = EpsRat((Fraction(n, m), Fraction(-1)))
-    t = EpsRat.const(1) / (s + EpsRat.const(1))
-    cfg = PointConfig((EpsRat.const(1) - t - EpsRat.eps(),), s, t)
+    s = _slope(m, n)
+    cfg = PointConfig((s - EpsRat.eps() * (s + ONE),), s)
     x = cfg.v[0]
     gens: tuple = ()
     horiz = vert = 0
     # the word lives in the free monoid on y_1 and z_1
     for _ in range((m - 1) + (n - 1)):
-        if x < t:
+        if x < ONE:
             gens = (("z", 1),) + gens
             vert += 1
         else:
             gens = (("y", 1),) + gens
             horiz += 1
         x = opnext(cfg, x)
-    assert (horiz, vert) == (n - 1, m - 1), "wall crossing counts are off"
-    gap = t - x
-    assert gap.sign() > 0 and (not gap.num or gap.num[0] == 0), \
-        "strand does not finish just left of the corner"
+    if (horiz, vert) != (n - 1, m - 1):
+        raise DegenerateGeometry("wall crossing counts are off")
+    gap = ONE - x
+    if gap.sign() <= 0 or gap.c[0]:
+        raise DegenerateGeometry("strand does not finish just left of the corner")
     return BraidWord(1, gens)
 
 

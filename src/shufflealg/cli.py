@@ -125,9 +125,13 @@ def cmd_braid(args):
         from math import gcd
         with open(args.coloring) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or "intervals" not in data:
+            raise ValueError(f"{args.coloring} has no \"intervals\" list")
         intervals = tuple(tuple(iv) for iv in data["intervals"])
         events = sw.dp_events(args.m, args.n)
         stratum = data.get("stratum", len(events))
+        if type(stratum) is not int or not 0 <= stratum <= len(events):
+            raise ValueError(f"stratum must be an integer from 0 to {len(events)}")
         bounds_holder = sw.DpResult(args.m, args.n, args.n, events, {})
         lower, upper = bounds_holder.stratum_bounds(stratum)
         g = gcd(args.m, args.n)
@@ -241,7 +245,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 2
 

@@ -14,6 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from . import symfunc as sf
+from .scalars import InvariantError
 from .symfunc import SymFunc
 
 
@@ -226,7 +227,8 @@ def attack_structure(p: DyckPath) -> MarkedSquarePath:
     prev = 0
     for i in range(1, n + 1):
         top = max(att[i], default=i)
-        assert att[i] == set(range(i + 1, top + 1)), "attack set is not an interval"
+        if att[i] != set(range(i + 1, top + 1)):
+            raise InvariantError("attack set is not an interval")
         top = max(top, prev, i)
         heights.append(top)
         prev = top
@@ -237,8 +239,8 @@ def attack_structure(p: DyckPath) -> MarkedSquarePath:
         h = heights[i - 1]
         bits.append(0)
     pi_prime = DyckPath(n, n, bits)
-    assert len(_area_cells(pi_prime)) == sum(len(s) for s in att.values()), \
-        "attack graph does not bound a square path"
+    if len(_area_cells(pi_prime)) != sum(len(s) for s in att.values()):
+        raise InvariantError("attack graph does not bound a square path")
     ranks = _rank_map(p)
     norths = sorted(p.north_starts, key=lambda pt: ranks[pt])
     pos = {pt: i + 1 for i, pt in enumerate(norths)}
@@ -249,7 +251,8 @@ def attack_structure(p: DyckPath) -> MarkedSquarePath:
             marks.add((pos[(x, y)], pos[(x, y + 1)]))
     mp = MarkedSquarePath(pi_prime, frozenset(marks))
     for (i, j) in marks:
-        assert _is_corner(pi_prime, i, j), "marked pair is not a corner"
+        if not _is_corner(pi_prime, i, j):
+            raise InvariantError("marked pair is not a corner")
     return mp
 
 

@@ -31,6 +31,10 @@ class CoefRatError(ArithmeticError):
     pass
 
 
+class InvariantError(ArithmeticError):
+    """An internal consistency check failed, so the result cannot be trusted."""
+
+
 def _int_content(p):
     g = 0
     for c in p.values():

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .combinat import DyckPath, SlopeValue, line_height
+from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus
 
 
@@ -116,7 +117,8 @@ def sweep_path(p: DyckPath, dom, cap: int | None = None):
     f = VElem.one(dom, 0, cap)
     for ev in event_sequence(p):
         f = apply_event(f, ev)
-    assert f.k == 0, "sweep did not return to V_0"
+    if f.k != 0:
+        raise InvariantError("sweep did not return to V_0")
     return f.as_symfunc()
 
 
@@ -174,7 +176,8 @@ class DpResult:
 def _insert_position(intervals, x: int, y: int) -> int:
     pos = sum(1 for (xi, _) in intervals if xi < x)
     pos2 = sum(1 for (_, yi) in intervals if yi < y)
-    assert pos == pos2, "new interval would overlap an existing one"
+    if pos != pos2:
+        raise InvariantError("new interval would overlap an existing one")
     return pos
 
 
@@ -203,7 +206,8 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None,
             j = next((idx for idx, (xi, _) in enumerate(key) if xi == px), None)
             k = len(key)
             if i is not None and j is not None:
-                assert j == i + 1, "merging intervals are not adjacent"
+                if j != i + 1:
+                    raise InvariantError("merging intervals are not adjacent")
                 merged = key[:i] + ((key[i][0], key[j][1]),) + key[j + 1:]
                 put(merged, act_dminus(val), "B", key)
             elif i is not None:

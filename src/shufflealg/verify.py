@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction as Fr
@@ -284,7 +285,8 @@ def trains_suite(dom, cases: int = 100, seed: int = 1234) -> dict:
         done += 1
         wl, wr = br.BraidWord(k, tuple(lhs)), br.BraidWord(k, tuple(rhs))
         # also exercise the in-place rewriter on the lhs word
-        assert br.rewrite_trains(wl, rule, 0, params) == wr
+        if br.rewrite_trains(wl, rule, 0, params) != wr:
+            failures.append({"id": f"rewrite {rule}{params}@k={k}", "witness": str(wr)})
         for f in (vk.VElem.one(dom, k, 3), _dplus_power(dom, k, 3)):
             a = br.evaluate(wl, f)
             b = br.evaluate(wr, f)
@@ -382,36 +384,37 @@ def _creation_checks(cfg, alpha, B):
     k = cfg.k
     # phi_plus: extra fixed point left of every trajectory point
     flat = [p for tr in br.trajectories(cfg, alpha) for p in tr]
-    x0 = br.EpsRat.const(min(p.num[0] / p.den[0] for p in flat) / 2)
+    s1 = cfg.s + br.ONE
+    x0 = br.EpsRat.const(min(p.c[0] for p in flat) / s1.c[0] / 2) * s1
     if any(x0 == p for p in flat):
         raise br.DegenerateGeometry("left guard collides")
-    cfg_plus = br.PointConfig((x0,) + cfg.v, cfg.s, cfg.t)
+    cfg_plus = br.PointConfig((x0,) + cfg.v, cfg.s)
     Bp, _ = br.special_braid(cfg_plus, (1,) + alpha,
                              order=[i + 1 for i in range(k, 0, -1)
                                     for _ in range(alpha[i - 1] - 1)])
     checks.append(("phi_plus", k + 1, Bp.gens, br.creation_hom(B, "phi_plus").gens))
 
     # phi_minus: extra fixed point at the finish corner (t, 1-t)
-    cfg_minus = br.PointConfig(cfg.v + (cfg.t,), cfg.s, cfg.t)
+    cfg_minus = br.PointConfig(cfg.v + (br.ONE,), cfg.s)
     traj = br.trajectories(cfg_minus, alpha + (1,))
     flat2 = [p for tr in traj for p in tr]
-    if len({(p.num, p.den) for p in flat2}) != len(flat2):
+    if len(set(flat2)) != len(flat2):
         raise br.DegenerateGeometry("finish guard collides")
     Bm, cfgm_final = br.special_braid(cfg_minus, alpha + (1,),
                                       order=[i for i in range(k, 0, -1)
                                              for _ in range(alpha[i - 1] - 1)])
-    i0 = cfg_minus.sorted_position(cfg.t)
-    i1 = cfgm_final.sorted_position(cfg.t)
+    i0 = cfg_minus.sorted_position(br.ONE)
+    i1 = cfgm_final.sorted_position(br.ONE)
     lhs = tuple(br.star(br.train_down(k + 1, i1))) + Bm.gens
     rhs = br.creation_hom(B, "phi_minus").gens + tuple(br.star(br.train_down(k + 1, i0)))
     checks.append(("phi_minus", k + 1, lhs, rhs))
 
     # phi_plus_star: extra fixed point at the start corner (1-t, t)
-    pstart = br.EpsRat.const(1) - cfg.t
-    cfg_star = br.PointConfig(cfg.v + (pstart,), cfg.s, cfg.t)
+    pstart = cfg.s
+    cfg_star = br.PointConfig(cfg.v + (pstart,), cfg.s)
     traj = br.trajectories(cfg_star, alpha + (1,))
     flat3 = [p for tr in traj for p in tr]
-    if len({(p.num, p.den) for p in flat3}) != len(flat3):
+    if len(set(flat3)) != len(flat3):
         raise br.DegenerateGeometry("start guard collides")
     Bs, cfgs_final = br.special_braid(cfg_star, alpha + (1,),
                                       order=[i for i in range(k, 0, -1)
@@ -465,6 +468,8 @@ class JobConfig:
     cache_dir: str | None = field(default_factory=lambda: os.environ.get("SHUFFLEALG_CACHE_DIR"))
 
     def __post_init__(self):
+        if min(self.m1, self.n1, self.g) < 1:
+            raise ValueError("m1, n1 and g must be at least 1")
         if gcd(self.m1, self.n1) != 1:
             raise ValueError("m1, n1 must be coprime")
         if self.cap is None:
@@ -556,25 +561,50 @@ def _dp_cache_path(cfg: JobConfig):
                         f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}_cap{cfg.cap}.json")
 
 
-def _load_dp_cache(cfg: JobConfig, dom):
-    """DP results memoized per (m,n) so several alpha queries share one run."""
-    m, n = cfg.m1 * cfg.g, cfg.n1 * cfg.g
-    path = _dp_cache_path(cfg)
-    if path and os.path.exists(path):
+DP_CACHE_VERSION = 1
+
+
+def _read_dp_cache(path: str, m: int, n: int, cap: int, dom):
+    """The cached DP at path, or None if the file is missing, unreadable or stale."""
+    try:
         with open(path) as fh:
             payload = json.load(fh)
+        if [payload.get(key) for key in ("version", "m", "n", "cap")] != \
+                [DP_CACHE_VERSION, m, n, cap]:
+            return None
         state = {tuple(tuple(iv) for iv in item["key"]): _velem_from_json(item["value"], dom)
                  for item in payload["state"]}
-        return sw.DpResult(m, n, payload["cap"], [tuple(e) for e in payload["events"]], state)
+        return sw.DpResult(m, n, cap, [tuple(e) for e in payload["events"]], state)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError):
+        return None
+
+
+def _load_dp_cache(cfg: JobConfig, dom):
+    """DP results memoized per (m,n) so several alpha queries share one run.
+
+    The cache file carries a version and its (m, n, cap); a file that does
+    not parse or does not match is recomputed and replaced atomically.
+    """
+    m, n = cfg.m1 * cfg.g, cfg.n1 * cfg.g
+    path = _dp_cache_path(cfg)
+    dp = _read_dp_cache(path, m, n, cfg.cap, dom) if path else None
+    if dp is not None:
+        return dp
     dp = sw.recursion_dp(m, n, dom, cap=cfg.cap)
     if path:
-        payload = {"m": m, "n": n, "cap": dp.cap,
+        payload = {"version": DP_CACHE_VERSION, "m": m, "n": n, "cap": dp.cap,
                    "events": [list(e) for e in dp.events],
                    "state": [{"key": [list(iv) for iv in key],
                               "value": _velem_to_json(val)}
                              for key, val in sorted(dp.state.items())]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
+        fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return dp
 
 

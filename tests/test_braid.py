@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflealg import braid as br
 from shufflealg import sweep as sw
@@ -17,22 +20,45 @@ def test_epsrat_ordering():
     eps = br.EpsRat.eps()
     assert C(0) < eps < C("1/1000000")
     assert (C(1) - eps) < C(1)
-    assert (C(1) / (C(2) - eps)).floor() == 0
-    assert (C(2) + eps).floor() == 2
-    assert (C(2) - eps).floor() == 1
+    assert C(1).floor_div(C(2) - eps) == 0
+    assert (C(2) + eps).floor_div(C(1)) == 2
+    assert (C(2) - eps).floor_div(C(1)) == 1
     with pytest.raises(br.DegenerateGeometry):
-        C(2).floor()  # exactly integral: caller must perturb
+        C(2).floor_div(C(1))  # exactly integral: caller must perturb
     x = C("7/3") + eps
-    assert x.frac() == C("1/3") + eps
+    assert x - C(x.floor_div(C(1))) == C("1/3") + eps
+
+
+_coef = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20))
+_germ = st.lists(_coef, max_size=3).map(br.EpsRat)
+_EPS0 = Fraction(1, 10 ** 12)
+
+
+def _at(p, x):
+    return sum((c * x ** i for i, c in enumerate(p.c)), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_germ, _germ, _germ)
+def test_epsrat_germ_matches_small_eps(p, q, d):
+    diff = _at(p - q, _EPS0)
+    assert (p - q).sign() == (diff > 0) - (diff < 0)
+    if not d.c or d.c[0] <= 0:
+        return
+    ratio = _at(p, _EPS0) / _at(d, _EPS0)
+    try:
+        assert p.floor_div(d) == floor(ratio)
+    except br.DegenerateGeometry:
+        assert p == d * C(ratio)      # only an exact multiple has no germ floor
 
 
 def test_opnext_walls():
     cfg = br.make_config(1, 1, [C("1/5")])
-    # t = 1/(2 - eps) is just above 1/2
-    assert cfg.v[0] < cfg.t
+    # positions are in units of t = 1/(2 - eps), so the corner t sits at 1
+    assert cfg.v[0] < br.ONE
     nxt = br.opnext(cfg, cfg.v[0])
-    assert nxt > cfg.t                      # crossed the vertical wall upward
-    assert br.opnext(cfg, nxt) == (nxt - cfg.t)
+    assert nxt > br.ONE                     # crossed the vertical wall upward
+    assert br.opnext(cfg, nxt) == (nxt - br.ONE)
 
 
 def test_elementary_step_single_strand():

@@ -63,6 +63,9 @@ def test_verify_shuffle_bad_config():
         vf.JobConfig(m1=2, n1=4, g=1)
     with pytest.raises(ValueError):
         vf.JobConfig(m1=1, n1=1, g=2, cap=1)
+    for m1, n1, g in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError):
+            vf.JobConfig(m1=m1, n1=n1, g=g)
 
 
 def test_dp_cache_roundtrip(dom, tmp_path):
@@ -73,6 +76,35 @@ def test_dp_cache_roundtrip(dom, tmp_path):
     rep2 = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
     assert rep1["ok"] and rep2["ok"]
     assert [r["alpha"] for r in rep1["results"]] == [r["alpha"] for r in rep2["results"]]
+
+
+def _without_seconds(report):
+    return {**report, "results": [{k: v for k, v in r.items() if k != "seconds"}
+                                  for r in report["results"]]}
+
+
+def _truncate(payload, text):
+    return text[:len(text) // 2]
+
+
+def _stale_version(payload, text):
+    # zeroed values under an old version: read back, they would fail the check
+    for item in payload["state"]:
+        item["value"]["terms"] = []
+    return json.dumps({**payload, "version": vf.DP_CACHE_VERSION - 1})
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _stale_version])
+def test_dp_cache_bad_file_is_recomputed(dom, tmp_path, spoil):
+    uncached = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=None))
+    vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    path.write_text(spoil(json.loads(text), text))
+    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
+    assert _without_seconds(rep) == _without_seconds(uncached)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp file left
+    assert json.loads(path.read_text())["version"] == vf.DP_CACHE_VERSION
 
 
 def test_dp_cache_values_exact(dom, tmp_path):
@@ -136,6 +168,41 @@ def test_cli_verify_suite(capsys):
 def test_cli_verify_shuffle_exit_status(capsys):
     code, data = _run_cli(["verify", "shuffle", "--m1", "2", "--n1", "1", "--g", "1"], capsys)
     assert code == 0 and data["ok"]
+
+
+def _missing_coloring(tmp_path):
+    return ["braid", "of-coloring", "--m", "1", "--n", "1",
+            "--coloring", str(tmp_path / "missing.json")]
+
+
+def _coloring_without_intervals(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"stratum": 0}))
+    return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
+
+
+def _stratum_out_of_range(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": [[0, 1]], "stratum": 99}))
+    return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
+
+
+def _out_in_missing_dir(tmp_path):
+    return ["--out", str(tmp_path / "no" / "such" / "dir.json"),
+            "verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "1"]
+
+
+def _zero_m1(tmp_path):
+    return ["verify", "shuffle", "--m1", "0", "--n1", "1", "--g", "1"]
+
+
+@pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
+                                  _stratum_out_of_range, _out_in_missing_dir, _zero_m1])
+def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
+    code = cli.main(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"]
 
 
 def test_cli_fast_mode_pole_is_json_error(capsys):
