@@ -127,7 +127,13 @@ def cmd_braid(args):
             data = json.load(fh)
         if not isinstance(data, dict) or "intervals" not in data:
             raise ValueError(f"{args.coloring} has no \"intervals\" list")
-        intervals = tuple(tuple(iv) for iv in data["intervals"])
+        intervals = data["intervals"]
+        if not isinstance(intervals, list) or not all(
+                isinstance(iv, list) and len(iv) == 2 and all(type(c) is int for c in iv)
+                and 0 <= iv[0] <= args.m and 0 <= iv[1] <= args.n for iv in intervals):
+            raise ValueError(f"\"intervals\" must be a list of integer pairs [x, y] "
+                             f"with 0 <= x <= {args.m} and 0 <= y <= {args.n}")
+        intervals = tuple(tuple(iv) for iv in intervals)
         events = sw.dp_events(args.m, args.n)
         stratum = data.get("stratum", len(events))
         if type(stratum) is not int or not 0 <= stratum <= len(events):

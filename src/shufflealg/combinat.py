@@ -8,10 +8,11 @@ the tie-breaking infinitesimal never becomes a float.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache
+from math import factorial, gcd
 
 from . import symfunc as sf
 from .scalars import InvariantError
@@ -35,13 +36,6 @@ class SlopeValue:
     def __sub__(self, other):
         return SlopeValue(self.r - other.r, self.e - other.e)
 
-    def is_positive(self) -> bool:
-        return self > SlopeValue(Fraction(0), 0)
-
-    @staticmethod
-    def zero():
-        return SlopeValue(Fraction(0), 0)
-
 
 def line_height(m1: int, n1: int, x: int, y: int) -> SlopeValue:
     """h(x, y) = y - (n1/m1 - eps) * x, the sweep height of a lattice point."""
@@ -58,16 +52,15 @@ class DyckPath:
         if len(steps) != m + n or sum(steps) != n:
             raise ValueError("step count does not match the endpoint")
         self.m, self.n, self.steps = m, n, steps
-        g = gcd(m, n)
         x = y = 0
-        for b in steps:
+        for b in steps[:-1]:
             if b:
                 y += 1
             else:
                 x += 1
-            if (x, y) != (m, n) and (x, y) != (0, 0):
-                if not line_height(m // g, n // g, x, y).is_positive():
-                    raise ValueError(f"path dips below the boundary line at {(x, y)}")
+            # line_height(x, y) > 0 iff m*y >= n*x here, as the path leaves (0, 0)
+            if m * y < n * x:
+                raise ValueError(f"path dips below the boundary line at {(x, y)}")
 
     @property
     def m1(self) -> int:
@@ -151,22 +144,24 @@ def enumerate_paths(m: int, n: int, alpha=None):
         raise ValueError("need m, n >= 1")
     g = gcd(m, n)
     m1, n1 = m // g, n // g
+    touch_xs = None
     if alpha is not None:
         alpha = tuple(alpha)
         if sum(alpha) != g or any(a < 1 for a in alpha):
             raise ValueError("alpha must be a composition of gcd(m, n)")
+        touch_xs = {m1 * s for s in itertools.accumulate(alpha)}
     out = []
 
     def rec(x, y, bits):
         if (x, y) == (m, n):
-            p = DyckPath(m, n, bits)
-            if alpha is None or touch_composition(p) == alpha:
-                out.append(p)
+            out.append(DyckPath(m, n, bits))
             return
         if y < n:
             rec(x, y + 1, bits + [1])
-        # an East step is legal iff the new point stays weakly above the diagonal
-        if x < m and m1 * y >= n1 * (x + 1):
+        # an East step is legal iff the new point stays weakly above the diagonal;
+        # with alpha, only East steps reach it, exactly on the touch columns
+        d = m1 * y - n1 * (x + 1)
+        if x < m and d >= 0 and (touch_xs is None or (d == 0) == (x + 1 in touch_xs)):
             rec(x + 1, y, bits + [0])
 
     rec(0, 0, [])
@@ -195,13 +190,15 @@ def reading_order(m: int, n: int):
     return pts
 
 
-def _rank_map(p: DyckPath) -> dict:
-    return {pt: i for i, pt in enumerate(reading_order(p.m, p.n))}
+@lru_cache(maxsize=None)
+def _rank_map(m: int, n: int) -> dict:
+    """Lattice point -> reading-order rank in the (m, n) box (shared; do not mutate)."""
+    return {pt: i for i, pt in enumerate(reading_order(m, n))}
 
 
 def attacks(p: DyckPath) -> dict:
     """rank-order position -> set of attacked positions (1-indexed)."""
-    ranks = _rank_map(p)
+    ranks = _rank_map(p.m, p.n)
     norths = sorted(p.north_starts, key=lambda pt: ranks[pt])
     pos = {pt: i + 1 for i, pt in enumerate(norths)}
     out = {}
@@ -241,7 +238,7 @@ def attack_structure(p: DyckPath) -> MarkedSquarePath:
     pi_prime = DyckPath(n, n, bits)
     if len(_area_cells(pi_prime)) != sum(len(s) for s in att.values()):
         raise InvariantError("attack graph does not bound a square path")
-    ranks = _rank_map(p)
+    ranks = _rank_map(p.m, p.n)
     norths = sorted(p.north_starts, key=lambda pt: ranks[pt])
     pos = {pt: i + 1 for i, pt in enumerate(norths)}
     marks = set()
@@ -265,14 +262,16 @@ def _is_corner(pi: DyckPath, i: int, j: int) -> bool:
 
 
 def area(p: DyckPath) -> int:
-    """Lattice points strictly between the path and the boundary line."""
-    g = gcd(p.m, p.n)
-    m1, n1 = p.m // g, p.n // g
-    cnt = 0
-    for (x, y) in region_points(p.m, p.n, m1, n1):
-        if line_height(m1, n1, x, y).is_positive() and p.weakly_below(x, y) \
-                and not p.on_path(x, y):
-            cnt += 1
+    """Lattice points strictly between the path and the boundary line: on each
+    line x >= 1, the y with n1*x <= m1*y below where the path arrives there."""
+    m1, n1 = p.m1, p.n1
+    cnt = x = y = 0
+    for b in p.steps:
+        if b:
+            y += 1
+        else:
+            x += 1
+            cnt += y + (-n1 * x) // m1  # y - ceil(n1 x / m1)
     return cnt
 
 
@@ -327,7 +326,8 @@ def statistics(p: DyckPath) -> dict:
 
 def is_word_parking_function(p: DyckPath, w) -> bool:
     nset = set(p.north_starts)
-    pos = {pt: i + 1 for i, pt in enumerate(sorted(p.north_starts, key=lambda q: _rank_map(p)[q]))}
+    ranks = _rank_map(p.m, p.n)
+    pos = {pt: i + 1 for i, pt in enumerate(sorted(p.north_starts, key=ranks.__getitem__))}
     for (x, y) in p.north_starts:
         if (x, y + 1) in nset and not w[pos[(x, y)] - 1] > w[pos[(x, y + 1)] - 1]:
             return False
@@ -350,9 +350,11 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
                   full_check: bool = False, budget: int = 2_000_000) -> SymFunc:
     """chi(pi', S): q-weighted sum over S-admissible words.
 
-    The default enumerates one word per monomial (sound because the result
-    is symmetric); full_check feeds every word over {1..n}^n through the
-    symmetry-asserting aggregator.
+    Standardizing (equal letters numbered left to right) keeps attack inversions
+    and strict marks, so chi = sum over S-admissible permutations sigma of
+    q^inv(sigma) F_iDes(sigma), and F_D has m_lam coefficient 1 iff D lies among
+    lam's partial sums.  full_check feeds every word over {1..n}^n through the
+    symmetry-asserting aggregator instead.
     """
     pi, S = mp.pi_prime, mp.marks
     n = pi.n
@@ -364,8 +366,6 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
         raise ResourceWarning(f"enumeration needs ~{word_enumeration_size(n)} words, "
                               f"over budget {budget}")
     cells = _area_cells(pi)
-    attackers = {j: [i for (i, jj) in cells if jj == j] for j in range(1, n + 1)}
-    above = {j: [i for (i, jj) in S if jj == j] for j in range(1, n + 1)}
 
     if full_check:
         if n ** n > budget:
@@ -377,13 +377,61 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
                 words.append((w, dom.q_power(inv)))
         return sf.from_word_multiset(dom, cap, words, alphabet=n)
 
-    # the m_lam coefficient is the q-count over words where letter i occurs lam[i] times
     coeffs = {}
-    for lam in sf.partitions_of(n):
-        total = _qcount_words(lam, attackers, above, n, dom)
-        if total:
-            coeffs[lam] = total
+    for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S)):
+        total = dom.zero
+        for inv, c in enumerate(by_inv):
+            if c:
+                total = total + dom.monomial(c, 2 * inv, 0)
+        coeffs[lam] = total
     return SymFunc(dom, cap, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _monomial_qcounts(n: int, cells: tuple, marks: frozenset) -> tuple:
+    """((lam, counts), ...): chi's m_lam coefficient is sum_inv counts[inv] q^inv,
+    over the inverse-descent masks contained in lam's partial sums."""
+    counts = _standard_word_counts(n, cells, marks)
+    out = []
+    for lam in sf.partitions_of(n):
+        cuts = sum(1 << s for s in itertools.accumulate(lam))
+        by_inv = Counter()
+        for (mask, inv), c in counts.items():
+            if not mask & ~cuts:
+                by_inv[inv] += c
+        if by_inv:
+            out.append((lam, tuple(by_inv[i] for i in range(max(by_inv) + 1))))
+    return tuple(out)
+
+
+def _standard_word_counts(n: int, cells, marks) -> Counter:
+    """(inverse-descent mask, inv) -> number of S-admissible permutations.
+
+    Values 1..n go in increasing order; a mark (i, j) lets i take a value
+    once j has one, so the search never dead-ends.  Placing v at p counts the
+    filled j with a cell (p, j), and sets mask bit v - 1 iff p is left of v - 1.
+    """
+    attacked = [0] * (n + 1)  # bit j of attacked[i]: cell (i, j)
+    waits = [0] * (n + 1)     # bit j of waits[i]: mark (i, j)
+    for (i, j) in cells:
+        attacked[i] |= 1 << j
+    for (i, j) in marks:
+        waits[i] |= 1 << j
+    counts = Counter()
+
+    def rec(v, filled, last, mask, inv):
+        for p in range(1, n + 1):
+            if filled >> p & 1 or waits[p] & ~filled:
+                continue
+            m = mask | 1 << (v - 1) if p < last else mask
+            d = inv + (attacked[p] & filled).bit_count()
+            if v == n:
+                counts[m, d] += 1
+            else:
+                rec(v + 1, filled | 1 << p, p, m, d)
+
+    rec(1, 0, 0, 0, 0)
+    return counts
 
 
 def dyck_path_count(m: int, n: int) -> int:
@@ -400,39 +448,9 @@ def dyck_path_count(m: int, n: int) -> int:
 
 
 def word_enumeration_size(n: int) -> int:
-    """Words over {1..n} of length n whose letter multiplicities decrease,
-    i.e. one representative per monomial (an ordered-set-partition count)."""
-    from math import comb
-    fub = [1] + [0] * n
-    for i in range(1, n + 1):
-        fub[i] = sum(comb(i, j) * fub[i - j] for j in range(1, i + 1))
-    return fub[n]
-
-
-def _qcount_words(lam, attackers, above, n, dom):
-    """Sum of q^inv over S-admissible words with letter i used lam[i-1] times."""
-    remaining = list(lam) + [0]
-    ell = len(lam)
-    out = [dom.zero]
-
-    def rec(pos, w, inv):
-        if pos > n:
-            out[0] = out[0] + dom.q_power(inv)
-            return
-        for letter in range(1, ell + 1):
-            if not remaining[letter - 1]:
-                continue
-            if any(not w[i - 1] > letter for i in above[pos]):
-                continue
-            d = sum(1 for i in attackers[pos] if w[i - 1] > letter)
-            remaining[letter - 1] -= 1
-            w.append(letter)
-            rec(pos + 1, w, inv + d)
-            w.pop()
-            remaining[letter - 1] += 1
-
-    rec(1, [], 0)
-    return out[0]
+    """Standard words (permutations) of length n: an upper bound on the
+    S-admissible ones char_function enumerates."""
+    return factorial(n)
 
 
 def path_weight(p: DyckPath, dom, cap: int | None = None) -> SymFunc:

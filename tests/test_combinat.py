@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 from shufflealg import combinat as cb
 from shufflealg.symfunc import SymFunc
+from shufflealg.verify import compositions_of
 
 FIG_PATH = cb.DyckPath(10, 6, (1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
 
@@ -22,15 +24,18 @@ def test_enumerate_small():
 
 
 def test_enumerate_alpha_partitions_path_set():
-    full = {p.steps for p in cb.enumerate_paths(2, 2)}
-    split = set()
-    for alpha in ((1, 1), (2,)):
-        part = {p.steps for p in cb.enumerate_paths(2, 2, alpha)}
-        assert not (part & split)
-        split |= part
-    assert split == full
-    with pytest.raises(ValueError):
-        cb.enumerate_paths(2, 2, (3,))
+    for (m, n) in ((2, 2), (4, 8), (6, 4), (6, 6)):
+        full = cb.enumerate_paths(m, n)
+        split = set()
+        for alpha in compositions_of(math.gcd(m, n)):
+            part = {p.steps for p in cb.enumerate_paths(m, n, alpha)}
+            assert part == {p.steps for p in full if cb.touch_composition(p) == alpha}, \
+                (m, n, alpha)
+            assert not (part & split)
+            split |= part
+        assert split == {p.steps for p in full}
+        with pytest.raises(ValueError):
+            cb.enumerate_paths(m, n, (math.gcd(m, n) + 1,))
 
 
 def test_touch_composition():
@@ -115,8 +120,8 @@ def test_char_function_free_square(dom):
 
 
 def test_char_function_full_check_agrees(dom):
-    for m in range(1, 4):
-        for n in range(1, 4):
+    for m in range(1, 6):
+        for n in range(1, 6):
             for p in cb.enumerate_paths(m, n):
                 mp = cb.attack_structure(p)
                 fast = cb.char_function(mp, dom)

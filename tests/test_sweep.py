@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflealg import combinat as cb
 from shufflealg import sweep as sw
+from shufflealg.scalars import ExactDomain
 from shufflealg.symfunc import SymFunc
 from shufflealg.vkspace import VElem
 
@@ -38,6 +41,23 @@ def test_sweep_matches_statistics_formula(dom):
         for n in range(1, 8 - m):
             for p in cb.enumerate_paths(m, n):
                 assert sw.sweep_path(p, dom) == cb.path_weight(p, dom), str(p)
+
+
+@st.composite
+def _dyck_paths(draw):
+    # m + n <= 12, and n <= 9 keeps the n! standard words within char_function's budget
+    m = draw(st.integers(1, 11))
+    n = draw(st.integers(1, min(9, 12 - m)))
+    return draw(st.sampled_from(cb.enumerate_paths(m, n)))
+
+
+_DOM = ExactDomain()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dyck_paths())
+def test_sweep_matches_statistics_formula_random(p):
+    assert sw.sweep_path(p, _DOM) == cb.path_weight(p, _DOM), str(p)
 
 
 def test_dp_unit(dom):

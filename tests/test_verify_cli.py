@@ -51,7 +51,8 @@ def test_verify_shuffle_parallel():
 
 
 def test_verify_shuffle_budget_prices_dyck_paths():
-    # 55 (4,8)-Dyck paths times Fubini(8) = 545835 words fit the default budget
+    # 55 (4,8)-Dyck paths times 8! standard words = 2,217,600 fit the default budget;
+    # (1,2,5) is still refused: 273 (5,10)-Dyck paths times 10! = 990,662,400
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=4, alpha=(4,)))
     assert rep["ok"] and not rep["skipped"]
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=5))
@@ -187,6 +188,18 @@ def _stratum_out_of_range(tmp_path):
     return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
 
 
+def _interval_outside_cell(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": [[0, 5]]}))
+    return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
+
+
+def _intervals_not_a_list(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": 3}))
+    return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
+
+
 def _out_in_missing_dir(tmp_path):
     return ["--out", str(tmp_path / "no" / "such" / "dir.json"),
             "verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "1"]
@@ -197,7 +210,8 @@ def _zero_m1(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
-                                  _stratum_out_of_range, _out_in_missing_dir, _zero_m1])
+                                  _stratum_out_of_range, _interval_outside_cell,
+                                  _intervals_not_a_list, _out_in_missing_dir, _zero_m1])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
