@@ -17,7 +17,7 @@ from .braid import (BraidWord, braid_of_coloring, creation_hom, evaluate,
 from .combinat import (DyckPath, attack_structure, char_function, dinv,
                        enumerate_paths, reading_order, rhs_compositional,
                        statistics, touch_composition)
-from .scalars import CoefRat, ExactDomain, FastDomain, arith
+from .scalars import CoefRat, ExactDomain
 from .symfunc import (SymFunc, basis_convert, from_word_multiset,
                       pexp_coefficients, plethystic_substitute)
 from .sweep import assemble_composition, event_sequence, recursion_dp, sweep_path
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionTower", "BraidWord", "CoefRat", "DyckPath", "ExactDomain",
-    "FastDomain", "JobConfig", "SymFunc", "VElem", "arith",
+    "JobConfig", "SymFunc", "VElem",
     "assemble_composition", "attack_structure", "basis_convert",
     "braid_of_coloring", "build_action", "c_alpha_identity_check",
     "char_function", "creation_hom", "dinv", "enumerate_paths", "evaluate",

@@ -87,10 +87,6 @@ class ActionHandle:
     def dplus(self, f: VElem) -> VElem:
         return self._dplus(f)
 
-    @staticmethod
-    def dminus(f: VElem) -> VElem:
-        return vk.act_dminus(f)
-
     def T(self, f: VElem, i: int, inverse: bool = False) -> VElem:
         return vk.act_T(f, i, inverse=(inverse != self.star))
 

@@ -3,7 +3,8 @@
 Subcommands: paths (enum/stats/chi), actions (build/lhs), sweep (path/dp),
 braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
 deterministic ordering; exit status is 1 when a verification fails and 2,
-with a JSON {"error": ...} on stdout, when the input cannot be computed.
+with a JSON {"error": ...} on stdout and nothing on stderr, when the
+command line cannot be parsed or the input cannot be computed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import combinat as cb
 from . import sweep as sw
 from . import verify as vf
 from . import vkspace as vk
+from .scalars import ExactDomain
 
 
 def _emit(payload, out=None):
@@ -39,7 +41,7 @@ def _parse_alpha(text: str) -> tuple:
 
 
 def cmd_paths(args):
-    dom = vf.make_domain(args.mode, seed=args.seed)
+    dom = ExactDomain()
     if args.paths_cmd == "enum":
         alpha = _parse_alpha(args.alpha) if args.alpha else None
         paths = cb.enumerate_paths(args.m, args.n, alpha)
@@ -68,7 +70,7 @@ def cmd_paths(args):
 
 
 def cmd_actions(args):
-    dom = vf.make_domain(args.mode, seed=args.seed)
+    dom = ExactDomain()
     if args.actions_cmd == "build":
         word = ac.mediant_decompose(args.m, args.n)
         tower = ac.ActionTower(dom)
@@ -88,7 +90,7 @@ def cmd_actions(args):
 
 
 def cmd_sweep(args):
-    dom = vf.make_domain(args.mode, seed=args.seed)
+    dom = ExactDomain()
     if args.sweep_cmd == "path":
         p = _parse_path(args.path)
         events = sw.event_sequence(p)
@@ -111,7 +113,7 @@ def cmd_sweep(args):
 
 
 def cmd_braid(args):
-    dom = vf.make_domain(args.mode, seed=args.seed)
+    dom = ExactDomain()
     if args.braid_cmd == "eval":
         _, gens = vk.parse_word(args.word)
         word = br.BraidWord(args.k, gens)
@@ -154,12 +156,11 @@ def cmd_verify(args):
     if args.verify_cmd == "shuffle":
         cfg = vf.JobConfig(m1=args.m1, n1=args.n1, g=args.g,
                            alpha=_parse_alpha(args.alpha) if args.alpha else None,
-                           cap=args.cap, mode=args.mode, jobs=args.jobs,
-                           out=args.out, seed=args.seed)
+                           cap=args.cap)
         report = vf.verify_shuffle(cfg)
         _emit(report, args.out)
         return 0 if report["ok"] else 1
-    dom = vf.make_domain(args.mode, seed=args.seed)
+    dom = ExactDomain()
     if args.verify_cmd == "relation":
         lhs = vk.parse_word(args.lhs, dom)
         rhs = vk.parse_word(args.rhs, dom)
@@ -174,11 +175,15 @@ def cmd_verify(args):
     return 0 if not report["failures"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so main reports it as JSON, not on stderr."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="shufflealg",
-                                 description="Exact Dyck-path-algebra calculator")
-    ap.add_argument("--mode", choices=("exact", "fast"), default="exact")
-    ap.add_argument("--seed", type=int, default=None, help="fast-mode evaluation point seed")
+    ap = _Parser(prog="shufflealg", description="Exact Dyck-path-algebra calculator")
     ap.add_argument("--out", default=None, help="write JSON report to this file")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -238,7 +243,6 @@ def main(argv=None) -> int:
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--alpha", default=None)
     q.add_argument("--cap", type=int, default=None)
-    q.add_argument("--jobs", type=int, default=1)
     q = ps.add_parser("suite")
     q.add_argument("name", help="relations|sweep|coloring|braid_formula|braid|trains|specialbraids|all")
     q = ps.add_parser("relation")
@@ -248,8 +252,8 @@ def main(argv=None) -> int:
     q.add_argument("--degree", type=int, default=2)
     p.set_defaults(func=cmd_verify)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})

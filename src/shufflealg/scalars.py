@@ -7,15 +7,12 @@ part and raises CoefRatError on a remainder; in this library that divisor
 is always q - 1 (or 1 - q), from the Carlsson-Mellit commutator formula
 for y_1.
 
-Fast mode uses a Fraction instead (all scalars evaluated at a fixed
-rational point up front).  Both are immutable and support +, -, *, /, **
-and truthiness, so the rest of the code is generic over the scalar type
-via a Domain object.
+ExactDomain is the scalar factory the rest of the package takes as `dom`:
+it builds constants and monomials and holds the per-domain operator caches.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -186,9 +183,6 @@ class CoefRat:
         return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
 
     # -- predicates and views ----------------------------------------
-    def is_one(self) -> bool:
-        return self.num == _ONE and self.den == _ONE
-
     def has_integer_q_degree(self) -> bool:
         """True iff every monomial's u-exponent is even (both num and den)."""
         return all((k >> K.KEY_SHIFT) % 2 == 0 for k in self.num) and \
@@ -293,9 +287,7 @@ def parse_scalar_token(tok: str, dom):
 
 
 class ExactDomain:
-    """Scalar factory for exact mode (CoefRat everywhere)."""
-
-    name = "exact"
+    """Scalar factory: every scalar is a CoefRat."""
 
     def __init__(self):
         self.zero = CoefRat.from_int(0)
@@ -319,68 +311,3 @@ class ExactDomain:
 
     def q_power(self, j: int):
         return self.monomial(1, 2 * j, 0)
-
-    @staticmethod
-    def to_str(s) -> str:
-        return str(s)
-
-
-class FastDomain:
-    """Scalar factory for fast mode: everything is a Fraction at (q0, t0).
-
-    q0 = u0^2 for a random rational u0, so odd u-powers stay exact.  The
-    point may not be a pole of the algebra's scalars: q0 = 0, q0 = 1 (the
-    division by q - 1) or t0 = 0.  Fast mode is a pre-screen only;
-    identities it accepts must be re-proved in exact mode.
-    """
-
-    name = "fast"
-
-    def __init__(self, u0=None, t0=None, seed=None):
-        rng = random.Random(seed)
-        if u0 is None:
-            u0 = Fraction(rng.randint(2, 19), rng.randint(2, 19) * 7 + 1)
-        if t0 is None:
-            t0 = Fraction(rng.randint(2, 19), rng.randint(2, 19) * 5 + 2)
-        self.u0 = Fraction(u0)
-        self.t0 = Fraction(t0)
-        if self.u0 in (-1, 0, 1) or not self.t0:
-            raise ValueError(f"fast-mode point u0 = {self.u0}, t0 = {self.t0} is a pole "
-                             "(q0 must not be 0 or 1, t0 must not be 0); pick another --seed")
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self.u = self.u0
-        self.t = self.t0
-        self.q = self.u0 * self.u0
-        self.cache: dict = {}
-
-    def monomial(self, c: int, eu: int = 0, et: int = 0):
-        return c * self.u0 ** eu * self.t0 ** et
-
-    @staticmethod
-    def from_int(n: int):
-        return Fraction(n)
-
-    @staticmethod
-    def from_fraction(fr):
-        return Fraction(fr)
-
-    def q_power(self, j: int):
-        return self.q ** j
-
-    @staticmethod
-    def to_str(s) -> str:
-        return str(s)
-
-
-def arith(a: CoefRat, b: CoefRat, kind: str) -> CoefRat:
-    """Thin named wrapper over the operators (CLI surface)."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arith kind {kind!r}")

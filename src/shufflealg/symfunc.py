@@ -272,26 +272,18 @@ class SymFunc:
         return SymFunc(self.dom, self.cap,
                        {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
 
-    def map_coeffs(self, f) -> "SymFunc":
-        out = {}
-        for lam, c in self.coeffs.items():
-            v = f(c)
-            if v:
-                out[lam] = v
-        return SymFunc(self.dom, self.cap, out)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
         bits = []
         for lam in sorted(self.coeffs, key=lambda l: (sum(l), l)):
-            bits.append(f"({self.dom.to_str(self.coeffs[lam])})*m{list(lam)}")
+            bits.append(f"({self.coeffs[lam]})*m{list(lam)}")
         return " + ".join(bits)
 
     __repr__ = __str__
 
     def to_json(self) -> dict:
-        terms = [{"partition": list(lam), "coef": self.dom.to_str(c)}
+        terms = [{"partition": list(lam), "coef": str(c)}
                  for lam, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
         return {"basis": "m", "cap": self.cap, "terms": terms}
 

@@ -35,11 +35,6 @@ class VElem:
     def one(dom, k: int, cap: int) -> "VElem":
         return VElem(dom, k, cap, {((), (0,) * k): dom.one})
 
-    @staticmethod
-    def from_symfunc(f: SymFunc, k: int = 0) -> "VElem":
-        return VElem(f.dom, k, f.cap,
-                     {(lam, (0,) * k): c for lam, c in f.coeffs.items()})
-
     def as_symfunc(self) -> SymFunc:
         if self.k != 0:
             raise ValueError("as_symfunc requires an element of V_0")
@@ -79,7 +74,7 @@ class VElem:
                      {key: c * s for key, c in self.terms.items()})
 
     def divide(self, d) -> "VElem":
-        """Coefficient-wise c / d; in exact mode d must divide every c."""
+        """Coefficient-wise c / d; d must divide every c (CoefRatError otherwise)."""
         return VElem(self.dom, self.k, self.cap,
                      {key: c / d for key, c in self.terms.items()})
 
@@ -99,7 +94,7 @@ class VElem:
             c = self.terms[(lam, ys)]
             ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
                             for i, e in enumerate(ys) if e)
-            bits.append(f"({self.dom.to_str(c)})*m{list(lam)}{ypart}")
+            bits.append(f"({c})*m{list(lam)}{ypart}")
         return " + ".join(bits)
 
     __repr__ = __str__

@@ -1,13 +1,8 @@
 import pytest
 
-from shufflealg.scalars import ExactDomain, FastDomain
+from shufflealg.scalars import ExactDomain
 
 
 @pytest.fixture(scope="session")
 def dom():
     return ExactDomain()
-
-
-@pytest.fixture(scope="session")
-def fdom():
-    return FastDomain(seed=20260810)

@@ -1,4 +1,4 @@
-"""Acceptance criteria, all in exact mode with zero tolerance.
+"""Acceptance criteria, in exact arithmetic with zero tolerance.
 
 Each criterion prints one pass/fail line (visible with `pytest -s`); the
 assertions make pytest the arbiter.  Run IDs and bounds are pinned here:
@@ -72,7 +72,7 @@ def test_criterion_5_compositional_identity(adom):
     failures = []
     cases = 0
     for (m1, n1, g) in SHUFFLE_CONFIGS:
-        rep = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, mode="exact"))
+        rep = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g))
         for entry in rep["results"]:
             cases += 1
             if not (entry["equal"] and entry["integer_q_degree"]):

@@ -53,33 +53,30 @@ def test_mediant_tree_matches_farey_five():
 
 
 def test_fast_mode_prescreens_extended():
-    fdom = vf.make_domain("fast", seed=77)
-    tower = ac.ActionTower(fdom)
+    # the machines `verify shuffle` runs (operator tower against the coloring
+    # DP) on extended triples; (3, 2, 2) is beyond the coloring suite's bound
     for (m1, n1, g) in ((2, 5, 1), (1, 2, 3), (3, 2, 2)):
-        for alpha in vf.compositions_of(g):
-            lhs = ac.lhs_compositional(m1, n1, g, alpha, fdom, tower)
-            rhs = cb.rhs_compositional(m1, n1, g, alpha, fdom)
-            assert lhs == rhs, (m1, n1, g, alpha)
+        rep = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, cache_dir=None))
+        assert rep["ok"] and not rep["skipped"], (m1, n1, g)
+        assert len(rep["results"]) == len(vf.compositions_of(g))
 
 
 @pytest.mark.parametrize("m,n", [(3, 5), (4, 4), (2, 6), (3, 6), (4, 5)])
-def test_braid_formula_beyond_acceptance(m, n):
-    # fast-mode pre-screen of the braid = DP identity at m + n up to 9;
-    # the exact run at m + n <= 7 lives in the acceptance suite
+def test_braid_formula_beyond_acceptance(dom, m, n):
+    # the braid = DP identity at m + n up to 9; the acceptance suite stops at 7
     from math import gcd
 
     from shufflealg import braid as br
     from shufflealg import sweep as sw
 
-    fdom = vf.make_domain("fast", seed=13)
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    dp = sw.recursion_dp(m, n, fdom, with_log=True, keep_states=True)
+    dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True)
     for s in range(len(dp.states)):
         lower, upper = dp.stratum_bounds(s)
         for key in vf._changed_keys(dp, s):
             if not key:
                 continue
             h = br.safe_height(lower, upper, m1, n1)
-            assert br.braid_coloring_value(m1, n1, key, h, fdom, dp.cap) == \
+            assert br.braid_coloring_value(m1, n1, key, h, dom, dp.cap) == \
                 dp.states[s][key], (s, key)

@@ -12,3 +12,9 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    missing = [name for name in shufflealg.__all__ if not hasattr(shufflealg, name)]
+    assert missing == []

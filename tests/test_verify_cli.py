@@ -7,15 +7,15 @@ from shufflealg import cli
 from shufflealg import verify as vf
 
 
-def test_run_suite_names(fdom):
-    rep = vf.run_suite("relations", fdom)
+def test_run_suite_names(dom):
+    rep = vf.run_suite("relations", dom)
     assert rep["suite"] == "relations" and not rep["failures"]
     with pytest.raises(ValueError):
-        vf.run_suite("bogus", fdom)
+        vf.run_suite("bogus", dom)
 
 
-def test_suite_report_shape(fdom):
-    rep = vf.trains_suite(fdom, cases=10)
+def test_suite_report_shape(dom):
+    rep = vf.trains_suite(dom, cases=10)
     assert set(rep) == {"suite", "cases", "failures"}
     assert rep["cases"] == 10
 
@@ -24,30 +24,13 @@ def test_verify_shuffle_smallest(dom):
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=1))
     assert rep["ok"] and rep["rhs_method"] == "coloring_dp"
     assert rep["results"][0]["alpha"] == [1]
-
-
-def test_verify_shuffle_fast_mode():
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2, mode="fast", seed=3))
-    assert rep["ok"] and len(rep["results"]) == 2
-
-
-def test_fast_and_exact_agree_on_verdict():
-    for (m1, n1, g) in ((1, 1, 2), (2, 1, 1), (1, 3, 1)):
-        fast = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, mode="fast", seed=9))
-        exact = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, mode="exact"))
-        assert fast["ok"] == exact["ok"] is True
+    assert "mode" not in rep
 
 
 def test_verify_shuffle_budget_skip():
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2, budget=1))
     assert not rep["ok"] and rep["skipped"] and not rep["results"]
     assert "budget" in rep["skip_reason"]
-
-
-def test_verify_shuffle_parallel():
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, jobs=2))
-    assert rep["ok"] and len(rep["results"]) == 2
-    assert rep["rhs_method"] == "parking_sum"
 
 
 def test_verify_shuffle_budget_prices_dyck_paths():
@@ -161,8 +144,7 @@ def test_cli_braid(capsys, tmp_path):
 
 
 def test_cli_verify_suite(capsys):
-    code, data = _run_cli(["--mode", "fast", "--seed", "1",
-                           "verify", "suite", "trains"], capsys)
+    code, data = _run_cli(["verify", "suite", "trains"], capsys)
     assert code == 0 and data["failures"] == []
 
 
@@ -209,9 +191,22 @@ def _zero_m1(tmp_path):
     return ["verify", "shuffle", "--m1", "0", "--n1", "1", "--g", "1"]
 
 
+def _mode_option(tmp_path):
+    return ["--mode", "fast", "verify", "suite", "trains"]
+
+
+def _jobs_option(tmp_path):
+    return ["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "2", "--jobs", "2"]
+
+
+def _m1_not_an_int(tmp_path):
+    return ["verify", "shuffle", "--m1", "x", "--n1", "1", "--g", "1"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
-                                  _intervals_not_a_list, _out_in_missing_dir, _zero_m1])
+                                  _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
+                                  _mode_option, _jobs_option, _m1_not_an_int])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -219,13 +214,13 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     assert json.loads(captured.out)["error"]
 
 
-def test_cli_fast_mode_pole_is_json_error(capsys):
-    # seed 261 draws u0 = 15/15, so q0 = 1 and (q - 1) would be divided by zero
-    code = cli.main(["--mode", "fast", "--seed", "261", "verify", "shuffle",
-                     "--m1", "1", "--n1", "1", "--g", "2"])
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "shuffle", "--help"]])
+def test_cli_help_still_prints(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     captured = capsys.readouterr()
-    assert code == 2 and captured.err == ""
-    assert "pole" in json.loads(captured.out)["error"]
+    assert exc.value.code == 0 and captured.out.startswith("usage: shufflealg")
+    assert captured.err == ""
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -120,9 +120,9 @@ def test_intertwining_examples(dom):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_all_standard_relations(fdom, k):
-    for name, lhs, rhs in vk.standard_relations(fdom, k):
-        rep = vk.relation_check(lhs, rhs, k, 3, fdom, name=name)
+def test_all_standard_relations(dom, k):
+    for name, lhs, rhs in vk.standard_relations(dom, k):
+        rep = vk.relation_check(lhs, rhs, k, 3, dom, name=name)
         assert rep.passed, rep
 
 
