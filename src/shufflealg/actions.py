@@ -108,24 +108,6 @@ class ActionHandle:
         g = vk.act_T(g, i - 1, inverse=inv)
         return g.scale(dom.q_power(-1 if self.star else 1))
 
-    def word(self, f: VElem, gens) -> VElem:
-        """Apply a generator word (written order, rightmost first) under this action."""
-        for gen in reversed(gens):
-            kind = gen[0]
-            if kind == "dp":
-                f = self.dplus(f)
-            elif kind == "dm":
-                f = vk.act_dminus(f)
-            elif kind == "T":
-                f = self.T(f, gen[1])
-            elif kind == "Ti":
-                f = self.T(f, gen[1], inverse=True)
-            elif kind == "y":
-                f = self.y(f, gen[1])
-            else:
-                raise ValueError(f"generator {gen!r} not available on a handle")
-        return f
-
 
 class ActionTower:
     """Memoized handles for all requested coprime slopes."""
@@ -262,20 +244,8 @@ def c_alpha_identity_check(alpha, dom, tower: ActionTower | None = None):
     alpha = tuple(alpha)
     if not alpha:
         raise ValueError("alpha must be nonempty")
-    k = sum(alpha)
-    r = len(alpha)
     lhs = c_alpha_constant_term(alpha, dom)
-    h = build_action(dom, 0, 1, star=True, tower=tower)
-    f = VElem.one(dom, 0, k)
-    for _ in range(r):
-        f = h.dplus(f)
-    for i, a in enumerate(alpha):
-        for _ in range(a - 1):
-            f = h.y(f, i + 1)
-    for _ in range(r):
-        f = vk.act_dminus(f)
-    sign = -dom.one if k % 2 else dom.one
-    rhs = f.as_symfunc().scale(sign * dom.q_power(r - k))
+    rhs = lhs_compositional(0, 1, sum(alpha), alpha, dom, tower)
     return lhs == rhs, lhs, rhs
 
 

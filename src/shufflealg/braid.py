@@ -426,11 +426,7 @@ def _inversions(cfg: PointConfig) -> int:
 def braid_coloring_value(m1: int, n1: int, intervals, h: SlopeValue, dom, cap: int) -> VElem:
     """q^((inv_final - inv_initial)/2) * B_{s,c} applied to d_+^k(1)."""
     word, cfg0, cfg1 = braid_of_coloring(m1, n1, intervals, h)
-    k = len(intervals)
-    f = VElem.one(dom, 0, cap)
-    for _ in range(k):
-        f = vk.act_dplus(f)
-    g = evaluate(word, f)
+    g = evaluate(word, vk.dplus_power(dom, len(intervals), cap))
     return g.scale(dom.monomial(1, _inversions(cfg1) - _inversions(cfg0), 0))
 
 

@@ -4,13 +4,16 @@ Subcommands: paths (enum/stats/chi), actions (build/lhs), sweep (path/dp),
 braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
 deterministic ordering; exit status is 1 when a verification fails and 2,
 with a JSON {"error": ...} on stdout and nothing on stderr, when the
-command line cannot be parsed or the input cannot be computed.
+command line cannot be parsed or the input cannot be computed.  When the
+reader of stdout goes away (`shufflealg ... | head -1`), the exit status
+is 2 and nothing is printed on either stream.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import actions as ac
@@ -117,10 +120,7 @@ def cmd_braid(args):
     if args.braid_cmd == "eval":
         _, gens = vk.parse_word(args.word)
         word = br.BraidWord(args.k, gens)
-        f = vk.VElem.one(dom, 0, args.cap)
-        for _ in range(args.k):
-            f = vk.act_dplus(f)
-        val = br.evaluate(word, f)
+        val = br.evaluate(word, vk.dplus_power(dom, args.k, args.cap))
         _emit({"word": str(word), "k": args.k,
                "on": f"d_+^{args.k}(1)", "value": str(val)}, args.out)
     else:  # of-coloring
@@ -254,7 +254,13 @@ def main(argv=None) -> int:
 
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout is closed: drop what is still buffered instead of failing again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 2

@@ -6,9 +6,11 @@ Event kinds at a lattice point swept by the line:
   B  inner (East-then-North) corner,
      interior diagonal touches, origin   -> d_-
   C  interior point of a vertical run    -> q^{-a} (d_- d_+ - d_+ d_-)/(q-1)
+                                            = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1}
   D  interior point of a horizontal run  -> multiply by q^a
   E  point strictly inside the region    -> multiply by t
 with a = number of North steps the line crosses strictly to the right.
+The closed form of C on V_k is the Carlsson-Mellit relation (arXiv:1508.06239).
 The terminal point (m, n) emits no event.
 """
 
@@ -20,7 +22,7 @@ from math import gcd
 
 from .combinat import DyckPath, SlopeValue, line_height
 from .scalars import InvariantError
-from .vkspace import VElem, act_dminus, act_dplus
+from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,12 @@ def event_sequence(p: DyckPath) -> list[SweepEvent]:
 
 
 def _c_op(f: VElem, a: int) -> VElem:
-    dom = f.dom
-    comm = act_dminus(act_dplus(f)) - act_dplus(act_dminus(f))
-    return comm.scale(dom.q_power(-a)).divide(dom.q - dom.one)
+    """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f,
+    by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k
+    that `vkspace.commutator_y1` states."""
+    for i in range(f.k - 1, 0, -1):
+        f = act_T(f, i, inverse=True)
+    return act_y(f, 1).scale(-f.dom.q_power(f.k - 1 - a))
 
 
 def apply_event(f: VElem, ev: SweepEvent) -> VElem:

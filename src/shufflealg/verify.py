@@ -22,7 +22,7 @@ from . import braid as br
 from . import combinat as cb
 from . import sweep as sw
 from . import vkspace as vk
-from .scalars import ExactDomain
+from .scalars import ExactDomain, InvariantError
 from .vkspace import VElem
 
 
@@ -131,13 +131,6 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
     return {"suite": "braid_formula", "cases": cases, "failures": failures}
 
 
-def _dplus_power(dom, k: int, cap: int) -> VElem:
-    f = VElem.one(dom, 0, cap)
-    for _ in range(k):
-        f = vk.act_dplus(f)
-    return f
-
-
 def braid_transition_suite(dom, total_max: int = 7) -> dict:
     """The four braid transformation identities on every DP transition."""
     failures = []
@@ -157,8 +150,7 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                 done = set()
 
                 def braid_at(key, h):
-                    word, cfg0, _ = br.braid_of_coloring(m1, n1, key, h)
-                    return word
+                    return br.braid_of_coloring(m1, n1, key, h)[0]
 
                 for kind, src, dst, extra in entry:
                     if kind == "keep" or (kind, dst) in done:
@@ -167,18 +159,18 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                     cases += 1
                     k_dst = len(dst)
                     B = braid_at(dst, h_dst)
-                    val_dst = br.evaluate(B, _dplus_power(dom, k_dst, dp.cap))
+                    val_dst = br.evaluate(B, vk.dplus_power(dom, k_dst, dp.cap))
                     if kind == "A":
                         Bp = braid_at(src, h_src)
-                        want = vk.act_dplus(br.evaluate(Bp, _dplus_power(dom, len(src), dp.cap)))
+                        want = vk.act_dplus(br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap)))
                     elif kind == "C":
                         Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, _dplus_power(dom, len(src), dp.cap))
+                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap))
                         comm = vk.act_dminus(vk.act_dplus(base)) - vk.act_dplus(vk.act_dminus(base))
                         want = comm.scale(dom.monomial(1, 1 - k_dst, 0)).divide(dom.q - dom.one)
                     elif kind == "D":
                         Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, _dplus_power(dom, len(src), dp.cap))
+                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap))
                         want = base.scale(dom.monomial(1, k_dst - 1, 0))
                     elif kind in ("B", "E"):
                         # both geometric predecessors of dst, regardless of which
@@ -190,12 +182,12 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                         b_src = dst[:idx] + ((xi, py), (px, yi)) + dst[idx + 1:]
                         Bpp = braid_at(dst, h_src)
                         Bp = braid_at(b_src, h_src)
-                        term_e = br.evaluate(Bpp, _dplus_power(dom, k_dst, dp.cap)).scale(dom.t)
+                        term_e = br.evaluate(Bpp, vk.dplus_power(dom, k_dst, dp.cap)).scale(dom.t)
                         term_b = vk.act_dminus(
-                            br.evaluate(Bp, _dplus_power(dom, k_dst + 1, dp.cap))).scale(u_inv)
+                            br.evaluate(Bp, vk.dplus_power(dom, k_dst + 1, dp.cap))).scale(u_inv)
                         want = term_e + term_b
                     else:
-                        raise AssertionError(kind)
+                        raise InvariantError(f"unknown transition kind {kind!r}")
                     if val_dst != want:
                         failures.append({"id": f"rule{kind}({m},{n})@{s}:{dst}",
                                          "witness": f"braid={val_dst} recursion={want}"})
@@ -238,7 +230,7 @@ def specialbraids_suite(dom, cases: int = 100, seed: int = 20260810) -> dict:
         rng.shuffle(moves)
         w1, _ = br.special_braid(cfg, alpha)
         w2, _ = br.special_braid(cfg, alpha, order=moves)
-        f = _dplus_power(dom, cfg.k, 3)
+        f = vk.dplus_power(dom, cfg.k, 3)
         a = br.evaluate(w1, f)
         b = br.evaluate(w2, f)
         if a != b:
@@ -279,7 +271,7 @@ def trains_suite(dom, cases: int = 100, seed: int = 1234) -> dict:
         # also exercise the in-place rewriter on the lhs word
         if br.rewrite_trains(wl, rule, 0, params) != wr:
             failures.append({"id": f"rewrite {rule}{params}@k={k}", "witness": str(wr)})
-        for f in (vk.VElem.one(dom, k, 3), _dplus_power(dom, k, 3)):
+        for f in (vk.VElem.one(dom, k, 3), vk.dplus_power(dom, k, 3)):
             a = br.evaluate(wl, f)
             b = br.evaluate(wr, f)
             if a != b:
@@ -362,7 +354,7 @@ def creation_suite(dom, cases: int = 12, seed: int = 99) -> dict:
             continue
         done += 1
         for name, k2, lw, rw in checks:
-            f = _dplus_power(dom, k2, 3)
+            f = vk.dplus_power(dom, k2, 3)
             a = br.evaluate(br.BraidWord(k2, tuple(lw)), f)
             b = br.evaluate(br.BraidWord(k2, tuple(rw)), f)
             if a != b:

@@ -235,6 +235,14 @@ def act_dplus(f: VElem) -> VElem:
     return -tmp
 
 
+def dplus_power(dom, k: int, cap: int) -> VElem:
+    """d_+^k applied to 1 in V_0."""
+    f = VElem.one(dom, 0, cap)
+    for _ in range(k):
+        f = act_dplus(f)
+    return f
+
+
 def act_dplus_star(f: VElem) -> VElem:
     """V_k -> V_{k+1}: substitute X + (q-1)y_{k+1}, then y_i -> y_{i+1}, y_{k+1} -> t*y_1."""
     dom = f.dom

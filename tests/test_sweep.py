@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from shufflealg import combinat as cb
 from shufflealg import sweep as sw
+from shufflealg import vkspace as vk
 from shufflealg.scalars import ExactDomain
 from shufflealg.symfunc import SymFunc
 from shufflealg.vkspace import VElem
@@ -58,6 +59,44 @@ _DOM = ExactDomain()
 @given(_dyck_paths())
 def test_sweep_matches_statistics_formula_random(p):
     assert sw.sweep_path(p, _DOM) == cb.path_weight(p, _DOM), str(p)
+
+
+def _c_op_commutator(f, a):
+    """The C event by its definition: q^{-a} (d_- d_+ - d_+ d_-) f / (q-1)."""
+    dom = f.dom
+    comm = vk.act_dminus(vk.act_dplus(f)) - vk.act_dplus(vk.act_dminus(f))
+    return comm.scale(dom.q_power(-a)).divide(dom.q - dom.one)
+
+
+def test_c_op_matches_commutator_on_spanning_set(dom):
+    cases = 0
+    for k in range(1, 5):
+        for f in vk.spanning_set(dom, k, 3):
+            for a in range(k):
+                assert sw._c_op(f, a) == _c_op_commutator(f, a), (k, a, str(f))
+                cases += 1
+    assert cases == 439
+
+
+@st.composite
+def _spanning_sums(draw):
+    # a random sum of basis elements of V_k, each scaled by +-u^i t^j
+    k = draw(st.integers(1, 4))
+    basis = vk.spanning_set(_DOM, k, 3)
+    picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=5))
+    f = VElem(_DOM, k, basis[0].cap)
+    for b in picks:
+        c = _DOM.monomial(draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3)),
+                          draw(st.integers(-2, 2)))
+        f = f + b.scale(c)
+    return f, draw(st.integers(0, k - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spanning_sums())
+def test_c_op_matches_commutator_random(case):
+    f, a = case
+    assert sw._c_op(f, a) == _c_op_commutator(f, a), (a, str(f))
 
 
 def test_dp_unit(dom):

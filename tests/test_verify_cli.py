@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +233,18 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["ok"]
+
+
+@pytest.mark.parametrize("argv", [["paths", "enum", "--m", "10", "--n", "6"],
+                                  ["paths", "enum", "--m", "2", "--n", "2"]])
+def test_cli_closed_stdout_is_quiet(argv):
+    # stdout is a pipe whose read end is closed before the CLI writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "shufflealg.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2 and proc.stderr == b""
