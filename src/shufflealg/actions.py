@@ -7,8 +7,10 @@ each Farey mediant (m+m', n+n') of an intertwined sector
     new d_+  = -(qt)^{-1} * z_1 * d_+        (z_1 = partner's y_1)
     new d_+* = - y_1 * d_+*                  (y_1 = partner's y_1)
 
-T and d_- never change.  The y_1 of any handle is recovered from its own
-d_+ through the commutator formula, with q inverted on conjugate handles.
+T and d_- never change.  On the standard handle (0, 1) of the q-algebra
+y_1 is multiplication by y_1.  Every other handle recovers its y_1 from
+its own d_+ through the commutator formula, with q inverted on conjugate
+handles.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ class ActionHandle:
     star=True: an action of the conjugate algebra (T_i inverted).
     """
 
-    def __init__(self, m, n, star, dplus):
+    def __init__(self, m, n, star, dplus, y1=None):
         self.m, self.n, self.star = m, n, star
         self._dplus = dplus
+        self._y1 = y1
 
     def dplus(self, f: VElem) -> VElem:
         return self._dplus(f)
@@ -91,7 +94,13 @@ class ActionHandle:
         return vk.act_T(f, i, inverse=(inverse != self.star))
 
     def y1(self, f: VElem) -> VElem:
-        """The handle's own y_1, from the commutator formula."""
+        """The handle's own y_1.
+
+        The standard handle (0, 1) passes multiplication by y_1; every other
+        handle recovers y_1 from its own d_+ by the commutator formula.
+        """
+        if self._y1 is not None:
+            return self._y1(f)
         return vk.commutator_y1(f, self.dplus, self.star)
 
     def y(self, f: VElem, i: int) -> VElem:
@@ -114,7 +123,8 @@ class ActionTower:
 
     def __init__(self, dom):
         self.dom = dom
-        base_q = ActionHandle(0, 1, False, vk.act_dplus)
+        # the relation `y1 from commutator`: here y_1 is multiplication
+        base_q = ActionHandle(0, 1, False, vk.act_dplus, lambda f: vk.act_y(f, 1))
         base_star = ActionHandle(1, 0, True, vk.act_dplus_star)
         self._handles = {(0, 1, False): base_q, (1, 0, True): base_star}
 

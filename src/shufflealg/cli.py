@@ -4,7 +4,8 @@ Subcommands: paths (enum/stats/chi), actions (build/lhs), sweep (path/dp),
 braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
 deterministic ordering; exit status is 1 when a verification fails and 2,
 with a JSON {"error": ...} on stdout and nothing on stderr, when the
-command line cannot be parsed or the input cannot be computed.  When the
+command line cannot be parsed or the input cannot be computed (this
+includes input too deep for Python's recursion limit).  When the
 reader of stdout goes away (`shufflealg ... | head -1`), the exit status
 is 2 and nothing is printed on either stream.
 """
@@ -35,7 +36,11 @@ def _emit(payload, out=None):
 
 
 def _parse_path(text: str) -> cb.DyckPath:
-    bits = [int(c) for c in text.strip()]
+    text = text.strip()
+    if not text or set(text) - {"0", "1"}:
+        raise ValueError(f"--path must be a nonempty string of 0 (East) and 1 (North), "
+                         f"got {text!r}")
+    bits = [int(c) for c in text]
     return cb.DyckPath(bits.count(0), bits.count(1), bits)
 
 
@@ -118,6 +123,8 @@ def cmd_sweep(args):
 def cmd_braid(args):
     dom = ExactDomain()
     if args.braid_cmd == "eval":
+        if args.cap < 0:
+            raise ValueError(f"--cap must be at least 0, got {args.cap}")
         _, gens = vk.parse_word(args.word)
         word = br.BraidWord(args.k, gens)
         val = br.evaluate(word, vk.dplus_power(dom, args.k, args.cap))
@@ -261,7 +268,7 @@ def main(argv=None) -> int:
         # stdout is closed: drop what is still buffered instead of failing again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 2
 

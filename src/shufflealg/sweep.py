@@ -190,6 +190,8 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None,
                  with_log: bool = False, keep_states: bool = False) -> DpResult:
     """Propagate all colorings from the empty one down to the last stratum
     above the diagonal, accumulating sums of per-path operator products."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     if cap is None:
         cap = n
     events = dp_events(m, n)

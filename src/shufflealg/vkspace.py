@@ -5,7 +5,9 @@ words are tuples of generators in written order and act rightmost-first,
 matching operator composition.  The skew divided-difference operator T_i
 is applied through a cached two-variable table; the division by
 (y_{i+1} - y_i) it requires is exact, and a remainder raises
-StepDivisionError.
+StepDivisionError.  d_- is a linear map too: the image of each basis term
+m_lam * y_k^a is built once per domain, with m_mu * e_j expanded by the
+Pieri rule, and cached.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import symfunc as sf
-from .symfunc import SymFunc, mono_mult_table, partitions_of
+from .symfunc import SymFunc, mono_times_e, partitions_of
 
 
 class StepDivisionError(ArithmeticError):
@@ -199,6 +201,29 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
 
 # ------------------------------------------------------ raising and lowering
 
+def _dminus_image(dom, lam, a: int):
+    """d_-(m_lam * y_k^a) as ((nu, scalar), ...), the y_1..y_{k-1} part left out.
+
+    Substitute X - (q-1)y_k in m_lam, pair y_k^j with (-1)^j e_j, and expand
+    m_mu * e_j by the Pieri rule.  Every nu has size |lam| + a, so the image
+    is the same under every degree cap.
+    """
+    key = ("dm", lam, a)
+    hit = dom.cache.get(key)
+    if hit is not None:
+        return hit
+    acc: dict = {}
+    for j, gdict in sf.m_expand_one_var(dom, lam, -1):
+        jj = a + j
+        for mu, c2 in gdict.items():
+            cc = -c2 if jj % 2 else c2
+            for nu, n in mono_times_e(mu, jj):
+                acc[nu] = acc.get(nu, dom.zero) + cc * dom.from_int(n)
+    out = tuple((nu, s) for nu, s in acc.items() if s)
+    dom.cache[key] = out
+    return out
+
+
 def act_dminus(f: VElem) -> VElem:
     """V_k -> V_{k-1}: substitute X - (q-1)y_k and pair y_k^j with (-1)^j e_j."""
     if f.k < 1:
@@ -206,18 +231,12 @@ def act_dminus(f: VElem) -> VElem:
     dom = f.dom
     out = VElem(dom, f.k - 1, f.cap)
     for (lam, ys), c in f.terms.items():
-        ak = ys[-1]
+        a = ys[-1]
+        if sum(lam) + a > f.cap:
+            continue
         rest = ys[:-1]
-        for j, gdict in sf.m_expand_one_var(dom, lam, -1):
-            jj = ak + j
-            sign = dom.one if jj % 2 == 0 else -dom.one
-            ej = (1,) * jj
-            for mu, c2 in gdict.items():
-                if sum(mu) + jj > f.cap:
-                    continue
-                cc = c * c2 * sign
-                for nu, n in mono_mult_table(mu, ej).items():
-                    out.add_term(nu, rest, cc * dom.from_int(n))
+        for nu, s in _dminus_image(dom, lam, a):
+            out.add_term(nu, rest, c * s)
     return out
 
 

@@ -33,6 +33,15 @@ def test_base_handles(dom):
     assert tower.handle(1, 0, True).dplus(one0) == vk.act_dplus_star(one0)
 
 
+def test_standard_handle_y1_is_multiplication(dom):
+    h = ac.ActionTower(dom).handle(0, 1, False)
+    for k in range(1, 5):
+        for base in vk.spanning_set(dom, k, 3):
+            y1 = h.y1(base)
+            assert y1 == vk.act_y(base, 1), str(base)
+            assert y1 == vk.commutator_y1(base, vk.act_dplus), str(base)
+
+
 def test_replicated_handle_examples(dom):
     tower = ac.ActionTower(dom)
     one0 = VElem.one(dom, 0, 3)

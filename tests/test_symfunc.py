@@ -48,6 +48,15 @@ def test_mult_table_consistency(dom):
     assert sf.from_basis(dom, 6, "p", acc) == prod
 
 
+def test_pieri_rule_matches_brute_force_table():
+    # oracle: the structure constants of m_mu * m_{1^j}, from all placements
+    for size in range(7):
+        for mu in sf.partitions_of(size):
+            for j in range(8 - len(mu)):
+                want = sf.mono_mult_table(mu, (1,) * j) if j else {mu: 1}
+                assert dict(sf.mono_times_e(mu, j)) == want, (mu, j)
+
+
 def test_plethysm_rank_one_rule(dom):
     # p_2[X + (q-1)y] = p_2[X] + (q^2 - 1) y^2
     p2 = sf.from_basis(dom, 4, "p", {(2,): dom.one})

@@ -206,15 +206,53 @@ def _m1_not_an_int(tmp_path):
     return ["verify", "shuffle", "--m1", "x", "--n1", "1", "--g", "1"]
 
 
+def _path_deeper_than_recursion_limit(tmp_path):
+    return ["paths", "enum", "--m", "1000", "--n", "1"]
+
+
+def _dp_zero_m(tmp_path):
+    return ["sweep", "dp", "--m", "0", "--n", "3"]
+
+
+def _dp_negative_m(tmp_path):
+    return ["sweep", "dp", "--m", "-2", "--n", "3"]
+
+
+def _dp_zero_n(tmp_path):
+    return ["sweep", "dp", "--m", "1", "--n", "0"]
+
+
+def _negative_cap(tmp_path):
+    return ["braid", "eval", "--word", "y1", "--k", "1", "--cap", "-1"]
+
+
+def _empty_path(tmp_path):
+    return ["paths", "stats", "--path", ""]
+
+
+def _path_not_binary(tmp_path):
+    return ["sweep", "path", "--path", "1x0"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
-                                  _mode_option, _jobs_option, _m1_not_an_int])
+                                  _mode_option, _jobs_option, _m1_not_an_int,
+                                  _path_deeper_than_recursion_limit, _dp_zero_m,
+                                  _dp_negative_m, _dp_zero_n, _negative_cap, _empty_path,
+                                  _path_not_binary])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert json.loads(captured.out)["error"]
+
+
+@pytest.mark.parametrize("cmd", [["paths", "stats"], ["paths", "chi"], ["sweep", "path"]])
+@pytest.mark.parametrize("path", ["", "1x0", "1 0", "102"])
+def test_cli_bad_path_names_the_option(cmd, path, capsys):
+    code, data = _run_cli([*cmd, "--path", path], capsys)
+    assert code == 2 and data["error"].startswith("ValueError: --path must be")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["verify", "shuffle", "--help"]])

@@ -1,6 +1,8 @@
 import pytest
 
+from shufflealg import symfunc as sf
 from shufflealg import vkspace as vk
+from shufflealg.scalars import ExactDomain
 from shufflealg.vkspace import VElem
 
 
@@ -36,6 +38,35 @@ def test_dminus_examples(dom):
     assert vk.act_dminus(y1sq) == V(dom, 0, [(((1, 1)), ())])
     with pytest.raises(ValueError):
         vk.act_dminus(VElem.one(dom, 0, 4))
+
+
+def _dminus_reference(f: VElem) -> VElem:
+    # d_- term by term, with m_mu * e_j from the brute-force product table
+    dom = f.dom
+    out = VElem(dom, f.k - 1, f.cap)
+    for (lam, ys), c in f.terms.items():
+        ak = ys[-1]
+        rest = ys[:-1]
+        for j, gdict in sf.m_expand_one_var(dom, lam, -1):
+            jj = ak + j
+            sign = dom.one if jj % 2 == 0 else -dom.one
+            ej = (1,) * jj
+            for mu, c2 in gdict.items():
+                if sum(mu) + jj > f.cap:
+                    continue
+                cc = c * c2 * sign
+                for nu, n in sf.mono_mult_table(mu, ej).items():
+                    out.add_term(nu, rest, cc * dom.from_int(n))
+    return out
+
+
+def test_dminus_matches_reference():
+    # a fresh domain, so the cached images are built here; cap=2 drops some inputs
+    dom = ExactDomain()
+    for cap in (None, 2):
+        for k in range(1, 5):
+            for base in vk.spanning_set(dom, k, 3, cap=cap):
+                assert vk.act_dminus(base) == _dminus_reference(base), (cap, str(base))
 
 
 def test_dplus_examples(dom):
