@@ -37,9 +37,9 @@ def _emit(payload, out=None):
 
 def _parse_path(text: str) -> cb.DyckPath:
     text = text.strip()
-    if not text or set(text) - {"0", "1"}:
-        raise ValueError(f"--path must be a nonempty string of 0 (East) and 1 (North), "
-                         f"got {text!r}")
+    if set(text) != {"0", "1"}:
+        raise ValueError(f"--path must be a string of 0 (East) and 1 (North) steps "
+                         f"with at least one of each, got {text!r}")
     bits = [int(c) for c in text]
     return cb.DyckPath(bits.count(0), bits.count(1), bits)
 

@@ -3,9 +3,10 @@
 A CoefRat is num / den: num is an integer polynomial and den a single
 monomial c*u^a*t^b with c > 0.  Division by a monomial is free.  Division
 by anything else divides the numerator exactly by the divisor's primitive
-part and raises CoefRatError on a remainder; in this library that divisor
-is always q - 1 (or 1 - q), from the Carlsson-Mellit commutator formula
-for y_1.
+part and raises CoefRatError on a remainder.  The operators on V_k do not
+use CoefRat arithmetic: vkspace keeps each coefficient as an integer
+Laurent polynomial over one integer denominator, divides by q - 1 itself,
+and meets CoefRat only through `laurent` and `from_laurent`.
 
 ExactDomain is the scalar factory the rest of the package takes as `dom`:
 it builds constants and monomials and holds the per-domain operator caches.
@@ -20,6 +21,13 @@ from . import _kernel_py as K
 
 pack = K.pack
 unpack = K.unpack
+_HALF = 1 << (K.KEY_SHIFT - 1)
+
+
+def unpack_signed(key):
+    """(eu, et) of a Laurent key eu * 2^32 + et, where both exponents may be negative."""
+    eu = (key + _HALF) >> K.KEY_SHIFT
+    return eu, key - (eu << K.KEY_SHIFT)
 
 _ONE = {0: 1}
 
@@ -95,6 +103,20 @@ class CoefRat:
         return CoefRat(num, {0: fr.denominator}, _normalized=True)
 
     @staticmethod
+    def from_laurent(poly: dict, d: int = 1) -> "CoefRat":
+        """poly / d for a Laurent polynomial {eu * 2^32 + et: int} and an integer d > 0."""
+        if not poly:
+            return CoefRat.from_int(0)
+        eus, ets = zip(*map(unpack_signed, poly))
+        shift = pack(max(0, -min(eus)), max(0, -min(ets)))
+        return CoefRat({k + shift: c for k, c in poly.items()}, {shift: d})
+
+    def laurent(self):
+        """(poly, d) with self = poly / d, in the form from_laurent takes."""
+        ((kd, cd),) = self.den.items()
+        return {k - kd: c for k, c in self.num.items()}, cd
+
+    @staticmethod
     def monomial(c: int, eu: int = 0, et: int = 0) -> "CoefRat":
         """c * u^eu * t^et, Laurent exponents allowed."""
         if c == 0:
@@ -157,17 +179,6 @@ class CoefRat:
         ((kv, cv),) = div.items()
         ((ko, co),) = other.den.items()
         return CoefRat(K.p_mul_mono(num, ko, co), {kd + kv: cd * cv})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            base = CoefRat.from_int(1) / self
-            n = -n
-        else:
-            base = self
-        out = CoefRat.from_int(1)
-        for _ in range(n):
-            out = out * base
-        return out
 
     def __bool__(self):
         return bool(self.num)
@@ -297,17 +308,9 @@ class ExactDomain:
         self.q = CoefRat.monomial(1, 2, 0)
         self.cache: dict = {}
 
-    @staticmethod
-    def monomial(c: int, eu: int = 0, et: int = 0):
-        return CoefRat.monomial(c, eu, et)
-
-    @staticmethod
-    def from_int(n: int):
-        return CoefRat.from_int(n)
-
-    @staticmethod
-    def from_fraction(fr):
-        return CoefRat.from_fraction(fr)
+    monomial = staticmethod(CoefRat.monomial)
+    from_int = staticmethod(CoefRat.from_int)
+    from_fraction = staticmethod(CoefRat.from_fraction)
 
     def q_power(self, j: int):
         return self.monomial(1, 2 * j, 0)

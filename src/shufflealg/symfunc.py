@@ -293,13 +293,6 @@ class SymFunc:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def degree(self) -> int:
-        return max((sum(lam) for lam in self.coeffs), default=0)
-
-    def homogeneous(self, d: int) -> "SymFunc":
-        return SymFunc(self.dom, self.cap,
-                       {lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -384,52 +377,43 @@ def from_basis(dom, cap: int, basis: str, coeffs: dict) -> SymFunc:
 
 # ------------------------------------------------------------------ plethysm
 
+def _m_at_minus_one(mult: Counter) -> int:
+    """m_beta[-1] = (-1)^l l! / prod_i mult_i! for beta with multiplicities mult, l = l(beta)."""
+    ell = sum(mult.values())
+    out = factorial(ell)
+    for c in mult.values():
+        out //= factorial(c)
+    return -out if ell % 2 else out
+
+
 def m_expand_one_var(dom, lam: tuple, sign: int):
     """Expansion of m_lam[X + sign*(q-1)*y] as [(j, {partition: scalar})].
 
     j is the exponent of the single auxiliary variable y; entry j carries
-    the symmetric-function coefficient of y^j.
+    the symmetric-function coefficient of y^j.  By the monomial coproduct,
+    m_lam[X + Y] = sum over sub-multisets nu of lam of m_{lam - nu}[X] m_nu[Y],
+    and m_nu[sign*(q-1)y] = y^|nu| m_nu[sign*(q-1)].  Splitting q - 1 into
+    the rank-one q and -1 (1 - q into 1 and -q), at most one part a of nu
+    goes to the rank-one letter: m_nu[q-1] = sum_a q^a m_{nu-a}[-1] and
+    m_nu[1-q] = sum_a q^(|nu|-a) m_{nu-a}[-1], over a = 0 (no part) and the
+    distinct parts of nu.
     """
     key = ("m1v", lam, sign)
     hit = dom.cache.get(key)
     if hit is not None:
         return hit
+    mult = Counter(lam)
     acc: dict = {}
-    for mu, fr in mono_to_p(lam).items():
-        base = dom.from_fraction(fr)
-        ell = len(mu)
-        for mask in range(1 << ell):
-            j = 0
-            rest = []
-            c = base
-            for i in range(ell):
-                if mask & (1 << i):
-                    j += mu[i]
-                    factor = dom.q_power(mu[i]) - dom.one
-                    if sign < 0:
-                        factor = -factor
-                    c = c * factor
-                else:
-                    rest.append(mu[i])
-            key2 = tuple(sorted(rest, reverse=True))
-            slot = acc.setdefault(j, {})
-            s = slot.get(key2, dom.zero) + c
-            if s:
-                slot[key2] = s
-            elif key2 in slot:
-                del slot[key2]
-    out = []
-    for j in sorted(acc):
-        mdict: dict = {}
-        for mu, c in acc[j].items():
-            for lam2, n in p_to_mono(mu).items():
-                s = mdict.get(lam2, dom.zero) + c * dom.from_int(n)
-                if s:
-                    mdict[lam2] = s
-                elif lam2 in mdict:
-                    del mdict[lam2]
-        if mdict:
-            out.append((j, mdict))
+    for taken in itertools.product(*(range(c + 1) for c in mult.values())):
+        nu = Counter(dict(zip(mult, taken)))
+        size = sum(v * n for v, n in nu.items())
+        coef = dom.zero
+        for a in [0] + [v for v, n in nu.items() if n]:  # nu - {0} is nu
+            e = a if sign > 0 else size - a
+            coef = coef + dom.monomial(_m_at_minus_one(nu - Counter({a: 1})), 2 * e)
+        if coef:
+            acc.setdefault(size, {})[tuple(sorted((mult - nu).elements(), reverse=True))] = coef
+    out = [(j, acc[j]) for j in sorted(acc)]
     dom.cache[key] = out
     return out
 
@@ -587,12 +571,6 @@ def _count_multisets(shape: tuple, alphabet: int) -> int:
     remaining = alphabet
     out = 1
     for s, cnt in mults.items():
-        out *= _binom(remaining, cnt)
+        out *= comb(max(remaining, 0), cnt)
         remaining -= cnt
     return out
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))

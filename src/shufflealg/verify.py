@@ -125,7 +125,7 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
                         failures.append({"id": f"main({m},{n})@{s}:{key}",
                                          "witness": f"dp={lhs} braid={rhs}"})
                     elif q_degree_check:
-                        if not all(c.has_integer_q_degree() for c in rhs.terms.values()):
+                        if not rhs.has_integer_q_degree():
                             failures.append({"id": f"qdeg({m},{n})@{s}:{key}",
                                              "witness": str(rhs)})
     return {"suite": "braid_formula", "cases": cases, "failures": failures}
@@ -553,33 +553,38 @@ def _load_dp_cache(cfg: JobConfig, dom):
         return dp
     dp = sw.recursion_dp(m, n, dom, cap=cfg.cap)
     if path:
-        payload = {"version": DP_CACHE_VERSION, "m": m, "n": n, "cap": dp.cap,
-                   "events": [list(e) for e in dp.events],
-                   "state": [{"key": [list(iv) for iv in key],
-                              "value": _velem_to_json(val)}
-                             for key, val in sorted(dp.state.items())]}
-        fd, tmp = tempfile.mkstemp(dir=cfg.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _write_dp_cache(path, dp)
     return dp
+
+
+def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
+    """Replace the file at path atomically by the final state of dp."""
+    payload = {"version": DP_CACHE_VERSION, "m": dp.m, "n": dp.n, "cap": dp.cap,
+               "events": [list(e) for e in dp.events],
+               "state": [{"key": [list(iv) for iv in key],
+                          "value": _velem_to_json(val)}
+                         for key, val in sorted(dp.state.items())]}
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _velem_to_json(f: VElem) -> dict:
     return {"k": f.k, "cap": f.cap,
             "terms": [{"partition": list(lam), "ys": list(ys), "coef": str(c)}
-                      for (lam, ys), c in sorted(f.terms.items())]}
+                      for (lam, ys), c in sorted(f.scalars().items())]}
 
 
 def _velem_from_json(payload: dict, dom) -> VElem:
     terms = {}
     for item in payload["terms"]:
         terms[(tuple(item["partition"]), tuple(item["ys"]))] = _parse_coefrat(item["coef"], dom)
-    return VElem(dom, payload["k"], payload["cap"], terms)
+    return VElem.from_scalars(dom, payload["k"], payload["cap"], terms)
 
 
 def _parse_coefrat(text: str, dom):

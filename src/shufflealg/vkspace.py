@@ -1,89 +1,158 @@
 """The spaces V_k = Sym[X] (x) Q(q,t)[y_1..y_k] and the generator operators.
 
-Elements are stored as {(partition, y-exponent vector): scalar}.  Operator
-words are tuples of generators in written order and act rightmost-first,
-matching operator composition.  The skew divided-difference operator T_i
-is applied through a cached two-variable table; the division by
-(y_{i+1} - y_i) it requires is exact, and a remainder raises
-StepDivisionError.  d_- is a linear map too: the image of each basis term
-m_lam * y_k^a is built once per domain, with m_mu * e_j expanded by the
-Pieri rule, and cached.
+An element is {(partition, y-exponents): coefficient} over one integer
+denominator, which only `scale` by a scalar such as 1/2 makes other than 1.
+A coefficient is an integer Laurent polynomial {eu * 2^32 + et: int} in u
+and t (u^2 = q), so a monomial product is a key addition.  T_i, d_- and the
+one-variable expansion behind d_+ and d_+^* are cached per-term images; an
+operator accumulates each c * w into its output in place and drops zeros
+once.  `divide` by q - 1 is one exact pass per coefficient.  CoefRat appears
+only in `scale`, `divide`, `from_scalars` and `scalars`.  Operator words are
+tuples of generators in written order and act rightmost-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from . import symfunc as sf
+from ._kernel_py import KEY_SHIFT, p_divexact
+from .scalars import CoefRat, CoefRatError, pack, unpack_signed
 from .symfunc import SymFunc, mono_times_e, partitions_of
 
+_ONE = {0: 1}
+_Q = pack(2, 0)  # the key of q = u^2; the key of t is 1
 
-class StepDivisionError(ArithmeticError):
-    """A division by (y_{i+1} - y_i) that should be exact left a remainder."""
+
+def _fma(acc: dict, key, c: dict, w: dict) -> None:
+    """acc[key] += c * w for Laurent polynomials c and w; zeros stay until _pruned."""
+    p = acc.get(key)
+    if p is None:
+        if len(w) == 1:
+            ((kw, cw),) = w.items()
+            acc[key] = {kc + kw: cc * cw for kc, cc in c.items()}
+            return
+        p = acc[key] = {}
+    get = p.get
+    for kw, cw in w.items():
+        for kc, cc in c.items():
+            k = kc + kw
+            p[k] = get(k, 0) + cc * cw
+
+
+def _pruned(acc: dict) -> dict:
+    """acc, changed in place, without zero coefficients and zero polynomials."""
+    for key, p in list(acc.items()):
+        if 0 in p.values():
+            for m in [m for m, c in p.items() if not c]:
+                del p[m]
+            if not p:
+                del acc[key]
+    return acc
+
+
+def _div_qm1(p: dict, w: dict) -> dict:
+    """p / w for w = q - 1 or 1 - q, one exact long division; a remainder raises CoefRatError."""
+    # divide p * u^-a * t^(2^31 - b), (a, b) the exponents of min(p): no exponent is negative
+    low = min(p) - (1 << (KEY_SHIFT - 1))
+    quo = p_divexact({k - low: c for k, c in p.items()}, w)
+    if quo is None:
+        raise CoefRatError("a coefficient is not divisible by q - 1")
+    return {k + low: c for k, c in quo.items()}
 
 
 class VElem:
-    """Element of V_k with an X-degree cap."""
+    """Element of V_k with an X-degree cap: terms / den.
 
-    __slots__ = ("dom", "k", "cap", "terms")
+    Coefficient polynomials are never changed once an element holds them,
+    so operators may share them between elements.
+    """
 
-    def __init__(self, dom, k: int, cap: int, terms: dict | None = None):
+    __slots__ = ("dom", "k", "cap", "terms", "den")
+
+    def __init__(self, dom, k: int, cap: int, terms: dict | None = None, den: int = 1):
+        terms = {} if terms is None else terms
+        if den != 1:  # lowest terms, so that equal elements compare equal
+            g = gcd(den, *(c for p in terms.values() for c in p.values()))
+            if g > 1:
+                terms = {key: {m: c // g for m, c in p.items()} for key, p in terms.items()}
+                den //= g
         self.dom = dom
         self.k = k
         self.cap = cap
-        self.terms = {} if terms is None else terms
+        self.terms = terms
+        self.den = den
 
     @staticmethod
     def one(dom, k: int, cap: int) -> "VElem":
-        return VElem(dom, k, cap, {((), (0,) * k): dom.one})
+        return VElem(dom, k, cap, {((), (0,) * k): dict(_ONE)})
+
+    @staticmethod
+    def from_scalars(dom, k: int, cap: int, coefs: dict) -> "VElem":
+        """The element with coefficients {(lam, ys): c} given as dom scalars."""
+        pairs = {key: c.laurent() for key, c in coefs.items() if c}
+        den = lcm(*(d for _, d in pairs.values()))
+        return VElem(dom, k, cap, {key: {m: c * (den // d) for m, c in p.items()}
+                                   for key, (p, d) in pairs.items()}, den)
+
+    def scalars(self) -> dict:
+        """{(lam, ys): coefficient as a dom scalar}."""
+        return {key: CoefRat.from_laurent(p, self.den) for key, p in self.terms.items()}
 
     def as_symfunc(self) -> SymFunc:
         if self.k != 0:
             raise ValueError("as_symfunc requires an element of V_0")
-        return SymFunc(self.dom, self.cap,
-                       {lam: c for (lam, _), c in self.terms.items()})
+        return SymFunc(self.dom, self.cap, {lam: c for (lam, _), c in self.scalars().items()})
 
-    def add_term(self, lam, ys, c):
-        if not c or sum(lam) > self.cap:
-            return
-        key = (lam, ys)
-        s = self.terms.get(key)
-        s = c if s is None else s + c
-        if s:
-            self.terms[key] = s
-        elif key in self.terms:
-            del self.terms[key]
+    def has_integer_q_degree(self) -> bool:
+        """True iff u occurs with even exponents only, that is q with integer ones."""
+        return all(unpack_signed(m)[0] % 2 == 0 for p in self.terms.values() for m in p)
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1) -> "VElem":
         if self.k != other.k:
             raise ValueError("strand count mismatch")
-        out = VElem(self.dom, self.k, self.cap, dict(self.terms))
-        for (lam, ys), c in other.terms.items():
-            out.add_term(lam, ys, c)
-        return out
+        den = lcm(self.den, other.den)
+        acc: dict = {}
+        for f, s in ((self, den // self.den), (other, sign * den // other.den)):
+            w = {0: s}
+            for key, c in f.terms.items():
+                _fma(acc, key, c, w)
+        if other.cap > self.cap:
+            acc = {key: p for key, p in acc.items() if sum(key[0]) <= self.cap}
+        return VElem(self.dom, self.k, self.cap, _pruned(acc), den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return VElem(self.dom, self.k, self.cap,
-                     {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+                     {key: {m: -c for m, c in p.items()} for key, p in self.terms.items()},
+                     self.den)
 
     def scale(self, s) -> "VElem":
         if not s:
             return VElem(self.dom, self.k, self.cap)
-        return VElem(self.dom, self.k, self.cap,
-                     {key: c * s for key, c in self.terms.items()})
+        w, d = s.laurent()
+        acc: dict = {}
+        for key, c in self.terms.items():
+            _fma(acc, key, c, w)
+        # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
+        return VElem(self.dom, self.k, self.cap, acc if len(w) == 1 else _pruned(acc),
+                     self.den * d)
 
     def divide(self, d) -> "VElem":
-        """Coefficient-wise c / d; d must divide every c (CoefRatError otherwise)."""
+        """Coefficient-wise c / d for d = q - 1 or 1 - q; a remainder raises CoefRatError."""
+        w, den = d.laurent()
+        if den != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
+            raise ValueError("VElem.divide takes q - 1 or 1 - q")
         return VElem(self.dom, self.k, self.cap,
-                     {key: c / d for key, c in self.terms.items()})
+                     {key: _div_qm1(p, w) for key, p in self.terms.items()}, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, VElem):
             return NotImplemented
-        return self.k == other.k and self.terms == other.terms
+        return self.k == other.k and self.den == other.den and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -91,12 +160,12 @@ class VElem:
     def __str__(self):
         if not self.terms:
             return "0"
+        coefs = self.scalars()
         bits = []
-        for (lam, ys) in sorted(self.terms, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
-            c = self.terms[(lam, ys)]
+        for (lam, ys) in sorted(coefs, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
             ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
                             for i, e in enumerate(ys) if e)
-            bits.append(f"({c})*m{list(lam)}{ypart}")
+            bits.append(f"({coefs[(lam, ys)]})*m{list(lam)}{ypart}")
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -104,84 +173,27 @@ class VElem:
 
 # ------------------------------------------------------------- T operators
 
-def _divide_by_step(num: dict, dom):
-    """Divide {(a,b): scalar} exactly by (y2 - y1); raise on a remainder."""
-    if not num:
-        return {}
-    rows: dict = {}
-    for (a, b), c in num.items():
-        rows.setdefault(b, {})[a] = c
-    top = max(rows)
-    quo_rows: dict = {}
-    carry: dict = {}
-    for d in range(top, 0, -1):
-        cur = dict(carry)
-        for a, c in rows.get(d, {}).items():
-            s = cur.get(a, dom.zero) + c
-            if s:
-                cur[a] = s
-            elif a in cur:
-                del cur[a]
-        quo_rows[d - 1] = cur
-        carry = {a + 1: c for a, c in cur.items()}
-    rem = dict(carry)
-    for a, c in rows.get(0, {}).items():
-        s = rem.get(a, dom.zero) + c
-        if s:
-            rem[a] = s
-        elif a in rem:
-            del rem[a]
-    if rem:
-        raise StepDivisionError("division by (y_{i+1} - y_i) left a remainder")
-    return {(a, b): c for b, row in quo_rows.items() for a, c in row.items() if c}
+def _dl_table(dom, p: int, r: int, inverse: bool = False):
+    """T(y_i^p y_{i+1}^r), or T^{-1}, as ((a, b, w), ...) meaning sum w * y_i^a y_{i+1}^b.
 
-
-def _dl_table(dom, p: int, r: int):
-    """T(y_i^p y_{i+1}^r) as [(a, b, scalar)] meaning sum c*y_i^a y_{i+1}^b."""
-    key = ("dl", p, r)
+    T = s_i - (q-1) y_i D_i with D_i f = (f - s_i f) / (y_i - y_{i+1}), and
+    y_i D_i(y_i^p y_{i+1}^r) = sign(p - r) sum_j y_i^(hi-j) y_{i+1}^(lo+j), 0 <= j < hi - lo.
+    T^{-1} = (T + q - 1)/q by the quadratic relation.
+    """
+    key = ("dl", p, r, inverse)
     hit = dom.cache.get(key)
     if hit is not None:
         return hit
-    qm1 = dom.q - dom.one
-    num: dict = {}
-
-    def put(mono, c):
-        s = num.get(mono, dom.zero) + c
-        if s:
-            num[mono] = s
-        elif mono in num:
-            del num[mono]
-
-    put((p + 1, r), qm1)
-    put((r, p + 1), dom.one)
-    put((r + 1, p), -dom.q)
-    quo = _divide_by_step(num, dom)
-    out = tuple((a, b, c) for (a, b), c in quo.items())
-    dom.cache[key] = out
-    return out
-
-
-def _dl_inv_table(dom, p: int, r: int):
-    """T^{-1} from the quadratic relation: T^{-1} = (T + q - 1)/q."""
-    key = ("dli", p, r)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
-    qinv = dom.q_power(-1)
-    acc: dict = {}
-    for a, b, c in _dl_table(dom, p, r):
-        s = acc.get((a, b), dom.zero) + c * qinv
-        if s:
-            acc[(a, b)] = s
-        elif (a, b) in acc:
-            del acc[(a, b)]
-    extra = (dom.q - dom.one) * qinv
-    s = acc.get((p, r), dom.zero) + extra
-    if s:
-        acc[(p, r)] = s
-    elif (p, r) in acc:
-        del acc[(p, r)]
-    out = tuple((a, b, c) for (a, b), c in acc.items())
+    if inverse:
+        acc: dict = {(p, r): {0: 1, -_Q: -1}}
+        for a, b, w in _dl_table(dom, p, r):
+            _fma(acc, (a, b), w, {-_Q: 1})
+    else:
+        lo, hi = sorted((p, r))
+        acc = {(r, p): dict(_ONE)}
+        for j in range(hi - lo):
+            _fma(acc, (hi - j, lo + j), _ONE, {_Q: -1, 0: 1} if p > r else {_Q: 1, 0: -1})
+    out = tuple((a, b, w) for (a, b), w in _pruned(acc).items())
     dom.cache[key] = out
     return out
 
@@ -190,19 +202,26 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
     """The skew divided-difference action on the (y_i, y_{i+1}) pair."""
     if not 1 <= i <= f.k - 1:
         raise ValueError(f"T_{i} is not defined on V_{f.k}")
-    table = _dl_inv_table if inverse else _dl_table
-    out = VElem(f.dom, f.k, f.cap)
+    acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        p, r = ys[i - 1], ys[i]
-        for a, b, w in table(f.dom, p, r):
-            out.add_term(lam, ys[:i - 1] + (a, b) + ys[i + 1:], c * w)
-    return out
+        head, tail = ys[:i - 1], ys[i + 1:]
+        for a, b, w in _dl_table(f.dom, ys[i - 1], ys[i], inverse):
+            _fma(acc, (lam, head + (a, b) + tail), c, w)
+    return VElem(f.dom, f.k, f.cap, _pruned(acc), f.den)
 
 
 # ------------------------------------------------------ raising and lowering
 
+def _poly(c) -> dict:
+    """A dom scalar that is a Laurent polynomial, in the coefficient form."""
+    p, d = c.laurent()
+    if d != 1:
+        raise CoefRatError(f"({c}) is not a Laurent polynomial")
+    return p
+
+
 def _dminus_image(dom, lam, a: int):
-    """d_-(m_lam * y_k^a) as ((nu, scalar), ...), the y_1..y_{k-1} part left out.
+    """d_-(m_lam * y_k^a) as ((nu, w), ...), the y_1..y_{k-1} part left out.
 
     Substitute X - (q-1)y_k in m_lam, pair y_k^j with (-1)^j e_j, and expand
     m_mu * e_j by the Pieri rule.  Every nu has size |lam| + a, so the image
@@ -215,11 +234,10 @@ def _dminus_image(dom, lam, a: int):
     acc: dict = {}
     for j, gdict in sf.m_expand_one_var(dom, lam, -1):
         jj = a + j
-        for mu, c2 in gdict.items():
-            cc = -c2 if jj % 2 else c2
+        for mu, c in gdict.items():
             for nu, n in mono_times_e(mu, jj):
-                acc[nu] = acc.get(nu, dom.zero) + cc * dom.from_int(n)
-    out = tuple((nu, s) for nu, s in acc.items() if s)
+                _fma(acc, nu, _poly(c), {0: -n if jj % 2 else n})
+    out = tuple(_pruned(acc).items())
     dom.cache[key] = out
     return out
 
@@ -229,14 +247,31 @@ def act_dminus(f: VElem) -> VElem:
     if f.k < 1:
         raise ValueError("d_- is not defined on V_0")
     dom = f.dom
-    out = VElem(dom, f.k - 1, f.cap)
+    acc: dict = {}
     for (lam, ys), c in f.terms.items():
         a = ys[-1]
         if sum(lam) + a > f.cap:
             continue
         rest = ys[:-1]
-        for nu, s in _dminus_image(dom, lam, a):
-            out.add_term(nu, rest, c * s)
+        for nu, w in _dminus_image(dom, lam, a):
+            _fma(acc, (nu, rest), c, w)
+    return VElem(dom, f.k - 1, f.cap, _pruned(acc), f.den)
+
+
+def _dplus_image(dom, lam, star: bool):
+    """m_lam[X + (q-1)y] = sum w * m_mu * y^j as ((mu, j, w), ...).
+
+    For d_+ (star False) each w is negated, the sign of its formula; for
+    d_+^* (star True) each w carries the t^j of y_{k+1} -> t*y_1.
+    """
+    key = ("dp", lam, star)
+    hit = dom.cache.get(key)
+    if hit is not None:
+        return hit
+    out = tuple((mu, j, {m + j: c for m, c in _poly(w).items()} if star
+                 else {m: -c for m, c in _poly(w).items()})
+                for j, gdict in sf.m_expand_one_var(dom, lam, +1) for mu, w in gdict.items())
+    dom.cache[key] = out
     return out
 
 
@@ -244,14 +279,14 @@ def act_dplus(f: VElem) -> VElem:
     """V_k -> V_{k+1}: -T_1...T_k ( y_{k+1} * F[X + (q-1)y_{k+1}] )."""
     dom = f.dom
     k = f.k
-    tmp = VElem(dom, k + 1, f.cap)
+    acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        for j, gdict in sf.m_expand_one_var(dom, lam, +1):
-            for mu, c2 in gdict.items():
-                tmp.add_term(mu, ys + (j + 1,), c * c2)
+        for mu, j, w in _dplus_image(dom, lam, False):
+            _fma(acc, (mu, ys + (j + 1,)), c, w)
+    tmp = VElem(dom, k + 1, f.cap, _pruned(acc), f.den)
     for i in range(k, 0, -1):
         tmp = act_T(tmp, i)
-    return -tmp
+    return tmp
 
 
 def dplus_power(dom, k: int, cap: int) -> VElem:
@@ -264,24 +299,20 @@ def dplus_power(dom, k: int, cap: int) -> VElem:
 
 def act_dplus_star(f: VElem) -> VElem:
     """V_k -> V_{k+1}: substitute X + (q-1)y_{k+1}, then y_i -> y_{i+1}, y_{k+1} -> t*y_1."""
-    dom = f.dom
-    out = VElem(dom, f.k + 1, f.cap)
+    acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        for j, gdict in sf.m_expand_one_var(dom, lam, +1):
-            sc = c * dom.monomial(1, 0, j)
-            for mu, c2 in gdict.items():
-                out.add_term(mu, (j,) + ys, sc * c2)
-    return out
+        for mu, j, w in _dplus_image(f.dom, lam, True):
+            _fma(acc, (mu, (j,) + ys), c, w)
+    return VElem(f.dom, f.k + 1, f.cap, _pruned(acc), f.den)
 
 
 def act_y(f: VElem, i: int) -> VElem:
     """Multiplication by y_i."""
     if not 1 <= i <= f.k:
         raise ValueError(f"y_{i} is not defined on V_{f.k}")
-    out = VElem(f.dom, f.k, f.cap)
-    for (lam, ys), c in f.terms.items():
-        out.add_term(lam, ys[:i - 1] + (ys[i - 1] + 1,) + ys[i:], c)
-    return out
+    return VElem(f.dom, f.k, f.cap,
+                 {(lam, ys[:i - 1] + (ys[i - 1] + 1,) + ys[i:]): c
+                  for (lam, ys), c in f.terms.items()}, f.den)
 
 
 def commutator_y1(f: VElem, dplus, star: bool = False) -> VElem:
@@ -342,25 +373,17 @@ def act_ytilde(f: VElem, i: int) -> VElem:
 GEN_ARITY = {"T": 0, "Ti": 0, "dm": -1, "dp": +1, "dps": +1, "y": 0, "z": 0, "yt": 0}
 
 
+_GEN_ACTIONS = {"T": lambda f, i: act_T(f, i), "Ti": lambda f, i: act_T(f, i, inverse=True),
+                "dm": lambda f: act_dminus(f), "dp": lambda f: act_dplus(f),
+                "dps": lambda f: act_dplus_star(f), "y": lambda f, i: act_y(f, i),
+                "z": lambda f, i: act_z(f, i), "yt": lambda f, i: act_ytilde(f, i)}
+
+
 def apply_gen(f: VElem, gen) -> VElem:
-    kind = gen[0]
-    if kind == "T":
-        return act_T(f, gen[1])
-    if kind == "Ti":
-        return act_T(f, gen[1], inverse=True)
-    if kind == "dm":
-        return act_dminus(f)
-    if kind == "dp":
-        return act_dplus(f)
-    if kind == "dps":
-        return act_dplus_star(f)
-    if kind == "y":
-        return act_y(f, gen[1])
-    if kind == "z":
-        return act_z(f, gen[1])
-    if kind == "yt":
-        return act_ytilde(f, gen[1])
-    raise ValueError(f"unknown generator {gen!r}")
+    # each lambda looks its operator up at call time, so rebinding a module name takes effect
+    if gen[0] not in _GEN_ACTIONS:
+        raise ValueError(f"unknown generator {gen!r}")
+    return _GEN_ACTIONS[gen[0]](f, *gen[1:])
 
 
 def word_target(word, k: int) -> int:
@@ -439,7 +462,7 @@ def spanning_set(dom, k: int, degree: int, cap: int | None = None):
         for ys in _compositions_exact(dy, k):
             for dx in range(degree - dy + 1):
                 for lam in partitions_of(dx):
-                    out.append(VElem(dom, k, cap, {(lam, ys): dom.one}))
+                    out.append(VElem(dom, k, cap, {(lam, ys): dict(_ONE)}))
     return out
 
 

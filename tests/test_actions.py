@@ -45,7 +45,7 @@ def test_standard_handle_y1_is_multiplication(dom):
 def test_replicated_handle_examples(dom):
     tower = ac.ActionTower(dom)
     one0 = VElem.one(dom, 0, 3)
-    m_y1 = VElem(dom, 1, 3, {((), (1,)): -dom.one})
+    m_y1 = VElem.from_scalars(dom, 1, 3, {((), (1,)): -dom.one})
     assert tower.handle(1, 1, True).dplus(one0) == m_y1
     assert tower.handle(1, 1, False).dplus(one0) == -m_y1
 

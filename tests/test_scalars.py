@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import shufflealg
 from shufflealg import _kernel_py as K
-from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain
+from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain, unpack_signed
 
 
 def test_u_squared_is_q(dom):
@@ -141,6 +141,25 @@ _DOM = ExactDomain()
 _laurent = st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integers(-2, 2)),
                     max_size=5).map(
     lambda terms: sum((_DOM.monomial(*term) for term in terms), _DOM.zero))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent, st.integers(1, 12))
+def test_laurent_form_round_trip(a, d):
+    # negative and odd u exponents, negative t exponents, an integer denominator
+    c = a / _DOM.from_int(d)
+    poly, den = c.laurent()
+    back = CoefRat.from_laurent(poly, den)
+    assert back == c and str(back) == str(c)
+    assert sum(v * Fraction(2) ** unpack_signed(k)[0] * Fraction(3) ** unpack_signed(k)[1]
+               for k, v in poly.items()) / den == c.eval_at(4, 3)
+
+
+def test_signed_keys():
+    for eu in range(-4, 5):
+        for et in range(-4, 5):
+            assert unpack_signed((eu << K.KEY_SHIFT) + et) == (eu, et)
+    assert CoefRat.monomial(-3, -1, 2).laurent() == ({(-1 << K.KEY_SHIFT) + 2: -3}, 1)
 
 
 @settings(max_examples=80, deadline=None)

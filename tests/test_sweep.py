@@ -103,7 +103,7 @@ def test_dp_unit(dom):
     dp = sw.recursion_dp(1, 1, dom)
     complete = dp.complete_state()
     assert set(complete) == {((0, 1),)}
-    assert complete[((0, 1),)] == VElem(dom, 1, 1, {((), (1,)): -dom.one})
+    assert complete[((0, 1),)] == VElem.from_scalars(dom, 1, 1, {((), (1,)): -dom.one})
 
 
 def test_dp_square(dom):

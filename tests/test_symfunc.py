@@ -1,6 +1,7 @@
 import pytest
 
 from shufflealg import symfunc as sf
+from shufflealg.scalars import ExactDomain
 from shufflealg.symfunc import SymFunc
 
 
@@ -55,6 +56,41 @@ def test_pieri_rule_matches_brute_force_table():
             for j in range(8 - len(mu)):
                 want = sf.mono_mult_table(mu, (1,) * j) if j else {mu: 1}
                 assert dict(sf.mono_times_e(mu, j)) == want, (mu, j)
+
+
+def _m_expand_by_power_sums(dom, lam, sign):
+    # oracle: m_lam through power sums, where p_r[X + sign*(q-1)y] = p_r[X] + sign*(q^r-1)y^r
+    acc = {}
+    for mu, fr in sf.mono_to_p(lam).items():
+        for mask in range(1 << len(mu)):
+            j, rest, c = 0, [], dom.from_fraction(fr)
+            for i, part in enumerate(mu):
+                if mask >> i & 1:
+                    j += part
+                    c = c * (dom.q_power(part) - dom.one) * dom.from_int(sign)
+                else:
+                    rest.append(part)
+            for nu, n in sf.p_to_mono(tuple(sorted(rest, reverse=True))).items():
+                slot = acc.setdefault(j, {})
+                slot[nu] = slot.get(nu, dom.zero) + c * dom.from_int(n)
+    out = []
+    for j in sorted(acc):
+        slot = {nu: c for nu, c in acc[j].items() if c}
+        if slot:
+            out.append((j, slot))
+    return out
+
+
+def test_m_expand_one_var_matches_power_sums():
+    dom = ExactDomain()  # a fresh domain, so nothing comes from the cache
+    cases = 0
+    for size in range(10):
+        for lam in sf.partitions_of(size):
+            for sign in (1, -1):
+                assert sf.m_expand_one_var(dom, lam, sign) == \
+                    _m_expand_by_power_sums(dom, lam, sign), (lam, sign)
+                cases += 1
+    assert cases == 2 * sum(len(sf.partitions_of(n)) for n in range(10))
 
 
 def test_plethysm_rank_one_rule(dom):

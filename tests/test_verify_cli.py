@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from shufflealg import cli
+from shufflealg import sweep as sw
 from shufflealg import verify as vf
 
 
@@ -249,7 +250,7 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", [["paths", "stats"], ["paths", "chi"], ["sweep", "path"]])
-@pytest.mark.parametrize("path", ["", "1x0", "1 0", "102"])
+@pytest.mark.parametrize("path", ["", "1x0", "1 0", "102", "1", "11", "0", "00"])
 def test_cli_bad_path_names_the_option(cmd, path, capsys):
     code, data = _run_cli([*cmd, "--path", path], capsys)
     assert code == 2 and data["error"].startswith("ValueError: --path must be")
@@ -286,3 +287,24 @@ def test_cli_closed_stdout_is_quiet(argv):
     finally:
         os.close(write_end)
     assert proc.returncode == 2 and proc.stderr == b""
+
+
+def test_dp_cache_keeps_its_format(dom, tmp_path):
+    # version 1 on disk; coefficients over monomial and integer denominators read back
+    assert vf.DP_CACHE_VERSION == 1
+    dp = sw.recursion_dp(2, 3, dom, cap=3)
+    key = max(dp.state, key=lambda k: len(dp.state[k].terms))
+    dp.state[key] = dp.state[key].scale(dom.monomial(1, -3, -1) / dom.from_int(2))
+    path = tmp_path / "dp.json"
+    vf._write_dp_cache(str(path), dp)
+    text = path.read_text()
+    assert json.loads(text)["version"] == 1 and " / 2*u^3*t" in text
+    back = vf._read_dp_cache(str(path), 2, 3, 3, dom)
+    assert back.events == dp.events and back.state == dp.state
+
+
+def test_cli_relation_witness_over_an_integer_denominator(capsys):
+    code, data = _run_cli(["verify", "relation", "--lhs", "2^-1 d- d+", "--rhs", "d- d+",
+                           "--k", "1", "--degree", "1"], capsys)
+    assert code == 1 and not data["passed"] and data["cases"] == 1
+    assert data["witness"] == ["(1)*m[]", "(-u^2 / 2)*m[]*y1", "(-u^2)*m[]*y1"]

@@ -1,13 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from shufflealg import symfunc as sf
 from shufflealg import vkspace as vk
-from shufflealg.scalars import ExactDomain
+from shufflealg.scalars import CoefRatError, ExactDomain
 from shufflealg.vkspace import VElem
 
 
 def V(dom, k, terms, cap=6):
-    return VElem(dom, k, cap, {key: dom.one for key in terms} if isinstance(terms, list) else terms)
+    return VElem.from_scalars(dom, k, cap, {key: dom.one for key in terms}
+                              if isinstance(terms, list) else terms)
 
 
 def test_T_examples(dom):
@@ -43,8 +46,8 @@ def test_dminus_examples(dom):
 def _dminus_reference(f: VElem) -> VElem:
     # d_- term by term, with m_mu * e_j from the brute-force product table
     dom = f.dom
-    out = VElem(dom, f.k - 1, f.cap)
-    for (lam, ys), c in f.terms.items():
+    out = {}
+    for (lam, ys), c in f.scalars().items():
         ak = ys[-1]
         rest = ys[:-1]
         for j, gdict in sf.m_expand_one_var(dom, lam, -1):
@@ -56,8 +59,8 @@ def _dminus_reference(f: VElem) -> VElem:
                     continue
                 cc = c * c2 * sign
                 for nu, n in sf.mono_mult_table(mu, ej).items():
-                    out.add_term(nu, rest, cc * dom.from_int(n))
-    return out
+                    out[(nu, rest)] = out.get((nu, rest), dom.zero) + cc * dom.from_int(n)
+    return VElem.from_scalars(dom, f.k - 1, f.cap, out)
 
 
 def test_dminus_matches_reference():
@@ -103,12 +106,47 @@ def test_y_from_commutator_is_multiplication(dom):
             assert vk.act_y1_from_commutator(base) == vk.act_y(base, 1)
 
 
-def test_exact_division_assertion(dom):
-    with pytest.raises(vk.StepDivisionError):
-        vk._divide_by_step({(0, 1): dom.one}, dom)  # y2 alone is not divisible
-    with pytest.raises(ArithmeticError):
-        vk._divide_by_step({(2, 0): dom.one, (0, 1): dom.q}, dom)
-    assert vk._divide_by_step({(0, 1): dom.t, (1, 0): -dom.t}, dom) == {(0, 0): dom.t}
+def test_T_times_step_is_the_defining_numerator(dom):
+    # (y2 - y1) T(y1^p y2^r) = (q-1) y1^(p+1) y2^r + y1^r y2^(p+1) - q y1^(r+1) y2^p
+    for p in range(6):
+        for r in range(6):
+            image = vk.act_T(V(dom, 2, [((), (p, r))], cap=0), 1)
+            want = (V(dom, 2, {((), (p + 1, r)): dom.q - dom.one}, cap=0)
+                    + V(dom, 2, [((), (r, p + 1))], cap=0)
+                    - V(dom, 2, {((), (r + 1, p)): dom.q}, cap=0))
+            assert vk.act_y(image, 2) - vk.act_y(image, 1) == want, (p, r)
+
+
+def test_integer_denominator_in_lowest_terms(dom):
+    half = dom.from_fraction(Fraction(1, 2))
+    f = V(dom, 1, {((), (1,)): half, ((1,), (0,)): dom.t * half})
+    assert f.den == 2 and str(f) == "(1 / 2)*m[]*y1 + (t / 2)*m[1]"
+    assert f + f == V(dom, 1, {((), (1,)): dom.one, ((1,), (0,)): dom.t})
+    assert (f + f).den == 1 and f.scale(dom.from_int(2)) == f + f
+    assert f - f == V(dom, 1, {}) and vk.act_dminus(f).den == 2
+
+
+def test_scale_drops_cancelled_monomials(dom):
+    f = V(dom, 1, {((), (1,)): dom.one + dom.u, ((1,), (0,)): dom.t})
+    g = f.scale(dom.one - dom.u)
+    assert g == V(dom, 1, {((), (1,)): dom.one - dom.q, ((1,), (0,)): dom.t - dom.u * dom.t})
+    assert f.scale(dom.zero) == V(dom, 1, {}) and not f.scale(dom.zero)
+
+
+def test_divide_by_q_minus_one(dom):
+    qm1 = dom.q - dom.one
+    # Laurent exponents of both signs, odd powers of u, and an integer denominator
+    coefs = {((), (1,)): (dom.q * dom.q - dom.one) * dom.monomial(3, -3, -2),
+             ((1,), (0,)): dom.u - dom.monomial(1, 5, 1),
+             ((2,), (0,)): qm1 * dom.from_fraction(Fraction(1, 2))}
+    f = V(dom, 1, {key: c * qm1 for key, c in coefs.items()})
+    assert f.divide(qm1) == V(dom, 1, coefs)
+    assert f.divide(dom.one - dom.q) == -V(dom, 1, coefs)
+    for bad in (dom.q, dom.u - dom.one, dom.monomial(1, 3) - dom.u * dom.t, dom.t - dom.one):
+        with pytest.raises(CoefRatError):
+            V(dom, 1, {((), (0,)): bad}).divide(qm1)
+    with pytest.raises(ValueError):
+        f.divide(dom.q + dom.one)
 
 
 def test_word_parsing(dom):
