@@ -1,12 +1,16 @@
 """Exact scalars: Laurent polynomials in u and t over Q, with u^2 = q.
 
-A CoefRat is num / den: num is an integer polynomial and den a single
-monomial c*u^a*t^b with c > 0.  Division by a monomial is free.  Division
-by anything else divides the numerator exactly by the divisor's primitive
-part and raises CoefRatError on a remainder.  The operators on V_k do not
-use CoefRat arithmetic: vkspace keeps each coefficient as an integer
-Laurent polynomial over one integer denominator, divides by q - 1 itself,
-and meets CoefRat only through `laurent` and `from_laurent`.
+A polynomial is a dict {pack(eu, et): nonzero int} with signed exponents.
+The key is eu * 2^32 + et, so a monomial product is a key addition and
+integer order of keys is the lex order with u before t.  `_fma`, `_pruned`,
+`_added` and `_div_qm1` are the arithmetic on such polynomials that both
+CoefRat and the V_k operators of vkspace use.
+
+A CoefRat is num / d: num a polynomial and d a positive integer coprime to
+num's integer content.  Division by a monomial is a key shift.  The only
+other division is the exact one by a monomial times (q - 1), the divisor of
+the y_1 commutator relation; any other divisor, or a remainder, raises
+CoefRatError.
 
 ExactDomain is the scalar factory the rest of the package takes as `dom`:
 it builds constants and monomials and holds the per-domain operator caches.
@@ -15,21 +19,21 @@ it builds constants and monomials and holds the per-domain operator caches.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
-from . import _kernel_py as K
-
-pack = K.pack
-unpack = K.unpack
-_HALF = 1 << (K.KEY_SHIFT - 1)
+KEY_SHIFT = 32
+_HALF = 1 << (KEY_SHIFT - 1)
+_Q = 2 << KEY_SHIFT  # the key of q = u^2; the key of t is 1
 
 
-def unpack_signed(key):
-    """(eu, et) of a Laurent key eu * 2^32 + et, where both exponents may be negative."""
-    eu = (key + _HALF) >> K.KEY_SHIFT
-    return eu, key - (eu << K.KEY_SHIFT)
+def pack(eu, et):
+    return (eu << KEY_SHIFT) + et
 
-_ONE = {0: 1}
+
+def unpack(key):
+    """(eu, et) of a key eu * 2^32 + et, where both exponents may be negative."""
+    eu = (key + _HALF) >> KEY_SHIFT
+    return eu, key - (eu << KEY_SHIFT)
 
 
 class CoefRatError(ArithmeticError):
@@ -40,125 +44,137 @@ class InvariantError(ArithmeticError):
     """An internal consistency check failed, so the result cannot be trusted."""
 
 
-def _int_content(p):
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _fma(acc: dict, key, c: dict, w: dict) -> None:
+    """acc[key] += c * w for polynomials c and w; zeros stay until _pruned."""
+    p = acc.get(key)
+    if p is None:
+        if len(w) == 1:
+            ((kw, cw),) = w.items()
+            acc[key] = {kc + kw: cc * cw for kc, cc in c.items()}
+            return
+        p = acc[key] = {}
+    get = p.get
+    for kw, cw in w.items():
+        for kc, cc in c.items():
+            k = kc + kw
+            p[k] = get(k, 0) + cc * cw
 
 
-def _mono_content_key(p):
-    eu = min(k >> K.KEY_SHIFT for k in p)
-    et = min(k & K.KEY_MASK for k in p)
-    return pack(eu, et)
+def _pruned(acc: dict) -> dict:
+    """acc, changed in place, without zero coefficients and zero polynomials."""
+    for key, p in list(acc.items()):
+        if 0 in p.values():
+            for m in [m for m, c in p.items() if not c]:
+                del p[m]
+            if not p:
+                del acc[key]
+    return acc
 
 
-def _normalize(num, den):
-    """Cancel the common monomial and integer content; make den positive."""
-    if len(den) != 1:
-        raise CoefRatError("denominator must be one nonzero monomial")
-    if not num:
-        return {}, dict(_ONE)
-    if den == _ONE:
-        return num, den
-    ((kd, cd),) = den.items()
-    common = 0
-    if kd:
-        kc = _mono_content_key(num)
-        common = pack(min(kc >> K.KEY_SHIFT, kd >> K.KEY_SHIFT),
-                      min(kc & K.KEY_MASK, kd & K.KEY_MASK))
-    g = gcd(_int_content(num), cd)
-    if cd < 0:
-        g = -g
-    if common or g != 1:
-        num = {k - common: c // g for k, c in num.items()}
-        den = {kd - common: cd // g}
-    return num, den
+def _added(a: dict, b: dict, s: int = 1) -> dict:
+    """a + s * b as a new polynomial; a and b are left as they are."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        v = get(k, 0) + s * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+def _div_qm1(p: dict, w: dict) -> dict:
+    """p / w for w = c * u^a * t^b * (q - 1), by exact long division over the integers.
+
+    A w of another form, or a remainder, raises CoefRatError.
+    """
+    lo, hi = min(w), max(w)
+    if len(w) != 2 or hi - lo != _Q or w[hi] != -w[lo]:
+        raise CoefRatError(f"({CoefRat(w)}) is neither a monomial nor one times q - 1")
+    c = w[hi]
+    low = min(p, default=0)
+    rem = dict(p)
+    quo = {}
+    while rem:
+        k = max(rem)
+        qc, r = divmod(rem.pop(k), c)
+        k -= hi
+        # the quotient's lowest term times w's lowest term is p's lowest term
+        if r or k + lo < low:
+            raise CoefRatError(f"({CoefRat(p)}) is not divisible by ({CoefRat(w)})")
+        quo[k] = qc
+        k += lo
+        v = rem.get(k, 0) + qc * c
+        if v:
+            rem[k] = v
+        else:
+            rem.pop(k, None)
+    return quo
 
 
 class CoefRat:
-    """Laurent polynomial num / den in u, t; den is one positive monomial."""
+    """num / d: num a Laurent polynomial in u, t and d > 0 an integer, in lowest terms."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "d")
 
-    def __init__(self, num, den=None, _normalized=False):
-        if den is None:
-            den = dict(_ONE)
-        if not _normalized:
-            num, den = _normalize(num, den)
+    def __init__(self, num: dict, d: int = 1):
+        if d != 1:
+            g = gcd(d, *num.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                d //= g
         self.num = num
-        self.den = den
+        self.d = d
+
+    @property
+    def den(self) -> dict:
+        """The denominator as the one-term polynomial {0: d}."""
+        return {0: self.d}
 
     # -- constructors ------------------------------------------------
     @staticmethod
     def from_int(n: int) -> "CoefRat":
-        return CoefRat({0: n} if n else {}, dict(_ONE), _normalized=True)
+        return CoefRat({0: n} if n else {})
 
     @staticmethod
     def from_fraction(fr) -> "CoefRat":
         fr = Fraction(fr)
-        num = {0: fr.numerator} if fr.numerator else {}
-        return CoefRat(num, {0: fr.denominator}, _normalized=True)
-
-    @staticmethod
-    def from_laurent(poly: dict, d: int = 1) -> "CoefRat":
-        """poly / d for a Laurent polynomial {eu * 2^32 + et: int} and an integer d > 0."""
-        if not poly:
-            return CoefRat.from_int(0)
-        eus, ets = zip(*map(unpack_signed, poly))
-        shift = pack(max(0, -min(eus)), max(0, -min(ets)))
-        return CoefRat({k + shift: c for k, c in poly.items()}, {shift: d})
-
-    def laurent(self):
-        """(poly, d) with self = poly / d, in the form from_laurent takes."""
-        ((kd, cd),) = self.den.items()
-        return {k - kd: c for k, c in self.num.items()}, cd
+        return CoefRat({0: fr.numerator} if fr.numerator else {}, fr.denominator)
 
     @staticmethod
     def monomial(c: int, eu: int = 0, et: int = 0) -> "CoefRat":
         """c * u^eu * t^et, Laurent exponents allowed."""
-        if c == 0:
-            return CoefRat.from_int(0)
-        nu, du = (eu, 0) if eu >= 0 else (0, -eu)
-        nt, dt = (et, 0) if et >= 0 else (0, -et)
-        return CoefRat({pack(nu, nt): c}, {pack(du, dt): 1}, _normalized=True)
+        return CoefRat({pack(eu, et): c} if c else {})
 
     # -- arithmetic --------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         if not isinstance(other, CoefRat):
             return NotImplemented
-        if self.den == other.den:
-            num = K.p_add(self.num, other.num)
-            if self.den == _ONE:
-                return CoefRat(num, dict(_ONE), _normalized=True)
-            return CoefRat(num, dict(self.den))
-        ((ka, ca),) = self.den.items()
-        ((kb, cb),) = other.den.items()
-        k = pack(max(ka >> K.KEY_SHIFT, kb >> K.KEY_SHIFT), max(ka & K.KEY_MASK, kb & K.KEY_MASK))
-        c = ca * cb // gcd(ca, cb)
-        num = K.p_add(K.p_mul_mono(self.num, k - ka, c // ca),
-                      K.p_mul_mono(other.num, k - kb, c // cb))
-        return CoefRat(num, {k: c})
-
-    def __neg__(self):
-        return CoefRat(K.p_neg(self.num), dict(self.den), _normalized=True)
+        if self.d == other.d:
+            return CoefRat(_added(self.num, other.num, sign), self.d)
+        d = lcm(self.d, other.d)
+        a = d // self.d
+        return CoefRat(_added({k: c * a for k, c in self.num.items()}, other.num,
+                              sign * d // other.d), d)
 
     def __sub__(self, other):
-        if not isinstance(other, CoefRat):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return CoefRat({k: -c for k, c in self.num.items()}, self.d)
 
     def __mul__(self, other):
         if not isinstance(other, CoefRat):
             return NotImplemented
-        num = K.p_mul(self.num, other.num)
-        if self.den == _ONE and other.den == _ONE:
-            return CoefRat(num, dict(_ONE), _normalized=True)
-        ((ka, ca),) = self.den.items()
-        ((kb, cb),) = other.den.items()
-        return CoefRat(num, {ka + kb: ca * cb})
+        a, b = self.num, other.num
+        acc: dict = {}
+        if len(a) > len(b):
+            a, b = b, a
+        _fma(acc, 0, b, a)
+        return CoefRat(_pruned(acc).get(0, {}), self.d * other.d)
 
     def __truediv__(self, other):
         if not isinstance(other, CoefRat):
@@ -166,19 +182,16 @@ class CoefRat:
         div = other.num
         if not div:
             raise CoefRatError("division by zero")
-        num = self.num
-        if len(div) > 1:
-            # divide num exactly by the primitive part; the content joins den
-            kc = _mono_content_key(div)
-            g = _int_content(div)
-            num = K.p_divexact(num, {k - kc: c // g for k, c in div.items()})
-            if num is None:
-                raise CoefRatError(f"({self}) is not divisible by ({other})")
-            div = {kc: g}
-        ((kd, cd),) = self.den.items()
-        ((kv, cv),) = div.items()
-        ((ko, co),) = other.den.items()
-        return CoefRat(K.p_mul_mono(num, ko, co), {kd + kv: cd * cv})
+        g = gcd(*div.values())
+        if len(div) == 1:
+            ((k, c),) = div.items()
+            s = other.d if c > 0 else -other.d
+            num = {m - k: v * s for m, v in self.num.items()}
+        else:
+            num = _div_qm1(self.num, {k: c // g for k, c in div.items()})
+            if other.d != 1:
+                num = {m: v * other.d for m, v in num.items()}
+        return CoefRat(num, self.d * g)
 
     def __bool__(self):
         return bool(self.num)
@@ -188,53 +201,47 @@ class CoefRat:
             other = CoefRat.from_int(other)
         if not isinstance(other, CoefRat):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.d == other.d
 
     def __hash__(self):
-        return hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+        return hash((tuple(sorted(self.num.items())), self.d))
 
     # -- predicates and views ----------------------------------------
     def has_integer_q_degree(self) -> bool:
-        """True iff every monomial's u-exponent is even (both num and den)."""
-        return all((k >> K.KEY_SHIFT) % 2 == 0 for k in self.num) and \
-            all((k >> K.KEY_SHIFT) % 2 == 0 for k in self.den)
+        """True iff every monomial's u-exponent is even."""
+        return all(unpack(k)[0] % 2 == 0 for k in self.num)
 
     def eval_at(self, q0, t0) -> Fraction:
         """Exact value at q = q0, t = t0 (u = sqrt(q0) when needed)."""
         q0, t0 = Fraction(q0), Fraction(t0)
-        if self.has_integer_q_degree():
-            u2 = None
-        else:
-            u2 = _rational_sqrt(q0)
-            if u2 is None:
+        u0 = None
+        if not self.has_integer_q_degree():
+            u0 = _rational_sqrt(q0)
+            if u0 is None:
                 raise CoefRatError("q0 has no rational square root and u occurs with odd exponent")
-
-        def ev(p):
-            s = Fraction(0)
-            for k, c in p.items():
-                eu, et = unpack(k)
-                if eu % 2 == 0:
-                    s += c * q0 ** (eu // 2) * t0 ** et
-                else:
-                    s += c * u2 ** eu * t0 ** et
-            return s
-
-        dv = ev(self.den)
-        if dv == 0:
-            raise CoefRatError("denominator vanishes at the evaluation point")
-        return ev(self.num) / dv
+        s = Fraction(0)
+        for k, c in self.num.items():
+            eu, et = unpack(k)
+            if (eu < 0 and not q0) or (et < 0 and not t0):
+                raise CoefRatError("denominator vanishes at the evaluation point")
+            s += c * (q0 ** (eu // 2) if eu % 2 == 0 else u0 ** eu) * t0 ** et
+        return s / self.d
 
     def __str__(self):
-        s = _poly_str(self.num)
-        if self.den != _ONE:
-            s += " / " + _poly_str(self.den)
+        """num / den with den = d * u^a * t^b, the least a, b >= 0 that leave num a polynomial."""
+        if not self.num:
+            return "0"
+        eus, ets = zip(*map(unpack, self.num))
+        shift = pack(max(0, -min(eus)), max(0, -min(ets)))
+        s = _poly_str({k + shift: c for k, c in self.num.items()})
+        if shift or self.d != 1:
+            s += " / " + _poly_str({shift: self.d})
         return s
 
     __repr__ = __str__
 
 
 def _rational_sqrt(fr: Fraction):
-    from math import isqrt
     if fr < 0:
         return None
     a, b = isqrt(fr.numerator), isqrt(fr.denominator)
@@ -244,8 +251,7 @@ def _rational_sqrt(fr: Fraction):
 
 
 def _poly_str(p) -> str:
-    if not p:
-        return "0"
+    """A polynomial with non-negative exponents, highest key first."""
     parts = []
     for k in sorted(p, reverse=True):
         c = p[k]

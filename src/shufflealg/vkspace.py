@@ -2,13 +2,14 @@
 
 An element is {(partition, y-exponents): coefficient} over one integer
 denominator, which only `scale` by a scalar such as 1/2 makes other than 1.
-A coefficient is an integer Laurent polynomial {eu * 2^32 + et: int} in u
-and t (u^2 = q), so a monomial product is a key addition.  T_i, d_- and the
-one-variable expansion behind d_+ and d_+^* are cached per-term images; an
-operator accumulates each c * w into its output in place and drops zeros
-once.  `divide` by q - 1 is one exact pass per coefficient.  CoefRat appears
-only in `scale`, `divide`, `from_scalars` and `scalars`.  Operator words are
-tuples of generators in written order and act rightmost-first.
+A coefficient is a polynomial of `scalars`: an integer Laurent polynomial
+in u and t (u^2 = q) keyed by packed exponents, the same form as a
+CoefRat's numerator, so an element reads and builds scalars without
+conversion.  T_i, d_- and the one-variable expansion behind d_+ and d_+^*
+are cached per-term images; an operator accumulates each c * w into its
+output in place with `_fma` and drops zeros once with `_pruned`.  `divide`
+by q - 1 is one exact pass per coefficient.  Operator words are tuples of
+generators in written order and act rightmost-first.
 """
 
 from __future__ import annotations
@@ -17,49 +18,10 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import symfunc as sf
-from ._kernel_py import KEY_SHIFT, p_divexact
-from .scalars import CoefRat, CoefRatError, pack, unpack_signed
+from .scalars import _Q, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned
 from .symfunc import SymFunc, mono_times_e, partitions_of
 
 _ONE = {0: 1}
-_Q = pack(2, 0)  # the key of q = u^2; the key of t is 1
-
-
-def _fma(acc: dict, key, c: dict, w: dict) -> None:
-    """acc[key] += c * w for Laurent polynomials c and w; zeros stay until _pruned."""
-    p = acc.get(key)
-    if p is None:
-        if len(w) == 1:
-            ((kw, cw),) = w.items()
-            acc[key] = {kc + kw: cc * cw for kc, cc in c.items()}
-            return
-        p = acc[key] = {}
-    get = p.get
-    for kw, cw in w.items():
-        for kc, cc in c.items():
-            k = kc + kw
-            p[k] = get(k, 0) + cc * cw
-
-
-def _pruned(acc: dict) -> dict:
-    """acc, changed in place, without zero coefficients and zero polynomials."""
-    for key, p in list(acc.items()):
-        if 0 in p.values():
-            for m in [m for m, c in p.items() if not c]:
-                del p[m]
-            if not p:
-                del acc[key]
-    return acc
-
-
-def _div_qm1(p: dict, w: dict) -> dict:
-    """p / w for w = q - 1 or 1 - q, one exact long division; a remainder raises CoefRatError."""
-    # divide p * u^-a * t^(2^31 - b), (a, b) the exponents of min(p): no exponent is negative
-    low = min(p) - (1 << (KEY_SHIFT - 1))
-    quo = p_divexact({k - low: c for k, c in p.items()}, w)
-    if quo is None:
-        raise CoefRatError("a coefficient is not divisible by q - 1")
-    return {k + low: c for k, c in quo.items()}
 
 
 class VElem:
@@ -91,14 +53,15 @@ class VElem:
     @staticmethod
     def from_scalars(dom, k: int, cap: int, coefs: dict) -> "VElem":
         """The element with coefficients {(lam, ys): c} given as dom scalars."""
-        pairs = {key: c.laurent() for key, c in coefs.items() if c}
-        den = lcm(*(d for _, d in pairs.values()))
-        return VElem(dom, k, cap, {key: {m: c * (den // d) for m, c in p.items()}
-                                   for key, (p, d) in pairs.items()}, den)
+        coefs = {key: c for key, c in coefs.items() if c}
+        den = lcm(*(c.d for c in coefs.values()))
+        return VElem(dom, k, cap, {key: c.num if c.d == den else
+                                   {m: v * (den // c.d) for m, v in c.num.items()}
+                                   for key, c in coefs.items()}, den)
 
     def scalars(self) -> dict:
         """{(lam, ys): coefficient as a dom scalar}."""
-        return {key: CoefRat.from_laurent(p, self.den) for key, p in self.terms.items()}
+        return {key: CoefRat(p, self.den) for key, p in self.terms.items()}
 
     def as_symfunc(self) -> SymFunc:
         if self.k != 0:
@@ -107,20 +70,29 @@ class VElem:
 
     def has_integer_q_degree(self) -> bool:
         """True iff u occurs with even exponents only, that is q with integer ones."""
-        return all(unpack_signed(m)[0] % 2 == 0 for p in self.terms.values() for m in p)
+        return all(CoefRat(p).has_integer_q_degree() for p in self.terms.values())
 
     def __add__(self, other, sign: int = 1) -> "VElem":
         if self.k != other.k:
             raise ValueError("strand count mismatch")
         den = lcm(self.den, other.den)
-        acc: dict = {}
-        for f, s in ((self, den // self.den), (other, sign * den // other.den)):
-            w = {0: s}
-            for key, c in f.terms.items():
-                _fma(acc, key, c, w)
+        a, b = den // self.den, sign * den // other.den
+        # polynomials are shared, never changed: only a key both operands hold gets a new one
+        acc = dict(self.terms) if a == 1 else \
+            {key: {m: c * a for m, c in p.items()} for key, p in self.terms.items()}
+        for key, c in other.terms.items():
+            p = acc.get(key)
+            if p is None:
+                acc[key] = c if b == 1 else {m: v * b for m, v in c.items()}
+            else:
+                p = _added(p, c, b)
+                if p:
+                    acc[key] = p
+                else:
+                    del acc[key]
         if other.cap > self.cap:
             acc = {key: p for key, p in acc.items() if sum(key[0]) <= self.cap}
-        return VElem(self.dom, self.k, self.cap, _pruned(acc), den)
+        return VElem(self.dom, self.k, self.cap, acc, den)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -133,18 +105,18 @@ class VElem:
     def scale(self, s) -> "VElem":
         if not s:
             return VElem(self.dom, self.k, self.cap)
-        w, d = s.laurent()
+        w = s.num
         acc: dict = {}
         for key, c in self.terms.items():
             _fma(acc, key, c, w)
         # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
         return VElem(self.dom, self.k, self.cap, acc if len(w) == 1 else _pruned(acc),
-                     self.den * d)
+                     self.den * s.d)
 
     def divide(self, d) -> "VElem":
         """Coefficient-wise c / d for d = q - 1 or 1 - q; a remainder raises CoefRatError."""
-        w, den = d.laurent()
-        if den != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
+        w = d.num
+        if d.d != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
             raise ValueError("VElem.divide takes q - 1 or 1 - q")
         return VElem(self.dom, self.k, self.cap,
                      {key: _div_qm1(p, w) for key, p in self.terms.items()}, self.den)
@@ -214,10 +186,9 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
 
 def _poly(c) -> dict:
     """A dom scalar that is a Laurent polynomial, in the coefficient form."""
-    p, d = c.laurent()
-    if d != 1:
+    if c.d != 1:
         raise CoefRatError(f"({c}) is not a Laurent polynomial")
-    return p
+    return c.num
 
 
 def _dminus_image(dom, lam, a: int):
@@ -268,8 +239,7 @@ def _dplus_image(dom, lam, star: bool):
     hit = dom.cache.get(key)
     if hit is not None:
         return hit
-    out = tuple((mu, j, {m + j: c for m, c in _poly(w).items()} if star
-                 else {m: -c for m, c in _poly(w).items()})
+    out = tuple((mu, j, _poly(w * dom.monomial(1, 0, j) if star else -w))
                 for j, gdict in sf.m_expand_one_var(dom, lam, +1) for mu, w in gdict.items())
     dom.cache[key] = out
     return out
@@ -411,7 +381,9 @@ def apply_expr(f: VElem, expr) -> VElem:
     """expr = [(scalar, word), ...]; returns the sum of scaled word actions."""
     out = None
     for coef, word in expr:
-        g = apply_word(f, word).scale(coef)
+        g = apply_word(f, word)
+        if coef != f.dom.one:
+            g = g.scale(coef)
         out = g if out is None else out + g
     return out if out is not None else VElem(f.dom, f.k, f.cap)
 

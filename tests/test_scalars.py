@@ -3,14 +3,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shufflealg
-from shufflealg import _kernel_py as K
-from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain, unpack_signed
+from shufflealg.scalars import KEY_SHIFT, CoefRat, CoefRatError, ExactDomain, _div_qm1, pack, unpack
+from shufflealg.verify import _parse_coefrat
 
 
 def test_u_squared_is_q(dom):
@@ -74,16 +75,20 @@ def test_normalize_idempotent(dom):
     a = dom.monomial(6, 3, 1) + dom.monomial(-6, 1, 1)
     b = dom.monomial(4, 2, 0) + dom.monomial(-4, 0, 0)
     r = a / b
-    again = CoefRat(dict(r.num), dict(r.den))
-    assert again.num == r.num and again.den == r.den
+    assert r == dom.monomial(3, 1, 1) / dom.from_int(2)
+    again = CoefRat(dict(r.num), r.d)
+    assert again.num == r.num and again.d == r.d and again.den == {0: 2}
+    # a common integer factor of the numerator and d cancels on construction
+    assert CoefRat({k: 7 * c for k, c in r.num.items()}, 7 * r.d) == r
 
 
 def test_denominator_sign_canonical(dom):
     with pytest.raises(CoefRatError):
         dom.one / (dom.one - dom.q)  # not a Laurent polynomial
     r = dom.t / dom.monomial(-3, 2, 0)
-    assert r.den == {K.pack(2, 0): 3}
-    assert r.num == {K.pack(0, 1): -1}
+    assert r.d == 3 and r.den == {0: 3}
+    assert r.num == {pack(-2, 1): -1}
+    assert CoefRat({pack(1, 0): 4}, -6) == CoefRat({pack(1, 0): -2}, 3)
 
 
 def test_eval_homomorphism_random(dom):
@@ -111,6 +116,11 @@ def test_canonical_text(dom):
     r = (dom.q - dom.one) / (dom.q * dom.t)
     assert str(r) == "u^2 - 1 / u^2*t"
     assert str(dom.zero) == "0"
+    # negative exponents are factored out into the printed denominator
+    assert r.num == {pack(0, -1): 1, pack(-2, -1): -1} and r.d == 1
+    assert str(-dom.q / dom.from_int(2)) == "-u^2 / 2"
+    assert str(dom.monomial(1, -3, -1) / dom.from_int(2)) == "1 / 2*u^3*t"
+    assert str(dom.monomial(-4, 1, -2) + dom.monomial(6, 0, 1)) == "-4*u + 6*t^3 / t^2"
 
 
 def test_gcd_fallback_path(dom):
@@ -123,18 +133,30 @@ def test_gcd_fallback_path(dom):
 
 
 def test_divexact_rejects_nondivisible():
-    u, t = {K.pack(1, 0): 1}, {K.pack(0, 1): 1}
-    assert K.p_divexact(u, t) is None
-    with pytest.raises(ZeroDivisionError):
-        K.p_divexact(u, {})
+    qm1 = {pack(2, 0): 1, 0: -1}
+    for p in ({pack(1, 0): 1}, {pack(2, 0): 1}, {pack(0, 1): 1, 0: -1},
+              {pack(4, 0): 1, 0: -2}, {pack(2, 0): 2, 0: -1}):
+        with pytest.raises(CoefRatError):
+            _div_qm1(p, qm1)
+    # the divisor must be a monomial times q - 1
+    for w in ({pack(0, 1): 1}, {pack(2, 0): 1, 0: 1}, {pack(4, 0): 1, 0: -1},
+              {pack(2, 0): 1, pack(0, 1): -1}):
+        with pytest.raises(CoefRatError):
+            _div_qm1({pack(2, 0): 1, 0: -1}, w)
+    # an integer factor of the divisor must divide every quotient coefficient
+    assert _div_qm1({pack(3, 1): 2, pack(1, 1): -2}, {pack(3, 0): 2, pack(1, 0): -2}) == \
+        {pack(0, 1): 1}
+    with pytest.raises(CoefRatError):
+        _div_qm1({pack(2, 0): 1, 0: -1}, {pack(2, 0): 2, 0: -2})
 
 
-def test_big_coefficients_stay_exact():
+def test_big_coefficients_stay_exact(dom):
     big = 10 ** 40
-    a = {K.pack(2, 1): big}
-    b = {K.pack(1, 1): big}
-    assert K.p_mul(a, b) == {K.pack(3, 2): big * big}
-    assert K.p_divexact(K.p_mul(a, b), b) == a
+    a = dom.monomial(big, 2, 1)
+    b = dom.monomial(big, -1, 1) * (dom.q - dom.one)
+    assert (a * b).num == {pack(3, 2): big * big, pack(1, 2): -big * big}
+    assert (a * b) / b == a and (a * b) / a == b
+    assert (a / dom.from_int(big + 1)).d == big + 1
 
 
 _DOM = ExactDomain()
@@ -148,27 +170,54 @@ _laurent = st.lists(st.tuples(st.integers(-5, 5), st.integers(-3, 3), st.integer
 def test_laurent_form_round_trip(a, d):
     # negative and odd u exponents, negative t exponents, an integer denominator
     c = a / _DOM.from_int(d)
-    poly, den = c.laurent()
-    back = CoefRat.from_laurent(poly, den)
+    back = CoefRat(dict(c.num), c.d)
     assert back == c and str(back) == str(c)
-    assert sum(v * Fraction(2) ** unpack_signed(k)[0] * Fraction(3) ** unpack_signed(k)[1]
-               for k, v in poly.items()) / den == c.eval_at(4, 3)
+    assert gcd(c.d, *c.num.values()) == 1
+    assert sum(v * Fraction(2) ** unpack(k)[0] * Fraction(3) ** unpack(k)[1]
+               for k, v in c.num.items()) / c.d == c.eval_at(4, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent, st.integers(1, 12))
+def test_text_round_trip(a, d):
+    c = a / _DOM.from_int(d)
+    assert _parse_coefrat(str(c), _DOM) == c
 
 
 def test_signed_keys():
     for eu in range(-4, 5):
         for et in range(-4, 5):
-            assert unpack_signed((eu << K.KEY_SHIFT) + et) == (eu, et)
-    assert CoefRat.monomial(-3, -1, 2).laurent() == ({(-1 << K.KEY_SHIFT) + 2: -3}, 1)
+            assert unpack((eu << KEY_SHIFT) + et) == (eu, et) and pack(eu, et) == (eu << KEY_SHIFT) + et
+    # integer order of keys is the lex order with u before t
+    keys = [pack(eu, et) for eu in range(-3, 4) for et in range(-3, 4)]
+    assert keys == sorted(keys)
+    c = CoefRat.monomial(-3, -1, 2)
+    assert c.num == {(-1 << KEY_SHIFT) + 2: -3} and c.d == 1
+
+
+_divisor = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 4]), st.integers(-3, 3), st.integers(-2, 2),
+                     st.booleans())
 
 
 @settings(max_examples=80, deadline=None)
-@given(_laurent, _laurent)
-def test_exact_division_round_trip(a, b):
-    qm1 = _DOM.q - _DOM.one
-    assert (a * qm1) / qm1 == a
-    if b:
-        assert (a * b) / b == a
+@given(_laurent, _divisor, st.integers(1, 6))
+def test_exact_division_round_trip(a, divisor, d):
+    c, eu, et, times_qm1 = divisor
+    # a monomial, or a monomial times q - 1 (c < 0 gives 1 - q), over an integer d
+    b = _DOM.monomial(c, eu, et) / _DOM.from_int(d)
+    if times_qm1:
+        b = b * (_DOM.q - _DOM.one)
+    assert (a * b) / b == a
+    if not times_qm1:
+        assert a / b * b == a
+
+
+def test_division_by_other_polynomials_raises(dom):
+    qm1 = dom.q - dom.one
+    for b in (dom.q + dom.t, dom.q + dom.one, dom.t - dom.one, dom.u - dom.one,
+              dom.q * dom.q - dom.one, qm1 * (dom.one + dom.t)):
+        with pytest.raises(CoefRatError):
+            (b * qm1) / b
 
 
 def test_sympy_never_imported():

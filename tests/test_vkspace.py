@@ -126,6 +126,20 @@ def test_integer_denominator_in_lowest_terms(dom):
     assert f - f == V(dom, 1, {}) and vk.act_dminus(f).den == 2
 
 
+def test_add_leaves_both_operands_unchanged(dom):
+    # the sum shares coefficient polynomials with its operands, so none may change
+    f = V(dom, 1, {((), (1,)): dom.one + dom.u, ((1,), (0,)): dom.t, ((2,), (0,)): dom.q})
+    g = V(dom, 1, {((), (1,)): -dom.u, ((1,), (0,)): -dom.t, ((1, 1), (0,)): dom.one})
+    half = dom.from_fraction(Fraction(1, 2))
+    for a, b in ((f, g), (g, f), (f, -g), (f, g.scale(half)), (f.scale(half), g)):
+        before = [{key: dict(p) for key, p in h.terms.items()} for h in (a, b)]
+        total, diff = a + b, a - b
+        assert [a.terms, b.terms] == before
+        assert total - b == a and diff + b == a and b + a == total
+    assert f + g == V(dom, 1, {((), (1,)): dom.one, ((2,), (0,)): dom.q, ((1, 1), (0,)): dom.one})
+    assert f + (-f) == V(dom, 1, {}) and g - g == V(dom, 1, {})
+
+
 def test_scale_drops_cancelled_monomials(dom):
     f = V(dom, 1, {((), (1,)): dom.one + dom.u, ((1,), (0,)): dom.t})
     g = f.scale(dom.one - dom.u)
