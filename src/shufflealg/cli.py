@@ -108,7 +108,7 @@ def cmd_sweep(args):
                           for e in events],
                "value": val.to_json()}, args.out)
     else:  # dp
-        dp = sw.recursion_dp(args.m, args.n, dom)
+        dp = sw.recursion_dp(args.m, args.n, dom, every_coloring=True)
         payload = {"m": args.m, "n": args.n,
                    "events": [list(e) for e in dp.events],
                    "colorings": len(dp.state)}

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from math import factorial, gcd
 
 from . import symfunc as sf
-from .scalars import InvariantError
+from .scalars import CoefRat, InvariantError, pack
 from .symfunc import SymFunc
 
 
@@ -377,13 +377,8 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
                 words.append((w, dom.q_power(inv)))
         return sf.from_word_multiset(dom, cap, words, alphabet=n)
 
-    coeffs = {}
-    for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S)):
-        total = dom.zero
-        for inv, c in enumerate(by_inv):
-            if c:
-                total = total + dom.monomial(c, 2 * inv, 0)
-        coeffs[lam] = total
+    coeffs = {lam: CoefRat({pack(2 * inv, 0): c for inv, c in enumerate(by_inv) if c})
+              for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S))}
     return SymFunc(dom, cap, coeffs)
 
 

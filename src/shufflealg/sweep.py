@@ -12,6 +12,14 @@ Event kinds at a lattice point swept by the line:
 with a = number of North steps the line crosses strictly to the right.
 The closed form of C on V_k is the Carlsson-Mellit relation (arXiv:1508.06239).
 The terminal point (m, n) emits no event.
+
+The coloring DP runs the same events over all paths at once. A coloring is a
+set of intervals, one per strand; `_step` states its transitions at an event.
+A pass over keys alone tabulates them and keeps the colorings from which a
+complete coloring (a c_alpha, read by `assemble_composition`) is still
+reachable; the pass over values then applies operators along the kept
+transitions only. `recursion_dp(..., every_coloring=True)` keeps every
+reachable coloring.
 """
 
 from __future__ import annotations
@@ -101,18 +109,22 @@ def _c_op(f: VElem, a: int) -> VElem:
 
 
 def apply_event(f: VElem, ev: SweepEvent) -> VElem:
-    dom = f.dom
-    if ev.kind == "A":
+    return _apply(f, ev.kind, ev.a)
+
+
+def _apply(f: VElem, kind: str, a: int) -> VElem:
+    """The operator of an event of the given kind; a matters for C and D only."""
+    if kind == "A":
         return act_dplus(f)
-    if ev.kind == "B":
+    if kind == "B":
         return act_dminus(f)
-    if ev.kind == "C":
-        return _c_op(f, ev.a)
-    if ev.kind == "D":
-        return f.scale(dom.q_power(ev.a))
-    if ev.kind == "E":
-        return f.scale(dom.t)
-    raise ValueError(f"unknown event kind {ev.kind!r}")
+    if kind == "C":
+        return _c_op(f, a)
+    if kind == "D":
+        return f.scale(f.dom.q_power(a))
+    if kind == "E":
+        return f.scale(f.dom.t)
+    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def sweep_path(p: DyckPath, dom, cap: int | None = None):
@@ -161,21 +173,20 @@ class DpResult:
     def complete_state(self) -> dict:
         """Final colorings that complete a path, i.e. c_alpha for some alpha."""
         g = gcd(self.m, self.n)
-        m1, n1 = self.m // g, self.n // g
-        out = {}
-        for key, val in self.state.items():
-            if not key or key[0][0] != 0 or key[-1][1] != self.n:
-                continue
-            ok = True
-            prev_y = None
-            for (x, y) in key:
-                if x % m1 or y % n1 or (prev_y is not None and x * n1 != prev_y * m1):
-                    ok = False
-                    break
-                prev_y = y
-            if ok:
-                out[key] = val
-        return out
+        return {key: val for key, val in self.state.items()
+                if _is_complete(key, self.n, self.m // g, self.n // g)}
+
+
+def _is_complete(key, n: int, m1: int, n1: int) -> bool:
+    """Whether the final coloring key is composition_coloring(m1, n1, alpha)."""
+    if not key or key[0][0] != 0 or key[-1][1] != n:
+        return False
+    prev_y = None
+    for (x, y) in key:
+        if x % m1 or y % n1 or (prev_y is not None and x * n1 != prev_y * m1):
+            return False
+        prev_y = y
+    return True
 
 
 def _insert_position(intervals, x: int, y: int) -> int:
@@ -186,50 +197,90 @@ def _insert_position(intervals, x: int, y: int) -> int:
     return pos
 
 
+def _step(key, px: int, py: int) -> tuple:
+    """The transitions of coloring key at the event (px, py): (kind, dst, extra).
+
+    B merges the interval ending on row py with the one starting on column px;
+    D and C extend one of them (extra = a); E is a point under an interval;
+    otherwise the coloring is kept as it is and also gains the interval (px, py)
+    by A (extra = its position).
+    """
+    i = next((idx for idx, (_, yi) in enumerate(key) if yi == py), None)
+    j = next((idx for idx, (xi, _) in enumerate(key) if xi == px), None)
+    k = len(key)
+    if i is not None and j is not None:
+        if j != i + 1:
+            raise InvariantError("merging intervals are not adjacent")
+        return (("B", key[:i] + ((key[i][0], key[j][1]),) + key[j + 1:], None),)
+    if i is not None:
+        return (("D", key, k - 1 - i),)
+    if j is not None:
+        return (("C", key, k - 1 - j),)
+    if any(xi < px and py < yi for (xi, yi) in key):
+        return (("E", key, None),)
+    pos = _insert_position(key, px, py)
+    return (("keep", key, None), ("A", key[:pos] + ((px, py),) + key[pos:], pos))
+
+
+def _transitions(m: int, n: int, events, every_coloring: bool) -> list:
+    """Per event, {coloring: its transitions} over the colorings the DP visits.
+
+    A pass over keys alone runs forward from the empty coloring. Unless
+    every_coloring, a backward pass from the complete final colorings then
+    keeps only the colorings, and transitions, that can still reach one.
+    """
+    steps = []
+    keys = {()}
+    for (px, py) in events:
+        step = {key: _step(key, px, py) for key in keys}
+        steps.append(step)
+        keys = {dst for out in step.values() for _, dst, _ in out}
+    if every_coloring:
+        return steps
+    g = gcd(m, n)
+    live = {key for key in keys if _is_complete(key, n, m // g, n // g)}
+    for s in range(len(steps) - 1, -1, -1):
+        kept = {key: tuple(t for t in out if t[1] in live) for key, out in steps[s].items()}
+        steps[s] = {key: out for key, out in kept.items() if out}
+        live = set(steps[s])
+    return steps
+
+
 def recursion_dp(m: int, n: int, dom, cap: int | None = None,
-                 with_log: bool = False, keep_states: bool = False) -> DpResult:
-    """Propagate all colorings from the empty one down to the last stratum
-    above the diagonal, accumulating sums of per-path operator products."""
+                 with_log: bool = False, keep_states: bool = False, *,
+                 every_coloring: bool = False) -> DpResult:
+    """Propagate colorings from the empty one down to the last stratum above
+    the diagonal, accumulating sums of per-path operator products.
+
+    By default only colorings that can still reach a complete coloring (a
+    c_alpha) are propagated, so the final state is complete_state() and the
+    log and snapshots hold only those colorings. The values there are the
+    same either way: every predecessor of a kept coloring is kept, and the
+    order of summation is unchanged. every_coloring=True propagates every
+    reachable coloring, for callers that read intermediate or incomplete
+    colorings.
+    """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     if cap is None:
         cap = n
     events = dp_events(m, n)
+    steps = _transitions(m, n, events, every_coloring)
     state: dict = {(): VElem.one(dom, 0, cap)}
     log = [] if with_log else None
     states = [dict(state)] if keep_states else None
-    for (px, py) in events:
+    steps.reverse()
+    while steps:
+        step = steps.pop()  # freed once used
         nxt: dict = {}
         entry = [] if with_log else None
-
-        def put(key, val, kind, src, extra=None):
-            prev = nxt.get(key)
-            nxt[key] = val if prev is None else prev + val
-            if entry is not None:
-                entry.append((kind, src, key, extra))
-
         for key, val in state.items():
-            i = next((idx for idx, (_, yi) in enumerate(key) if yi == py), None)
-            j = next((idx for idx, (xi, _) in enumerate(key) if xi == px), None)
-            k = len(key)
-            if i is not None and j is not None:
-                if j != i + 1:
-                    raise InvariantError("merging intervals are not adjacent")
-                merged = key[:i] + ((key[i][0], key[j][1]),) + key[j + 1:]
-                put(merged, act_dminus(val), "B", key)
-            elif i is not None:
-                a = k - 1 - i
-                put(key, val.scale(dom.q_power(a)), "D", key, a)
-            elif j is not None:
-                a = k - 1 - j
-                put(key, _c_op(val, a), "C", key, a)
-            elif any(xi < px and py < yi for (xi, yi) in key):
-                put(key, val.scale(dom.t), "E", key)
-            else:
-                put(key, val, "keep", key)
-                pos = _insert_position(key, px, py)
-                newkey = key[:pos] + ((px, py),) + key[pos:]
-                put(newkey, act_dplus(val), "A", key, pos)
+            for kind, dst, extra in step[key]:
+                out = val if kind == "keep" else _apply(val, kind, extra)
+                prev = nxt.get(dst)
+                nxt[dst] = out if prev is None else prev + out
+                if entry is not None:
+                    entry.append((kind, key, dst, extra))
         state = nxt
         if log is not None:
             log.append(entry)

@@ -111,7 +111,8 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
         for n in range(1, total_max - m + 1):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True)
+            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True,
+                                 every_coloring=True)
             for s in range(len(dp.states)):
                 lower, upper = dp.stratum_bounds(s)
                 for key in _changed_keys(dp, s):
@@ -140,7 +141,8 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
         for n in range(1, total_max - m + 1):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True)
+            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True,
+                                 every_coloring=True)
             for s, entry in enumerate(dp.log):
                 lo_src, up_src = dp.stratum_bounds(s)
                 lo_dst, up_dst = dp.stratum_bounds(s + 1)

@@ -59,12 +59,14 @@ def test_criterion_3_coloring_recursion(adom):
     t0 = time.monotonic()
     rep = vf.coloring_suite(adom, total_max=9)
     _finish("3 coloring recursion", rep["cases"], rep["failures"], t0)
+    assert rep["cases"] == 57
 
 
 def test_criterion_4_braid_formula(adom):
     t0 = time.monotonic()
     rep = vf.braid_formula_suite(adom, total_max=7, q_degree_check=True)
     _finish("4 braid formula", rep["cases"], rep["failures"], t0)
+    assert rep["cases"] == 460
 
 
 def test_criterion_5_compositional_identity(adom):
@@ -84,12 +86,14 @@ def test_criterion_6_braid_algebra(adom):
     t0 = time.monotonic()
     failures = []
     cases = 0
+    transitions = vf.braid_transition_suite(adom, total_max=7)
     for rep in (vf.trains_suite(adom, cases=100),
                 vf.specialbraids_suite(adom, cases=100),
-                vf.braid_transition_suite(adom, total_max=7)):
+                transitions):
         cases += rep["cases"]
         failures.extend(rep["failures"])
     _finish("6 braid algebra", cases, failures, t0)
+    assert transitions["cases"] == 485
 
 
 def test_criterion_7_c_alpha(adom):

@@ -222,7 +222,7 @@ def test_single_strand_words_realize_tower_y1(dom):
 
 
 def test_braid_formula_integer_q_degree(dom):
-    dp = sw.recursion_dp(2, 3, dom, keep_states=True)
+    dp = sw.recursion_dp(2, 3, dom, keep_states=True, every_coloring=True)
     for s in range(len(dp.states)):
         lower, upper = dp.stratum_bounds(s)
         for key, want in dp.states[s].items():

@@ -115,10 +115,22 @@ def test_dp_square(dom):
 
 def test_dp_strand_counts(dom):
     # the V-index of each value always equals the interval count of its key
-    dp = sw.recursion_dp(3, 2, dom, keep_states=True)
+    dp = sw.recursion_dp(3, 2, dom, keep_states=True, every_coloring=True)
     for state in dp.states:
         for key, val in state.items():
             assert val.k == len(key)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 10 - m)])
+def test_pruned_dp_keeps_exactly_the_complete_colorings(dom, m, n):
+    # pruning drops only colorings that cannot complete a path; the values
+    # and their order at the complete ones are those of the full DP
+    pruned = sw.recursion_dp(m, n, dom)
+    full = sw.recursion_dp(m, n, dom, every_coloring=True).complete_state()
+    assert list(pruned.state) == list(full)
+    for key, val in full.items():
+        assert pruned.state[key] == val, key
+    assert list(pruned.complete_state()) == list(pruned.state)
 
 
 def test_assemble_matches_rhs(dom):
