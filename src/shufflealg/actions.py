@@ -8,9 +8,15 @@ each Farey mediant (m+m', n+n') of an intertwined sector
     new d_+* = - y_1 * d_+*                  (y_1 = partner's y_1)
 
 T and d_- never change.  On the standard handle (0, 1) of the q-algebra
-y_1 is multiplication by y_1.  Every other handle recovers its y_1 from
-its own d_+ through the commutator formula, with q inverted on conjugate
-handles.
+y_1 is multiplication by y_1.  A replicated q-algebra handle takes y_1 from
+its sector by the recipe of its d_+, with y_1 in place of d_+:
+
+    new y_1  = -(qt)^{-1} * z_1 * y_1        (y_1 = left end's y_1)
+
+Conjugate handles, and the q-algebra handle at (1, 0), recover y_1 from
+their own d_+ through the commutator formula, with q inverted on conjugate
+handles.  That formula calls d_+ twice, so its cost compounds with every
+Stern-Brocot level; it stays the test oracle for the recipe.
 """
 
 from __future__ import annotations
@@ -96,8 +102,9 @@ class ActionHandle:
     def y1(self, f: VElem) -> VElem:
         """The handle's own y_1.
 
-        The standard handle (0, 1) passes multiplication by y_1; every other
-        handle recovers y_1 from its own d_+ by the commutator formula.
+        The standard handle (0, 1) passes multiplication by y_1, and a
+        replicated q-algebra handle its sector recipe; every other handle
+        recovers y_1 from its own d_+ by the commutator formula.
         """
         if self._y1 is not None:
             return self._y1(f)
@@ -155,12 +162,16 @@ class ActionTower:
         if star:
             def dplus(f, _a=rho, _b=rho_star):
                 return -_a.y1(_b.dplus(f))
-        else:
-            scale = -(dom.q_power(-1) / dom.t)
+            return ActionHandle(m, n, star, dplus)
+        scale = -(dom.q_power(-1) / dom.t)
 
-            def dplus(f, _a=rho, _b=rho_star, _s=scale):
-                return _b.y1(_a.dplus(f)).scale(_s)
-        return ActionHandle(m, n, star, dplus)
+        def dplus(f, _a=rho, _b=rho_star, _s=scale):
+            return _b.y1(_a.dplus(f)).scale(_s)
+
+        # the sector recipe of d_+ with y_1 in place of d_+
+        def y1(f, _a=rho, _b=rho_star, _s=scale):
+            return _b.y1(_a.y1(f)).scale(_s)
+        return ActionHandle(m, n, star, dplus, y1)
 
 
 def build_action(dom, m: int, n: int, star: bool = False,

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from shufflealg import actions as ac
@@ -40,6 +42,19 @@ def test_standard_handle_y1_is_multiplication(dom):
             y1 = h.y1(base)
             assert y1 == vk.act_y(base, 1), str(base)
             assert y1 == vk.commutator_y1(base, vk.act_dplus), str(base)
+
+
+Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
+                     if gcd(m, n) == 1]
+
+
+@pytest.mark.parametrize("m,n", Q_SIDE_REPLICATED)
+def test_q_side_y1_matches_commutator(dom, m, n):
+    # the sector recipe -(qt)^{-1} z_1 y_1 against the commutator formula
+    h = ac.ActionTower(dom).handle(m, n, False)
+    for k, degree in ((1, 2), (2, 1), (3, 1)):
+        for base in vk.spanning_set(dom, k, degree, cap=k + degree + 4):
+            assert h.y1(base) == vk.commutator_y1(base, h.dplus), (m, n, str(base))
 
 
 def test_replicated_handle_examples(dom):

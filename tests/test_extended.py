@@ -10,6 +10,7 @@ import pytest
 
 from shufflealg import actions as ac
 from shufflealg import combinat as cb
+from shufflealg import sweep as sw
 from shufflealg import verify as vf
 
 EXTENDED_CONFIGS = [
@@ -28,6 +29,18 @@ def test_shuffle_identity_extended(dom, m1, n1, g):
         rhs = cb.rhs_compositional(m1, n1, g, alpha, dom)
         assert lhs == rhs, alpha
         assert all(c.has_integer_q_degree() for c in lhs.coeffs.values())
+
+
+@pytest.mark.parametrize("m1,n1,g", [(3, 4, 2), (4, 3, 2), (2, 5, 2)])
+def test_tower_matches_dp_beyond_unit_left_ends(dom, m1, n1, g):
+    # the star handle's sector has a replicated q-side end, whose y_1 comes
+    # from its own sector: (2,3) at (3,4), a sector that starts at (1,2),
+    # and (1,1) at (4,3), (1,3) at (2,5)
+    tower = ac.ActionTower(dom)
+    dp = sw.recursion_dp(g * m1, g * n1, dom)
+    for alpha in vf.compositions_of(g):
+        lhs = ac.lhs_compositional(m1, n1, g, alpha, dom, tower)
+        assert lhs == sw.assemble_composition(m1, n1, g, alpha, dp, dom), alpha
 
 
 def test_mediant_tree_matches_farey_five():
