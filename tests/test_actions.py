@@ -70,7 +70,6 @@ def test_dplus_star_sign_law(dom):
     tower = ac.ActionTower(dom)
     for m in range(0, 5):
         for n in range(0, 6 - m):
-            from math import gcd
             if (m, n) == (0, 0) or gcd(m, n) != 1:
                 continue
             hq = tower.handle(m, n, False)
