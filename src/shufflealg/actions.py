@@ -193,7 +193,7 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     if gcd(m1, n1) != 1 or sum(alpha) != g or any(a < 1 for a in alpha):
         raise ValueError("need coprime (m1, n1) and a composition of g")
     h = build_action(dom, m1, n1, star=True, tower=tower)
-    f = VElem.one(dom, 0, g * n1)
+    f = VElem.one(dom, 0)
     for _ in range(r):
         f = h.dplus(f)
     for i, a in enumerate(alpha):
@@ -249,12 +249,10 @@ def op_C(a: int, f: SymFunc) -> SymFunc:
     return out.scale(sign)
 
 
-def c_alpha_constant_term(alpha, dom, cap: int | None = None) -> SymFunc:
+def c_alpha_constant_term(alpha, dom) -> SymFunc:
     """C_{alpha_1} ... C_{alpha_r} 1 by iterated constant-term extraction."""
     alpha = tuple(alpha)
-    if cap is None:
-        cap = sum(alpha)
-    f = SymFunc.one(dom, cap)
+    f = SymFunc.one(dom, sum(alpha))
     for a in reversed(alpha):
         f = op_C(a, f)
     return f
@@ -286,7 +284,7 @@ def nabla_conjugation_check(path, dom):
     def east2(f):
         return vk.act_y(vk.act_dplus_star(f), 1).scale(dom.q_power(f.k))
 
-    a = b = VElem.one(dom, 0, path.n)
+    a = b = VElem.one(dom, 0)
     for bit in reversed(path.steps):
         if bit:
             a = vk.act_dminus(a)

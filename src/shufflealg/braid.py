@@ -423,10 +423,10 @@ def _inversions(cfg: PointConfig) -> int:
                if labels[a] > labels[b])
 
 
-def braid_coloring_value(m1: int, n1: int, intervals, h: SlopeValue, dom, cap: int) -> VElem:
+def braid_coloring_value(m1: int, n1: int, intervals, h: SlopeValue, dom) -> VElem:
     """q^((inv_final - inv_initial)/2) * B_{s,c} applied to d_+^k(1)."""
     word, cfg0, cfg1 = braid_of_coloring(m1, n1, intervals, h)
-    g = evaluate(word, vk.dplus_power(dom, len(intervals), cap))
+    g = evaluate(word, vk.dplus_power(dom, len(intervals)))
     return g.scale(dom.monomial(1, _inversions(cfg1) - _inversions(cfg0), 0))
 
 

@@ -83,7 +83,7 @@ def cmd_actions(args):
         word = ac.mediant_decompose(args.m, args.n)
         tower = ac.ActionTower(dom)
         handle = tower.handle(args.m, args.n, args.star)
-        probe = handle.dplus(vk.VElem.one(dom, 0, max(2, args.n)))
+        probe = handle.dplus(vk.VElem.one(dom, 0))
         _emit({"m": args.m, "n": args.n, "star": bool(args.star),
                "letters": list(word.letters),
                "sector": [list(word.endpoints[0]), list(word.endpoints[1])],
@@ -123,11 +123,11 @@ def cmd_sweep(args):
 def cmd_braid(args):
     dom = ExactDomain()
     if args.braid_cmd == "eval":
-        if args.cap < 0:
-            raise ValueError(f"--cap must be at least 0, got {args.cap}")
+        if args.k < 0:
+            raise ValueError(f"--k must be at least 0, got {args.k}")
         _, gens = vk.parse_word(args.word)
         word = br.BraidWord(args.k, gens)
-        val = br.evaluate(word, vk.dplus_power(dom, args.k, args.cap))
+        val = br.evaluate(word, vk.dplus_power(dom, args.k))
         _emit({"word": str(word), "k": args.k,
                "on": f"d_+^{args.k}(1)", "value": str(val)}, args.out)
     else:  # of-coloring
@@ -147,7 +147,7 @@ def cmd_braid(args):
         stratum = data.get("stratum", len(events))
         if type(stratum) is not int or not 0 <= stratum <= len(events):
             raise ValueError(f"stratum must be an integer from 0 to {len(events)}")
-        bounds_holder = sw.DpResult(args.m, args.n, args.n, events, {})
+        bounds_holder = sw.DpResult(args.m, args.n, events, {})
         lower, upper = bounds_holder.stratum_bounds(stratum)
         g = gcd(args.m, args.n)
         h = br.safe_height(lower, upper, args.m // g, args.n // g)
@@ -162,8 +162,7 @@ def cmd_braid(args):
 def cmd_verify(args):
     if args.verify_cmd == "shuffle":
         cfg = vf.JobConfig(m1=args.m1, n1=args.n1, g=args.g,
-                           alpha=_parse_alpha(args.alpha) if args.alpha else None,
-                           cap=args.cap)
+                           alpha=_parse_alpha(args.alpha) if args.alpha else None)
         report = vf.verify_shuffle(cfg)
         _emit(report, args.out)
         return 0 if report["ok"] else 1
@@ -235,7 +234,6 @@ def main(argv=None) -> int:
     q = ps.add_parser("eval")
     q.add_argument("--word", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--cap", type=int, default=6)
     q = ps.add_parser("of-coloring")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
@@ -249,7 +247,6 @@ def main(argv=None) -> int:
     q.add_argument("--n1", type=int, required=True)
     q.add_argument("--g", type=int, required=True)
     q.add_argument("--alpha", default=None)
-    q.add_argument("--cap", type=int, default=None)
     q = ps.add_parser("suite")
     q.add_argument("name", help="relations|sweep|coloring|braid_formula|braid|trains|specialbraids|all")
     q = ps.add_parser("relation")

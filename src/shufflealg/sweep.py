@@ -127,11 +127,9 @@ def _apply(f: VElem, kind: str, a: int) -> VElem:
     raise ValueError(f"unknown event kind {kind!r}")
 
 
-def sweep_path(p: DyckPath, dom, cap: int | None = None):
+def sweep_path(p: DyckPath, dom):
     """Fold the events over 1 in V_0; returns the weight as a SymFunc."""
-    if cap is None:
-        cap = p.n
-    f = VElem.one(dom, 0, cap)
+    f = VElem.one(dom, 0)
     for ev in event_sequence(p):
         f = apply_event(f, ev)
     if f.k != 0:
@@ -154,7 +152,6 @@ def dp_events(m: int, n: int) -> list:
 class DpResult:
     m: int
     n: int
-    cap: int
     events: list
     state: dict                  # intervals tuple -> VElem, at the final stratum
     log: list | None = None      # per event: list of (kind, src, dst, extra)
@@ -259,14 +256,17 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None,
     order of summation is unchanged. every_coloring=True propagates every
     reachable coloring, for callers that read intermediate or incomplete
     colorings.
+
+    cap is kept only for perfbench/child.py and perfbench/reference.py,
+    which pass cap=n: it changes nothing, and a value below n raises.
     """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    if cap is None:
-        cap = n
+    if cap is not None and cap < n:
+        raise ValueError(f"cap must be at least n = {n}, got {cap}")
     events = dp_events(m, n)
     steps = _transitions(m, n, events, every_coloring)
-    state: dict = {(): VElem.one(dom, 0, cap)}
+    state: dict = {(): VElem.one(dom, 0)}
     log = [] if with_log else None
     states = [dict(state)] if keep_states else None
     steps.reverse()
@@ -286,7 +286,7 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None,
             log.append(entry)
         if states is not None:
             states.append(dict(state))
-    return DpResult(m, n, cap, events, state, log, states)
+    return DpResult(m, n, events, state, log, states)
 
 
 def composition_coloring(m1: int, n1: int, alpha) -> tuple:

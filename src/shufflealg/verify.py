@@ -80,7 +80,7 @@ def coloring_suite(dom, total_max: int = 9) -> dict:
                 continue
             g = 1
             while g * (m1 + n1) <= total_max:
-                dp = sw.recursion_dp(g * m1, g * n1, dom, cap=g * n1)
+                dp = sw.recursion_dp(g * m1, g * n1, dom)
                 for alpha in compositions_of(g):
                     cases += 1
                     lhs = sw.assemble_composition(m1, n1, g, alpha, dp, dom)
@@ -120,7 +120,7 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
                         continue
                     cases += 1
                     h = br.safe_height(lower, upper, m1, n1)
-                    rhs = br.braid_coloring_value(m1, n1, key, h, dom, dp.cap)
+                    rhs = br.braid_coloring_value(m1, n1, key, h, dom)
                     lhs = dp.states[s][key]
                     if lhs != rhs:
                         failures.append({"id": f"main({m},{n})@{s}:{key}",
@@ -161,18 +161,18 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                     cases += 1
                     k_dst = len(dst)
                     B = braid_at(dst, h_dst)
-                    val_dst = br.evaluate(B, vk.dplus_power(dom, k_dst, dp.cap))
+                    val_dst = br.evaluate(B, vk.dplus_power(dom, k_dst))
                     if kind == "A":
                         Bp = braid_at(src, h_src)
-                        want = vk.act_dplus(br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap)))
+                        want = vk.act_dplus(br.evaluate(Bp, vk.dplus_power(dom, len(src))))
                     elif kind == "C":
                         Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap))
+                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src)))
                         comm = vk.act_dminus(vk.act_dplus(base)) - vk.act_dplus(vk.act_dminus(base))
                         want = comm.scale(dom.monomial(1, 1 - k_dst, 0)).divide(dom.q - dom.one)
                     elif kind == "D":
                         Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src), dp.cap))
+                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src)))
                         want = base.scale(dom.monomial(1, k_dst - 1, 0))
                     elif kind in ("B", "E"):
                         # both geometric predecessors of dst, regardless of which
@@ -184,9 +184,9 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                         b_src = dst[:idx] + ((xi, py), (px, yi)) + dst[idx + 1:]
                         Bpp = braid_at(dst, h_src)
                         Bp = braid_at(b_src, h_src)
-                        term_e = br.evaluate(Bpp, vk.dplus_power(dom, k_dst, dp.cap)).scale(dom.t)
+                        term_e = br.evaluate(Bpp, vk.dplus_power(dom, k_dst)).scale(dom.t)
                         term_b = vk.act_dminus(
-                            br.evaluate(Bp, vk.dplus_power(dom, k_dst + 1, dp.cap))).scale(u_inv)
+                            br.evaluate(Bp, vk.dplus_power(dom, k_dst + 1))).scale(u_inv)
                         want = term_e + term_b
                     else:
                         raise InvariantError(f"unknown transition kind {kind!r}")
@@ -232,7 +232,7 @@ def specialbraids_suite(dom, cases: int = 100, seed: int = 20260810) -> dict:
         rng.shuffle(moves)
         w1, _ = br.special_braid(cfg, alpha)
         w2, _ = br.special_braid(cfg, alpha, order=moves)
-        f = vk.dplus_power(dom, cfg.k, 3)
+        f = vk.dplus_power(dom, cfg.k)
         a = br.evaluate(w1, f)
         b = br.evaluate(w2, f)
         if a != b:
@@ -273,7 +273,7 @@ def trains_suite(dom, cases: int = 100, seed: int = 1234) -> dict:
         # also exercise the in-place rewriter on the lhs word
         if br.rewrite_trains(wl, rule, 0, params) != wr:
             failures.append({"id": f"rewrite {rule}{params}@k={k}", "witness": str(wr)})
-        for f in (vk.VElem.one(dom, k, 3), vk.dplus_power(dom, k, 3)):
+        for f in (vk.VElem.one(dom, k), vk.dplus_power(dom, k)):
             a = br.evaluate(wl, f)
             b = br.evaluate(wr, f)
             if a != b:
@@ -356,7 +356,7 @@ def creation_suite(dom, cases: int = 12, seed: int = 99) -> dict:
             continue
         done += 1
         for name, k2, lw, rw in checks:
-            f = vk.dplus_power(dom, k2, 3)
+            f = vk.dplus_power(dom, k2)
             a = br.evaluate(br.BraidWord(k2, tuple(lw)), f)
             b = br.evaluate(br.BraidWord(k2, tuple(rw)), f)
             if a != b:
@@ -445,7 +445,6 @@ class JobConfig:
     n1: int
     g: int
     alpha: tuple | None = None       # None = all compositions of g
-    cap: int | None = None
     budget: int = 50_000_000
     cache_dir: str | None = field(default_factory=lambda: os.environ.get("SHUFFLEALG_CACHE_DIR"))
 
@@ -454,10 +453,6 @@ class JobConfig:
             raise ValueError("m1, n1 and g must be at least 1")
         if gcd(self.m1, self.n1) != 1:
             raise ValueError("m1, n1 must be coprime")
-        if self.cap is None:
-            self.cap = self.g * self.n1
-        if self.cap < self.g * self.n1:
-            raise ValueError("cap must be at least g*n1")
 
 
 def _compare_entry(alpha, lhs, rhs, dom, t0) -> dict:
@@ -486,8 +481,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
     per_word = cb.word_enumeration_size(cfg.g * cfg.n1)
     if per_word * cb.dyck_path_count(cfg.g * cfg.m1, cfg.g * cfg.n1) > cfg.budget:
         skipped = [list(a) for a in alphas]
-        return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g,
-                "cap": cfg.cap, "ok": False, "results": [],
+        return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "ok": False, "results": [],
                 "skipped": skipped,
                 "skip_reason": f"estimated work exceeds budget {cfg.budget}"}
     dom = ExactDomain()
@@ -501,7 +495,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
         results.append(_compare_entry(alpha, lhs, rhs, dom, t0))
     ok_all = all(e["equal"] and e["integer_q_degree"] for e in results)
     return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g,
-            "cap": cfg.cap, "ok": ok_all, "results": results, "skipped": skipped,
+            "ok": ok_all, "results": results, "skipped": skipped,
             "rhs_method": "coloring_dp"}
 
 
@@ -520,24 +514,22 @@ def _dp_cache_path(cfg: JobConfig):
     if not cfg.cache_dir:
         return None
     os.makedirs(cfg.cache_dir, exist_ok=True)
-    return os.path.join(cfg.cache_dir,
-                        f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}_cap{cfg.cap}.json")
+    return os.path.join(cfg.cache_dir, f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}.json")
 
 
-DP_CACHE_VERSION = 1
+DP_CACHE_VERSION = 2
 
 
-def _read_dp_cache(path: str, m: int, n: int, cap: int, dom):
+def _read_dp_cache(path: str, m: int, n: int, dom):
     """The cached DP at path, or None if the file is missing, unreadable or stale."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        if [payload.get(key) for key in ("version", "m", "n", "cap")] != \
-                [DP_CACHE_VERSION, m, n, cap]:
+        if [payload.get(key) for key in ("version", "m", "n")] != [DP_CACHE_VERSION, m, n]:
             return None
         state = {tuple(tuple(iv) for iv in item["key"]): _velem_from_json(item["value"], dom)
                  for item in payload["state"]}
-        return sw.DpResult(m, n, cap, [tuple(e) for e in payload["events"]], state)
+        return sw.DpResult(m, n, [tuple(e) for e in payload["events"]], state)
     except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError):
         return None
 
@@ -545,15 +537,15 @@ def _read_dp_cache(path: str, m: int, n: int, cap: int, dom):
 def _load_dp_cache(cfg: JobConfig, dom):
     """DP results memoized per (m,n) so several alpha queries share one run.
 
-    The cache file carries a version and its (m, n, cap); a file that does
+    The cache file carries a version and its (m, n); a file that does
     not parse or does not match is recomputed and replaced atomically.
     """
     m, n = cfg.m1 * cfg.g, cfg.n1 * cfg.g
     path = _dp_cache_path(cfg)
-    dp = _read_dp_cache(path, m, n, cfg.cap, dom) if path else None
+    dp = _read_dp_cache(path, m, n, dom) if path else None
     if dp is not None:
         return dp
-    dp = sw.recursion_dp(m, n, dom, cap=cfg.cap)
+    dp = sw.recursion_dp(m, n, dom)
     if path:
         _write_dp_cache(path, dp)
     return dp
@@ -561,7 +553,7 @@ def _load_dp_cache(cfg: JobConfig, dom):
 
 def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
     """Replace the file at path atomically by the final state of dp."""
-    payload = {"version": DP_CACHE_VERSION, "m": dp.m, "n": dp.n, "cap": dp.cap,
+    payload = {"version": DP_CACHE_VERSION, "m": dp.m, "n": dp.n,
                "events": [list(e) for e in dp.events],
                "state": [{"key": [list(iv) for iv in key],
                           "value": _velem_to_json(val)}
@@ -577,7 +569,7 @@ def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
 
 
 def _velem_to_json(f: VElem) -> dict:
-    return {"k": f.k, "cap": f.cap,
+    return {"k": f.k,
             "terms": [{"partition": list(lam), "ys": list(ys), "coef": str(c)}
                       for (lam, ys), c in sorted(f.scalars().items())]}
 
@@ -586,7 +578,7 @@ def _velem_from_json(payload: dict, dom) -> VElem:
     terms = {}
     for item in payload["terms"]:
         terms[(tuple(item["partition"]), tuple(item["ys"]))] = _parse_coefrat(item["coef"], dom)
-    return VElem.from_scalars(dom, payload["k"], payload["cap"], terms)
+    return VElem.from_scalars(dom, payload["k"], terms)
 
 
 def _parse_coefrat(text: str, dom):

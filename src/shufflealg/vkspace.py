@@ -25,15 +25,15 @@ _ONE = {0: 1}
 
 
 class VElem:
-    """Element of V_k with an X-degree cap: terms / den.
+    """Element of V_k: terms / den.
 
     Coefficient polynomials are never changed once an element holds them,
     so operators may share them between elements.
     """
 
-    __slots__ = ("dom", "k", "cap", "terms", "den")
+    __slots__ = ("dom", "k", "terms", "den")
 
-    def __init__(self, dom, k: int, cap: int, terms: dict | None = None, den: int = 1):
+    def __init__(self, dom, k: int, terms: dict | None = None, den: int = 1):
         terms = {} if terms is None else terms
         if den != 1:  # lowest terms, so that equal elements compare equal
             g = gcd(den, *(c for p in terms.values() for c in p.values()))
@@ -42,31 +42,32 @@ class VElem:
                 den //= g
         self.dom = dom
         self.k = k
-        self.cap = cap
         self.terms = terms
         self.den = den
 
     @staticmethod
-    def one(dom, k: int, cap: int) -> "VElem":
-        return VElem(dom, k, cap, {((), (0,) * k): dict(_ONE)})
+    def one(dom, k: int) -> "VElem":
+        return VElem(dom, k, {((), (0,) * k): dict(_ONE)})
 
     @staticmethod
-    def from_scalars(dom, k: int, cap: int, coefs: dict) -> "VElem":
+    def from_scalars(dom, k: int, coefs: dict) -> "VElem":
         """The element with coefficients {(lam, ys): c} given as dom scalars."""
         coefs = {key: c for key, c in coefs.items() if c}
         den = lcm(*(c.d for c in coefs.values()))
-        return VElem(dom, k, cap, {key: c.num if c.d == den else
-                                   {m: v * (den // c.d) for m, v in c.num.items()}
-                                   for key, c in coefs.items()}, den)
+        return VElem(dom, k, {key: c.num if c.d == den else
+                              {m: v * (den // c.d) for m, v in c.num.items()}
+                              for key, c in coefs.items()}, den)
 
     def scalars(self) -> dict:
         """{(lam, ys): coefficient as a dom scalar}."""
         return {key: CoefRat(p, self.den) for key, p in self.terms.items()}
 
     def as_symfunc(self) -> SymFunc:
+        """The element of V_0 as a SymFunc capped at its largest degree."""
         if self.k != 0:
             raise ValueError("as_symfunc requires an element of V_0")
-        return SymFunc(self.dom, self.cap, {lam: c for (lam, _), c in self.scalars().items()})
+        coeffs = {lam: c for (lam, _), c in self.scalars().items()}
+        return SymFunc(self.dom, max(map(sum, coeffs), default=0), coeffs)
 
     def has_integer_q_degree(self) -> bool:
         """True iff u occurs with even exponents only, that is q with integer ones."""
@@ -90,35 +91,32 @@ class VElem:
                     acc[key] = p
                 else:
                     del acc[key]
-        if other.cap > self.cap:
-            acc = {key: p for key, p in acc.items() if sum(key[0]) <= self.cap}
-        return VElem(self.dom, self.k, self.cap, acc, den)
+        return VElem(self.dom, self.k, acc, den)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return VElem(self.dom, self.k, self.cap,
+        return VElem(self.dom, self.k,
                      {key: {m: -c for m, c in p.items()} for key, p in self.terms.items()},
                      self.den)
 
     def scale(self, s) -> "VElem":
         if not s:
-            return VElem(self.dom, self.k, self.cap)
+            return VElem(self.dom, self.k)
         w = s.num
         acc: dict = {}
         for key, c in self.terms.items():
             _fma(acc, key, c, w)
         # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
-        return VElem(self.dom, self.k, self.cap, acc if len(w) == 1 else _pruned(acc),
-                     self.den * s.d)
+        return VElem(self.dom, self.k, acc if len(w) == 1 else _pruned(acc), self.den * s.d)
 
     def divide(self, d) -> "VElem":
         """Coefficient-wise c / d for d = q - 1 or 1 - q; a remainder raises CoefRatError."""
         w = d.num
         if d.d != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
             raise ValueError("VElem.divide takes q - 1 or 1 - q")
-        return VElem(self.dom, self.k, self.cap,
+        return VElem(self.dom, self.k,
                      {key: _div_qm1(p, w) for key, p in self.terms.items()}, self.den)
 
     def __eq__(self, other):
@@ -179,7 +177,7 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
         head, tail = ys[:i - 1], ys[i + 1:]
         for a, b, w in _dl_table(f.dom, ys[i - 1], ys[i], inverse):
             _fma(acc, (lam, head + (a, b) + tail), c, w)
-    return VElem(f.dom, f.k, f.cap, _pruned(acc), f.den)
+    return VElem(f.dom, f.k, _pruned(acc), f.den)
 
 
 # ------------------------------------------------------ raising and lowering
@@ -195,8 +193,7 @@ def _dminus_image(dom, lam, a: int):
     """d_-(m_lam * y_k^a) as ((nu, w), ...), the y_1..y_{k-1} part left out.
 
     Substitute X - (q-1)y_k in m_lam, pair y_k^j with (-1)^j e_j, and expand
-    m_mu * e_j by the Pieri rule.  Every nu has size |lam| + a, so the image
-    is the same under every degree cap.
+    m_mu * e_j by the Pieri rule.  Every nu has size |lam| + a.
     """
     key = ("dm", lam, a)
     hit = dom.cache.get(key)
@@ -220,13 +217,10 @@ def act_dminus(f: VElem) -> VElem:
     dom = f.dom
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        a = ys[-1]
-        if sum(lam) + a > f.cap:
-            continue
         rest = ys[:-1]
-        for nu, w in _dminus_image(dom, lam, a):
+        for nu, w in _dminus_image(dom, lam, ys[-1]):
             _fma(acc, (nu, rest), c, w)
-    return VElem(dom, f.k - 1, f.cap, _pruned(acc), f.den)
+    return VElem(dom, f.k - 1, _pruned(acc), f.den)
 
 
 def _dplus_image(dom, lam, star: bool):
@@ -253,15 +247,15 @@ def act_dplus(f: VElem) -> VElem:
     for (lam, ys), c in f.terms.items():
         for mu, j, w in _dplus_image(dom, lam, False):
             _fma(acc, (mu, ys + (j + 1,)), c, w)
-    tmp = VElem(dom, k + 1, f.cap, _pruned(acc), f.den)
+    tmp = VElem(dom, k + 1, _pruned(acc), f.den)
     for i in range(k, 0, -1):
         tmp = act_T(tmp, i)
     return tmp
 
 
-def dplus_power(dom, k: int, cap: int) -> VElem:
+def dplus_power(dom, k: int) -> VElem:
     """d_+^k applied to 1 in V_0."""
-    f = VElem.one(dom, 0, cap)
+    f = VElem.one(dom, 0)
     for _ in range(k):
         f = act_dplus(f)
     return f
@@ -273,14 +267,14 @@ def act_dplus_star(f: VElem) -> VElem:
     for (lam, ys), c in f.terms.items():
         for mu, j, w in _dplus_image(f.dom, lam, True):
             _fma(acc, (mu, (j,) + ys), c, w)
-    return VElem(f.dom, f.k + 1, f.cap, _pruned(acc), f.den)
+    return VElem(f.dom, f.k + 1, _pruned(acc), f.den)
 
 
 def act_y(f: VElem, i: int) -> VElem:
     """Multiplication by y_i."""
     if not 1 <= i <= f.k:
         raise ValueError(f"y_{i} is not defined on V_{f.k}")
-    return VElem(f.dom, f.k, f.cap,
+    return VElem(f.dom, f.k,
                  {(lam, ys[:i - 1] + (ys[i - 1] + 1,) + ys[i:]): c
                   for (lam, ys), c in f.terms.items()}, f.den)
 
@@ -385,7 +379,7 @@ def apply_expr(f: VElem, expr) -> VElem:
         if coef != f.dom.one:
             g = g.scale(coef)
         out = g if out is None else out + g
-    return out if out is not None else VElem(f.dom, f.k, f.cap)
+    return out if out is not None else VElem(f.dom, f.k)
 
 
 def parse_word(text: str, dom=None):
@@ -425,16 +419,14 @@ def parse_word(text: str, dom=None):
 
 # --------------------------------------------------------------- relations
 
-def spanning_set(dom, k: int, degree: int, cap: int | None = None):
+def spanning_set(dom, k: int, degree: int):
     """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree."""
-    if cap is None:
-        cap = degree + k + 2
     out = []
     for dy in range(degree + 1):
         for ys in _compositions_exact(dy, k):
             for dx in range(degree - dy + 1):
                 for lam in partitions_of(dx):
-                    out.append(VElem(dom, k, cap, {(lam, ys): dict(_ONE)}))
+                    out.append(VElem(dom, k, {(lam, ys): dict(_ONE)}))
     return out
 
 

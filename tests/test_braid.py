@@ -79,12 +79,12 @@ def test_elementary_step_two_strands():
 
 
 def test_evaluate_examples(dom):
-    y1 = VElem.from_scalars(dom, 1, 3, {((), (1,)): dom.one})
+    y1 = VElem.from_scalars(dom, 1, {((), (1,)): dom.one})
     assert br.evaluate(br.BraidWord(1, (("z", 1),)), y1) == y1
-    one1 = VElem.one(dom, 1, 3)
+    one1 = VElem.one(dom, 1)
     assert br.evaluate(br.BraidWord(1, ()), one1) == one1
     assert br.evaluate(br.BraidWord(1, (("yt", 1),)), one1) == \
-        VElem.from_scalars(dom, 1, 3, {((), (1,)): -dom.one})
+        VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
     with pytest.raises(ValueError):
         br.evaluate(br.BraidWord(2, ()), one1)
 
@@ -110,7 +110,7 @@ def test_gluing_rewrite():
 def test_Tz_rewrite_evaluation(dom):
     lhs, rhs = br.rule_instance("Tz", {"a": 3, "b": 1})
     wl, wr = br.BraidWord(3, tuple(lhs)), br.BraidWord(3, tuple(rhs))
-    for base in vk.spanning_set(dom, 3, 2, cap=6):
+    for base in vk.spanning_set(dom, 3, 2):
         assert br.evaluate(wl, base) == br.evaluate(wr, base)
 
 
@@ -128,7 +128,7 @@ def test_creation_expansions_evaluate(dom):
     w = br.BraidWord(k, (("yt", k),))
     img = br.creation_hom(w, "phi_minus")
     expect = br.BraidWord(k + 1, (("Ti", k), ("yt", k + 1), ("T", k)))
-    for base in vk.spanning_set(dom, k + 1, 2, cap=6):
+    for base in vk.spanning_set(dom, k + 1, 2):
         assert br.evaluate(img, base) == br.evaluate(expect, base)
 
 
@@ -146,8 +146,8 @@ def test_special_braid_order_independence(dom):
     w1, end1 = br.special_braid(cfg, alpha)
     w2, end2 = br.special_braid(cfg, alpha, order=[1, 2])
     assert end1 == end2
-    f = VElem.one(dom, 2, 3)
-    f = vk.act_dplus(vk.act_dplus(VElem.one(dom, 0, 3)))
+    f = VElem.one(dom, 2)
+    f = vk.act_dplus(vk.act_dplus(VElem.one(dom, 0)))
     assert br.evaluate(w1, f) == br.evaluate(w2, f)
     with pytest.raises(ValueError):
         br.special_braid(cfg, alpha, order=[1, 1])
@@ -178,7 +178,7 @@ def test_braid_of_coloring_two_strands(dom):
     assert word.gens == ()
     val = br.braid_coloring_value(1, 1, c.intervals,
                                br.safe_height(*dp.stratum_bounds(c.stratum), 1, 1),
-                               dom, dp.cap)
+                               dom)
     assert val == dp.state[c.intervals]
 
 
@@ -186,7 +186,7 @@ def test_braid_formula_unit(dom):
     dp = sw.recursion_dp(1, 1, dom, keep_states=True)
     lower, upper = dp.stratum_bounds(1)
     h = br.safe_height(lower, upper, 1, 1)
-    val = br.braid_coloring_value(1, 1, ((0, 1),), h, dom, 1)
+    val = br.braid_coloring_value(1, 1, ((0, 1),), h, dom)
     assert val == dp.state[((0, 1),)]
     assert val.has_integer_q_degree()
 
@@ -200,7 +200,7 @@ def test_single_strand_words_realize_tower_dplus(dom):
         h = tower.handle(m, n, star=True)
         sign = dom.one if (m - 1) % 2 == 0 else -dom.one
         for k in (0, 1):
-            for base in vk.spanning_set(dom, k, 2, cap=6):
+            for base in vk.spanning_set(dom, k, 2):
                 seed = -vk.act_y(vk.act_dplus_star(base), 1)
                 lhs = br.evaluate(br.BraidWord(k + 1, b.gens), seed)
                 assert lhs == h.dplus(base).scale(sign), (m, n, k)
@@ -215,7 +215,7 @@ def test_single_strand_words_realize_tower_y1(dom):
         h = tower.handle(m, n, star=True)
         sign = dom.one if (m - 1) % 2 == 0 else -dom.one
         for k in (1, 2):
-            for base in vk.spanning_set(dom, k, 2, cap=6):
+            for base in vk.spanning_set(dom, k, 2):
                 seed = -vk.act_y(vk.act_z(base, 1), 1)
                 lhs = br.evaluate(br.BraidWord(k, b.gens), seed)
                 assert lhs == h.y1(base).scale(sign), (m, n, k)
@@ -229,6 +229,6 @@ def test_braid_formula_integer_q_degree(dom):
             if not key:
                 continue
             h = br.safe_height(lower, upper, 2, 3)
-            val = br.braid_coloring_value(2, 3, key, h, dom, dp.cap)
+            val = br.braid_coloring_value(2, 3, key, h, dom)
             assert val == want, (s, key)
             assert val.has_integer_q_degree()

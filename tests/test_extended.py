@@ -91,5 +91,5 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
             if not key:
                 continue
             h = br.safe_height(lower, upper, m1, n1)
-            assert br.braid_coloring_value(m1, n1, key, h, dom, dp.cap) == \
+            assert br.braid_coloring_value(m1, n1, key, h, dom) == \
                 dp.states[s][key], (s, key)

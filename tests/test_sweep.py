@@ -84,7 +84,7 @@ def _spanning_sums(draw):
     k = draw(st.integers(1, 4))
     basis = vk.spanning_set(_DOM, k, 3)
     picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=5))
-    f = VElem(_DOM, k, basis[0].cap)
+    f = VElem(_DOM, k)
     for b in picks:
         c = _DOM.monomial(draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3)),
                           draw(st.integers(-2, 2)))
@@ -103,7 +103,13 @@ def test_dp_unit(dom):
     dp = sw.recursion_dp(1, 1, dom)
     complete = dp.complete_state()
     assert set(complete) == {((0, 1),)}
-    assert complete[((0, 1),)] == VElem.from_scalars(dom, 1, 1, {((), (1,)): -dom.one})
+    assert complete[((0, 1),)] == VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
+
+
+def test_dp_cap_keyword_changes_nothing(dom):
+    assert sw.recursion_dp(2, 3, dom, cap=3).state == sw.recursion_dp(2, 3, dom).state
+    with pytest.raises(ValueError):
+        sw.recursion_dp(2, 3, dom, cap=2)
 
 
 def test_dp_square(dom):
@@ -135,7 +141,7 @@ def test_pruned_dp_keeps_exactly_the_complete_colorings(dom, m, n):
 
 def test_assemble_matches_rhs(dom):
     for (m1, n1, g) in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (3, 2, 1), (1, 1, 3)):
-        dp = sw.recursion_dp(g * m1, g * n1, dom, cap=g * n1)
+        dp = sw.recursion_dp(g * m1, g * n1, dom)
         for alpha in _compositions(g):
             lhs = sw.assemble_composition(m1, n1, g, alpha, dp, dom)
             rhs = cb.rhs_compositional(m1, n1, g, alpha, dom)
@@ -173,7 +179,7 @@ def test_dp_grouped_path_sums(dom):
 
 
 def _sweep_until_diagonal(p, dom):
-    f = VElem.one(dom, 0, p.n)
+    f = VElem.one(dom, 0)
     m1, n1 = p.m1, p.n1
     for ev in sw.event_sequence(p):
         x, y = ev.point

@@ -49,8 +49,6 @@ def test_verify_shuffle_budget_prices_dyck_paths():
 def test_verify_shuffle_bad_config():
     with pytest.raises(ValueError):
         vf.JobConfig(m1=2, n1=4, g=1)
-    with pytest.raises(ValueError):
-        vf.JobConfig(m1=1, n1=1, g=2, cap=1)
     for m1, n1, g in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
         with pytest.raises(ValueError):
             vf.JobConfig(m1=m1, n1=n1, g=g)
@@ -145,6 +143,8 @@ def test_cli_braid(capsys, tmp_path):
     code, data = _run_cli(["braid", "of-coloring", "--m", "1", "--n", "1",
                            "--coloring", str(coloring)], capsys)
     assert code == 0 and data["braid"] == "1"
+    code, data = _run_cli(["braid", "eval", "--word", "y1", "--k", "-1"], capsys)
+    assert code == 2 and data["error"].startswith("ValueError: --k must be")
 
 
 def test_cli_verify_suite(capsys):
@@ -223,8 +223,16 @@ def _dp_zero_n(tmp_path):
     return ["sweep", "dp", "--m", "1", "--n", "0"]
 
 
-def _negative_cap(tmp_path):
-    return ["braid", "eval", "--word", "y1", "--k", "1", "--cap", "-1"]
+def _cap_option(tmp_path):
+    return ["braid", "eval", "--word", "y1", "--k", "1", "--cap", "6"]
+
+
+def _shuffle_cap_option(tmp_path):
+    return ["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "2", "--cap", "4"]
+
+
+def _negative_k(tmp_path):
+    return ["braid", "eval", "--word", "y1", "--k", "-1"]
 
 
 def _empty_path(tmp_path):
@@ -238,9 +246,10 @@ def _path_not_binary(tmp_path):
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
-                                  _mode_option, _jobs_option, _m1_not_an_int,
+                                  _mode_option, _jobs_option, _cap_option,
+                                  _shuffle_cap_option, _m1_not_an_int,
                                   _path_deeper_than_recursion_limit, _dp_zero_m,
-                                  _dp_negative_m, _dp_zero_n, _negative_cap, _empty_path,
+                                  _dp_negative_m, _dp_zero_n, _negative_k, _empty_path,
                                   _path_not_binary])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
@@ -290,16 +299,16 @@ def test_cli_closed_stdout_is_quiet(argv):
 
 
 def test_dp_cache_keeps_its_format(dom, tmp_path):
-    # version 1 on disk; coefficients over monomial and integer denominators read back
-    assert vf.DP_CACHE_VERSION == 1
-    dp = sw.recursion_dp(2, 3, dom, cap=3)
+    # version 2 on disk; coefficients over monomial and integer denominators read back
+    assert vf.DP_CACHE_VERSION == 2
+    dp = sw.recursion_dp(2, 3, dom)
     key = max(dp.state, key=lambda k: len(dp.state[k].terms))
     dp.state[key] = dp.state[key].scale(dom.monomial(1, -3, -1) / dom.from_int(2))
     path = tmp_path / "dp.json"
     vf._write_dp_cache(str(path), dp)
     text = path.read_text()
-    assert json.loads(text)["version"] == 1 and " / 2*u^3*t" in text
-    back = vf._read_dp_cache(str(path), 2, 3, 3, dom)
+    assert json.loads(text)["version"] == 2 and " / 2*u^3*t" in text
+    back = vf._read_dp_cache(str(path), 2, 3, dom)
     assert back.events == dp.events and back.state == dp.state
 
 

@@ -8,13 +8,13 @@ from shufflealg.scalars import CoefRatError, ExactDomain
 from shufflealg.vkspace import VElem
 
 
-def V(dom, k, terms, cap=6):
-    return VElem.from_scalars(dom, k, cap, {key: dom.one for key in terms}
+def V(dom, k, terms):
+    return VElem.from_scalars(dom, k, {key: dom.one for key in terms}
                               if isinstance(terms, list) else terms)
 
 
 def test_T_examples(dom):
-    one2 = VElem.one(dom, 2, 4)
+    one2 = VElem.one(dom, 2)
     assert vk.act_T(one2, 1) == one2
     y2 = V(dom, 2, [((), (0, 1))])
     assert vk.act_T(y2, 1) == V(dom, 2, {((), (1, 0)): dom.q})
@@ -30,17 +30,17 @@ def test_T_inverse_composes_to_identity(dom):
 
 def test_T_index_range(dom):
     with pytest.raises(ValueError):
-        vk.act_T(VElem.one(dom, 1, 2), 1)
+        vk.act_T(VElem.one(dom, 1), 1)
 
 
 def test_dminus_examples(dom):
-    assert vk.act_dminus(VElem.one(dom, 1, 4)) == VElem.one(dom, 0, 4)
+    assert vk.act_dminus(VElem.one(dom, 1)) == VElem.one(dom, 0)
     y1 = V(dom, 1, [((), (1,))])
     assert vk.act_dminus(y1) == V(dom, 0, {((1,), ()): -dom.one})
     y1sq = V(dom, 1, [((), (2,))])
     assert vk.act_dminus(y1sq) == V(dom, 0, [(((1, 1)), ())])
     with pytest.raises(ValueError):
-        vk.act_dminus(VElem.one(dom, 0, 4))
+        vk.act_dminus(VElem.one(dom, 0))
 
 
 def _dminus_reference(f: VElem) -> VElem:
@@ -55,25 +55,22 @@ def _dminus_reference(f: VElem) -> VElem:
             sign = dom.one if jj % 2 == 0 else -dom.one
             ej = (1,) * jj
             for mu, c2 in gdict.items():
-                if sum(mu) + jj > f.cap:
-                    continue
                 cc = c * c2 * sign
                 for nu, n in sf.mono_mult_table(mu, ej).items():
                     out[(nu, rest)] = out.get((nu, rest), dom.zero) + cc * dom.from_int(n)
-    return VElem.from_scalars(dom, f.k - 1, f.cap, out)
+    return VElem.from_scalars(dom, f.k - 1, out)
 
 
 def test_dminus_matches_reference():
-    # a fresh domain, so the cached images are built here; cap=2 drops some inputs
+    # a fresh domain, so the cached images are built here
     dom = ExactDomain()
-    for cap in (None, 2):
-        for k in range(1, 5):
-            for base in vk.spanning_set(dom, k, 3, cap=cap):
-                assert vk.act_dminus(base) == _dminus_reference(base), (cap, str(base))
+    for k in range(1, 5):
+        for base in vk.spanning_set(dom, k, 3):
+            assert vk.act_dminus(base) == _dminus_reference(base), str(base)
 
 
 def test_dplus_examples(dom):
-    one0 = VElem.one(dom, 0, 4)
+    one0 = VElem.one(dom, 0)
     m_y1 = vk.act_dplus(one0)
     assert m_y1 == V(dom, 1, {((), (1,)): -dom.one})
     # d_+(-y_1) = y_1 y_2
@@ -84,7 +81,7 @@ def test_dplus_examples(dom):
 
 
 def test_dplus_star_examples(dom):
-    assert vk.act_dplus_star(VElem.one(dom, 0, 4)) == VElem.one(dom, 1, 4)
+    assert vk.act_dplus_star(VElem.one(dom, 0)) == VElem.one(dom, 1)
     y1 = V(dom, 1, [((), (1,))])
     assert vk.act_dplus_star(y1) == V(dom, 2, [((), (0, 1))])
     e1 = V(dom, 0, [((1,), ())])
@@ -95,7 +92,7 @@ def test_dplus_star_examples(dom):
 def test_derived_operator_examples(dom):
     y1 = V(dom, 1, [((), (1,))])
     assert vk.act_z(y1, 1) == V(dom, 1, {((), (1,)): dom.q * dom.t})
-    assert vk.act_z(VElem.one(dom, 1, 4), 1) == VElem(dom, 1, 4)
+    assert vk.act_z(VElem.one(dom, 1), 1) == VElem(dom, 1)
     f = V(dom, 1, {((1,), (2,)): dom.t})
     assert vk.act_ytilde(f, 1) == V(dom, 1, {((1,), (3,)): dom.t})
 
@@ -110,10 +107,10 @@ def test_T_times_step_is_the_defining_numerator(dom):
     # (y2 - y1) T(y1^p y2^r) = (q-1) y1^(p+1) y2^r + y1^r y2^(p+1) - q y1^(r+1) y2^p
     for p in range(6):
         for r in range(6):
-            image = vk.act_T(V(dom, 2, [((), (p, r))], cap=0), 1)
-            want = (V(dom, 2, {((), (p + 1, r)): dom.q - dom.one}, cap=0)
-                    + V(dom, 2, [((), (r, p + 1))], cap=0)
-                    - V(dom, 2, {((), (r + 1, p)): dom.q}, cap=0))
+            image = vk.act_T(V(dom, 2, [((), (p, r))]), 1)
+            want = (V(dom, 2, {((), (p + 1, r)): dom.q - dom.one})
+                    + V(dom, 2, [((), (r, p + 1))])
+                    - V(dom, 2, {((), (r + 1, p)): dom.q}))
             assert vk.act_y(image, 2) - vk.act_y(image, 1) == want, (p, r)
 
 
