@@ -18,8 +18,7 @@ from .combinat import (DyckPath, attack_structure, char_function, dinv,
                        enumerate_paths, reading_order, rhs_compositional,
                        statistics, touch_composition)
 from .scalars import CoefRat, ExactDomain
-from .symfunc import (SymFunc, basis_convert, from_word_multiset,
-                      pexp_coefficients, plethystic_substitute)
+from .symfunc import SymFunc, basis_convert, from_word_multiset
 from .sweep import assemble_composition, event_sequence, recursion_dp, sweep_path
 from .verify import JobConfig, run_suite, verify_shuffle
 from .vkspace import VElem, relation_check
@@ -33,8 +32,7 @@ __all__ = [
     "braid_of_coloring", "build_action", "c_alpha_identity_check",
     "char_function", "creation_hom", "dinv", "enumerate_paths", "evaluate",
     "event_sequence", "from_word_multiset", "lhs_compositional",
-    "mediant_decompose", "nabla_conjugation_check", "op_C", "op_D",
-    "pexp_coefficients", "plethystic_substitute", "reading_order",
+    "mediant_decompose", "nabla_conjugation_check", "op_C", "op_D", "reading_order",
     "recursion_dp", "relation_check", "rewrite_trains", "rhs_compositional",
     "run_suite", "single_strand_family", "special_braid", "statistics",
     "sweep_path", "braid_coloring_value", "touch_composition", "verify_shuffle",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import symfunc as sf
 from . import vkspace as vk
 from .scalars import InvariantError
 from .symfunc import SymFunc
@@ -206,45 +207,47 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     return f.as_symfunc()
 
 
+def _expand_one_var(f: SymFunc, sign: int) -> dict:
+    """F[X + sign*(q-1)y] as {j: the coefficient of y^j}, by the monomial coproduct."""
+    dom = f.dom
+    acc: dict = {}
+    for lam, c in f.coeffs.items():
+        for j, gdict in sf.m_expand_one_var(dom, lam, sign):
+            acc.setdefault(j, []).extend((mu, c * w) for mu, w in gdict.items())
+    return {j: SymFunc.from_terms(dom, f.cap, terms) for j, terms in acc.items()}
+
+
 def op_D(n: int, f: SymFunc) -> SymFunc:
-    """D_n F = F[X + (q-1)(t-1)/z] pExp[-zX] |_{z^n}, truncated at the cap."""
-    from . import symfunc as sf
+    """D_n F = F[X + (q-1)(t-1)/z] pExp[-zX] |_{z^n}, truncated at the cap.
+
+    With w = 1/z, X + (q-1)(t-1)w = X + (q-1)(tw) - (q-1)w: expand F by the
+    monomial coproduct with sign +1 (y = tw), then each piece with sign -1
+    (y = w).  w^(j1+j2) pairs with h_i[-zX] = (-1)^i e_i z^i, i = n + j1 + j2.
+    """
     dom = f.dom
     if n < -f.cap:
         raise ValueError("index below -cap")
-    # (q-1)(t-1) = qt - q - t + 1, four signed monomial terms on z^{-1}
-    alphabet = [sf.AlphaTerm(is_x=True),
-                sf.AlphaTerm(sign=1, eu=2, et=1, aux=(("z", -1),)),
-                sf.AlphaTerm(sign=-1, eu=2, aux=(("z", -1),)),
-                sf.AlphaTerm(sign=-1, et=1, aux=(("z", -1),)),
-                sf.AlphaTerm(sign=1, aux=(("z", -1),))]
-    pieces = sf.plethystic_substitute(f, alphabet)
-    pexp = sf.pexp_coefficients(dom, f.cap, sf.AlphaTerm(sign=-1, aux=(("z", 1),), is_x=True),
-                                "z", 0, f.cap + n)
     out = SymFunc.zero(dom, f.cap)
-    for aux, g in pieces.items():
-        j = dict(aux).get("z", 0)  # j <= 0
-        i = n - j
-        if i in pexp:
-            out = out + g * pexp[i]
+    for j1, g in _expand_one_var(f, 1).items():
+        for j2, h in _expand_one_var(g, -1).items():
+            i = n + j1 + j2
+            if 0 <= i <= f.cap:
+                out = out + (h * SymFunc.e(dom, f.cap, i)).scale(dom.monomial((-1) ** i, 0, j1))
     return out
 
 
 def op_C(a: int, f: SymFunc) -> SymFunc:
-    """(C_a F) = (-q)^(1-a) F[X + (q^{-1}-1)z] pExp[z^{-1}X] z^a |_{z^0}."""
-    from . import symfunc as sf
+    """(C_a F) = (-q)^(1-a) F[X + (q^{-1}-1)z] pExp[z^{-1}X] z^a |_{z^0}.
+
+    X + (q^{-1}-1)z = X - (q-1)(q^{-1}z), so the monomial coproduct with
+    sign -1 gives F[X + (q^{-1}-1)z] = sum_j z^j q^{-j} G_j, and z^j pairs
+    with h_{j+a}.
+    """
     dom = f.dom
-    alphabet = [sf.AlphaTerm(is_x=True),
-                sf.AlphaTerm(sign=1, eu=-2, aux=(("z", 1),)),
-                sf.AlphaTerm(sign=-1, aux=(("z", 1),))]
-    pieces = sf.plethystic_substitute(f, alphabet)
     out = SymFunc.zero(dom, f.cap)
-    for aux, g in pieces.items():
-        j = dict(aux).get("z", 0)
-        i = j + a
-        if i < 0 or i > f.cap:
-            continue
-        out = out + g * SymFunc.h(dom, f.cap, i)
+    for j, g in _expand_one_var(f, -1).items():
+        if 0 <= j + a <= f.cap:
+            out = out + (g * SymFunc.h(dom, f.cap, j + a)).scale(dom.q_power(-j))
     sign = dom.monomial((-1) ** ((1 - a) % 2), 2 * (1 - a), 0)
     return out.scale(sign)
 

@@ -44,6 +44,12 @@ def _parse_path(text: str) -> cb.DyckPath:
     return cb.DyckPath(bits.count(0), bits.count(1), bits)
 
 
+def _check_at_least_zero(args, *names):
+    for name in names:
+        if getattr(args, name) < 0:
+            raise ValueError(f"--{name} must be at least 0, got {getattr(args, name)}")
+
+
 def _parse_alpha(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
@@ -123,8 +129,7 @@ def cmd_sweep(args):
 def cmd_braid(args):
     dom = ExactDomain()
     if args.braid_cmd == "eval":
-        if args.k < 0:
-            raise ValueError(f"--k must be at least 0, got {args.k}")
+        _check_at_least_zero(args, "k")
         _, gens = vk.parse_word(args.word)
         word = br.BraidWord(args.k, gens)
         val = br.evaluate(word, vk.dplus_power(dom, args.k))
@@ -168,6 +173,7 @@ def cmd_verify(args):
         return 0 if report["ok"] else 1
     dom = ExactDomain()
     if args.verify_cmd == "relation":
+        _check_at_least_zero(args, "k", "degree")
         lhs = vk.parse_word(args.lhs, dom)
         rhs = vk.parse_word(args.rhs, dom)
         rep = vk.relation_check([lhs], [rhs], args.k, args.degree, dom,

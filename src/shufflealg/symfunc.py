@@ -1,10 +1,11 @@
-"""Symmetric functions in the monomial basis, with plethystic substitution.
+"""Symmetric functions in the monomial basis.
 
 SymFunc stores a map {partition: scalar} truncated at a total-degree cap.
 Basis conversions route through power sums, whose transition matrices are
 computed once per degree with Fraction coefficients (domain independent).
-Plethysm uses the lambda-ring rule: q, t, u and the auxiliary variables
-(y_i, z) are rank one, so p_r pulls them out raised to the r-th power.
+The substitution X + sign*(q-1)*y of one rank-one letter y, behind d_+,
+d_+^*, d_- and the Sym operators C_a and D_n, expands m_lam by the
+monomial coproduct (`m_expand_one_var`).
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ class SymFunc:
 
     @staticmethod
     def h(dom, cap, n: int) -> "SymFunc":
+        """h_n, the sum of every m_lam with |lam| = n."""
         if n > cap:
             return SymFunc(dom, cap)
-        table = _p_basis_to_mono(h_to_p(n))
-        return SymFunc(dom, cap, {lam: dom.from_fraction(c) for lam, c in table.items()})
+        return SymFunc(dom, cap, {lam: dom.one for lam in partitions_of(n)})
 
     @staticmethod
     def e(dom, cap, n: int) -> "SymFunc":
@@ -375,7 +376,7 @@ def from_basis(dom, cap: int, basis: str, coeffs: dict) -> SymFunc:
     return out
 
 
-# ------------------------------------------------------------------ plethysm
+# ------------------------------------------------------- one rank-one letter
 
 def _m_at_minus_one(mult: Counter) -> int:
     """m_beta[-1] = (-1)^l l! / prod_i mult_i! for beta with multiplicities mult, l = l(beta)."""
@@ -415,109 +416,6 @@ def m_expand_one_var(dom, lam: tuple, sign: int):
             acc.setdefault(size, {})[tuple(sorted((mult - nu).elements(), reverse=True))] = coef
     out = [(j, acc[j]) for j in sorted(acc)]
     dom.cache[key] = out
-    return out
-
-
-class AlphaTerm:
-    """One additive term of a plethystic alphabet: sign * u^eu * t^et * aux * [X].
-
-    aux is a tuple of (variable name, integer exponent); the scalar part
-    must be a signed monomial so the rank-one rule applies.
-    """
-
-    __slots__ = ("sign", "eu", "et", "aux", "is_x")
-
-    def __init__(self, sign=1, eu=0, et=0, aux=(), is_x=False):
-        if sign not in (1, -1):
-            raise ValueError("alphabet terms must carry a signed monomial scalar")
-        self.sign = sign
-        self.eu = eu
-        self.et = et
-        self.aux = tuple(sorted(aux))
-        self.is_x = is_x
-
-
-def x_alphabet() -> list:
-    return [AlphaTerm(is_x=True)]
-
-
-def x_plus_qm1_times(var: str, sign: int = 1) -> list:
-    """Alphabet X + sign*(q-1)*var, split into signed monomial terms."""
-    return [AlphaTerm(is_x=True),
-            AlphaTerm(sign=sign, eu=2, aux=((var, 1),)),
-            AlphaTerm(sign=-sign, aux=((var, 1),))]
-
-
-def plethystic_substitute(f: SymFunc, alphabet: list) -> dict:
-    """f[alphabet] collected as {aux monomial: SymFunc}.
-
-    Keys are sorted tuples of (variable, exponent); the empty tuple holds
-    the pure Sym[X] part.  Truncation at f.cap applies to the X-degree.
-    """
-    dom = f.dom
-    out: dict = {}
-
-    def add(aux, lam, c):
-        if sum(lam) > f.cap or not c:
-            return
-        slot = out.setdefault(aux, {})
-        s = slot.get(lam, dom.zero) + c
-        if s:
-            slot[lam] = s
-        elif lam in slot:
-            del slot[lam]
-
-    for lam, coef in f.coeffs.items():
-        for mu, fr in mono_to_p(lam).items():
-            base = coef * dom.from_fraction(fr)
-            # expand the product over parts of mu, one alphabet term per part
-            states = [((), (), dom.one)]  # (sorted rest-partition, aux dict items, scalar)
-            for r in mu:
-                nxt = []
-                for rest, aux, c in states:
-                    for term in alphabet:
-                        sc = dom.monomial(term.sign, term.eu * r, term.et * r)
-                        aux2 = dict(aux)
-                        for var, e in term.aux:
-                            aux2[var] = aux2.get(var, 0) + e * r
-                        rest2 = rest + (r,) if term.is_x else rest
-                        nxt.append((rest2, tuple(sorted(aux2.items())), c * sc))
-                states = nxt
-            for rest, aux, c in states:
-                restp = tuple(sorted(rest, reverse=True))
-                cc = base * c
-                if not cc:
-                    continue
-                aux = tuple((v, e) for v, e in aux if e)
-                for lam2, n in p_to_mono(restp).items():
-                    add(aux, lam2, cc * dom.from_int(n))
-    return {aux: SymFunc(dom, f.cap, slot) for aux, slot in out.items() if slot}
-
-
-def pexp_coefficients(dom, cap: int, term: AlphaTerm, var: str, lo: int, hi: int) -> dict:
-    """Coefficients of var^i, lo <= i <= hi, in pExp[term * X].
-
-    term must mention only `var` in its aux part.  Uses pExp[A] = sum h_n[A]
-    and h_n[-B] = (-1)^n e_n[B] for rank-one B.
-    """
-    if not term.is_x:
-        raise ValueError("pexp_coefficients expects a term containing X")
-    evar = dict(term.aux).get(var, 0)
-    if set(v for v, _ in term.aux) - {var}:
-        raise ValueError("term mentions a variable other than the requested one")
-    out = {}
-    for n in range(0, cap + 1):
-        i = evar * n
-        if i < lo or i > hi:
-            continue
-        sc = dom.monomial(1, term.eu * n, term.et * n)
-        if term.sign < 0:
-            g = SymFunc.e(dom, cap, n).scale(sc * dom.monomial((-1) ** n))
-        else:
-            g = SymFunc.h(dom, cap, n).scale(sc)
-        if g:
-            prev = out.get(i)
-            out[i] = g if prev is None else prev + g
     return out
 
 

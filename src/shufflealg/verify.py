@@ -22,7 +22,7 @@ from . import braid as br
 from . import combinat as cb
 from . import sweep as sw
 from . import vkspace as vk
-from .scalars import ExactDomain, InvariantError
+from .scalars import ExactDomain, InvariantError, pack, unpack
 from .vkspace import VElem
 
 
@@ -453,6 +453,9 @@ class JobConfig:
             raise ValueError("m1, n1 and g must be at least 1")
         if gcd(self.m1, self.n1) != 1:
             raise ValueError("m1, n1 must be coprime")
+        if self.alpha is not None and (sum(self.alpha) != self.g or min(self.alpha) < 1):
+            raise ValueError(f"alpha must be a composition of g = {self.g}, "
+                             f"got {list(self.alpha)}")
 
 
 def _compare_entry(alpha, lhs, rhs, dom, t0) -> dict:
@@ -517,7 +520,7 @@ def _dp_cache_path(cfg: JobConfig):
     return os.path.join(cfg.cache_dir, f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}.json")
 
 
-DP_CACHE_VERSION = 2
+DP_CACHE_VERSION = 3
 
 
 def _read_dp_cache(path: str, m: int, n: int, dom):
@@ -569,33 +572,27 @@ def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
 
 
 def _velem_to_json(f: VElem) -> dict:
-    return {"k": f.k,
-            "terms": [{"partition": list(lam), "ys": list(ys), "coef": str(c)}
-                      for (lam, ys), c in sorted(f.scalars().items())]}
+    return {"k": f.k, "den": f.den,
+            "terms": [{"partition": list(lam), "ys": list(ys),
+                       "poly": [[*unpack(m), c] for m, c in sorted(p.items())]}
+                      for (lam, ys), p in sorted(f.terms.items())]}
 
 
 def _velem_from_json(payload: dict, dom) -> VElem:
+    """The element _velem_to_json wrote.
+
+    A den or an exponent or coefficient that is not an int, a den below 1
+    or a zero coefficient raises ValueError, so the file is recomputed.
+    """
+    den = payload["den"]
+    if type(den) is not int or den < 1:
+        raise ValueError("malformed denominator in the DP cache")
     terms = {}
     for item in payload["terms"]:
-        terms[(tuple(item["partition"]), tuple(item["ys"]))] = _parse_coefrat(item["coef"], dom)
-    return VElem.from_scalars(dom, payload["k"], terms)
-
-
-def _parse_coefrat(text: str, dom):
-    num, _, den = text.partition(" / ")
-    out = _parse_poly(num, dom)
-    if den:
-        out = out / _parse_poly(den, dom)
-    return out
-
-
-def _parse_poly(text: str, dom):
-    from .scalars import parse_scalar_token
-    text = text.replace("- ", "+ -").replace("+ ", "+")
-    total = dom.zero
-    for piece in text.split("+"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        total = total + parse_scalar_token(piece, dom)
-    return total
+        poly = item["poly"]
+        if not poly or any(type(v) is not int for row in poly for v in row) \
+                or not all(c for _, _, c in poly):
+            raise ValueError("malformed coefficient in the DP cache")
+        terms[(tuple(item["partition"]), tuple(item["ys"]))] = \
+            {pack(eu, et): c for eu, et, c in poly}
+    return VElem(dom, payload["k"], terms, den)

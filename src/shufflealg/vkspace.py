@@ -421,6 +421,8 @@ def parse_word(text: str, dom=None):
 
 def spanning_set(dom, k: int, degree: int):
     """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree."""
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     out = []
     for dy in range(degree + 1):
         for ys in _compositions_exact(dy, k):
@@ -466,6 +468,8 @@ def _as_expr(side, dom):
 
 def relation_check(lhs, rhs, k: int, degree: int, dom, name: str = "relation") -> RelationReport:
     """Compare two operator expressions on the spanning set of V_k."""
+    if k < 0 or degree < 0:
+        raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
     lhs = _as_expr(lhs, dom)
     rhs = _as_expr(rhs, dom)
     for _, word in lhs + rhs:

@@ -1,5 +1,6 @@
 import pytest
 
+from shufflealg import actions as ac
 from shufflealg import symfunc as sf
 from shufflealg.scalars import ExactDomain
 from shufflealg.symfunc import SymFunc
@@ -58,8 +59,9 @@ def test_pieri_rule_matches_brute_force_table():
                 assert dict(sf.mono_times_e(mu, j)) == want, (mu, j)
 
 
-def _m_expand_by_power_sums(dom, lam, sign):
-    # oracle: m_lam through power sums, where p_r[X + sign*(q-1)y] = p_r[X] + sign*(q^r-1)y^r
+def _m_expand_by_power_sums(dom, lam, letter):
+    # oracle: m_lam through power sums, where p_r[X + A*y] = p_r[X] + letter(r)*y^r
+    # for a rank-one y and letter(r) = p_r[A]
     acc = {}
     for mu, fr in sf.mono_to_p(lam).items():
         for mask in range(1 << len(mu)):
@@ -67,7 +69,7 @@ def _m_expand_by_power_sums(dom, lam, sign):
             for i, part in enumerate(mu):
                 if mask >> i & 1:
                     j += part
-                    c = c * (dom.q_power(part) - dom.one) * dom.from_int(sign)
+                    c = c * letter(part)
                 else:
                     rest.append(part)
             for nu, n in sf.p_to_mono(tuple(sorted(rest, reverse=True))).items():
@@ -87,52 +89,55 @@ def test_m_expand_one_var_matches_power_sums():
     for size in range(10):
         for lam in sf.partitions_of(size):
             for sign in (1, -1):
-                assert sf.m_expand_one_var(dom, lam, sign) == \
-                    _m_expand_by_power_sums(dom, lam, sign), (lam, sign)
+                want = _m_expand_by_power_sums(
+                    dom, lam, lambda r: (dom.q_power(r) - dom.one) * dom.from_int(sign))
+                assert sf.m_expand_one_var(dom, lam, sign) == want, (lam, sign)
                 cases += 1
     assert cases == 2 * sum(len(sf.partitions_of(n)) for n in range(10))
 
 
-def test_plethysm_rank_one_rule(dom):
-    # p_2[X + (q-1)y] = p_2[X] + (q^2 - 1) y^2
-    p2 = sf.from_basis(dom, 4, "p", {(2,): dom.one})
-    out = sf.plethystic_substitute(p2, sf.x_plus_qm1_times("y"))
-    assert out[()] == p2
-    assert out[(("y", 2),)].coeffs == {(): dom.q_power(2) - dom.one}
+def _paired(dom, cap, pieces, offset, single):
+    # sum over j of G_j * single(j + offset), with single(i) zero unless 0 <= i <= cap
+    out = SymFunc.zero(dom, cap)
+    for j, slot in pieces:
+        if 0 <= j + offset <= cap:
+            out = out + SymFunc(dom, cap, slot) * single(j + offset)
+    return out
 
 
-def test_plethysm_degree_one_additivity(dom):
-    p1 = SymFunc(dom, 4, {(1,): dom.one})
-    out = sf.plethystic_substitute(p1, sf.x_plus_qm1_times("y"))
-    assert out[()] == p1
-    assert out[(("y", 1),)].coeffs == {(): dom.q - dom.one}
+def test_op_C_D_match_power_sums():
+    # C_a m_lam = (-q)^(1-a) sum_j G_j h_{j+a}, G_j from p_r[X + (q^-1 - 1)z];
+    # D_n m_lam = sum_j G_j (-1)^i e_i, i = n + j, G_j from p_r[X + (q-1)(t-1)/z]
+    dom = ExactDomain()
+    cap = 5
 
+    def h(i):
+        return sf.from_basis(dom, cap, "h", {(i,): dom.one})
 
-def test_plethysm_identity_alphabet(dom):
-    f = SymFunc.h(dom, 5, 3) + SymFunc.e(dom, 5, 2).scale(dom.t)
-    out = sf.plethystic_substitute(f, sf.x_alphabet())
-    assert out == {(): f}
+    def signed_e(i):
+        return sf.from_basis(dom, cap, "e", {(i,): dom.from_int((-1) ** i)})
 
+    def c_letter(r):
+        return dom.q_power(-r) - dom.one
 
-def test_plethysm_rejects_non_monomial_scalar():
-    with pytest.raises(ValueError):
-        sf.AlphaTerm(sign=2)
+    def d_letter(r):
+        return (dom.q_power(r) - dom.one) * (dom.monomial(1, 0, r) - dom.one)
 
-
-def test_pexp_negative_alphabet(dom):
-    term = sf.AlphaTerm(sign=-1, aux=(("y", -1),), is_x=True)
-    out = sf.pexp_coefficients(dom, 4, term, "y", -4, 0)
-    assert out[-1] == -SymFunc.e(dom, 4, 1)
-    assert out[0] == SymFunc.one(dom, 4)
-    for n in range(1, 5):
-        assert out[-n] == SymFunc.e(dom, 4, n).scale(dom.monomial((-1) ** n))
-
-
-def test_pexp_inverse_variable(dom):
-    term = sf.AlphaTerm(sign=1, aux=(("z", -1),), is_x=True)
-    out = sf.pexp_coefficients(dom, 4, term, "z", -4, 0)
-    assert out[-2] == SymFunc.h(dom, 4, 2)
-    assert out[0] == SymFunc.one(dom, 4)
+    cases = 0
+    for size in range(cap + 1):
+        for lam in sf.partitions_of(size):
+            f = SymFunc(dom, cap, {lam: dom.one})
+            c_pieces = _m_expand_by_power_sums(dom, lam, c_letter)
+            for a in range(-1, cap + 2):
+                sign = dom.monomial((-1) ** ((1 - a) % 2), 2 * (1 - a))
+                want = _paired(dom, cap, c_pieces, a, h).scale(sign)
+                assert ac.op_C(a, f) == want, (lam, a)
+                cases += 1
+            d_pieces = _m_expand_by_power_sums(dom, lam, d_letter)
+            for n in range(-cap, cap + 2):
+                assert ac.op_D(n, f) == _paired(dom, cap, d_pieces, n, signed_e), (lam, n)
+                cases += 1
+    assert cases == (cap + 3 + 2 * cap + 2) * sum(len(sf.partitions_of(n)) for n in range(cap + 1))
 
 
 def test_from_word_multiset_basic(dom):

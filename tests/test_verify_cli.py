@@ -54,6 +54,18 @@ def test_verify_shuffle_bad_config():
             vf.JobConfig(m1=m1, n1=n1, g=g)
 
 
+@pytest.mark.parametrize("alpha", [(1, 2), (3,), (), (0, 2), (-1, 3)])
+def test_verify_shuffle_rejects_alpha_before_any_work(alpha, monkeypatch):
+    # refused in the config, before the budget gate and before the tower or the DP runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work for a bad alpha")
+    monkeypatch.setattr(vf.ac, "ActionTower", no_work)
+    monkeypatch.setattr(vf.sw, "recursion_dp", no_work)
+    for budget in (50_000_000, 1):   # the gate accepts (1,1,2), then refuses it
+        with pytest.raises(ValueError, match="composition of g"):
+            vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, alpha=alpha, budget=budget))
+
+
 def test_dp_cache_roundtrip(dom, tmp_path):
     cfg = vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path))
     rep1 = vf.verify_shuffle(cfg)
@@ -80,7 +92,26 @@ def _stale_version(payload, text):
     return json.dumps({**payload, "version": vf.DP_CACHE_VERSION - 1})
 
 
-@pytest.mark.parametrize("spoil", [_truncate, _stale_version])
+def _zero_coefficient(payload, text):
+    # same version, but a zero coefficient in every term: not a valid element
+    for item in payload["state"]:
+        for term in item["value"]["terms"]:
+            term["poly"][0][2] = 0
+    return json.dumps(payload)
+
+
+def _fractional_exponent(payload, text):
+    payload["state"][0]["value"]["terms"][0]["poly"][0][1] += 0.5
+    return json.dumps(payload)
+
+
+def _zero_den(payload, text):
+    payload["state"][0]["value"]["den"] = 0
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("spoil", [_truncate, _stale_version, _zero_coefficient,
+                                   _fractional_exponent, _zero_den])
 def test_dp_cache_bad_file_is_recomputed(dom, tmp_path, spoil):
     uncached = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=None))
     vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
@@ -235,6 +266,18 @@ def _negative_k(tmp_path):
     return ["braid", "eval", "--word", "y1", "--k", "-1"]
 
 
+def _relation_negative_degree(tmp_path):
+    return ["verify", "relation", "--lhs", "y1", "--rhs", "y1", "--k", "1", "--degree", "-1"]
+
+
+def _relation_negative_k(tmp_path):
+    return ["verify", "relation", "--lhs", "", "--rhs", "", "--k", "-2"]
+
+
+def _alpha_not_a_composition(tmp_path):
+    return ["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "2", "--alpha", "1,2"]
+
+
 def _empty_path(tmp_path):
     return ["paths", "stats", "--path", ""]
 
@@ -250,12 +293,20 @@ def _path_not_binary(tmp_path):
                                   _shuffle_cap_option, _m1_not_an_int,
                                   _path_deeper_than_recursion_limit, _dp_zero_m,
                                   _dp_negative_m, _dp_zero_n, _negative_k, _empty_path,
-                                  _path_not_binary])
+                                  _path_not_binary, _relation_negative_degree,
+                                  _relation_negative_k, _alpha_not_a_composition])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     assert json.loads(captured.out)["error"]
+
+
+@pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),
+                                          ("--k", _relation_negative_k)])
+def test_cli_relation_names_a_negative_option(option, argv, tmp_path, capsys):
+    code, data = _run_cli(argv(tmp_path), capsys)
+    assert code == 2 and data["error"].startswith(f"ValueError: {option} must be at least 0")
 
 
 @pytest.mark.parametrize("cmd", [["paths", "stats"], ["paths", "chi"], ["sweep", "path"]])
@@ -299,15 +350,21 @@ def test_cli_closed_stdout_is_quiet(argv):
 
 
 def test_dp_cache_keeps_its_format(dom, tmp_path):
-    # version 2 on disk; coefficients over monomial and integer denominators read back
-    assert vf.DP_CACHE_VERSION == 2
+    # version 3 on disk, each element as it is held: {k, den, terms: [{partition, ys,
+    # poly: [[eu, et, c], ...]}]}; negative exponents and an integer denominator read back
+    assert vf.DP_CACHE_VERSION == 3
     dp = sw.recursion_dp(2, 3, dom)
     key = max(dp.state, key=lambda k: len(dp.state[k].terms))
     dp.state[key] = dp.state[key].scale(dom.monomial(1, -3, -1) / dom.from_int(2))
     path = tmp_path / "dp.json"
     vf._write_dp_cache(str(path), dp)
-    text = path.read_text()
-    assert json.loads(text)["version"] == 2 and " / 2*u^3*t" in text
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 3
+    (value,) = [item["value"] for item in payload["state"]
+                if item["key"] == [list(iv) for iv in key]]
+    assert value["k"] == dp.state[key].k and value["den"] == 2
+    rows = [row for term in value["terms"] for row in term["poly"]]
+    assert min(eu for eu, _, _ in rows) == -3 and min(et for _, et, _ in rows) == -1
     back = vf._read_dp_cache(str(path), 2, 3, dom)
     assert back.events == dp.events and back.state == dp.state
 

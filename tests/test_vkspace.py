@@ -181,6 +181,16 @@ def test_relation_check_reports_failure(dom):
     assert not rep.passed and rep.witness is not None
 
 
+@pytest.mark.parametrize("k, degree", [(1, -1), (-2, 2), (-1, 0)])
+def test_relation_check_rejects_negative_k_or_degree(dom, k, degree):
+    # a negative degree would pass on an empty spanning set; a negative k would recurse forever
+    with pytest.raises(ValueError, match="k and degree must be at least 0"):
+        vk.relation_check((), (), k, degree, dom)
+    if k < 0:
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            vk.spanning_set(dom, k, degree)
+
+
 def test_quadratic_relation_explicit(dom):
     # (T_i - 1)(T_i + q) = 0 at k = 2 over degree 2
     lhs = [(dom.one, (("T", 1), ("T", 1))), (dom.q - dom.one, (("T", 1),)),
