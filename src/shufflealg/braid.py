@@ -410,13 +410,6 @@ def braid_of_coloring(m1: int, n1: int, intervals, h: SlopeValue):
     return word, cfg, final_cfg
 
 
-def braid_of_dp_coloring(dp, coloring):
-    """Braid of a sweep.Coloring, with the height taken inside its stratum."""
-    m1, n1 = dp.m // gcd(dp.m, dp.n), dp.n // gcd(dp.m, dp.n)
-    h = safe_height(*dp.stratum_bounds(coloring.stratum), m1, n1)
-    return braid_of_coloring(m1, n1, coloring.intervals, h)
-
-
 def _inversions(cfg: PointConfig) -> int:
     labels = sorted(range(1, cfg.k + 1), key=lambda i: cfg.v[i - 1])
     return sum(1 for a in range(len(labels)) for b in range(a + 1, len(labels))

@@ -51,7 +51,10 @@ def _check_at_least_zero(args, *names):
 
 
 def _parse_alpha(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--alpha must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_paths(args):

@@ -101,30 +101,6 @@ class DyckPath:
                     break
         return h
 
-    def on_path(self, x: int, y: int) -> bool:
-        v = self.vertices
-        for (a, b), (c, d) in zip(v, v[1:]):
-            if min(a, c) <= x <= max(a, c) and min(b, d) <= y <= max(b, d):
-                return True
-        return False
-
-    @cached_property
-    def top_at(self) -> tuple:
-        """top_at[x] = largest y with (x, y) on the path."""
-        out = [0] * (self.m + 1)
-        x = y = 0
-        for b in self.steps:
-            if b:
-                y += 1
-            else:
-                out[x] = y
-                x += 1
-        out[self.m] = self.n
-        return tuple(out)
-
-    def weakly_below(self, x: int, y: int) -> bool:
-        return 0 <= x <= self.m and y <= self.top_at[x]
-
     def __eq__(self, other):
         return isinstance(other, DyckPath) and (self.m, self.n, self.steps) == \
             (other.m, other.n, other.steps)

@@ -13,10 +13,12 @@ with a = number of North steps the line crosses strictly to the right.
 The closed form of C on V_k is the Carlsson-Mellit relation (arXiv:1508.06239).
 The terminal point (m, n) emits no event.
 
-The coloring DP runs the same events over all paths at once. A coloring is a
-set of intervals, one per strand; `_step` states its transitions at an event.
-A pass over keys alone tabulates them and keeps the colorings from which a
-complete coloring (a c_alpha, read by `assemble_composition`) is still
+`_step` is the one statement of these events. A coloring is a set of
+intervals, one per strand, and `_step` gives its transitions at a point
+strictly above the diagonal. A single path walks one coloring through them
+(`event_sequence`); the coloring DP runs them over all paths at once. A pass
+over keys alone tabulates the transitions and keeps the colorings from which
+a complete coloring (a c_alpha, read by `assemble_composition`) is still
 reachable; the pass over values then applies operators along the kept
 transitions only. `recursion_dp(..., every_coloring=True)` keeps every
 reachable coloring.
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .combinat import DyckPath, SlopeValue, line_height
+from .combinat import DyckPath, SlopeValue, line_height, reading_order, \
+    touch_composition
 from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y
 
@@ -40,62 +43,32 @@ class SweepEvent:
     a: int = 0
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """DP state: reading-order index of the last processed event + intervals.
-
-    Each interval is (x, y): left endpoint on the vertical line x, right
-    endpoint on the horizontal line y.
-    """
-
-    stratum: int
-    intervals: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.intervals)
-
-
-def _event_kind(p: DyckPath, x: int, y: int) -> str | None:
-    if (x, y) == (p.m, p.n):
-        return None
-    if not p.on_path(x, y):
-        return "E"
-    if (x, y) == (0, 0):
-        return "B"
-    idx = p.vertices.index((x, y))
-    arrive, depart = p.steps[idx - 1], p.steps[idx]
-    return {(1, 0): "A", (0, 1): "B", (1, 1): "C", (0, 0): "D"}[(arrive, depart)]
-
-
-def _crossing_count_right(p: DyckPath, x: int, y: int) -> int:
-    """North steps of p crossed by the line through (x, y), strictly right of it."""
-    m1, n1 = p.m1, p.n1
-    h = line_height(m1, n1, x, y)
-    cnt = 0
-    for (x0, y0) in p.north_starts:
-        if x0 <= x:
-            continue
-        at = SlopeValue(Fraction(n1 * x0, m1) + h.r, h.e - x0)
-        if SlopeValue(Fraction(y0), 0) < at < SlopeValue(Fraction(y0 + 1), 0):
-            cnt += 1
-    return cnt
-
-
 def event_sequence(p: DyckPath) -> list[SweepEvent]:
-    """Events of the per-path sweep in processing (descending height) order."""
+    """Events of the per-path sweep in processing (descending height) order.
+
+    One coloring walks the points through `_step`, taking A exactly at the
+    North-then-East corners of p; on the diagonal a vertex of p is B and any
+    other point E.
+    """
     m1, n1 = p.m1, p.n1
+    corners = {pt for pt, a, b in zip(p.vertices[1:], p.steps, p.steps[1:]) if a and not b}
+    key: tuple = ()
     events = []
-    for x in range(p.m + 1):
-        for y in range(p.n + 1):
-            if m1 * y < n1 * x or not p.weakly_below(x, y):
-                continue
-            kind = _event_kind(p, x, y)
-            if kind is None:
-                continue
-            a = _crossing_count_right(p, x, y) if kind in ("C", "D") else 0
-            events.append(SweepEvent((x, y), kind, a))
-    events.sort(key=lambda ev: line_height(m1, n1, *ev.point), reverse=True)
+    for (x, y) in reversed(reading_order(p.m, p.n)):
+        if m1 * y == n1 * x:
+            if (x, y) != (p.m, p.n):
+                events.append(SweepEvent((x, y), "B" if (x, y) in p.vertices else "E"))
+            continue
+        outs = _step(key, x, y)
+        if (x, y) in corners:
+            outs = [t for t in outs if t[0] == "A"]
+            if not outs:
+                raise InvariantError(f"corner {(x, y)} of {p} offers no A")
+        kind, key, extra = outs[0]
+        if kind != "keep":
+            events.append(SweepEvent((x, y), kind, extra if kind in ("C", "D") else 0))
+    if key != composition_coloring(m1, n1, touch_composition(p)):
+        raise InvariantError(f"the walk of {p} ends at {key}, not at its c_alpha")
     return events
 
 
@@ -141,11 +114,11 @@ def sweep_path(p: DyckPath, dom):
 
 def dp_events(m: int, n: int) -> list:
     """Lattice points strictly above the diagonal, in descending height order."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    pts = [(x, y) for x in range(m + 1) for y in range(n + 1) if m1 * y > n1 * x]
-    pts.sort(key=lambda pt: line_height(m1, n1, *pt), reverse=True)
-    return pts
+    return [(x, y) for (x, y) in reversed(reading_order(m, n)) if m1 * y > n1 * x]
 
 
 @dataclass
@@ -154,8 +127,8 @@ class DpResult:
     n: int
     events: list
     state: dict                  # intervals tuple -> VElem, at the final stratum
-    log: list | None = None      # per event: list of (kind, src, dst, extra)
     states: list | None = None   # snapshots per stratum, 0 .. len(events)
+    steps: list | None = None    # per event: {coloring: its (kind, dst, extra) transitions}
 
     def stratum_bounds(self, s: int):
         """Open height interval of stratum s (after processing s events)."""
@@ -243,50 +216,43 @@ def _transitions(m: int, n: int, events, every_coloring: bool) -> list:
     return steps
 
 
-def recursion_dp(m: int, n: int, dom, cap: int | None = None,
-                 with_log: bool = False, keep_states: bool = False, *,
-                 every_coloring: bool = False) -> DpResult:
+def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
+                 keep_states: bool = False, every_coloring: bool = False) -> DpResult:
     """Propagate colorings from the empty one down to the last stratum above
     the diagonal, accumulating sums of per-path operator products.
 
     By default only colorings that can still reach a complete coloring (a
     c_alpha) are propagated, so the final state is complete_state() and the
-    log and snapshots hold only those colorings. The values there are the
-    same either way: every predecessor of a kept coloring is kept, and the
-    order of summation is unchanged. every_coloring=True propagates every
-    reachable coloring, for callers that read intermediate or incomplete
-    colorings.
+    snapshots and transition tables hold only those colorings. The values
+    there are the same either way: every predecessor of a kept coloring is
+    kept, and the order of summation is unchanged. every_coloring=True
+    propagates every reachable coloring, for callers that read intermediate
+    or incomplete colorings. keep_states=True keeps the value snapshot of
+    every stratum and the per-event transition tables in `states` and `steps`.
 
     cap is kept only for perfbench/child.py and perfbench/reference.py,
     which pass cap=n: it changes nothing, and a value below n raises.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
+    events = dp_events(m, n)
     if cap is not None and cap < n:
         raise ValueError(f"cap must be at least n = {n}, got {cap}")
-    events = dp_events(m, n)
     steps = _transitions(m, n, events, every_coloring)
     state: dict = {(): VElem.one(dom, 0)}
-    log = [] if with_log else None
     states = [dict(state)] if keep_states else None
+    kept = list(steps) if keep_states else None
     steps.reverse()
     while steps:
-        step = steps.pop()  # freed once used
+        step = steps.pop()  # freed once used, unless kept
         nxt: dict = {}
-        entry = [] if with_log else None
         for key, val in state.items():
             for kind, dst, extra in step[key]:
                 out = val if kind == "keep" else _apply(val, kind, extra)
                 prev = nxt.get(dst)
                 nxt[dst] = out if prev is None else prev + out
-                if entry is not None:
-                    entry.append((kind, key, dst, extra))
         state = nxt
-        if log is not None:
-            log.append(entry)
-        if states is not None:
+        if keep_states:
             states.append(dict(state))
-    return DpResult(m, n, events, state, log, states)
+    return DpResult(m, n, events, state, states, kept)
 
 
 def composition_coloring(m1: int, n1: int, alpha) -> tuple:

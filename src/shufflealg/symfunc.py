@@ -243,9 +243,10 @@ class SymFunc:
 
     @staticmethod
     def e(dom, cap, n: int) -> "SymFunc":
-        if n > cap:
+        """e_n = m_(1^n); zero for n < 0."""
+        if n < 0 or n > cap:
             return SymFunc(dom, cap)
-        return SymFunc(dom, cap, {(1,) * n: dom.one} if n else {(): dom.one})
+        return SymFunc(dom, cap, {(1,) * n: dom.one})
 
     def __add__(self, other):
         out = dict(self.coeffs)

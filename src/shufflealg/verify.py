@@ -96,11 +96,9 @@ def _changed_keys(dp: sw.DpResult, s: int):
     """Colorings whose value or braid changed entering stratum s."""
     if s == 0:
         return list(dp.states[0])
-    seen = []
-    for kind, _src, dst, _extra in dp.log[s - 1]:
-        if kind != "keep" and dst not in seen:
-            seen.append(dst)
-    return seen
+    step = dp.steps[s - 1]
+    return list(dict.fromkeys(dst for src in dp.states[s - 1]
+                              for kind, dst, _ in step[src] if kind != "keep"))
 
 
 def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) -> dict:
@@ -111,8 +109,7 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
         for n in range(1, total_max - m + 1):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True,
-                                 every_coloring=True)
+            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
             for s in range(len(dp.states)):
                 lower, upper = dp.stratum_bounds(s)
                 for key in _changed_keys(dp, s):
@@ -141,9 +138,8 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
         for n in range(1, total_max - m + 1):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True,
-                                 every_coloring=True)
-            for s, entry in enumerate(dp.log):
+            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+            for s, step in enumerate(dp.steps):
                 lo_src, up_src = dp.stratum_bounds(s)
                 lo_dst, up_dst = dp.stratum_bounds(s + 1)
                 h_src = br.safe_height(lo_src, up_src, m1, n1)
@@ -154,7 +150,8 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                 def braid_at(key, h):
                     return br.braid_of_coloring(m1, n1, key, h)[0]
 
-                for kind, src, dst, extra in entry:
+                for src, kind, dst in ((src, kind, dst) for src in dp.states[s]
+                                       for kind, dst, _ in step[src]):
                     if kind == "keep" or (kind, dst) in done:
                         continue
                     done.add((kind, dst))

@@ -171,15 +171,13 @@ def test_braid_of_coloring_two_strands(dom):
     # the two-part composition coloring of the (2,2) square: two strands,
     # one antidiagonal crossing each, no wall crossings
     dp = sw.recursion_dp(2, 2, dom)
-    c = sw.Coloring(stratum=len(dp.events),
-                    intervals=sw.composition_coloring(1, 1, (1, 1)))
-    word, cfg0, cfg1 = br.braid_of_dp_coloring(dp, c)
+    intervals = sw.composition_coloring(1, 1, (1, 1))
+    h = br.safe_height(*dp.stratum_bounds(len(dp.events)), 1, 1)
+    word, cfg0, cfg1 = br.braid_of_coloring(1, 1, intervals, h)
     assert cfg0.k == 2
     assert word.gens == ()
-    val = br.braid_coloring_value(1, 1, c.intervals,
-                               br.safe_height(*dp.stratum_bounds(c.stratum), 1, 1),
-                               dom)
-    assert val == dp.state[c.intervals]
+    val = br.braid_coloring_value(1, 1, intervals, h, dom)
+    assert val == dp.state[intervals]
 
 
 def test_braid_formula_unit(dom):

@@ -84,7 +84,7 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
 
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    dp = sw.recursion_dp(m, n, dom, with_log=True, keep_states=True, every_coloring=True)
+    dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
     for s in range(len(dp.states)):
         lower, upper = dp.stratum_bounds(s)
         for key in vf._changed_keys(dp, s):

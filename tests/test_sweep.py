@@ -23,13 +23,15 @@ def test_event_sequence_nne():
 
 def test_event_kinds_figure():
     p = cb.DyckPath(10, 6, (1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
-    kinds = {e.point: e.kind for e in sw.event_sequence(p)}
-    assert kinds[(1, 1)] == "E"
-    assert (10, 6) not in kinds          # terminal point emits nothing
-    assert kinds[(0, 0)] == "B"
-    assert kinds[(0, 2)] == "A"
-    assert kinds[(0, 1)] == "C"
-    assert kinds[(1, 2)] == "D"
+    # every swept point in descending height order; the terminal point
+    # (10, 6) emits nothing, and the diagonal point (5, 3) under the path is E
+    assert [(e.point, e.kind, e.a) for e in sw.event_sequence(p)] == [
+        ((6, 6), "A", 0), ((3, 4), "A", 0), ((5, 5), "A", 0), ((0, 2), "A", 0),
+        ((7, 6), "D", 0), ((4, 4), "D", 2), ((6, 5), "B", 0), ((1, 2), "D", 2),
+        ((8, 6), "D", 0), ((3, 3), "C", 1), ((5, 4), "B", 0), ((0, 1), "C", 1),
+        ((7, 5), "E", 0), ((2, 2), "D", 1), ((9, 6), "D", 0), ((4, 3), "E", 0),
+        ((6, 4), "E", 0), ((1, 1), "E", 0), ((8, 5), "E", 0), ((3, 2), "B", 0),
+        ((5, 3), "E", 0), ((0, 0), "B", 0)]
 
 
 def test_sweep_values(dom):

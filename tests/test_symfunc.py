@@ -11,6 +11,12 @@ def test_h2_e2_monomial_expansion(dom):
     assert SymFunc.e(dom, 8, 2).coeffs == {(1, 1): dom.one}
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_h_and_e_of_negative_degree_are_zero(dom, n):
+    assert SymFunc.e(dom, 4, n) == SymFunc.zero(dom, 4)
+    assert SymFunc.h(dom, 4, n) == SymFunc.zero(dom, 4)
+
+
 def test_degree_one_bases_agree(dom):
     m1 = SymFunc(dom, 4, {(1,): dom.one})
     assert sf.basis_convert(m1, "powersum") == {(1,): dom.one}

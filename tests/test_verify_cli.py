@@ -217,6 +217,22 @@ def _intervals_not_a_list(tmp_path):
     return ["braid", "of-coloring", "--m", "1", "--n", "1", "--coloring", str(coloring)]
 
 
+def _coloring_negative_m(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": []}))
+    return ["braid", "of-coloring", "--m", "-1", "--n", "2", "--coloring", str(coloring)]
+
+
+def _coloring_zero_m(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": []}))
+    return ["braid", "of-coloring", "--m", "0", "--n", "2", "--coloring", str(coloring)]
+
+
+def _alpha_empty_part(tmp_path):
+    return ["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "3", "--alpha", "1,,1"]
+
+
 def _out_in_missing_dir(tmp_path):
     return ["--out", str(tmp_path / "no" / "such" / "dir.json"),
             "verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "1"]
@@ -294,7 +310,9 @@ def _path_not_binary(tmp_path):
                                   _path_deeper_than_recursion_limit, _dp_zero_m,
                                   _dp_negative_m, _dp_zero_n, _negative_k, _empty_path,
                                   _path_not_binary, _relation_negative_degree,
-                                  _relation_negative_k, _alpha_not_a_composition])
+                                  _relation_negative_k, _alpha_not_a_composition,
+                                  _coloring_negative_m, _coloring_zero_m,
+                                  _alpha_empty_part])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -307,6 +325,15 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
 def test_cli_relation_names_a_negative_option(option, argv, tmp_path, capsys):
     code, data = _run_cli(argv(tmp_path), capsys)
     assert code == 2 and data["error"].startswith(f"ValueError: {option} must be at least 0")
+
+
+@pytest.mark.parametrize("cmd", [["paths", "enum", "--m", "2", "--n", "2"],
+                                 ["actions", "lhs", "--m1", "1", "--n1", "1", "--g", "2"],
+                                 ["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "2"]])
+def test_cli_bad_alpha_names_the_option(cmd, capsys):
+    code, data = _run_cli([*cmd, "--alpha", "1,,1"], capsys)
+    assert code == 2
+    assert data["error"] == "ValueError: --alpha must be comma-separated integers, got '1,,1'"
 
 
 @pytest.mark.parametrize("cmd", [["paths", "stats"], ["paths", "chi"], ["sweep", "path"]])
