@@ -4,7 +4,9 @@ Strand positions live on the antidiagonal of the torus cell at slope
 s = n1/m1 - eps.  A position x is stored as X = x (s + 1), in units of the
 corner t = 1/(s + 1), so the corner sits at 1 and the far end of the cell
 at s + 1.  Each X is a polynomial germ in the tie-breaking infinitesimal eps
-(EpsRat), ordered by its behaviour as eps -> 0+.  Braid words evaluate on
+(EpsRat), ordered by its behaviour as eps -> 0+, and held as integer
+numerators over one positive integer denominator, so the geometry runs in
+integer arithmetic.  Braid words evaluate on
 V_* through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
 z_i -> (qt)^{-1} z_i.
 """
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import floor, gcd
+from math import gcd, lcm
 
 from . import vkspace as vk
 from .combinat import SlopeValue
@@ -29,84 +31,131 @@ class DegenerateGeometry(ArithmeticError):
 
 
 class EpsRat:
-    """Polynomial c[0] + c[1] eps + ... in eps, ordered by its germ at eps -> 0+.
+    """The germ (n[0] + n[1] eps + n[2] eps^2 + ...) / d as eps -> 0+.
 
-    Trailing zero coefficients are trimmed, so the coefficient tuple is
-    canonical and equality is tuple equality.
+    The numerators n are integers over one integer denominator d > 0, kept
+    canonical: gcd(d, *n) == 1 and trailing zero numerators trimmed (zero is
+    ((), 1)).  So equality and hashing compare (n, d) exactly, and no
+    operation on germs builds a Fraction; one enters only through `const`
+    and `from_slope_value`.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("n", "d")
 
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
+    def __init__(self, nums=(), den=1):
+        n = list(nums)
+        while n and not n[-1]:
+            n.pop()
+        if den <= 0:
+            raise ValueError(f"EpsRat denominator must be positive, got {den}")
+        g = gcd(den, *n)
+        if g != 1:
+            n = [a // g for a in n]
+            den //= g
+        self.n = tuple(n)
+        self.d = den
 
     @staticmethod
     def const(fr) -> "EpsRat":
-        return EpsRat((Fraction(fr),))
+        if isinstance(fr, int):
+            return EpsRat((fr,))
+        fr = Fraction(fr)
+        return EpsRat((fr.numerator,), fr.denominator)
 
     @staticmethod
     def eps() -> "EpsRat":
-        return EpsRat((Fraction(0), Fraction(1)))
+        return EpsRat((0, 1))
 
     @staticmethod
     def from_slope_value(h: SlopeValue) -> "EpsRat":
-        return EpsRat((Fraction(h.r), Fraction(h.e)))
+        r, e = h.r, h.e       # Fractions or ints: both carry numerator/denominator
+        den = lcm(r.denominator, e.denominator)
+        return EpsRat((r.numerator * (den // r.denominator),
+                       e.numerator * (den // e.denominator)), den)
+
+    def _over_common(self, other):
+        """Both numerator tuples over the least common denominator."""
+        da, db = self.d, other.d
+        if da == db:
+            return self.n, other.n, da
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return [a * fa for a in self.n], [b * fb for b in other.n], da * fa
 
     def __add__(self, other):
-        return EpsRat(a + b for a, b in zip_longest(self.c, other.c, fillvalue=0))
+        a, b, d = self._over_common(other)
+        return EpsRat([x + y for x, y in zip_longest(a, b, fillvalue=0)], d)
 
     def __neg__(self):
-        return EpsRat(-a for a in self.c)
+        return EpsRat([-a for a in self.n], self.d)
 
     def __sub__(self, other):
-        return EpsRat(a - b for a, b in zip_longest(self.c, other.c, fillvalue=0))
+        a, b, d = self._over_common(other)
+        return EpsRat([x - y for x, y in zip_longest(a, b, fillvalue=0)], d)
 
     def __mul__(self, other):
-        out = [Fraction(0)] * max(0, len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c):
+        out = [0] * max(0, len(self.n) + len(other.n) - 1)
+        for i, a in enumerate(self.n):
+            for j, b in enumerate(other.n):
                 out[i + j] += a * b
-        return EpsRat(out)
+        return EpsRat(out, self.d * other.d)
 
     def sign(self) -> int:
-        return next((1 if a > 0 else -1 for a in self.c if a), 0)
+        # trimmed, so a nonzero germ has a nonzero numerator
+        for a in self.n:
+            if a:
+                return 1 if a > 0 else -1
+        return 0
+
+    def _cmp(self, other) -> int:
+        """The sign of self - other, cross-multiplied, with no germ built."""
+        da, db = self.d, other.d
+        for a, b in zip_longest(self.n, other.n, fillvalue=0):
+            c = a * db - b * da
+            if c:
+                return 1 if c > 0 else -1
+        return 0
 
     def __eq__(self, other):
-        return isinstance(other, EpsRat) and self.c == other.c
+        return isinstance(other, EpsRat) and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def floor_div(self, d: "EpsRat") -> int:
         """floor(self / d) as eps -> 0+, for a divisor with d(0) > 0."""
-        r0 = (self.c[0] if self.c else Fraction(0)) / d.c[0]
-        if r0.denominator != 1:
-            return floor(r0)
-        side = (self - d * EpsRat.const(r0)).sign()
-        if not side:
-            raise DegenerateGeometry("exactly integral value")
-        return int(r0) if side > 0 else int(r0) - 1
+        p, q = self.n, d.n
+        if not q or q[0] <= 0:
+            raise ValueError(f"floor_div needs a divisor with a positive constant "
+                             f"term, got {d!r}")
+        # self / d = (p / P) / (q / Q) = (p Q) / (q P), with q(0) P > 0
+        r, rem = divmod((p[0] if p else 0) * d.d, q[0] * self.d)
+        if rem:
+            return r
+        # integral at eps = 0: the sign of p Q - r q P decides the side
+        for a, b in zip_longest(p, q, fillvalue=0):
+            c = a * d.d - r * b * self.d
+            if c:
+                return r if c > 0 else r - 1
+        raise DegenerateGeometry("exactly integral value")
 
     def ceil(self) -> int:
         return -(-self).floor_div(ONE)
 
     def __repr__(self):
-        return f"EpsRat{self.c}"
+        return f"EpsRat({self.n}, {self.d})"
 
 
 ONE = EpsRat.const(1)   # the corner t, in units of t
@@ -130,7 +179,7 @@ class PointConfig:
 
 
 def _slope(m1: int, n1: int) -> EpsRat:
-    return EpsRat((Fraction(n1, m1), Fraction(-1)))
+    return EpsRat((n1, -m1), m1)
 
 
 def make_config(m1: int, n1: int, positions) -> PointConfig:
@@ -213,6 +262,8 @@ def evaluate(w: BraidWord, f: VElem) -> VElem:
 
 def elementary_step(cfg: PointConfig, i: int):
     """Move strand i down the slope to its next antidiagonal crossing."""
+    if not 1 <= i <= cfg.k:
+        raise ValueError(f"strand {i} is not in 1..{cfg.k}")
     x = cfg.v[i - 1]
     nx = opnext(cfg, x)
     for j, w in enumerate(cfg.v):
@@ -230,6 +281,8 @@ def elementary_step(cfg: PointConfig, i: int):
 
 
 def trajectories(cfg: PointConfig, alpha) -> list:
+    if len(alpha) != cfg.k:
+        raise ValueError(f"alpha has {len(alpha)} crossing counts for {cfg.k} strands")
     out = []
     for i, a in enumerate(alpha):
         x = cfg.v[i]
@@ -251,14 +304,14 @@ def special_braid(cfg: PointConfig, alpha, order=None):
     alpha = tuple(alpha)
     if len(alpha) != cfg.k or any(a < 1 for a in alpha):
         raise ValueError("alpha must assign a positive crossing count per strand")
-    trajs = trajectories(cfg, alpha)
-    flat = [p for tr in trajs for p in tr]
-    for idx, p in enumerate(flat):
-        if p.sign() <= 0 or p >= cfg.s + ONE:
+    flat = [p for tr in trajectories(cfg, alpha) for p in tr]
+    top = cfg.s + ONE
+    seen = Counter(flat)
+    for p in flat:
+        if p.sign() <= 0 or p >= top:
             raise DegenerateGeometry("trajectory leaves the open interval")
-        for p2 in flat[idx + 1:]:
-            if p == p2:
-                raise DegenerateGeometry("trajectories collide")
+        if seen[p] > 1:
+            raise DegenerateGeometry("trajectories collide")
     if order is None:
         order = [i for i in range(cfg.k, 0, -1) for _ in range(alpha[i - 1] - 1)]
     else:
@@ -386,15 +439,17 @@ def coloring_geometry(m1: int, n1: int, intervals, h: SlopeValue):
     he = EpsRat.from_slope_value(h)
     s = _slope(m1, n1)
     s1 = s + ONE
+    hes = he * s
     vs, alphas = [], []
     for (xi, yi) in intervals:
         # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s;
         # both sides of each comparison are multiplied by s > 0
+        x = EpsRat.const(xi)
         above = EpsRat.const(yi) - he
-        if not EpsRat.const(xi) * s < above:
+        if not x * s < above:
             raise DegenerateGeometry("interval is empty at this height")
-        jmin = (EpsRat.const(xi) * s1 + he).ceil()
-        jmax = (above * s1 + he * s).floor_div(s)
+        jmin = (x * s1 + he).ceil()
+        jmax = (above * s1 + hes).floor_div(s)
         if jmin > jmax:
             raise DegenerateGeometry("interval does not cross the antidiagonal")
         v = EpsRat.const(jmax) - he
@@ -447,7 +502,7 @@ def single_strand_braid(m: int, n: int) -> BraidWord:
     if (horiz, vert) != (n - 1, m - 1):
         raise DegenerateGeometry("wall crossing counts are off")
     gap = ONE - x
-    if gap.sign() <= 0 or gap.c[0]:
+    if gap.sign() <= 0 or gap.n[0]:
         raise DegenerateGeometry("strand does not finish just left of the corner")
     return BraidWord(1, gens)
 

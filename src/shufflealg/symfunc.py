@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 # ----------------------------------------------------------------- partitions
@@ -153,23 +153,39 @@ def _p_to_basis_matrix(n: int, which: str) -> dict:
 
 @lru_cache(maxsize=None)
 def mono_mult_table(lam: tuple, mu: tuple) -> dict:
-    """Structure constants of m_lam * m_mu in the monomial basis."""
-    if sum(lam) == 0:
-        return {mu: 1}
-    if sum(mu) == 0:
-        return {lam: 1}
-    if sum(lam) > sum(mu) or (sum(lam) == sum(mu) and lam > mu):
-        return mono_mult_table(mu, lam)
-    nvars = len(lam) + len(mu)
-    pl = set(itertools.permutations(lam + (0,) * (nvars - len(lam))))
-    pm = set(itertools.permutations(mu + (0,) * (nvars - len(mu))))
+    """Structure constants of m_lam * m_mu in the monomial basis.
+
+    A placement puts each part of mu on a distinct part of lam or on a new
+    part: a multiset of distinct pairs (a, b), a a part of lam or 0, b a part
+    of mu or 0, n times each.  Their sums sorted give nu, once per layout of
+    the pairs over nu's positions: mult_nu(v)! / prod(n!) for each sum v.
+    """
+    lam_vals = sorted(Counter(lam).items())
+    mu_vals = sorted(Counter(mu).items())
     out: dict = {}
-    for a in pl:
-        for b in pm:
-            g = tuple(x + y for x, y in zip(a, b))
-            if all(g[i] >= g[i + 1] for i in range(nvars - 1)):
-                key = tuple(x for x in g if x)
-                out[key] = out.get(key, 0) + 1
+
+    def place(i: int, free: tuple, sums: list) -> None:
+        # sums: (a + b, n) per distinct pair placed so far
+        if i == len(mu_vals):
+            sums = sums + [(a, n) for (a, _), n in zip(lam_vals, free) if n]
+            mult = Counter()
+            for v, n in sums:
+                mult[v] += n
+            nu = tuple(sorted(mult.elements(), reverse=True))
+            out[nu] = out.get(nu, 0) + (prod(map(factorial, mult.values()))
+                                        // prod(factorial(n) for _, n in sums))
+            return
+        b, k = mu_vals[i]
+        for on_lam in itertools.product(*(range(min(n, k) + 1) for n in free)):
+            on_new = k - sum(on_lam)
+            if on_new < 0:
+                continue
+            placed = [(a + b, c) for (a, _), c in zip(lam_vals, on_lam) if c]
+            if on_new:
+                placed.append((b, on_new))
+            place(i + 1, tuple(n - c for n, c in zip(free, on_lam)), sums + placed)
+
+    place(0, tuple(n for _, n in lam_vals), [])
     return out
 
 

@@ -203,13 +203,12 @@ def _random_admissible_config(rng, kmax=3, moves_max=4):
         k = rng.randint(1, kmax)
         denom = rng.choice([17, 19, 23, 29])
         nums = rng.sample(range(1, denom), k)
-        cfg = br.make_config(m1, n1, [br.EpsRat.const(Fr(a, denom)) for a in nums])
+        cfg = br.make_config(m1, n1, [br.EpsRat((a,), denom) for a in nums])
         alpha = [1] * k
         for _ in range(rng.randint(0, moves_max)):
             alpha[rng.randrange(k)] += 1
         try:
-            br.trajectories(cfg, alpha)
-            word, _ = br.special_braid(cfg, tuple(alpha))
+            br.special_braid(cfg, tuple(alpha))
         except br.DegenerateGeometry:
             continue
         return cfg, tuple(alpha)
@@ -368,7 +367,8 @@ def _creation_checks(cfg, alpha, B):
     # phi_plus: extra fixed point left of every trajectory point
     flat = [p for tr in br.trajectories(cfg, alpha) for p in tr]
     s1 = cfg.s + br.ONE
-    x0 = br.EpsRat.const(min(p.c[0] for p in flat) / s1.c[0] / 2) * s1
+    lowest = min(Fr(p.n[0], p.d) for p in flat)
+    x0 = br.EpsRat.const(lowest / Fr(2 * s1.n[0], s1.d)) * s1
     if any(x0 == p for p in flat):
         raise br.DegenerateGeometry("left guard collides")
     cfg_plus = br.PointConfig((x0,) + cfg.v, cfg.s)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,27 +29,80 @@ def test_epsrat_ordering():
     assert x - C(x.floor_div(C(1))) == C("1/3") + eps
 
 
-_coef = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 20))
-_germ = st.lists(_coef, max_size=3).map(br.EpsRat)
+_germ = st.builds(br.EpsRat, st.lists(st.integers(-20, 20), max_size=3),
+                  st.integers(1, 20))
 _EPS0 = Fraction(1, 10 ** 12)
 
 
 def _at(p, x):
-    return sum((c * x ** i for i, c in enumerate(p.c)), Fraction(0))
+    return sum((Fraction(c, p.d) * x ** i for i, c in enumerate(p.n)), Fraction(0))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_germ, _germ, _germ)
 def test_epsrat_germ_matches_small_eps(p, q, d):
+    for germ, value in ((p + q, _at(p, _EPS0) + _at(q, _EPS0)),
+                        (p - q, _at(p, _EPS0) - _at(q, _EPS0)),
+                        (p * q, _at(p, _EPS0) * _at(q, _EPS0)),
+                        (-p, -_at(p, _EPS0))):
+        assert _at(germ, _EPS0) == value
+        assert germ.d > 0 and gcd(germ.d, *germ.n) == 1
+        assert not germ.n or germ.n[-1]
     diff = _at(p - q, _EPS0)
-    assert (p - q).sign() == (diff > 0) - (diff < 0)
-    if not d.c or d.c[0] <= 0:
+    assert (p - q).sign() == _sign(diff)
+    assert p.sign() == _sign(_at(p, _EPS0))
+    assert (p < q, p <= q, p > q, p >= q, p == q) == \
+        (diff < 0, diff <= 0, diff > 0, diff >= 0, diff == 0)
+    try:
+        assert p.ceil() == ceil(_at(p, _EPS0))
+    except br.DegenerateGeometry:
+        assert not p.n[1:] and _at(p, 0).denominator == 1   # an exact integer
+    if not d.n or d.n[0] <= 0:
+        with pytest.raises(ValueError, match="divisor"):
+            p.floor_div(d)
         return
     ratio = _at(p, _EPS0) / _at(d, _EPS0)
     try:
         assert p.floor_div(d) == floor(ratio)
     except br.DegenerateGeometry:
         assert p == d * C(ratio)      # only an exact multiple has no germ floor
+
+
+@settings(max_examples=100, deadline=None)
+@given(_germ, _germ)
+def test_epsrat_equal_germs_hash_equal(p, q):
+    for a, b in (((p + q) - q, p), (p * q, q * p), (p - q, -(q - p)),
+                 (br.EpsRat([c * 3 for c in p.n], p.d * 3), p)):
+        assert a == b and hash(a) == hash(b)
+
+
+def test_epsrat_canonical_form():
+    half = C("1/2")
+    assert half + half == br.ONE and hash(half + half) == hash(br.ONE)
+    assert br.EpsRat((2, 4, 0), 4) == br.EpsRat((1, 2), 2)
+    assert (br.EpsRat((2, 4, 0), 4).n, br.EpsRat((2, 4, 0), 4).d) == ((1, 2), 2)
+    zero = br.EpsRat((0, 0), 6)
+    assert (zero.n, zero.d) == ((), 1) and zero == C(0) and zero.sign() == 0
+    assert br.EpsRat.from_slope_value(SlopeValue(Fraction(1, 6), Fraction(3, 4))) == \
+        br.EpsRat((2, 9), 12)
+    with pytest.raises(ValueError):
+        br.EpsRat((1,), 0)
+
+
+def test_epsrat_floor_div_needs_positive_divisor():
+    eps = br.EpsRat.eps()
+    # floor(2 / (-1 + eps)) is -3; the divisor breaks the contract
+    with pytest.raises(ValueError, match="divisor"):
+        C(2).floor_div(C(-1) + eps)
+    for zero in (C(0), br.EpsRat()):
+        with pytest.raises(ValueError, match="divisor"):
+            C(2).floor_div(zero)
+    with pytest.raises(ValueError, match="divisor"):
+        C(2).floor_div(eps)           # d(0) = 0 although d > 0
 
 
 def test_opnext_walls():
@@ -76,6 +129,17 @@ def test_elementary_step_two_strands():
     word, cfg2 = br.elementary_step(cfg, 2)
     assert word.gens == (("Ti", 1), ("yt", 2))
     assert cfg2.sorted_position(cfg2.v[1]) == 1
+
+
+def test_elementary_step_and_trajectories_check_their_indices():
+    cfg = br.make_config(1, 1, [C("2/10"), C("7/10")])
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match="strand"):
+            br.elementary_step(cfg, i)
+    for alpha in ((1,), (1, 1, 1), ()):
+        with pytest.raises(ValueError, match="crossing counts"):
+            br.trajectories(cfg, alpha)
+    assert [len(t) for t in br.trajectories(cfg, (2, 1))] == [2, 1]
 
 
 def test_evaluate_examples(dom):
@@ -151,6 +215,17 @@ def test_special_braid_order_independence(dom):
     assert br.evaluate(w1, f) == br.evaluate(w2, f)
     with pytest.raises(ValueError):
         br.special_braid(cfg, alpha, order=[1, 1])
+
+
+def test_special_braid_admissibility_messages():
+    # the first offending point in strand order decides the message
+    for positions, msg in ((["1/5", "1/5", "-1/5"], "collide"),
+                           (["-1/5", "1/5", "1/5"], "leaves"),
+                           (["6/5", "1/5"], "leaves"),
+                           (["1/5", "1/5"], "collide")):
+        cfg = br.make_config(1, 1, [C(p) for p in positions])
+        with pytest.raises(br.DegenerateGeometry, match=msg):
+            br.special_braid(cfg, (1,) * cfg.k)
 
 
 def test_special_braid_all_ones_is_empty():

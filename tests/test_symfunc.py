@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from shufflealg import actions as ac
@@ -56,12 +58,37 @@ def test_mult_table_consistency(dom):
     assert sf.from_basis(dom, 6, "p", acc) == prod
 
 
+def _mult_by_permutations(lam, mu):
+    # oracle: m_lam * m_mu from every pair of distinct rearrangements of the
+    # zero-padded partitions whose sum is a partition
+    nvars = len(lam) + len(mu)
+    pl = set(itertools.permutations(lam + (0,) * (nvars - len(lam))))
+    pm = set(itertools.permutations(mu + (0,) * (nvars - len(mu))))
+    out = {}
+    for a in pl:
+        for b in pm:
+            g = tuple(x + y for x, y in zip(a, b))
+            if all(g[i] >= g[i + 1] for i in range(nvars - 1)):
+                key = tuple(x for x in g if x)
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_mono_mult_table_matches_permutations():
+    for total in range(9):
+        for size in range(total + 1):
+            for lam in sf.partitions_of(size):
+                for mu in sf.partitions_of(total - size):
+                    assert sf.mono_mult_table(lam, mu) == _mult_by_permutations(lam, mu), \
+                        (lam, mu)
+
+
 def test_pieri_rule_matches_brute_force_table():
     # oracle: the structure constants of m_mu * m_{1^j}, from all placements
     for size in range(7):
         for mu in sf.partitions_of(size):
             for j in range(8 - len(mu)):
-                want = sf.mono_mult_table(mu, (1,) * j) if j else {mu: 1}
+                want = _mult_by_permutations(mu, (1,) * j) if j else {mu: 1}
                 assert dict(sf.mono_times_e(mu, j)) == want, (mu, j)
 
 
