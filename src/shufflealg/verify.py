@@ -46,11 +46,10 @@ def relations_suite(dom, kmax: int = 3, degree: int = 3) -> dict:
     failures = []
     cases = 0
     for k in range(0, kmax + 1):
-        for name, lhs, rhs in vk.standard_relations(dom, k):
-            rep = vk.relation_check(lhs, rhs, k, degree, dom, name=name)
+        for rep in vk.check_relations(vk.standard_relations(dom, k), k, degree, dom):
             cases += 1
             if not rep.passed:
-                failures.append({"id": name, "witness": str(rep.witness)})
+                failures.append({"id": rep.name, "witness": str(rep.witness)})
     return {"suite": "relations", "cases": cases, "failures": failures}
 
 
@@ -111,12 +110,12 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
             m1, n1 = m // g, n // g
             dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
             for s in range(len(dp.states)):
-                lower, upper = dp.stratum_bounds(s)
-                for key in _changed_keys(dp, s):
-                    if not key:
-                        continue
+                keys = [key for key in _changed_keys(dp, s) if key]
+                if not keys:
+                    continue
+                h = br.safe_height(*dp.stratum_bounds(s), m1, n1)
+                for key in keys:
                     cases += 1
-                    h = br.safe_height(lower, upper, m1, n1)
                     rhs = br.braid_coloring_value(m1, n1, key, h, dom)
                     lhs = dp.states[s][key]
                     if lhs != rhs:
@@ -139,17 +138,20 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
             g = gcd(m, n)
             m1, n1 = m // g, n // g
             dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+            heights = [br.safe_height(*dp.stratum_bounds(s), m1, n1)
+                       for s in range(len(dp.steps) + 1)]
+            values = {}  # (key, h) -> its braid applied to d_+^k(1); h_dst of s is h_src of s+1
+
+            def value_at(key, h):
+                if (key, h) not in values:
+                    B = br.braid_of_coloring(m1, n1, key, h)[0]
+                    values[key, h] = br.evaluate(B, vk.dplus_power(dom, len(key)))
+                return values[key, h]
+
             for s, step in enumerate(dp.steps):
-                lo_src, up_src = dp.stratum_bounds(s)
-                lo_dst, up_dst = dp.stratum_bounds(s + 1)
-                h_src = br.safe_height(lo_src, up_src, m1, n1)
-                h_dst = br.safe_height(lo_dst, up_dst, m1, n1)
+                h_src, h_dst = heights[s], heights[s + 1]
                 px, py = dp.events[s]
                 done = set()
-
-                def braid_at(key, h):
-                    return br.braid_of_coloring(m1, n1, key, h)[0]
-
                 for src, kind, dst in ((src, kind, dst) for src in dp.states[s]
                                        for kind, dst, _ in step[src]):
                     if kind == "keep" or (kind, dst) in done:
@@ -157,20 +159,15 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                     done.add((kind, dst))
                     cases += 1
                     k_dst = len(dst)
-                    B = braid_at(dst, h_dst)
-                    val_dst = br.evaluate(B, vk.dplus_power(dom, k_dst))
+                    val_dst = value_at(dst, h_dst)
                     if kind == "A":
-                        Bp = braid_at(src, h_src)
-                        want = vk.act_dplus(br.evaluate(Bp, vk.dplus_power(dom, len(src))))
+                        want = vk.act_dplus(value_at(src, h_src))
                     elif kind == "C":
-                        Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src)))
+                        base = value_at(src, h_src)
                         comm = vk.act_dminus(vk.act_dplus(base)) - vk.act_dplus(vk.act_dminus(base))
                         want = comm.scale(dom.monomial(1, 1 - k_dst, 0)).divide(dom.q - dom.one)
                     elif kind == "D":
-                        Bp = braid_at(src, h_src)
-                        base = br.evaluate(Bp, vk.dplus_power(dom, len(src)))
-                        want = base.scale(dom.monomial(1, k_dst - 1, 0))
+                        want = value_at(src, h_src).scale(dom.monomial(1, k_dst - 1, 0))
                     elif kind in ("B", "E"):
                         # both geometric predecessors of dst, regardless of which
                         # transition was recorded: E-source = dst itself, B-source
@@ -179,11 +176,8 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
                                    if xi < px and py < yi)
                         xi, yi = dst[idx]
                         b_src = dst[:idx] + ((xi, py), (px, yi)) + dst[idx + 1:]
-                        Bpp = braid_at(dst, h_src)
-                        Bp = braid_at(b_src, h_src)
-                        term_e = br.evaluate(Bpp, vk.dplus_power(dom, k_dst)).scale(dom.t)
-                        term_b = vk.act_dminus(
-                            br.evaluate(Bp, vk.dplus_power(dom, k_dst + 1))).scale(u_inv)
+                        term_e = value_at(dst, h_src).scale(dom.t)
+                        term_b = vk.act_dminus(value_at(b_src, h_src)).scale(u_inv)
                         want = term_e + term_b
                     else:
                         raise InvariantError(f"unknown transition kind {kind!r}")

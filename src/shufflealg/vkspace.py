@@ -14,6 +14,7 @@ generators in written order and act rightmost-first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -371,15 +372,11 @@ def apply_word(f: VElem, word) -> VElem:
     return f
 
 
-def apply_expr(f: VElem, expr) -> VElem:
-    """expr = [(scalar, word), ...]; returns the sum of scaled word actions."""
-    out = None
-    for coef, word in expr:
-        g = apply_word(f, word)
-        if coef != f.dom.one:
-            g = g.scale(coef)
-        out = g if out is None else out + g
-    return out if out is not None else VElem(f.dom, f.k)
+def _token_index(tok: str, body: str) -> int:
+    """The index of generator token tok, whose digits are body."""
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"unknown generator token {tok!r}")
+    return int(body)
 
 
 def parse_word(text: str, dom=None):
@@ -399,17 +396,17 @@ def parse_word(text: str, dom=None):
         elif tok == "d+*":
             word.append(("dps",))
         elif tok.startswith("ytilde"):
-            word.append(("yt", int(tok[6:])))
+            word.append(("yt", _token_index(tok, tok[6:])))
         elif tok.startswith("T"):
             body = tok[1:]
             if body.endswith("^-1"):
-                word.append(("Ti", int(body[:-3])))
+                word.append(("Ti", _token_index(tok, body[:-3])))
             else:
-                word.append(("T", int(body)))
+                word.append(("T", _token_index(tok, body)))
         elif tok.startswith("y"):
-            word.append(("y", int(tok[1:])))
+            word.append(("y", _token_index(tok, tok[1:])))
         elif tok.startswith("z"):
-            word.append(("z", int(tok[1:])))
+            word.append(("z", _token_index(tok, tok[1:])))
         elif pos == 0 and dom is not None:
             scalar = parse_scalar_token(tok, dom)
         else:
@@ -468,20 +465,57 @@ def _as_expr(side, dom):
 
 def relation_check(lhs, rhs, k: int, degree: int, dom, name: str = "relation") -> RelationReport:
     """Compare two operator expressions on the spanning set of V_k."""
+    return check_relations([(name, lhs, rhs)], k, degree, dom)[0]
+
+
+def check_relations(rels, k: int, degree: int, dom) -> list:
+    """A RelationReport per (name, lhs, rhs), in order, from one pass over the spanning set of V_k.
+
+    Each relation is checked on the basis elements in order and stops at its
+    first failure, which is its witness.  Words act rightmost-first, so words
+    that end alike share their images: at each basis element, the image of a
+    suffix looked up more than once is held until its last lookup.
+    """
     if k < 0 or degree < 0:
         raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
-    lhs = _as_expr(lhs, dom)
-    rhs = _as_expr(rhs, dom)
-    for _, word in lhs + rhs:
-        word_target(word, k)
-    cases = 0
-    for base in spanning_set(dom, k, degree):
-        a = apply_expr(base, lhs)
-        b = apply_expr(base, rhs)
-        cases += 1
-        if a != b:
-            return RelationReport(name, False, cases, (str(base), str(a), str(b)))
-    return RelationReport(name, True, cases)
+    rels = [(name, _as_expr(lhs, dom), _as_expr(rhs, dom)) for name, lhs, rhs in rels]
+    for name, lhs, rhs in rels:
+        ends = [{word_target(word, k) for _, word in side} or {k} for side in (lhs, rhs)]
+        if len(ends[0] | ends[1]) > 1:
+            lands = [" or ".join(f"V_{j}" for j in sorted(e)) for e in ends]
+            raise ValueError(f"{name}: lhs lands in {lands[0]} and rhs in {lands[1]}")
+    basis = spanning_set(dom, k, degree)
+    reports = [RelationReport(name, True, len(basis)) for name, _, _ in rels]
+    # lookups of a suffix: one per appearance as a whole word, one per distinct
+    # one-letter extension; a failed relation makes none of its own, so what only
+    # it needed is held to the end of the basis element
+    words = [word for _, lhs, rhs in rels for _, word in lhs + rhs]
+    uses = Counter(words)
+    uses.update(s[1:] for s in {word[i:] for word in words for i in range(len(word))})
+    for cases, base in enumerate(basis, 1):
+        left, held = uses.copy(), {}
+
+        def image(word):
+            if not word:
+                return base
+            f = held.pop(word, None)
+            if f is None:
+                f = apply_gen(image(word[1:]), word[0])
+            left[word] -= 1
+            if left[word] > 0:
+                held[word] = f
+            return f
+
+        def value(expr):
+            images = [image(word) if c == dom.one else image(word).scale(c) for c, word in expr]
+            return sum(images[1:], images[0]) if images else VElem(dom, k)
+
+        for i, (name, lhs, rhs) in enumerate(rels):
+            if reports[i].passed:
+                a, b = value(lhs), value(rhs)
+                if a != b:
+                    reports[i] = RelationReport(name, False, cases, (str(base), str(a), str(b)))
+    return reports
 
 
 def standard_relations(dom, k: int):

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from shufflealg import braid as br
 from shufflealg import cli
 from shufflealg import sweep as sw
 from shufflealg import verify as vf
@@ -64,6 +67,90 @@ def test_verify_shuffle_rejects_alpha_before_any_work(alpha, monkeypatch):
     for budget in (50_000_000, 1):   # the gate accepts (1,1,2), then refuses it
         with pytest.raises(ValueError, match="composition of g"):
             vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, alpha=alpha, budget=budget))
+
+
+def test_relations_suite_applies_each_suffix_once(dom, monkeypatch):
+    # 17,155 generator applications word by word; 9,486 distinct (basis element, suffix) pairs
+    calls = []
+    apply_gen = vf.vk.apply_gen
+
+    def counted(f, gen):
+        calls.append(gen)
+        return apply_gen(f, gen)
+
+    monkeypatch.setattr(vf.vk, "apply_gen", counted)
+    rep = vf.relations_suite(dom, 3, 3)
+    assert not rep["failures"] and len(calls) <= 9486
+
+
+def _counted_braid_builds(monkeypatch):
+    """Counter of braid_of_coloring calls by (m, n, key, h), m and n from the last DP run."""
+    builds = Counter()
+    cell = []
+    recursion_dp, braid_of_coloring = sw.recursion_dp, br.braid_of_coloring
+
+    def dp_run(m, n, *args, **kwargs):
+        cell[:] = [m, n]
+        return recursion_dp(m, n, *args, **kwargs)
+
+    def build(m1, n1, key, h):
+        builds[(*cell, key, h)] += 1
+        return braid_of_coloring(m1, n1, key, h)
+
+    monkeypatch.setattr(sw, "recursion_dp", dp_run)
+    monkeypatch.setattr(br, "braid_of_coloring", build)
+    return builds
+
+
+def test_braid_transition_suite_builds_each_braid_once(dom, monkeypatch):
+    builds = _counted_braid_builds(monkeypatch)
+    rep = vf.braid_transition_suite(dom, total_max=7)
+    assert rep["cases"] == 485 and not rep["failures"]
+    assert builds and max(builds.values()) == 1
+
+
+def _transition_reads(dom, m, n):
+    """{failure id: {(key, h), ...}} of the braids each transition of the suite at (m, n) reads."""
+    g = gcd(m, n)
+    m1, n1 = m // g, n // g
+    dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+    reads = {}
+    for s, step in enumerate(dp.steps):
+        h_src = br.safe_height(*dp.stratum_bounds(s), m1, n1)
+        h_dst = br.safe_height(*dp.stratum_bounds(s + 1), m1, n1)
+        px, py = dp.events[s]
+        for src in dp.states[s]:
+            for kind, dst, _ in step[src]:
+                ident = f"rule{kind}({m},{n})@{s}:{dst}"
+                if kind == "keep" or ident in reads:
+                    continue
+                preds = [src]
+                if kind in ("B", "E"):  # dst itself and dst split at the event point
+                    idx = next(i for i, (x, y) in enumerate(dst) if x < px and py < y)
+                    x, y = dst[idx]
+                    preds = [dst, dst[:idx] + ((x, py), (px, y)) + dst[idx + 1:]]
+                reads[ident] = {(dst, h_dst)} | {(key, h_src) for key in preds}
+    return reads
+
+
+def test_braid_transition_suite_reports_every_reader_of_a_wrong_braid(dom, monkeypatch):
+    # the braid read most often at (3, 3), made wrong by a y_1; the suite up to m + n = 6
+    # also reads braids of slope (1, 1) at (1, 1) and (2, 2)
+    reads = {ident: keys for m in (1, 2, 3) for ident, keys in _transition_reads(dom, m, m).items()}
+    readers = Counter(read for ident, keys in reads.items() if "(3,3)" in ident for read in keys)
+    target, _ = readers.most_common(1)[0]
+    want = sorted(ident for ident, keys in reads.items() if target in keys)
+    braid_of_coloring = br.braid_of_coloring
+
+    def build(m1, n1, key, h):
+        word, cfg0, cfg1 = braid_of_coloring(m1, n1, key, h)
+        if (m1, n1, key, h) == (1, 1, *target):
+            word = br.BraidWord(word.k, (("y", 1),) + word.gens)
+        return word, cfg0, cfg1
+
+    monkeypatch.setattr(br, "braid_of_coloring", build)
+    rep = vf.braid_transition_suite(dom, total_max=6)
+    assert len(want) >= 3 and sorted(f["id"] for f in rep["failures"]) == want
 
 
 def test_dp_cache_roundtrip(dom, tmp_path):
@@ -229,6 +316,10 @@ def _coloring_zero_m(tmp_path):
     return ["braid", "of-coloring", "--m", "0", "--n", "2", "--coloring", str(coloring)]
 
 
+def _relation_sides_in_different_spaces(tmp_path):
+    return ["verify", "relation", "--lhs", "d+", "--rhs", "d-", "--k", "2"]
+
+
 def _alpha_empty_part(tmp_path):
     return ["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "3", "--alpha", "1,,1"]
 
@@ -312,7 +403,7 @@ def _path_not_binary(tmp_path):
                                   _path_not_binary, _relation_negative_degree,
                                   _relation_negative_k, _alpha_not_a_composition,
                                   _coloring_negative_m, _coloring_zero_m,
-                                  _alpha_empty_part])
+                                  _alpha_empty_part, _relation_sides_in_different_spaces])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()

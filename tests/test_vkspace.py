@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,12 @@ def test_word_parsing(dom):
     assert scalar == dom.q_power(-1) and word == (("T", 1), ("z", 1), ("T", 1))
 
 
+@pytest.mark.parametrize("token", ["T", "ytilde", "T1^-x", "y-1", "z"])
+def test_parse_word_names_the_bad_token(dom, token):
+    with pytest.raises(ValueError, match=re.escape(f"unknown generator token {token!r}")):
+        vk.parse_word(f"d+ {token}", dom)
+
+
 def test_word_target_validation():
     assert vk.word_target((("dm",), ("dp",)), 1) == 1
     with pytest.raises(ValueError):
@@ -179,6 +186,11 @@ def test_word_target_validation():
 def test_relation_check_reports_failure(dom):
     rep = vk.relation_check((("T", 1),), (), 2, 2, dom, name="bogus")
     assert not rep.passed and rep.witness is not None
+
+
+def test_relation_check_refuses_sides_in_different_spaces(dom):
+    with pytest.raises(ValueError, match="lhs lands in V_3 and rhs in V_1"):
+        vk.relation_check((("dp",),), (("dm",),), 2, 2, dom)
 
 
 @pytest.mark.parametrize("k, degree", [(1, -1), (-2, 2), (-1, 0)])
@@ -214,6 +226,32 @@ def test_all_standard_relations(dom, k):
     for name, lhs, rhs in vk.standard_relations(dom, k):
         rep = vk.relation_check(lhs, rhs, k, 3, dom, name=name)
         assert rep.passed, rep
+
+
+def _per_relation_report(name, lhs, rhs, k, degree, dom):
+    """One relation checked word by word on the spanning set, sharing nothing."""
+    def value(expr, base):
+        images = [vk.apply_word(base, word).scale(coef) for coef, word in expr]
+        return sum(images[1:], images[0])
+
+    for cases, base in enumerate(vk.spanning_set(dom, k, degree), 1):
+        a, b = value(lhs, base), value(rhs, base)
+        if a != b:
+            return vk.RelationReport(name, False, cases, (str(base), str(a), str(b)))
+    return vk.RelationReport(name, True, cases)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_check_relations_matches_per_relation_loop(dom, k):
+    # q * 1 = 1 fails at the first basis element; d- d+* = 1 holds at 1 and fails at m_1
+    bogus = [("bogus first", [(dom.q, ())], [(dom.one, ())]),
+             ("bogus later", [(dom.one, (("dm",), ("dps",)))], [(dom.one, ())])]
+    rels = vk.standard_relations(dom, k)
+    rels = rels[:3] + bogus[:1] + rels[3:] + bogus[1:]
+    reports = vk.check_relations(rels, k, 3, dom)
+    assert reports == [_per_relation_report(name, lhs, rhs, k, 3, dom)
+                       for name, lhs, rhs in rels]
+    assert [rep.cases for rep in reports if not rep.passed] == [1, 2]
 
 
 def test_spanning_set_size(dom):
