@@ -10,7 +10,7 @@ The quickest entry points:
 
 from .actions import (ActionTower, build_action, c_alpha_identity_check,
                       lhs_compositional, mediant_decompose,
-                      nabla_conjugation_check, op_C, op_D)
+                      nabla_conjugation_check, op_C)
 from .braid import (BraidWord, braid_of_coloring, creation_hom, evaluate,
                     rewrite_trains, single_strand_family, special_braid,
                     braid_coloring_value)
@@ -18,7 +18,7 @@ from .combinat import (DyckPath, attack_structure, char_function, dinv,
                        enumerate_paths, reading_order, rhs_compositional,
                        statistics, touch_composition)
 from .scalars import CoefRat, ExactDomain
-from .symfunc import SymFunc, basis_convert, from_word_multiset
+from .symfunc import SymFunc
 from .sweep import assemble_composition, event_sequence, recursion_dp, sweep_path
 from .verify import JobConfig, run_suite, verify_shuffle
 from .vkspace import VElem, relation_check
@@ -28,11 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionTower", "BraidWord", "CoefRat", "DyckPath", "ExactDomain",
     "JobConfig", "SymFunc", "VElem",
-    "assemble_composition", "attack_structure", "basis_convert",
+    "assemble_composition", "attack_structure",
     "braid_of_coloring", "build_action", "c_alpha_identity_check",
     "char_function", "creation_hom", "dinv", "enumerate_paths", "evaluate",
-    "event_sequence", "from_word_multiset", "lhs_compositional",
-    "mediant_decompose", "nabla_conjugation_check", "op_C", "op_D", "reading_order",
+    "event_sequence", "lhs_compositional", "mediant_decompose",
+    "nabla_conjugation_check", "op_C", "reading_order",
     "recursion_dp", "relation_check", "rewrite_trains", "rhs_compositional",
     "run_suite", "single_strand_family", "special_braid", "statistics",
     "sweep_path", "braid_coloring_value", "touch_composition", "verify_shuffle",

@@ -217,25 +217,6 @@ def _expand_one_var(f: SymFunc, sign: int) -> dict:
     return {j: SymFunc.from_terms(dom, f.cap, terms) for j, terms in acc.items()}
 
 
-def op_D(n: int, f: SymFunc) -> SymFunc:
-    """D_n F = F[X + (q-1)(t-1)/z] pExp[-zX] |_{z^n}, truncated at the cap.
-
-    With w = 1/z, X + (q-1)(t-1)w = X + (q-1)(tw) - (q-1)w: expand F by the
-    monomial coproduct with sign +1 (y = tw), then each piece with sign -1
-    (y = w).  w^(j1+j2) pairs with h_i[-zX] = (-1)^i e_i z^i, i = n + j1 + j2.
-    """
-    dom = f.dom
-    if n < -f.cap:
-        raise ValueError("index below -cap")
-    out = SymFunc.zero(dom, f.cap)
-    for j1, g in _expand_one_var(f, 1).items():
-        for j2, h in _expand_one_var(g, -1).items():
-            i = n + j1 + j2
-            if 0 <= i <= f.cap:
-                out = out + (h * SymFunc.e(dom, f.cap, i)).scale(dom.monomial((-1) ** i, 0, j1))
-    return out
-
-
 def op_C(a: int, f: SymFunc) -> SymFunc:
     """(C_a F) = (-q)^(1-a) F[X + (q^{-1}-1)z] pExp[z^{-1}X] z^a |_{z^0}.
 

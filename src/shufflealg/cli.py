@@ -5,7 +5,8 @@ braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
 deterministic ordering; exit status is 1 when a verification fails and 2,
 with a JSON {"error": ...} on stdout and nothing on stderr, when the
 command line cannot be parsed or the input cannot be computed (this
-includes input too deep for Python's recursion limit).  When the
+includes input too deep for Python's recursion limit, and a path whose
+characteristic function is over `char_function`'s word budget).  When the
 reader of stdout goes away (`shufflealg ... | head -1`), the exit status
 is 2 and nothing is printed on either stream.
 """
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
         # stdout is closed: drop what is still buffered instead of failing again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError, ResourceWarning) as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}"})
         return 2
 

@@ -268,46 +268,12 @@ def dinv(p: DyckPath) -> int:
     return cnt
 
 
-def dinv_geometric(p: DyckPath) -> int:
-    """Same count via existence of a line of the boundary slope meeting both steps."""
-    g = gcd(p.m, p.n)
-    m1, n1 = p.m // g, p.n // g
-    cnt = 0
-    for (xe, ye) in p.east_starts:
-        for (xn, yn) in p.north_starts:
-            if xn <= xe:
-                continue
-            # heights where slope-s_- lines through the East step meet x = xn
-            s_lo = SlopeValue(Fraction(n1 * (xn - xe - 1), m1), -(xn - xe - 1))
-            s_hi = SlopeValue(Fraction(n1 * (xn - xe), m1), -(xn - xe))
-            if s_hi >= SlopeValue(Fraction(yn - ye), 0) and \
-               s_lo <= SlopeValue(Fraction(yn + 1 - ye), 0):
-                cnt += 1
-    return cnt
-
-
 def maxtdinv(p: DyckPath) -> int:
     return sum(len(s) for s in attacks(p).values())
 
 
-def tdinv(p: DyckPath, w) -> int:
-    """Attack inversions of a word labelling of the North steps."""
-    att = attacks(p)
-    return sum(1 for i, s in att.items() for j in s if w[i - 1] > w[j - 1])
-
-
 def statistics(p: DyckPath) -> dict:
     return {"area": area(p), "dinv": dinv(p), "maxtdinv": maxtdinv(p)}
-
-
-def is_word_parking_function(p: DyckPath, w) -> bool:
-    nset = set(p.north_starts)
-    ranks = _rank_map(p.m, p.n)
-    pos = {pt: i + 1 for i, pt in enumerate(sorted(p.north_starts, key=ranks.__getitem__))}
-    for (x, y) in p.north_starts:
-        if (x, y + 1) in nset and not w[pos[(x, y)] - 1] > w[pos[(x, y + 1)] - 1]:
-            return False
-    return True
 
 
 # ------------------------------------------------------ characteristic function
@@ -323,14 +289,13 @@ def _area_cells(pi: DyckPath):
 
 
 def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
-                  full_check: bool = False, budget: int = 2_000_000) -> SymFunc:
+                  budget: int = 2_000_000) -> SymFunc:
     """chi(pi', S): q-weighted sum over S-admissible words.
 
     Standardizing (equal letters numbered left to right) keeps attack inversions
     and strict marks, so chi = sum over S-admissible permutations sigma of
     q^inv(sigma) F_iDes(sigma), and F_D has m_lam coefficient 1 iff D lies among
-    lam's partial sums.  full_check feeds every word over {1..n}^n through the
-    symmetry-asserting aggregator instead.
+    lam's partial sums.
     """
     pi, S = mp.pi_prime, mp.marks
     n = pi.n
@@ -342,17 +307,6 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
         raise ResourceWarning(f"enumeration needs ~{word_enumeration_size(n)} words, "
                               f"over budget {budget}")
     cells = _area_cells(pi)
-
-    if full_check:
-        if n ** n > budget:
-            raise ResourceWarning(f"full check needs {n**n} words, over budget {budget}")
-        words = []
-        for w in itertools.product(range(1, n + 1), repeat=n):
-            if all(w[i - 1] > w[j - 1] for (i, j) in S):
-                inv = sum(1 for (i, j) in cells if w[i - 1] > w[j - 1])
-                words.append((w, dom.q_power(inv)))
-        return sf.from_word_multiset(dom, cap, words, alphabet=n)
-
     coeffs = {lam: CoefRat({pack(2 * inv, 0): c for inv, c in enumerate(by_inv) if c})
               for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S))}
     return SymFunc(dom, cap, coeffs)

@@ -282,18 +282,18 @@ def parse_scalar_token(tok: str, dom):
         neg = piece.startswith("-")
         if neg:
             piece = piece[1:]
-        if "^" in piece:
-            base, _, e = piece.partition("^")
-            e = int(e)
-        else:
-            base, e = piece, 1
+        base, caret, e = piece.partition("^")
+        try:
+            e = int(e) if caret else 1
+        except ValueError:
+            raise ValueError(f"bad scalar token {tok!r}") from None
         if base == "q":
             f = dom.monomial(1, 2 * e, 0)
         elif base == "u":
             f = dom.monomial(1, e, 0)
         elif base == "t":
             f = dom.monomial(1, 0, e)
-        elif base.isdigit():
+        elif base.isdecimal():
             f = dom.from_fraction(Fraction(int(base)) ** e)
         else:
             raise ValueError(f"bad scalar token {tok!r}")

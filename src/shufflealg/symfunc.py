@@ -1,18 +1,15 @@
 """Symmetric functions in the monomial basis.
 
 SymFunc stores a map {partition: scalar} truncated at a total-degree cap.
-Basis conversions route through power sums, whose transition matrices are
-computed once per degree with Fraction coefficients (domain independent).
 The substitution X + sign*(q-1)*y of one rank-one letter y, behind d_+,
-d_+^*, d_- and the Sym operators C_a and D_n, expands m_lam by the
-monomial coproduct (`m_expand_one_var`).
+d_+^*, d_- and the Sym operator C_a, expands m_lam by the monomial
+coproduct (`m_expand_one_var`).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -32,124 +29,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def zee(mu) -> int:
-    """Order of the centralizer of a permutation of cycle type mu."""
-    out, last, run = 1, None, 0
-    for part in mu:
-        if part == last:
-            run += 1
-        else:
-            last, run = part, 1
-        out *= part * run
-    return out
-
-
-# ------------------------------------------------- power sum <-> monomial
-
-@lru_cache(maxsize=None)
-def _m_mul_p(lam: tuple, r: int) -> dict:
-    """m_lam * p_r in the monomial basis (integer coefficients)."""
-    out: dict = {}
-    seen = set()
-    for idx in range(len(lam) + 1):
-        v = lam[idx] if idx < len(lam) else 0
-        if v in seen:
-            continue
-        seen.add(v)
-        if idx < len(lam):
-            new = lam[:idx] + (v + r,) + lam[idx + 1:]
-        else:
-            new = lam + (r,)
-        new = tuple(sorted(new, reverse=True))
-        mult = new.count(v + r)
-        out[new] = out.get(new, 0) + mult
-    return out
-
-
-@lru_cache(maxsize=None)
-def p_to_mono(mu: tuple) -> dict:
-    """p_mu expanded in the monomial basis (integer coefficients)."""
-    state = {(): 1}
-    for r in mu:
-        nxt: dict = {}
-        for lam, c in state.items():
-            for lam2, c2 in _m_mul_p(lam, r).items():
-                nxt[lam2] = nxt.get(lam2, 0) + c * c2
-        state = nxt
-    return state
-
-
-def _invert_by_partitions(rows: dict, n: int) -> dict:
-    """Invert a {partition: {partition: Fraction}} matrix on degree n."""
-    keys = list(partitions_of(n))
-    size = len(keys)
-    idx = {lam: i for i, lam in enumerate(keys)}
-    mat = [[Fraction(rows[a].get(b, 0)) for b in keys] for a in keys]
-    inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if mat[r][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pc = mat[col][col]
-        mat[col] = [x / pc for x in mat[col]]
-        inv[col] = [x / pc for x in inv[col]]
-        for r in range(size):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    out = {}
-    for a in keys:
-        row = {}
-        for b in keys:
-            v = inv[idx[a]][idx[b]]
-            if v:
-                row[b] = v
-        out[a] = row
-    return out
-
-
-@lru_cache(maxsize=None)
-def _mono_to_p_matrix(n: int) -> dict:
-    rows = {mu: {lam: Fraction(c) for lam, c in p_to_mono(mu).items()}
-            for mu in partitions_of(n)}
-    return _invert_by_partitions(rows, n)
-
-
-def mono_to_p(lam: tuple) -> dict:
-    """m_lam in the power sum basis (Fraction coefficients)."""
-    return _mono_to_p_matrix(sum(lam))[lam]
-
-
-@lru_cache(maxsize=None)
-def h_to_p(n: int) -> dict:
-    return {mu: Fraction(1, zee(mu)) for mu in partitions_of(n)}
-
-
-@lru_cache(maxsize=None)
-def e_to_p(n: int) -> dict:
-    return {mu: Fraction((-1) ** (n - len(mu)), zee(mu)) for mu in partitions_of(n)}
-
-
-def _prod_to_p(single, lam: tuple) -> dict:
-    """Expand a product basis (h_lam or e_lam) into power sums."""
-    state = {(): Fraction(1)}
-    for part in lam:
-        nxt: dict = {}
-        for mu, c in state.items():
-            for nu, c2 in single(part).items():
-                key = tuple(sorted(mu + nu, reverse=True))
-                nxt[key] = nxt.get(key, 0) + c * c2
-        state = nxt
-    return state
-
-
-@lru_cache(maxsize=None)
-def _p_to_basis_matrix(n: int, which: str) -> dict:
-    single = h_to_p if which == "h" else e_to_p
-    rows = {lam: _prod_to_p(single, lam) for lam in partitions_of(n)}
-    return _invert_by_partitions(rows, n)
-
+# ------------------------------------------------------- monomial products
 
 @lru_cache(maxsize=None)
 def mono_mult_table(lam: tuple, mu: tuple) -> dict:
@@ -327,72 +207,6 @@ class SymFunc:
         return {"basis": "m", "cap": self.cap, "terms": terms}
 
 
-def _p_basis_to_mono(pdict: dict) -> dict:
-    out: dict = {}
-    for mu, c in pdict.items():
-        for lam, n in p_to_mono(mu).items():
-            v = out.get(lam, Fraction(0)) + c * n
-            if v:
-                out[lam] = v
-            elif lam in out:
-                del out[lam]
-    return out
-
-
-def basis_convert(f: SymFunc, to: str) -> dict:
-    """Coefficients of f in the requested basis; round-trips exactly."""
-    if to in ("m", "monomial"):
-        return dict(f.coeffs)
-    dom = f.dom
-    out: dict = {}
-    by_degree: dict = {}
-    for lam, c in f.coeffs.items():
-        by_degree.setdefault(sum(lam), {})[lam] = c
-    for n, part in by_degree.items():
-        pcoef: dict = {}
-        for lam, c in part.items():
-            for mu, fr in mono_to_p(lam).items():
-                s = pcoef.get(mu, dom.zero) + c * dom.from_fraction(fr)
-                if s:
-                    pcoef[mu] = s
-                elif mu in pcoef:
-                    del pcoef[mu]
-        if to in ("p", "powersum"):
-            out.update(pcoef)
-            continue
-        which = "h" if to in ("h", "homogeneous") else "e"
-        if to not in ("h", "homogeneous", "e", "elementary"):
-            raise ValueError(f"unknown basis {to!r}")
-        mat = _p_to_basis_matrix(n, which)
-        for mu, c in pcoef.items():
-            for lam, fr in mat[mu].items():
-                s = out.get(lam, dom.zero) + c * dom.from_fraction(fr)
-                if s:
-                    out[lam] = s
-                elif lam in out:
-                    del out[lam]
-    return out
-
-
-def from_basis(dom, cap: int, basis: str, coeffs: dict) -> SymFunc:
-    """Build a SymFunc from coefficients in basis m/p/h/e."""
-    if basis in ("m", "monomial"):
-        return SymFunc(dom, cap, {lam: c for lam, c in coeffs.items() if c and sum(lam) <= cap})
-    out = SymFunc.zero(dom, cap)
-    for lam, c in coeffs.items():
-        if basis in ("p", "powersum"):
-            table = _p_basis_to_mono({lam: Fraction(1)})
-        elif basis in ("h", "homogeneous"):
-            table = _p_basis_to_mono(_prod_to_p(h_to_p, lam))
-        elif basis in ("e", "elementary"):
-            table = _p_basis_to_mono(_prod_to_p(e_to_p, lam))
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        out = out + SymFunc.from_terms(dom, cap,
-                                       ((m, c * dom.from_fraction(fr)) for m, fr in table.items()))
-    return out
-
-
 # ------------------------------------------------------- one rank-one letter
 
 def _m_at_minus_one(mult: Counter) -> int:
@@ -433,59 +247,4 @@ def m_expand_one_var(dom, lam: tuple, sign: int):
             acc.setdefault(size, {})[tuple(sorted((mult - nu).elements(), reverse=True))] = coef
     out = [(j, acc[j]) for j in sorted(acc)]
     dom.cache[key] = out
-    return out
-
-
-def from_word_multiset(dom, cap: int, words, alphabet: int | None = None) -> SymFunc:
-    """Aggregate (content multiset, coefficient) pairs into a SymFunc.
-
-    Asserts the input is symmetric: all multisets with the same shape must
-    accumulate the same total coefficient.
-    """
-    totals: dict = {}
-    size = None
-    for content, coef in words:
-        ms = tuple(sorted(content))
-        if size is None:
-            size = len(ms)
-        elif len(ms) != size:
-            raise ValueError("all content multisets must have equal size")
-        totals[ms] = totals.get(ms, dom.zero) + coef
-    if size is None:
-        return SymFunc.zero(dom, cap)
-    if size > cap:
-        raise ValueError("word size exceeds the degree cap")
-    if alphabet is None:
-        alphabet = max((max(ms) for ms in totals), default=0)
-    by_shape: dict = {}
-    for ms, c in totals.items():
-        shape = tuple(sorted((ms.count(v) for v in set(ms)), reverse=True))
-        by_shape.setdefault(shape, {})[ms] = c
-    coeffs = {}
-    for shape, table in by_shape.items():
-        expected = None
-        n_multisets = _count_multisets(shape, alphabet)
-        values = list(table.values())
-        if len(values) < n_multisets:
-            values.append(dom.zero)  # some multiset of this shape is absent
-        for v in values:
-            if expected is None:
-                expected = v
-            elif v != expected:
-                raise ValueError(f"inconsistent coefficients on shape {shape}: input not symmetric")
-        if expected:
-            coeffs[shape] = expected
-    return SymFunc(dom, cap, coeffs)
-
-
-def _count_multisets(shape: tuple, alphabet: int) -> int:
-    # distinct letter-multisets over {1..alphabet} whose multiplicity partition is `shape`
-    mults: dict = {}
-    for s in shape:
-        mults[s] = mults.get(s, 0) + 1
-    remaining = alphabet
-    out = 1
-    for s, cnt in mults.items():
-        out *= comb(max(remaining, 0), cnt)
-        remaining -= cnt
     return out

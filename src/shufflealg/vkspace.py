@@ -298,11 +298,6 @@ def commutator_y1(f: VElem, dplus, star: bool = False) -> VElem:
     return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
 
 
-def act_y1_from_commutator(f: VElem) -> VElem:
-    """y_1 from the commutator formula; must equal act_y(f, 1)."""
-    return commutator_y1(f, act_dplus)
-
-
 def act_z(f: VElem, i: int) -> VElem:
     """z_i, the commuting family coming from the conjugate-algebra y's."""
     if not 1 <= i <= f.k:

@@ -168,12 +168,6 @@ def test_lhs_integer_q_degree(dom):
 def test_op_C_D_examples(dom):
     one = SymFunc.one(dom, 4)
     assert ac.op_C(1, one) == SymFunc.h(dom, 4, 1)
-    assert ac.op_D(0, one) == one
-    for n in range(1, 5):
-        want = SymFunc.e(dom, 4, n).scale(dom.monomial((-1) ** n))
-        assert ac.op_D(n, one) == want
-    with pytest.raises(ValueError):
-        ac.op_D(-5, one)
 
 
 def test_c_alpha_identity(dom):

@@ -1,13 +1,117 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from shufflealg import combinat as cb
+from shufflealg.combinat import SlopeValue
 from shufflealg.symfunc import SymFunc
 from shufflealg.verify import compositions_of
 
 FIG_PATH = cb.DyckPath(10, 6, (1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
+
+
+def dinv_geometric(p: cb.DyckPath) -> int:
+    """dinv via existence of a line of the boundary slope meeting both steps."""
+    g = math.gcd(p.m, p.n)
+    m1, n1 = p.m // g, p.n // g
+    cnt = 0
+    for (xe, ye) in p.east_starts:
+        for (xn, yn) in p.north_starts:
+            if xn <= xe:
+                continue
+            # heights where slope-s_- lines through the East step meet x = xn
+            s_lo = SlopeValue(Fraction(n1 * (xn - xe - 1), m1), -(xn - xe - 1))
+            s_hi = SlopeValue(Fraction(n1 * (xn - xe), m1), -(xn - xe))
+            if s_hi >= SlopeValue(Fraction(yn - ye), 0) and \
+               s_lo <= SlopeValue(Fraction(yn + 1 - ye), 0):
+                cnt += 1
+    return cnt
+
+
+def tdinv(p: cb.DyckPath, w) -> int:
+    """Attack inversions of a word labelling of the North steps."""
+    att = cb.attacks(p)
+    return sum(1 for i, s in att.items() for j in s if w[i - 1] > w[j - 1])
+
+
+def is_word_parking_function(p: cb.DyckPath, w) -> bool:
+    nset = set(p.north_starts)
+    ranks = cb._rank_map(p.m, p.n)
+    pos = {pt: i + 1 for i, pt in enumerate(sorted(p.north_starts, key=ranks.__getitem__))}
+    for (x, y) in p.north_starts:
+        if (x, y + 1) in nset and not w[pos[(x, y)] - 1] > w[pos[(x, y + 1)] - 1]:
+            return False
+    return True
+
+
+def from_word_multiset(dom, cap: int, words, alphabet: int | None = None) -> SymFunc:
+    """Aggregate (content multiset, coefficient) pairs into a SymFunc.
+
+    Asserts the input is symmetric: all multisets with the same shape must
+    accumulate the same total coefficient.
+    """
+    totals: dict = {}
+    size = None
+    for content, coef in words:
+        ms = tuple(sorted(content))
+        if size is None:
+            size = len(ms)
+        elif len(ms) != size:
+            raise ValueError("all content multisets must have equal size")
+        totals[ms] = totals.get(ms, dom.zero) + coef
+    if size is None:
+        return SymFunc.zero(dom, cap)
+    if size > cap:
+        raise ValueError("word size exceeds the degree cap")
+    if alphabet is None:
+        alphabet = max((max(ms) for ms in totals), default=0)
+    by_shape: dict = {}
+    for ms, c in totals.items():
+        shape = tuple(sorted((ms.count(v) for v in set(ms)), reverse=True))
+        by_shape.setdefault(shape, {})[ms] = c
+    coeffs = {}
+    for shape, table in by_shape.items():
+        expected = None
+        n_multisets = _count_multisets(shape, alphabet)
+        values = list(table.values())
+        if len(values) < n_multisets:
+            values.append(dom.zero)  # some multiset of this shape is absent
+        for v in values:
+            if expected is None:
+                expected = v
+            elif v != expected:
+                raise ValueError(f"inconsistent coefficients on shape {shape}: input not symmetric")
+        if expected:
+            coeffs[shape] = expected
+    return SymFunc(dom, cap, coeffs)
+
+
+def _count_multisets(shape: tuple, alphabet: int) -> int:
+    # distinct letter-multisets over {1..alphabet} whose multiplicity partition is `shape`
+    mults: dict = {}
+    for s in shape:
+        mults[s] = mults.get(s, 0) + 1
+    remaining = alphabet
+    out = 1
+    for s, cnt in mults.items():
+        out *= math.comb(max(remaining, 0), cnt)
+        remaining -= cnt
+    return out
+
+
+def char_function_by_words(mp: cb.MarkedSquarePath, dom) -> SymFunc:
+    """chi(pi', S) from every word over {1..n}^n, through the symmetry-asserting
+    aggregator."""
+    n = mp.pi_prime.n
+    cells = cb._area_cells(mp.pi_prime)
+    words = []
+    for w in itertools.product(range(1, n + 1), repeat=n):
+        if all(w[i - 1] > w[j - 1] for (i, j) in mp.marks):
+            inv = sum(1 for (i, j) in cells if w[i - 1] > w[j - 1])
+            words.append((w, dom.q_power(inv)))
+    return from_word_multiset(dom, n, words, alphabet=n)
 
 
 def test_path_validation():
@@ -89,16 +193,16 @@ def test_dinv_two_implementations_agree():
     for m in range(1, 6):
         for n in range(1, 6):
             for p in cb.enumerate_paths(m, n):
-                assert cb.dinv(p) == cb.dinv_geometric(p), (m, n, str(p))
+                assert cb.dinv(p) == dinv_geometric(p), (m, n, str(p))
 
 
 def test_maxtdinv_is_max_of_tdinv():
     for m in range(1, 5):
         for n in range(1, 5):
             for p in cb.enumerate_paths(m, n):
-                best = max((cb.tdinv(p, w)
+                best = max((tdinv(p, w)
                             for w in itertools.product(range(1, p.n + 1), repeat=p.n)
-                            if cb.is_word_parking_function(p, w)), default=0)
+                            if is_word_parking_function(p, w)), default=0)
                 assert best == cb.maxtdinv(p)
 
 
@@ -124,15 +228,15 @@ def test_char_function_full_check_agrees(dom):
         for n in range(1, 6):
             for p in cb.enumerate_paths(m, n):
                 mp = cb.attack_structure(p)
-                fast = cb.char_function(mp, dom)
-                full = cb.char_function(mp, dom, full_check=True)
-                assert fast == full, str(p)
+                assert cb.char_function(mp, dom) == char_function_by_words(mp, dom), str(p)
 
 
 def test_char_function_budget(dom):
+    # the word recursion prices n! standard words: 2 here
     mp = cb.MarkedSquarePath(cb.DyckPath(2, 2, (1, 0, 1, 0)), frozenset())
-    with pytest.raises(ResourceWarning):
-        cb.char_function(mp, dom, full_check=True, budget=1)
+    assert cb.char_function(mp, dom, budget=2) == cb.char_function(mp, dom)
+    with pytest.raises(ResourceWarning, match="needs ~2 words, over budget 1"):
+        cb.char_function(mp, dom, budget=1)
 
 
 def test_rhs_examples(dom):
@@ -153,3 +257,21 @@ def test_rhs_alpha_sum_is_unfiltered_sum(dom):
         for p in cb.enumerate_paths(n, n):
             full = full + cb.path_weight(p, dom, cap=n)
         assert total == full
+
+
+def test_from_word_multiset_basic(dom):
+    words = [((1,), dom.one)]
+    assert from_word_multiset(dom, 3, words).coeffs == {(1,): dom.one}
+
+
+def test_from_word_multiset_e2(dom):
+    # all strictly decreasing two-letter words over {1,2,3}
+    words = [((2, 1), dom.one), ((3, 1), dom.one), ((3, 2), dom.one)]
+    out = from_word_multiset(dom, 3, words, alphabet=3)
+    assert out == SymFunc.e(dom, 3, 2)
+
+
+def test_from_word_multiset_rejects_asymmetric(dom):
+    words = [((2, 1), dom.one), ((3, 1), dom.monomial(2)), ((3, 2), dom.one)]
+    with pytest.raises(ValueError):
+        from_word_multiset(dom, 3, words, alphabet=3)

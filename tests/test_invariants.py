@@ -18,3 +18,4 @@ def test_every_export_resolves():
     # a name left in __all__ after its definition is deleted breaks `import *`
     missing = [name for name in shufflealg.__all__ if not hasattr(shufflealg, name)]
     assert missing == []
+    exec("from shufflealg import *", {})

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shufflealg
-from shufflealg.scalars import KEY_SHIFT, CoefRat, CoefRatError, ExactDomain, _div_qm1, pack, unpack
+from shufflealg.scalars import (KEY_SHIFT, CoefRat, CoefRatError, ExactDomain, _div_qm1, pack,
+                                parse_scalar_token, unpack)
 
 
 def test_u_squared_is_q(dom):
@@ -24,6 +26,12 @@ def test_cancellation(dom):
 
 def test_polynomial_division(dom):
     assert (dom.q * dom.q - dom.one) / (dom.q - dom.one) == dom.q + dom.one
+
+
+@pytest.mark.parametrize("tok", ["q^x", "q^", "t^1.5", "q*t^y", "x", "\u00b2"])
+def test_parse_scalar_token_names_the_bad_token(dom, tok):
+    with pytest.raises(ValueError, match=re.escape(f"bad scalar token {tok!r}")):
+        parse_scalar_token(tok, dom)
 
 
 def test_division_by_zero(dom):

@@ -393,6 +393,10 @@ def _path_not_binary(tmp_path):
     return ["sweep", "path", "--path", "1x0"]
 
 
+def _chi_over_word_budget(tmp_path):
+    return ["paths", "chi", "--path", "1" * 10 + "0" * 10]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
@@ -403,7 +407,8 @@ def _path_not_binary(tmp_path):
                                   _path_not_binary, _relation_negative_degree,
                                   _relation_negative_k, _alpha_not_a_composition,
                                   _coloring_negative_m, _coloring_zero_m,
-                                  _alpha_empty_part, _relation_sides_in_different_spaces])
+                                  _alpha_empty_part, _relation_sides_in_different_spaces,
+                                  _chi_over_word_budget])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()

@@ -101,7 +101,7 @@ def test_derived_operator_examples(dom):
 def test_y_from_commutator_is_multiplication(dom):
     for k in (1, 2, 3):
         for base in vk.spanning_set(dom, k, 2):
-            assert vk.act_y1_from_commutator(base) == vk.act_y(base, 1)
+            assert vk.commutator_y1(base, vk.act_dplus) == vk.act_y(base, 1)
 
 
 def test_T_times_step_is_the_defining_numerator(dom):
