@@ -2,7 +2,9 @@
 
 All slope geometry is exact: distances to the boundary line are SlopeValue
 pairs (rational part, epsilon coefficient) compared lexicographically, so
-the tie-breaking infinitesimal never becomes a float.
+the tie-breaking infinitesimal never becomes a float.  chi counts S-admissible
+permutations by a DP over sets of filled positions, and rhs_compositional
+computes it once per attack structure.
 """
 
 from __future__ import annotations
@@ -295,7 +297,8 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
     Standardizing (equal letters numbered left to right) keeps attack inversions
     and strict marks, so chi = sum over S-admissible permutations sigma of
     q^inv(sigma) F_iDes(sigma), and F_D has m_lam coefficient 1 iff D lies among
-    lam's partial sums.
+    lam's partial sums.  A DP over sets of filled positions counts them
+    (_monomial_qcounts); `budget` still prices the n! standard words.
     """
     pi, S = mp.pi_prime, mp.marks
     n = pi.n
@@ -314,49 +317,48 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
 
 @lru_cache(maxsize=None)
 def _monomial_qcounts(n: int, cells: tuple, marks: frozenset) -> tuple:
-    """((lam, counts), ...): chi's m_lam coefficient is sum_inv counts[inv] q^inv,
-    over the inverse-descent masks contained in lam's partial sums."""
-    counts = _standard_word_counts(n, cells, marks)
-    out = []
-    for lam in sf.partitions_of(n):
-        cuts = sum(1 << s for s in itertools.accumulate(lam))
-        by_inv = Counter()
-        for (mask, inv), c in counts.items():
-            if not mask & ~cuts:
-                by_inv[inv] += c
-        if by_inv:
-            out.append((lam, tuple(by_inv[i] for i in range(max(by_inv) + 1))))
-    return tuple(out)
+    """((lam, counts), ...): chi's m_lam coefficient is sum_inv counts[inv] q^inv.
 
-
-def _standard_word_counts(n: int, cells, marks) -> Counter:
-    """(inverse-descent mask, inv) -> number of S-admissible permutations.
-
-    Values 1..n go in increasing order; a mark (i, j) lets i take a value
-    once j has one, so the search never dead-ends.  Placing v at p counts the
-    filled j with a cell (p, j), and sets mask bit v - 1 iff p is left of v - 1.
+    Values 1..n are placed in increasing order, i only after j for a mark (i, j),
+    from the state (filled positions, last value's position): v at p adds the
+    filled j with a cell (p, j) to inv and sets descent bit v - 1 iff p < last.
+    A state maps each inverse-descent mask to its q-counts packed in one int,
+    slot inv `width` bits wide; no count exceeds n!, so slots never carry.
     """
-    attacked = [0] * (n + 1)  # bit j of attacked[i]: cell (i, j)
-    waits = [0] * (n + 1)     # bit j of waits[i]: mark (i, j)
+    attacked, waits = [0] * (n + 1), [0] * (n + 1)  # bit j: cell / mark (i, j)
     for (i, j) in cells:
         attacked[i] |= 1 << j
     for (i, j) in marks:
         waits[i] |= 1 << j
-    counts = Counter()
-
-    def rec(v, filled, last, mask, inv):
-        for p in range(1, n + 1):
-            if filled >> p & 1 or waits[p] & ~filled:
-                continue
-            m = mask | 1 << (v - 1) if p < last else mask
-            d = inv + (attacked[p] & filled).bit_count()
-            if v == n:
-                counts[m, d] += 1
-            else:
-                rec(v + 1, filled | 1 << p, p, m, d)
-
-    rec(1, 0, 0, 0, 0)
-    return counts
+    width = factorial(n).bit_length()
+    layer = {(0, 0): {0: 1}}
+    for v in range(1, n + 1):
+        bit = 1 << (v - 1)
+        nxt = {}
+        for (filled, last), by_mask in layer.items():
+            for p in range(1, n + 1):
+                if filled >> p & 1 or waits[p] & ~filled:
+                    continue
+                shift = (attacked[p] & filled).bit_count() * width
+                dst = nxt.setdefault((filled | 1 << p, p), {})
+                for mask, c in by_mask.items():
+                    if p < last:
+                        mask |= bit
+                    dst[mask] = dst.get(mask, 0) + (c << shift)
+        layer = nxt
+    total = sum(map(Counter, layer.values()), Counter())  # mask -> packed q-counts
+    out = []
+    slot = (1 << width) - 1
+    for lam in sf.partitions_of(n):  # masks within lam's partial sums
+        cuts = sum(1 << s for s in itertools.accumulate(lam[:-1]))
+        packed, sub = total[cuts], cuts
+        while sub:
+            sub = (sub - 1) & cuts
+            packed += total[sub]
+        if packed:  # slot inv starts at bit inv * width
+            shifts = range(0, packed.bit_length(), width)
+            out.append((lam, tuple(packed >> s & slot for s in shifts)))
+    return tuple(out)
 
 
 def dyck_path_count(m: int, n: int) -> int:
@@ -373,26 +375,36 @@ def dyck_path_count(m: int, n: int) -> int:
 
 
 def word_enumeration_size(n: int) -> int:
-    """Standard words (permutations) of length n: an upper bound on the
-    S-admissible ones char_function enumerates."""
+    """Standard words (permutations) of length n: the price per path that
+    char_function's budget charges, not the work its DP does."""
     return factorial(n)
+
+
+def _weight_term(p: DyckPath) -> tuple:
+    """(pi', S_pi), 2 (dinv - maxtdinv) and area; maxtdinv is the area of pi'."""
+    mp = attack_structure(p)
+    return mp, 2 * (dinv(p) - area(mp.pi_prime)), area(p)
 
 
 def path_weight(p: DyckPath, dom, cap: int | None = None) -> SymFunc:
     """t^area q^(dinv - maxtdinv) chi(pi', S_pi)."""
-    st = statistics(p)
-    mp = attack_structure(p)
+    mp, eu, et = _weight_term(p)
     chi = char_function(mp, dom, cap=cap if cap is not None else p.n)
-    return chi.scale(dom.monomial(1, 2 * (st["dinv"] - st["maxtdinv"]), st["area"]))
+    return chi.scale(dom.monomial(1, eu, et))
 
 
 def rhs_compositional(m1: int, n1: int, g: int, alpha, dom) -> SymFunc:
-    """Sum of path weights over paths with the given touch composition."""
+    """Sum of path weights over paths with the given touch composition: each
+    attack structure's chi once, scaled by the sum of its paths' monomials."""
     alpha = tuple(alpha)
     if gcd(m1, n1) != 1 or sum(alpha) != g or any(a < 1 for a in alpha):
         raise ValueError("need coprime (m1, n1) and a composition of g")
     cap = g * n1
-    total = SymFunc.zero(dom, cap)
+    monomials = {}  # attack structure -> {pack(eu, et): number of paths}
     for p in enumerate_paths(g * m1, g * n1, alpha):
-        total = total + path_weight(p, dom, cap=cap)
+        mp, eu, et = _weight_term(p)
+        monomials.setdefault(mp, Counter())[pack(eu, et)] += 1
+    total = SymFunc.zero(dom, cap)
+    for mp, by_exp in monomials.items():
+        total = total + char_function(mp, dom, cap=cap).scale(CoefRat(dict(by_exp)))
     return total

@@ -1,12 +1,14 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from shufflealg import combinat as cb
 from shufflealg.combinat import SlopeValue
-from shufflealg.symfunc import SymFunc
+from shufflealg.scalars import CoefRat, pack
+from shufflealg.symfunc import SymFunc, partitions_of
 from shufflealg.verify import compositions_of
 
 FIG_PATH = cb.DyckPath(10, 6, (1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
@@ -112,6 +114,72 @@ def char_function_by_words(mp: cb.MarkedSquarePath, dom) -> SymFunc:
             inv = sum(1 for (i, j) in cells if w[i - 1] > w[j - 1])
             words.append((w, dom.q_power(inv)))
     return from_word_multiset(dom, n, words, alphabet=n)
+
+
+def standard_word_counts(n: int, cells, marks) -> Counter:
+    """(inverse-descent mask, inv) -> number of S-admissible permutations.
+
+    Values 1..n go in increasing order; a mark (i, j) lets i take a value
+    once j has one, so the search never dead-ends.  Placing v at p counts the
+    filled j with a cell (p, j), and sets mask bit v - 1 iff p is left of v - 1.
+    """
+    attacked = [0] * (n + 1)  # bit j of attacked[i]: cell (i, j)
+    waits = [0] * (n + 1)     # bit j of waits[i]: mark (i, j)
+    for (i, j) in cells:
+        attacked[i] |= 1 << j
+    for (i, j) in marks:
+        waits[i] |= 1 << j
+    counts = Counter()
+
+    def rec(v, filled, last, mask, inv):
+        for p in range(1, n + 1):
+            if filled >> p & 1 or waits[p] & ~filled:
+                continue
+            m = mask | 1 << (v - 1) if p < last else mask
+            d = inv + (attacked[p] & filled).bit_count()
+            if v == n:
+                counts[m, d] += 1
+            else:
+                rec(v + 1, filled | 1 << p, p, m, d)
+
+    rec(1, 0, 0, 0, 0)
+    return counts
+
+
+def monomial_qcounts_by_permutations(n: int, cells, marks) -> tuple:
+    """_monomial_qcounts from every S-admissible permutation: each m_lam
+    coefficient sums the (mask, inv) counts whose mask lies in lam's partial sums."""
+    counts = standard_word_counts(n, cells, marks)
+    out = []
+    for lam in partitions_of(n):
+        cuts = sum(1 << s for s in itertools.accumulate(lam))
+        by_inv = Counter()
+        for (mask, inv), c in counts.items():
+            if not mask & ~cuts:
+                by_inv[inv] += c
+        if by_inv:
+            out.append((lam, tuple(by_inv[i] for i in range(max(by_inv) + 1))))
+    return tuple(out)
+
+
+def q_multinomial(lam) -> list:
+    """MacMahon's [n; lam]_q = [n]_q! / prod_i [lam_i]_q!, coefficients by q-power."""
+    def times_q_factorial(poly, k):
+        for i in range(1, k + 1):  # times [i]_q = 1 + q + ... + q^(i-1)
+            poly = [sum(poly[d - s] for s in range(i) if 0 <= d - s < len(poly))
+                    for d in range(len(poly) + i - 1)]
+        return poly
+
+    num, den = times_q_factorial([1], sum(lam)), [1]
+    for part in lam:
+        den = times_q_factorial(den, part)
+    quot = []
+    for d in range(len(num) - len(den) + 1):  # den[0] == 1: divide from q^0 up
+        quot.append(num[d])
+        for e, c in enumerate(den):
+            num[d + e] -= quot[-1] * c
+    assert not any(num)
+    return quot
 
 
 def test_path_validation():
@@ -237,6 +305,42 @@ def test_char_function_budget(dom):
     assert cb.char_function(mp, dom, budget=2) == cb.char_function(mp, dom)
     with pytest.raises(ResourceWarning, match="needs ~2 words, over budget 1"):
         cb.char_function(mp, dom, budget=1)
+
+
+def _qcounts_args(pi: cb.DyckPath, marks) -> tuple:
+    return pi.n, tuple(cb._area_cells(pi)), frozenset(marks)
+
+
+def test_monomial_qcounts_matches_permutations_on_attack_structures():
+    structures = {cb.attack_structure(p) for m in range(1, 8) for n in range(1, 8)
+                  for p in cb.enumerate_paths(m, n)}
+    for mp in structures:
+        args = _qcounts_args(mp.pi_prime, mp.marks)
+        assert cb._monomial_qcounts(*args) == monomial_qcounts_by_permutations(*args), str(mp)
+
+
+def test_monomial_qcounts_matches_permutations_on_corner_marks():
+    for n in range(1, 7):
+        for pi in cb.enumerate_paths(n, n):
+            corners = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                       if cb._is_corner(pi, i, j)]
+            for r in range(len(corners) + 1):
+                for marks in itertools.combinations(corners, r):
+                    args = _qcounts_args(pi, marks)
+                    assert cb._monomial_qcounts(*args) == \
+                        monomial_qcounts_by_permutations(*args), (str(pi), marks)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_char_function_full_staircase_is_q_multinomial(dom, n):
+    # every cell attacked, no marks: chi sums q^inv over all words, so its m_lam
+    # coefficient is MacMahon's q-multinomial; n = 10 is past the oracle's reach
+    pi = cb.DyckPath(n, n, [1] * n + [0] * n)
+    assert len(cb._area_cells(pi)) == n * (n - 1) // 2
+    chi = cb.char_function(cb.MarkedSquarePath(pi, frozenset()), dom, budget=10 ** 7)
+    want = {lam: CoefRat({pack(2 * i, 0): c for i, c in enumerate(q_multinomial(lam)) if c})
+            for lam in partitions_of(n)}
+    assert chi == SymFunc(dom, n, want)
 
 
 def test_rhs_examples(dom):
