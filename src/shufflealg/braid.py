@@ -8,7 +8,8 @@ at s + 1.  Each X is a polynomial germ in the tie-breaking infinitesimal eps
 numerators over one positive integer denominator, so the geometry runs in
 integer arithmetic.  Braid words evaluate on
 V_* through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
-z_i -> (qt)^{-1} z_i.
+z_i -> (qt)^{-1} z_i, ytilde_i -> -q^{1-i} ytilde_i: every scalar is a
+monomial, so a word evaluates as its operator word times one monomial.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 from . import vkspace as vk
-from .combinat import SlopeValue
 from .vkspace import VElem
 
 
@@ -36,8 +36,7 @@ class EpsRat:
     The numerators n are integers over one integer denominator d > 0, kept
     canonical: gcd(d, *n) == 1 and trailing zero numerators trimmed (zero is
     ((), 1)).  So equality and hashing compare (n, d) exactly, and no
-    operation on germs builds a Fraction; one enters only through `const`
-    and `from_slope_value`.
+    operation on germs builds a Fraction; one enters only through `const`.
     """
 
     __slots__ = ("n", "d")
@@ -65,13 +64,6 @@ class EpsRat:
     @staticmethod
     def eps() -> "EpsRat":
         return EpsRat((0, 1))
-
-    @staticmethod
-    def from_slope_value(h: SlopeValue) -> "EpsRat":
-        r, e = h.r, h.e       # Fractions or ints: both carry numerator/denominator
-        den = lcm(r.denominator, e.denominator)
-        return EpsRat((r.numerator * (den // r.denominator),
-                       e.numerator * (den // e.denominator)), den)
 
     def _over_common(self, other):
         """Both numerator tuples over the least common denominator."""
@@ -234,28 +226,33 @@ def star(gens):
     return [(flip.get(g[0], g[0]),) + g[1:] for g in gens]
 
 
-def evaluate(w: BraidWord, f: VElem) -> VElem:
-    """Apply the representation; exact u-powers throughout."""
-    if w.k != f.k:
-        raise ValueError(f"word on {w.k} strands applied to V_{f.k}")
-    dom = f.dom
-    u_inv = dom.monomial(1, -1, 0)
-    qt_inv = dom.one / (dom.q * dom.t)
-    for gen in reversed(w.gens):
+def word_scalar(gens, dom):
+    """The product of the generators' monomials: q^{-1/2} per T_i, q^{1/2} per
+    T_i^{-1}, -1 per y_i, (qt)^{-1} per z_i and -q^{1-i} per ytilde_i."""
+    sign, eu, et = 1, 0, 0   # sign * u^eu * t^et, u^2 = q
+    for gen in reversed(gens):   # the first letter to act is the one named on error
         kind = gen[0]
         if kind == "T":
-            f = vk.act_T(f, gen[1]).scale(u_inv)
+            eu -= 1
         elif kind == "Ti":
-            f = vk.act_T(f, gen[1], inverse=True).scale(dom.u)
+            eu += 1
         elif kind == "y":
-            f = -vk.act_y(f, gen[1])
+            sign = -sign
         elif kind == "z":
-            f = vk.act_z(f, gen[1]).scale(qt_inv)
+            eu, et = eu - 2, et - 1
         elif kind == "yt":
-            f = vk.act_ytilde(f, gen[1]).scale(-dom.q_power(1 - gen[1]))
+            sign, eu = -sign, eu + 2 * (1 - gen[1])
         else:
             raise ValueError(f"unknown braid generator {gen!r}")
-    return f
+    return dom.monomial(sign, eu, et)
+
+
+def evaluate(w: BraidWord, f: VElem) -> VElem:
+    """Apply the representation: the operator word, then its one monomial."""
+    if w.k != f.k:
+        raise ValueError(f"word on {w.k} strands applied to V_{f.k}")
+    scalar = word_scalar(w.gens, f.dom)   # refuses a foreign letter before any operator runs
+    return vk.apply_word(f, w.gens).scale(scalar)
 
 
 # ------------------------------------------------------------ elementary moves
@@ -420,45 +417,45 @@ def creation_hom(w: BraidWord, which: str) -> BraidWord:
 
 # ----------------------------------------------------- braids from colorings
 
-def safe_height(lower: SlopeValue, upper: SlopeValue, m1: int, n1: int) -> SlopeValue:
-    """A height strictly between the bounds whose line misses every lattice point."""
+def safe_height(lower: EpsRat, upper: EpsRat, m1: int, n1: int) -> EpsRat:
+    """A height strictly between the bounds whose line misses every lattice point.
+
+    The line y = (n1/m1 - eps) x + (a + b eps)/d meets the lattice point
+    (x, y) iff x = b/d and y = (a m1 + b n1)/(d m1) are both integers.
+    """
     for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 7), (2, 9), (5, 11), (3, 11)):
-        th = Fraction(num, den)
-        r = lower.r + (upper.r - lower.r) * th
-        e = Fraction(lower.e) + (Fraction(upper.e) - Fraction(lower.e)) * th
-        if e.denominator == 1:
-            y = r + e * Fraction(n1, m1)
-            if y.denominator == 1:
-                continue  # the line at this height passes through a lattice point
-        return SlopeValue(r, e)
+        h = lower + (upper - lower) * EpsRat((num,), den)
+        a, b = h.n + (0,) * (2 - len(h.n))
+        if b % h.d == 0 and (a * m1 + b * n1) % (h.d * m1) == 0:
+            continue  # the line at this height passes through a lattice point
+        return h
     raise DegenerateGeometry("no safe height found between the strata")
 
 
-def coloring_geometry(m1: int, n1: int, intervals, h: SlopeValue):
+def coloring_geometry(m1: int, n1: int, intervals, h: EpsRat):
     """Initial positions and crossing counts of a coloring's intervals."""
-    he = EpsRat.from_slope_value(h)
     s = _slope(m1, n1)
     s1 = s + ONE
-    hes = he * s
+    hs = h * s
     vs, alphas = [], []
     for (xi, yi) in intervals:
         # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s;
         # both sides of each comparison are multiplied by s > 0
         x = EpsRat.const(xi)
-        above = EpsRat.const(yi) - he
+        above = EpsRat.const(yi) - h
         if not x * s < above:
             raise DegenerateGeometry("interval is empty at this height")
-        jmin = (x * s1 + he).ceil()
-        jmax = (above * s1 + hes).floor_div(s)
+        jmin = (x * s1 + h).ceil()
+        jmax = (above * s1 + hs).floor_div(s)
         if jmin > jmax:
             raise DegenerateGeometry("interval does not cross the antidiagonal")
-        v = EpsRat.const(jmax) - he
+        v = EpsRat.const(jmax) - h
         vs.append(v - s1 * EpsRat.const(v.floor_div(s1)))
         alphas.append(jmax - jmin + 1)
     return PointConfig(tuple(vs), s), tuple(alphas)
 
 
-def braid_of_coloring(m1: int, n1: int, intervals, h: SlopeValue):
+def braid_of_coloring(m1: int, n1: int, intervals, h: EpsRat):
     """The special braid of a coloring at line height h."""
     cfg, alphas = coloring_geometry(m1, n1, intervals, h)
     word, final_cfg = special_braid(cfg, alphas)
@@ -471,7 +468,7 @@ def _inversions(cfg: PointConfig) -> int:
                if labels[a] > labels[b])
 
 
-def braid_coloring_value(m1: int, n1: int, intervals, h: SlopeValue, dom) -> VElem:
+def braid_coloring_value(m1: int, n1: int, intervals, h: EpsRat, dom) -> VElem:
     """q^((inv_final - inv_initial)/2) * B_{s,c} applied to d_+^k(1)."""
     word, cfg0, cfg1 = braid_of_coloring(m1, n1, intervals, h)
     g = evaluate(word, vk.dplus_power(dom, len(intervals)))

@@ -1,7 +1,8 @@
 """(m,n)-Dyck paths, their statistics, attack graphs and parking-function sums.
 
-All slope geometry is exact: distances to the boundary line are SlopeValue
-pairs (rational part, epsilon coefficient) compared lexicographically, so
+Slope order is integer: a lattice point's height above the boundary line,
+y - (n1/m1 - eps) x, is read as the pair (m1 y - n1 x, x), m1 times its
+rational part and then its eps coefficient, compared lexicographically, so
 the tie-breaking infinitesimal never becomes a float.  chi counts S-admissible
 permutations by a DP over sets of filled positions, and rhs_compositional
 computes it once per attack structure.
@@ -12,36 +13,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd
 
 from . import symfunc as sf
 from .scalars import CoefRat, InvariantError, pack
 from .symfunc import SymFunc
-
-
-@dataclass(frozen=True, order=True)
-class SlopeValue:
-    """r + e*eps with eps an infinitesimal positive tie-breaker.
-
-    Comparison is lexicographic in (r, e).  e is an integer for lattice
-    heights; interpolated stratum heights may carry a fractional e.
-    """
-
-    r: Fraction
-    e: Fraction | int
-
-    def __add__(self, other):
-        return SlopeValue(self.r + other.r, self.e + other.e)
-
-    def __sub__(self, other):
-        return SlopeValue(self.r - other.r, self.e - other.e)
-
-
-def line_height(m1: int, n1: int, x: int, y: int) -> SlopeValue:
-    """h(x, y) = y - (n1/m1 - eps) * x, the sweep height of a lattice point."""
-    return SlopeValue(Fraction(y) - Fraction(n1 * x, m1), x)
 
 
 class DyckPath:
@@ -60,7 +37,7 @@ class DyckPath:
                 y += 1
             else:
                 x += 1
-            # line_height(x, y) > 0 iff m*y >= n*x here, as the path leaves (0, 0)
+            # height y - (n1/m1 - eps) x > 0 iff m*y >= n*x here, as the path leaves (0, 0)
             if m * y < n * x:
                 raise ValueError(f"path dips below the boundary line at {(x, y)}")
 
@@ -160,11 +137,12 @@ def region_points(m: int, n: int, m1: int, n1: int):
 
 
 def reading_order(m: int, n: int):
-    """Lattice points ranked by ascending distance to the boundary line."""
+    """Lattice points ranked by ascending height y - (n1/m1 - eps) x above the
+    boundary line, read as (m1 y - n1 x, x)."""
     g = gcd(m, n)
     m1, n1 = m // g, n // g
     pts = region_points(m, n, m1, n1)
-    pts.sort(key=lambda p: line_height(m1, n1, *p))
+    pts.sort(key=lambda p: (m1 * p[1] - n1 * p[0], p[0]))
     return pts
 
 

@@ -27,11 +27,10 @@ reachable coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .combinat import DyckPath, SlopeValue, line_height, reading_order, \
-    touch_composition
+from .braid import EpsRat
+from .combinat import DyckPath, reading_order, touch_composition
 from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y
 
@@ -131,13 +130,13 @@ class DpResult:
     steps: list | None = None    # per event: {coloring: its (kind, dst, extra) transitions}
 
     def stratum_bounds(self, s: int):
-        """Open height interval of stratum s (after processing s events)."""
+        """Open height interval of stratum s (after processing s events), as
+        germs: the event (x, y) is at height y - (n1/m1 - eps) x."""
         g = gcd(self.m, self.n)
         m1, n1 = self.m // g, self.n // g
-        upper = line_height(m1, n1, *self.events[s - 1]) if s >= 1 \
-            else SlopeValue(Fraction(self.n + 1), 0)
-        lower = line_height(m1, n1, *self.events[s]) if s < len(self.events) \
-            else SlopeValue(Fraction(0), self.m + 1)
+        height = lambda x, y: EpsRat((m1 * y - n1 * x, m1 * x), m1)
+        upper = height(*self.events[s - 1]) if s >= 1 else EpsRat.const(self.n + 1)
+        lower = height(*self.events[s]) if s < len(self.events) else EpsRat((0, self.m + 1))
         return lower, upper
 
     def complete_state(self) -> dict:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from shufflealg import braid as br
 from shufflealg import sweep as sw
 from shufflealg import vkspace as vk
-from shufflealg.combinat import SlopeValue
 from shufflealg.vkspace import VElem
 
 
@@ -87,8 +87,6 @@ def test_epsrat_canonical_form():
     assert (br.EpsRat((2, 4, 0), 4).n, br.EpsRat((2, 4, 0), 4).d) == ((1, 2), 2)
     zero = br.EpsRat((0, 0), 6)
     assert (zero.n, zero.d) == ((), 1) and zero == C(0) and zero.sign() == 0
-    assert br.EpsRat.from_slope_value(SlopeValue(Fraction(1, 6), Fraction(3, 4))) == \
-        br.EpsRat((2, 9), 12)
     with pytest.raises(ValueError):
         br.EpsRat((1,), 0)
 
@@ -236,10 +234,20 @@ def test_special_braid_all_ones_is_empty():
 
 def test_braid_of_coloring_unit(dom):
     # the one-part coloring of the unit square never crosses a wall
-    h = SlopeValue(Fraction(1, 2), Fraction(1))
+    h = br.EpsRat((1, 1), 2)   # 1/2 + eps/2
     word, cfg0, cfg1 = br.braid_of_coloring(1, 1, ((0, 1),), h)
     assert word.gens == ()
     assert cfg0.k == 1
+
+
+def test_safe_height_skips_lattice_lines():
+    eps2 = br.EpsRat((0, 2))
+    # slope 1: the midpoint eps is the height of (1, 1), so the next fraction, 1/3, is taken
+    assert br.safe_height(br.EpsRat(), eps2, 1, 1) == br.EpsRat((0, 2), 3)
+    # slope 1/2: the line at height eps meets x = 1 at y = 1/2, off the lattice
+    assert br.safe_height(br.EpsRat(), eps2, 2, 1) == br.EpsRat.eps()
+    with pytest.raises(br.DegenerateGeometry, match="no safe height"):
+        br.safe_height(br.EpsRat.eps(), br.EpsRat.eps(), 1, 1)
 
 
 def test_braid_of_coloring_two_strands(dom):
@@ -262,6 +270,41 @@ def test_braid_formula_unit(dom):
     val = br.braid_coloring_value(1, 1, ((0, 1),), h, dom)
     assert val == dp.state[((0, 1),)]
     assert val.has_integer_q_degree()
+
+
+def _evaluate_per_generator(w, f):
+    """The representation one generator at a time, each scaled by its own monomial."""
+    dom = f.dom
+    u_inv = dom.monomial(1, -1, 0)
+    qt_inv = dom.one / (dom.q * dom.t)
+    for gen in reversed(w.gens):
+        kind = gen[0]
+        if kind == "T":
+            f = vk.act_T(f, gen[1]).scale(u_inv)
+        elif kind == "Ti":
+            f = vk.act_T(f, gen[1], inverse=True).scale(dom.u)
+        elif kind == "y":
+            f = -vk.act_y(f, gen[1])
+        elif kind == "z":
+            f = vk.act_z(f, gen[1]).scale(qt_inv)
+        else:
+            f = vk.act_ytilde(f, gen[1]).scale(-dom.q_power(1 - gen[1]))
+    return f
+
+
+def test_evaluate_matches_per_generator_oracle(dom):
+    # the operator word times one monomial equals a monomial per generator
+    rng = random.Random(7)
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        kinds = ["T", "Ti", "y", "z", "yt"] if k > 1 else ["y", "z", "yt"]
+        gens = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.choice(kinds)
+            gens.append((kind, rng.randint(1, k - 1 if kind in ("T", "Ti") else k)))
+        w = br.BraidWord(k, tuple(gens))
+        for f in vk.spanning_set(dom, k, 2):
+            assert br.evaluate(w, f) == _evaluate_per_generator(w, f), (str(w), str(f))
 
 
 def test_single_strand_words_realize_tower_dplus(dom):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from shufflealg import combinat as cb
-from shufflealg.combinat import SlopeValue
 from shufflealg.scalars import CoefRat, pack
 from shufflealg.symfunc import SymFunc, partitions_of
 from shufflealg.verify import compositions_of
@@ -23,11 +22,11 @@ def dinv_geometric(p: cb.DyckPath) -> int:
         for (xn, yn) in p.north_starts:
             if xn <= xe:
                 continue
-            # heights where slope-s_- lines through the East step meet x = xn
-            s_lo = SlopeValue(Fraction(n1 * (xn - xe - 1), m1), -(xn - xe - 1))
-            s_hi = SlopeValue(Fraction(n1 * (xn - xe), m1), -(xn - xe))
-            if s_hi >= SlopeValue(Fraction(yn - ye), 0) and \
-               s_lo <= SlopeValue(Fraction(yn + 1 - ye), 0):
+            # heights where slope-s_- lines through the East step meet x = xn,
+            # as (rational part, eps coefficient) compared lexicographically
+            s_lo = (Fraction(n1 * (xn - xe - 1), m1), -(xn - xe - 1))
+            s_hi = (Fraction(n1 * (xn - xe), m1), -(xn - xe))
+            if s_hi >= (Fraction(yn - ye), 0) and s_lo <= (Fraction(yn + 1 - ye), 0):
                 cnt += 1
     return cnt
 
@@ -228,6 +227,17 @@ def test_reading_order_figure():
 
 def test_reading_order_square():
     assert cb.reading_order(2, 2)[:3] == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_reading_order_matches_slope_heights():
+    # the integer key (m1 y - n1 x, x) orders as the height y - (n1/m1 - eps) x
+    for m in range(1, 10):
+        for n in range(1, 10):
+            g = math.gcd(m, n)
+            m1, n1 = m // g, n // g
+            pts = cb.region_points(m, n, m1, n1)
+            want = sorted(pts, key=lambda p: (Fraction(p[1]) - Fraction(n1 * p[0], m1), p[0]))
+            assert cb.reading_order(m, n) == want, (m, n)
 
 
 def test_statistics_figure():

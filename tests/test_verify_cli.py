@@ -21,6 +21,12 @@ def test_run_suite_names(dom):
         vf.run_suite("bogus", dom)
 
 
+def test_braid_suite_passes(dom):
+    # 35 presentation relations for k <= 3 and 12 creation-map cases
+    rep = vf.run_suite("braid", dom)
+    assert rep["suite"] == "braid" and rep["cases"] == 47 and rep["failures"] == []
+
+
 def test_suite_report_shape(dom):
     rep = vf.trains_suite(dom, cases=10)
     assert set(rep) == {"suite", "cases", "failures"}
@@ -197,8 +203,67 @@ def _zero_den(payload, text):
     return json.dumps(payload)
 
 
+def _first_term(payload):
+    return payload["state"][0]["value"]["terms"][0]
+
+
+def _k_not_an_int(payload, text):
+    payload["state"][0]["value"]["k"] = "x"
+    return json.dumps(payload)
+
+
+def _k_off_by_one(payload, text):
+    payload["state"][0]["value"]["k"] += 1
+    return json.dumps(payload)
+
+
+def _ys_too_long(payload, text):
+    _first_term(payload)["ys"].append(0)
+    return json.dumps(payload)
+
+
+def _ys_not_a_list(payload, text):
+    _first_term(payload)["ys"] = "ab"
+    return json.dumps(payload)
+
+
+def _partition_not_ints(payload, text):
+    _first_term(payload)["partition"] = ["a"]
+    return json.dumps(payload)
+
+
+def _partition_increasing(payload, text):
+    _first_term(payload)["partition"] = [1, 2]
+    return json.dumps(payload)
+
+
+def _key_not_int_pairs(payload, text):
+    payload["state"][0]["key"][0] = [0, 1, 2]
+    return json.dumps(payload)
+
+
+def _term_listed_twice(payload, text):
+    terms = payload["state"][0]["value"]["terms"]
+    terms.append(dict(terms[0], poly=[[0, 0, 7]]))
+    return json.dumps(payload)
+
+
+def _other_events(payload, text):
+    payload["events"].reverse()
+    return json.dumps(payload)
+
+
+def _missing_state_entry(payload, text):
+    del payload["state"][0]
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("spoil", [_truncate, _stale_version, _zero_coefficient,
-                                   _fractional_exponent, _zero_den])
+                                   _fractional_exponent, _zero_den, _k_not_an_int,
+                                   _k_off_by_one, _ys_too_long, _ys_not_a_list,
+                                   _partition_not_ints, _partition_increasing,
+                                   _key_not_int_pairs, _term_listed_twice, _other_events,
+                                   _missing_state_entry])
 def test_dp_cache_bad_file_is_recomputed(dom, tmp_path, spoil):
     uncached = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=None))
     vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
@@ -209,6 +274,7 @@ def test_dp_cache_bad_file_is_recomputed(dom, tmp_path, spoil):
     assert _without_seconds(rep) == _without_seconds(uncached)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp file left
     assert json.loads(path.read_text())["version"] == vf.DP_CACHE_VERSION
+    assert path.read_text() == text   # recomputed and rewritten as first written
 
 
 def test_dp_cache_values_exact(dom, tmp_path):
@@ -397,6 +463,10 @@ def _chi_over_word_budget(tmp_path):
     return ["paths", "chi", "--path", "1" * 10 + "0" * 10]
 
 
+def _braid_word_with_d_letters(tmp_path):
+    return ["braid", "eval", "--word", "d- d+", "--k", "1"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
@@ -408,12 +478,15 @@ def _chi_over_word_budget(tmp_path):
                                   _relation_negative_k, _alpha_not_a_composition,
                                   _coloring_negative_m, _coloring_zero_m,
                                   _alpha_empty_part, _relation_sides_in_different_spaces,
-                                  _chi_over_word_budget])
+                                  _chi_over_word_budget, _braid_word_with_d_letters])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
-    assert json.loads(captured.out)["error"]
+    error = json.loads(captured.out)["error"]
+    assert error
+    if argv is _braid_word_with_d_letters:   # refused by the alphabet, not evaluated
+        assert "unknown braid generator" in error
 
 
 @pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),
