@@ -7,16 +7,19 @@ each Farey mediant (m+m', n+n') of an intertwined sector
     new d_+  = -(qt)^{-1} * z_1 * d_+        (z_1 = partner's y_1)
     new d_+* = - y_1 * d_+*                  (y_1 = partner's y_1)
 
-T and d_- never change.  On the standard handle (0, 1) of the q-algebra
-y_1 is multiplication by y_1.  A replicated q-algebra handle takes y_1 from
-its sector by the recipe of its d_+, with y_1 in place of d_+:
+T and d_- never change.  The base handles take their y_i in closed form:
+multiplication by y_i on the standard handle (0, 1) of the q-algebra, and
+`vkspace.act_z` on the conjugate handle (1, 0).  A replicated q-algebra
+handle takes y_1 from its sector by the recipe of its d_+, with y_1 in
+place of d_+, and y_i from y_1 by the Hecke recursion:
 
     new y_1  = -(qt)^{-1} * z_1 * y_1        (y_1 = left end's y_1)
 
-Conjugate handles, and the q-algebra handle at (1, 0), recover y_1 from
-their own d_+ through the commutator formula, with q inverted on conjugate
-handles.  That formula calls d_+ twice, so its cost compounds with every
-Stern-Brocot level; it stays the test oracle for the recipe.
+Replicated conjugate handles, (0, 1) of the conjugate algebra and (1, 0) of
+the q-algebra recover y_i from their own d_+ through the commutator formula
+(`vkspace.commutator_y`), with q inverted on conjugate handles.  That
+formula calls d_+ twice, so its cost compounds with every Stern-Brocot
+level; it stays the test oracle for the recipe.
 """
 
 from __future__ import annotations
@@ -89,10 +92,10 @@ class ActionHandle:
     star=True: an action of the conjugate algebra (T_i inverted).
     """
 
-    def __init__(self, m, n, star, dplus, y1=None):
+    def __init__(self, m, n, star, dplus, y=None):
         self.m, self.n, self.star = m, n, star
         self._dplus = dplus
-        self._y1 = y1
+        self._y = y
 
     def dplus(self, f: VElem) -> VElem:
         return self._dplus(f)
@@ -101,29 +104,27 @@ class ActionHandle:
         return vk.act_T(f, i, inverse=(inverse != self.star))
 
     def y1(self, f: VElem) -> VElem:
-        """The handle's own y_1.
-
-        The standard handle (0, 1) passes multiplication by y_1, and a
-        replicated q-algebra handle its sector recipe; every other handle
-        recovers y_1 from its own d_+ by the commutator formula.
-        """
-        if self._y1 is not None:
-            return self._y1(f)
-        return vk.commutator_y1(f, self.dplus, self.star)
+        """The handle's own y_1."""
+        return self.y(f, 1)
 
     def y(self, f: VElem, i: int) -> VElem:
-        """y_i via the Hecke recursion from y_1."""
-        if not 1 <= i <= f.k:
-            raise ValueError(f"y_{i} undefined on V_{f.k}")
-        dom = f.dom
-        if i == 1:
-            return self.y1(f)
-        # q-algebra: y_{i+1} = q T_i^{-1} y_i T_i^{-1}; conjugate: q -> q^{-1}
-        inv = not self.star
-        g = vk.act_T(f, i - 1, inverse=inv)
-        g = self.y(g, i - 1)
-        g = vk.act_T(g, i - 1, inverse=inv)
-        return g.scale(dom.q_power(-1 if self.star else 1))
+        """y_i: the handle's own y_i when it was given one, else the commutator
+        formula on its d_+ (`vkspace.commutator_y`)."""
+        if self._y is not None:
+            return self._y(f, i)
+        return vk.commutator_y(f, self.dplus, self.star, i)
+
+
+def _y_from_y1(y1, f: VElem, i: int) -> VElem:
+    """y_i of a q-algebra action from its y_1, by y_{i+1} = q T_i^{-1} y_i T_i^{-1}."""
+    if not 1 <= i <= f.k:
+        raise ValueError(f"y_{i} is not defined on V_{f.k}")
+    for j in range(i - 1, 0, -1):
+        f = vk.act_T(f, j, inverse=True)
+    f = y1(f)
+    for j in range(1, i):
+        f = vk.act_T(f, j, inverse=True)
+    return f if i == 1 else f.scale(f.dom.q_power(i - 1))
 
 
 class ActionTower:
@@ -131,9 +132,10 @@ class ActionTower:
 
     def __init__(self, dom):
         self.dom = dom
-        # the relation `y1 from commutator`: here y_1 is multiplication
-        base_q = ActionHandle(0, 1, False, vk.act_dplus, lambda f: vk.act_y(f, 1))
-        base_star = ActionHandle(1, 0, True, vk.act_dplus_star)
+        # y_i is multiplication on (0, 1) and z_i on (1, 0): the relations
+        # `y1 from commutator` and `z1 from commutator`
+        base_q = ActionHandle(0, 1, False, vk.act_dplus, vk.act_y)
+        base_star = ActionHandle(1, 0, True, vk.act_dplus_star, vk.act_z)
         self._handles = {(0, 1, False): base_q, (1, 0, True): base_star}
 
     def handle(self, m: int, n: int, star: bool) -> ActionHandle:
@@ -172,7 +174,7 @@ class ActionTower:
         # the sector recipe of d_+ with y_1 in place of d_+
         def y1(f, _a=rho, _b=rho_star, _s=scale):
             return _b.y1(_a.y1(f)).scale(_s)
-        return ActionHandle(m, n, star, dplus, y1)
+        return ActionHandle(m, n, star, dplus, lambda f, i: _y_from_y1(y1, f, i))
 
 
 def build_action(dom, m: int, n: int, star: bool = False,

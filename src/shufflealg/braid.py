@@ -378,9 +378,8 @@ def rewrite_trains(w: BraidWord, rule: str, site: int, params: dict) -> BraidWor
 # --------------------------------------------------------- creation operators
 
 def expand_ytilde(i: int, k: int):
-    """ytilde_i as a word over T^{+-} and y."""
-    return (tuple(train_down(i, 1)) + tuple(train_up(1, k)) + (("y", k),)
-            + tuple(star(train_down(k, i))))
+    """ytilde_i as a word over T^{+-} and y, the one `vkspace.act_ytilde` applies."""
+    return vk.ytilde_word(i, k)
 
 
 def expand_y(i: int, k: int):

@@ -5,8 +5,8 @@ denominator, which only `scale` by a scalar such as 1/2 makes other than 1.
 A coefficient is a polynomial of `scalars`: an integer Laurent polynomial
 in u and t (u^2 = q) keyed by packed exponents, the same form as a
 CoefRat's numerator, so an element reads and builds scalars without
-conversion.  T_i, d_- and the one-variable expansion behind d_+ and d_+^*
-are cached per-term images; an operator accumulates each c * w into its
+conversion.  T_i, d_-, the one-variable expansion behind d_+ and d_+^*,
+and the commutator Z behind z_i are cached per-term images; an operator accumulates each c * w into its
 output in place with `_fma` and drops zeros once with `_pruned`.  `divide`
 by q - 1 is one exact pass per coefficient.  Operator words are tuples of
 generators in written order and act rightmost-first.
@@ -280,52 +280,96 @@ def act_y(f: VElem, i: int) -> VElem:
                   for (lam, ys), c in f.terms.items()}, f.den)
 
 
-def commutator_y1(f: VElem, dplus, star: bool = False) -> VElem:
-    """y_1 of the action with raising operator `dplus`, from the commutator formula.
+def _telescoped(f: VElem, i: int, star: bool, core) -> VElem:
+    """T_{i-1}^{-1}...T_1^{-1} core(T_{k-1}...T_i f), with every T inverted when star.
 
-    q-algebra: (dplus d_- - d_- dplus) T_{k-1}...T_1 / (q^{k-1}(q-1));
-    conjugate algebra (star): T_i inverted and q^k / (1-q) as the scalar.
-    The commutator is divisible by (q-1); a remainder raises.
-    """
-    dom = f.dom
+    These are the trains that the Hecke recursion y_{i+1} = q T_i^{-1} y_i T_i^{-1}
+    (conjugate algebra: q^{-1} and T_i) leaves around y_1 = core T_{k-1}...T_1 once
+    the inner T_j T_j^{-1} cancel; core carries the power of q."""
+    for j in range(i, f.k):
+        f = act_T(f, j, inverse=star)
+    f = core(f)
+    for j in range(1, i):
+        f = act_T(f, j, inverse=not star)
+    return f
+
+
+def commutator_y(f: VElem, dplus, star: bool = False, i: int = 1) -> VElem:
+    """y_i of the action with raising operator `dplus`, from the commutator formula:
+    (dplus d_- - d_- dplus) times q^{i-k}/(q-1) between the trains of `_telescoped`,
+    or times q^{k+1-i}/(1-q) on the conjugate algebra (star).  A remainder raises."""
     k = f.k
-    g = f
-    for j in range(1, k):
-        g = act_T(g, j, inverse=star)
-    comm = dplus(act_dminus(g)) - act_dminus(dplus(g))
-    if star:
-        return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
-    return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
+    if not 1 <= i <= k:
+        raise ValueError(f"y_{i} is not defined on V_{k}")
+    dom = f.dom
+
+    def core(g):
+        s = -dom.q_power(k + 1 - i) if star else dom.q_power(i - k)
+        return (dplus(act_dminus(g)) - act_dminus(dplus(g))).scale(s).divide(dom.q - dom.one)
+    return _telescoped(f, i, star, core)
+
+
+def _z_image(dom, lam, a: int):
+    """Z(m_lam y_k^a) = (d_+^* d_- - d_- d_+^*)(m_lam y_k^a) / (1-q) as ((nu, j, w), ...):
+    sum w m_nu y_1^j, the old y_1..y_{k-1} (now y_2..y_k) left out.
+
+    Both orders substitute X + (q-1)t y_1 - (q-1)y_k in m_lam and pair y_k^m with
+    (-1)^m e_m, taken at X + (q-1)t y_1 by d_+^* d_- and at X by d_- d_+^*.  As
+    e_m[X + (q-1)ty] - e_m[X] = (1-q) sum_{i>=1} (-ty)^i e_{m-i}, Z pairs y_k^m
+    with sum_{i=1..m} (-1)^(m+i) t^i y_1^i e_{m-i}, expanded by the Pieri rule.
+    """
+    key = ("z", lam, a)
+    hit = dom.cache.get(key)
+    if hit is not None:
+        return hit
+    acc: dict = {}
+    for mu, j, w in _dplus_image(dom, lam, True):
+        for jj, gdict in sf.m_expand_one_var(dom, mu, -1):
+            m = a + jj
+            for rho, c in gdict.items():
+                cw = _poly(c * CoefRat(w))
+                for i in range(1, m + 1):
+                    for nu, n in mono_times_e(rho, m - i):
+                        _fma(acc, (nu, j + i), cw, {i: -n if (m + i) % 2 else n})
+    out = tuple((nu, j, p) for (nu, j), p in _pruned(acc).items())
+    dom.cache[key] = out
+    return out
+
+
+def act_Z(f: VElem) -> VElem:
+    """Z f = (d_+^* d_- - d_- d_+^*) f / (1-q) term by term, by `_z_image`."""
+    if f.k < 1:
+        raise ValueError("Z is not defined on V_0")
+    acc: dict = {}
+    for (lam, ys), c in f.terms.items():
+        for nu, j, w in _z_image(f.dom, lam, ys[-1]):
+            _fma(acc, (nu, (j,) + ys[:-1]), c, w)
+    return VElem(f.dom, f.k, _pruned(acc), f.den)
 
 
 def act_z(f: VElem, i: int) -> VElem:
-    """z_i, the commuting family coming from the conjugate-algebra y's."""
+    """z_i = q^{k+1-i} T_{i-1}...T_1 Z T_{k-1}^{-1}...T_i^{-1}: the commutator y_i of
+    d_+^* (`commutator_y`) with Z in closed form, no subtraction and no division."""
     if not 1 <= i <= f.k:
         raise ValueError(f"z_{i} is not defined on V_{f.k}")
-    if i == 1:
-        return commutator_y1(f, act_dplus_star, star=True)
-    g = act_T(f, i - 1)
-    g = act_z(g, i - 1)
-    g = act_T(g, i - 1)
-    return g.scale(f.dom.q_power(-1))
+    return _telescoped(f.scale(f.dom.q_power(f.k + 1 - i)), i, True, act_Z)
+
+
+def ytilde_word(i: int, k: int) -> tuple:
+    """ytilde_i on V_k, T_{i-1}...T_1 T_1...T_{k-1} y_k T_{k-1}^{-1}...T_i^{-1}: the
+    recursion ytilde_{i+1} = T_i ytilde_i T_i from ytilde_1 = T_1...T_{k-1} y_k
+    T_{k-1}^{-1}...T_1^{-1}, with the inner T_j^{-1} T_j cancelled."""
+    return (tuple(("T", j) for j in range(i - 1, 0, -1)) + tuple(("T", j) for j in range(1, k))
+            + (("y", k),) + tuple(("Ti", j) for j in range(k - 1, i - 1, -1)))
 
 
 def act_ytilde(f: VElem, i: int) -> VElem:
-    """ytilde_i; at i=1 this is T_1...T_{k-1} y_k T_{k-1}^{-1}...T_1^{-1}."""
+    """ytilde_i, the word `ytilde_word(i, k)` applied."""
     if not 1 <= i <= f.k:
         raise ValueError(f"ytilde_{i} is not defined on V_{f.k}")
-    if i == 1:
-        k = f.k
-        g = f
-        for j in range(1, k):
-            g = act_T(g, j, inverse=True)
-        g = act_y(g, k)
-        for j in range(k - 1, 0, -1):
-            g = act_T(g, j)
-        return g
-    g = act_T(f, i - 1)
-    g = act_ytilde(g, i - 1)
-    return act_T(g, i - 1)
+    for kind, j in reversed(ytilde_word(i, f.k)):
+        f = act_y(f, j) if kind == "y" else act_T(f, j, inverse=kind == "Ti")
+    return f
 
 
 # ------------------------------------------------------------ operator words
@@ -602,12 +646,16 @@ def standard_relations(dom, k: int):
         add(f"y{i+1} = q T{i}^-1 y{i} T{i}^-1 @k={k}", (y(i + 1),),
             [(q, (Ti(i), y(i), Ti(i)))])
 
-    # y_i from the commutator formula coincides with multiplication:
-    # q^{k-1}(q-1) y_1 = (d_+ d_- - d_- d_+) T_{k-1}...T_1
+    # y_1 (multiplication) and z_1 (closed form) against their commutator formulas:
+    # q^{k-1}(q-1) y_1 = (d_+ d_- - d_- d_+) T_{k-1}...T_1 and
+    # q^{-k}(1-q) z_1 = (d_+^* d_- - d_- d_+^*) T_{k-1}^{-1}...T_1^{-1}
     if k >= 1:
         train = tuple(("T", a) for a in range(k - 1, 0, -1))
+        star_train = tuple(("Ti", a) for a in range(k - 1, 0, -1))
         add(f"y1 from commutator @k={k}", [(dom.q_power(k - 1) * (q - one), (y(1),))],
             [(one, (dp, dm) + train), (-one, (dm, dp) + train)])
+        add(f"z1 from commutator @k={k}", [(dom.q_power(-k) * (one - q), (z(1),))],
+            [(one, (dps, dm) + star_train), (-one, (dm, dps) + star_train)])
 
     # z relations (conjugate y's) and the intertwining laws
     for i in range(1, k):
@@ -636,7 +684,6 @@ def standard_relations(dom, k: int):
 
     # z1 yt1 = t y1 z1 + t q^k d- y1 d+* T*_{k down to 1}
     if k >= 1:
-        star_train = tuple(("Ti", a) for a in range(k - 1, 0, -1))
         add(f"z1 yt1 split @k={k}", (z(1), yt(1)),
             [(t, (y(1), z(1))), (t * dom.q_power(k), (dm, y(1), dps) + star_train)])
 

@@ -41,7 +41,7 @@ def test_standard_handle_y1_is_multiplication(dom):
         for base in vk.spanning_set(dom, k, 3):
             y1 = h.y1(base)
             assert y1 == vk.act_y(base, 1), str(base)
-            assert y1 == vk.commutator_y1(base, vk.act_dplus), str(base)
+            assert y1 == vk.commutator_y(base, vk.act_dplus), str(base)
 
 
 Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
@@ -54,7 +54,7 @@ def test_q_side_y1_matches_commutator(dom, m, n):
     h = ac.ActionTower(dom).handle(m, n, False)
     for k, degree in ((1, 2), (2, 1), (3, 1)):
         for base in vk.spanning_set(dom, k, degree):
-            assert h.y1(base) == vk.commutator_y1(base, h.dplus), (m, n, str(base))
+            assert h.y1(base) == vk.commutator_y(base, h.dplus), (m, n, str(base))
 
 
 @pytest.mark.parametrize("m,n,star", [(2, 3, True), (3, 4, True), (2, 5, True),
@@ -63,7 +63,44 @@ def test_y1_divides_on_spanning_set(dom, m, n, star):
     # the commutator is divisible by q - 1 on all of V_1, which no degree truncation cuts
     h = ac.ActionTower(dom).handle(m, n, star)
     for base in vk.spanning_set(dom, 1, 2):
-        assert h.y1(base) == vk.commutator_y1(base, h.dplus, star), (m, n, str(base))
+        assert h.y1(base) == vk.commutator_y(base, h.dplus, star), (m, n, str(base))
+
+
+def _handle_y_recursive(h, f, i):
+    # y_1 by the commutator formula on the handle's d_+ (q inverted on conjugate
+    # handles), then y_{i+1} = q^{+-1} T_i^{-+1} y_i T_i^{-+1}
+    dom, k = f.dom, f.k
+    if i == 1:
+        g = f
+        for j in range(1, k):
+            g = vk.act_T(g, j, inverse=h.star)
+        comm = h.dplus(vk.act_dminus(g)) - vk.act_dminus(h.dplus(g))
+        if h.star:
+            return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
+        return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
+    inv = not h.star
+    g = vk.act_T(f, i - 1, inverse=inv)
+    g = vk.act_T(_handle_y_recursive(h, g, i - 1), i - 1, inverse=inv)
+    return g.scale(dom.q_power(-1 if h.star else 1))
+
+
+DEPTH_3 = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_handle_y_matches_recursive_oracle(dom, star):
+    # every handle of Stern-Brocot depth <= 3, against the Hecke recursion from
+    # the commutator y_1
+    tower = ac.ActionTower(dom)
+    for m, n in DEPTH_3:
+        assert len(ac.mediant_decompose(m, n).chain) <= 3
+        h = tower.handle(m, n, star)
+        for k, degree in ((1, 3), (2, 2), (3, 2)):
+            for base in vk.spanning_set(dom, k, degree):
+                for i in range(1, k + 1):
+                    assert h.y(base, i) == _handle_y_recursive(h, base, i), (m, n, k, i, str(base))
+        with pytest.raises(ValueError):
+            h.y(VElem.one(dom, 2), 3)
 
 
 def test_replicated_handle_examples(dom):

@@ -76,7 +76,12 @@ def test_verify_shuffle_rejects_alpha_before_any_work(alpha, monkeypatch):
 
 
 def test_relations_suite_applies_each_suffix_once(dom, monkeypatch):
-    # 17,155 generator applications word by word; 9,486 distinct (basis element, suffix) pairs
+    # one generator application per distinct (basis element, word suffix) pair
+    pairs = 0
+    for k in range(4):
+        words = {word for _, lhs, rhs in vf.vk.standard_relations(dom, k) for _, word in lhs + rhs}
+        suffixes = {word[i:] for word in words for i in range(len(word))}
+        pairs += len(vf.vk.spanning_set(dom, k, 3)) * len(suffixes)
     calls = []
     apply_gen = vf.vk.apply_gen
 
@@ -86,7 +91,27 @@ def test_relations_suite_applies_each_suffix_once(dom, monkeypatch):
 
     monkeypatch.setattr(vf.vk, "apply_gen", counted)
     rep = vf.relations_suite(dom, 3, 3)
-    assert not rep["failures"] and len(calls) <= 9486
+    assert not rep["failures"] and len(calls) <= pairs
+
+
+def test_relations_suite_operator_counts(dom, monkeypatch):
+    # z, ytilde and the suffix sharing keep T applications down and divide nothing
+    calls = Counter()
+    act_T, divide = vf.vk.act_T, vf.vk.VElem.divide
+
+    def counted_T(f, i, inverse=False):
+        calls["T"] += 1
+        return act_T(f, i, inverse)
+
+    def counted_divide(self, d):
+        calls["divide"] += 1
+        return divide(self, d)
+
+    monkeypatch.setattr(vf.vk, "act_T", counted_T)
+    monkeypatch.setattr(vf.vk.VElem, "divide", counted_divide)
+    rep = vf.relations_suite(dom, 3, 3)
+    assert rep["cases"] == 100 and not rep["failures"]
+    assert calls["T"] <= 9587 and calls["divide"] == 0
 
 
 def _counted_braid_builds(monkeypatch):
@@ -467,6 +492,14 @@ def _braid_word_with_d_letters(tmp_path):
     return ["braid", "eval", "--word", "d- d+", "--k", "1"]
 
 
+def _braid_word_z_out_of_range(tmp_path):
+    return ["braid", "eval", "--word", "z3", "--k", "2"]
+
+
+def _braid_word_ytilde_out_of_range(tmp_path):
+    return ["braid", "eval", "--word", "ytilde0", "--k", "2"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
@@ -478,7 +511,8 @@ def _braid_word_with_d_letters(tmp_path):
                                   _relation_negative_k, _alpha_not_a_composition,
                                   _coloring_negative_m, _coloring_zero_m,
                                   _alpha_empty_part, _relation_sides_in_different_spaces,
-                                  _chi_over_word_budget, _braid_word_with_d_letters])
+                                  _chi_over_word_budget, _braid_word_with_d_letters,
+                                  _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -487,6 +521,10 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     assert error
     if argv is _braid_word_with_d_letters:   # refused by the alphabet, not evaluated
         assert "unknown braid generator" in error
+    if argv is _braid_word_z_out_of_range:
+        assert error == "ValueError: z_3 is not defined on V_2"
+    if argv is _braid_word_ytilde_out_of_range:
+        assert error == "ValueError: ytilde_0 is not defined on V_2"
 
 
 @pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from shufflealg import actions as ac
 from shufflealg import symfunc as sf
 from shufflealg import vkspace as vk
 from shufflealg.scalars import CoefRatError, ExactDomain
@@ -101,7 +102,90 @@ def test_derived_operator_examples(dom):
 def test_y_from_commutator_is_multiplication(dom):
     for k in (1, 2, 3):
         for base in vk.spanning_set(dom, k, 2):
-            assert vk.commutator_y1(base, vk.act_dplus) == vk.act_y(base, 1)
+            assert vk.commutator_y(base, vk.act_dplus) == vk.act_y(base, 1)
+
+
+def _commutator_y1(f, dplus, star=False):
+    # y_1 by the commutator formula, T_1 first, with the (q-1) division
+    dom, k = f.dom, f.k
+    for j in range(1, k):
+        f = vk.act_T(f, j, inverse=star)
+    comm = dplus(vk.act_dminus(f)) - vk.act_dminus(dplus(f))
+    if star:
+        return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
+    return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
+
+
+def _z_recursive(f, i):
+    # z_1 the conjugate commutator y_1, z_{i+1} = q^{-1} T_i z_i T_i
+    if i == 1:
+        return _commutator_y1(f, vk.act_dplus_star, star=True)
+    g = vk.act_T(_z_recursive(vk.act_T(f, i - 1), i - 1), i - 1)
+    return g.scale(f.dom.q_power(-1))
+
+
+def _ytilde_recursive(f, i):
+    # ytilde_1 = T_1...T_{k-1} y_k T_{k-1}^{-1}...T_1^{-1}, ytilde_{i+1} = T_i ytilde_i T_i
+    if i == 1:
+        for j in range(1, f.k):
+            f = vk.act_T(f, j, inverse=True)
+        f = vk.act_y(f, f.k)
+        for j in range(f.k - 1, 0, -1):
+            f = vk.act_T(f, j)
+        return f
+    return vk.act_T(_ytilde_recursive(vk.act_T(f, i - 1), i - 1), i - 1)
+
+
+def test_Z_matches_commutator():
+    # 232 basis elements: degree <= 4 for k <= 3, degree <= 3 at k = 4; a fresh
+    # domain, so the cached images are built here
+    dom = ExactDomain()
+    basis = [f for k in (1, 2, 3) for f in vk.spanning_set(dom, k, 4)] + vk.spanning_set(dom, 4, 3)
+    assert len(basis) == 232
+    for f in basis:
+        comm = (vk.act_dplus_star(vk.act_dminus(f)) - vk.act_dminus(vk.act_dplus_star(f)))
+        assert vk.act_Z(f) == comm.divide(dom.one - dom.q), str(f)
+    with pytest.raises(ValueError):
+        vk.act_Z(VElem.one(dom, 0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_z_and_ytilde_match_recursive_oracles(dom, k):
+    for f in vk.spanning_set(dom, k, 3):
+        for i in range(1, k + 1):
+            assert vk.act_z(f, i) == _z_recursive(f, i), (i, str(f))
+            assert vk.act_ytilde(f, i) == _ytilde_recursive(f, i), (i, str(f))
+
+
+def test_z_ytilde_and_commutator_y_never_undo_a_T(dom, monkeypatch):
+    # no T_j directly after T_j^{-1} or the reverse; z divides nothing
+    trace = []
+    act_T, act_y, act_Z, act_dminus = vk.act_T, vk.act_y, vk.act_Z, vk.act_dminus
+    divide = VElem.divide
+
+    def no_divide(self, d):
+        trace.append("divide")
+        return divide(self, d)
+
+    monkeypatch.setattr(vk, "act_T", lambda f, i, inverse=False:
+                        trace.append((i, inverse)) or act_T(f, i, inverse))
+    monkeypatch.setattr(vk, "act_y", lambda f, i: trace.append("y") or act_y(f, i))
+    monkeypatch.setattr(vk, "act_Z", lambda f: trace.append("Z") or act_Z(f))
+    monkeypatch.setattr(vk, "act_dminus", lambda f: trace.append("d-") or act_dminus(f))
+    monkeypatch.setattr(VElem, "divide", no_divide)
+    tower = ac.ActionTower(dom)
+    commutator_ys = [tower.handle(m, n, star).y for m, n, star in
+                     ((1, 0, False), (0, 1, True), (1, 1, True), (1, 2, True))]
+    for k in (2, 3, 4):
+        f = vk.spanning_set(dom, k, 1)[-1]
+        for op in [vk.act_z, vk.act_ytilde] + commutator_ys:
+            for i in range(1, k + 1):
+                trace.clear()
+                op(f, i)
+                undone = [(a, b) for a, b in zip(trace, trace[1:])
+                          if isinstance(a, tuple) and isinstance(b, tuple) and a == (b[0], not b[1])]
+                assert len(trace) >= k and not undone, (op, k, i, trace)
+                assert ("divide" in trace) == (op in commutator_ys), (op, k, i)
 
 
 def test_T_times_step_is_the_defining_numerator(dom):
