@@ -6,6 +6,12 @@ integer order of keys is the lex order with u before t.  `_fma`, `_pruned`,
 `_added` and `_div_qm1` are the arithmetic on such polynomials that both
 CoefRat and the V_k operators of vkspace use.
 
+The bits from TAG_SHIFT up are the tag: key + (i << TAG_SHIFT) is the
+monomial times s^i, s a formal scalar ordered above u and t.  No exponent
+of u or t reaches them.  Only vkspace.check_relations tags, to carry basis
+element i of a spanning set as s^i times it through operators that treat
+coefficients as opaque polynomials; no tagged coefficient leaves it.
+
 A CoefRat is num / d: num a polynomial and d a positive integer coprime to
 num's integer content.  Division by a monomial is a key shift.  The only
 other division is the exact one by a monomial times (q - 1), the divisor of
@@ -24,6 +30,8 @@ from math import gcd, isqrt, lcm
 KEY_SHIFT = 32
 _HALF = 1 << (KEY_SHIFT - 1)
 _Q = 2 << KEY_SHIFT  # the key of q = u^2; the key of t is 1
+TAG_SHIFT = 96
+_TAG_HALF = 1 << (TAG_SHIFT - 1)
 
 
 def pack(eu, et):
@@ -34,6 +42,11 @@ def unpack(key):
     """(eu, et) of a key eu * 2^32 + et, where both exponents may be negative."""
     eu = (key + _HALF) >> KEY_SHIFT
     return eu, key - (eu << KEY_SHIFT)
+
+
+def tag_of(key):
+    """i of a tagged key (i << TAG_SHIFT) + pack(eu, et)."""
+    return (key + _TAG_HALF) >> TAG_SHIFT
 
 
 class CoefRatError(ArithmeticError):
@@ -293,7 +306,7 @@ def parse_scalar_token(tok: str, dom):
             f = dom.monomial(1, e, 0)
         elif base == "t":
             f = dom.monomial(1, 0, e)
-        elif base.isdecimal():
+        elif base.isdecimal() and (int(base) or e >= 0):
             f = dom.from_fraction(Fraction(int(base)) ** e)
         else:
             raise ValueError(f"bad scalar token {tok!r}")

@@ -271,44 +271,47 @@ def trains_suite(dom, cases: int = 100, seed: int = 1234) -> dict:
     return {"suite": "trains", "cases": done, "failures": failures}
 
 
-def braid_presentation_suite(dom, kmax: int = 3, degree: int = 2) -> dict:
-    """Defining relations of the braid monoid under the representation."""
-    reports = []
+def braid_presentation_relations(dom, k: int) -> list:
+    """The braid monoid's defining relations on V_k, each side its word times its scalar."""
     T = lambda i: ("T", i)
     Ti = lambda i: ("Ti", i)
     y = lambda i: ("y", i)
     z = lambda i: ("z", i)
     yt = lambda i: ("yt", i)
-    for k in range(1, kmax + 1):
-        rels = []
-        for i in range(1, k):
-            rels.append((f"TT^-1 k={k} i={i}", (T(i), Ti(i)), ()))
-        for i in range(1, k - 1):
-            rels.append((f"braid k={k} i={i}", (T(i), T(i + 1), T(i)), (T(i + 1), T(i), T(i + 1))))
-        for i in range(1, k):
-            for j in range(i + 2, k):
-                rels.append((f"Tcomm k={k}", (T(i), T(j)), (T(j), T(i))))
-        for fam, lab in ((y, "y"), (z, "z"), (yt, "yt")):
-            for i in range(1, k + 1):
-                for j in range(1, k):
-                    if i not in (j, j + 1):
-                        rels.append((f"{lab}{i}T{j} k={k}", (fam(i), T(j)), (T(j), fam(i))))
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    rels.append((f"{lab}comm k={k}", (fam(i), fam(j)), (fam(j), fam(i))))
-        for i in range(1, k):
-            rels.append((f"yrec k={k} i={i}", (y(i + 1),), (Ti(i), y(i), Ti(i))))
-            rels.append((f"zrec k={k} i={i}", (z(i + 1),), (T(i), z(i), T(i))))
-            rels.append((f"ytrec k={k} i={i}", (yt(i + 1),), (T(i), yt(i), T(i))))
-        if k >= 2:
-            rels.append((f"mixed k={k}", (z(1), T(1), y(1), Ti(1)),
-                         (Ti(1), y(1), Ti(1), z(1))))
-            rels.append((f"yt-mixed k={k}", (yt(1), T(1), z(1)),
-                         (T(1), z(1), T(1), yt(1), T(1))))
-        reports += vk.check_relations(
-            [(name, [(br.word_scalar(lw, dom), lw)], [(br.word_scalar(rw, dom), rw)])
-             for name, lw, rw in rels], k, degree, dom)
-    return _relation_report("braid_presentation", reports)
+    rels = []
+    for i in range(1, k):
+        rels.append((f"TT^-1 k={k} i={i}", (T(i), Ti(i)), ()))
+    for i in range(1, k - 1):
+        rels.append((f"braid k={k} i={i}", (T(i), T(i + 1), T(i)), (T(i + 1), T(i), T(i + 1))))
+    for i in range(1, k):
+        for j in range(i + 2, k):
+            rels.append((f"Tcomm k={k}", (T(i), T(j)), (T(j), T(i))))
+    for fam, lab in ((y, "y"), (z, "z"), (yt, "yt")):
+        for i in range(1, k + 1):
+            for j in range(1, k):
+                if i not in (j, j + 1):
+                    rels.append((f"{lab}{i}T{j} k={k}", (fam(i), T(j)), (T(j), fam(i))))
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                rels.append((f"{lab}comm k={k}", (fam(i), fam(j)), (fam(j), fam(i))))
+    for i in range(1, k):
+        rels.append((f"yrec k={k} i={i}", (y(i + 1),), (Ti(i), y(i), Ti(i))))
+        rels.append((f"zrec k={k} i={i}", (z(i + 1),), (T(i), z(i), T(i))))
+        rels.append((f"ytrec k={k} i={i}", (yt(i + 1),), (T(i), yt(i), T(i))))
+    if k >= 2:
+        rels.append((f"mixed k={k}", (z(1), T(1), y(1), Ti(1)),
+                     (Ti(1), y(1), Ti(1), z(1))))
+        rels.append((f"yt-mixed k={k}", (yt(1), T(1), z(1)),
+                     (T(1), z(1), T(1), yt(1), T(1))))
+    return [(name, [(br.word_scalar(lw, dom), lw)], [(br.word_scalar(rw, dom), rw)])
+            for name, lw, rw in rels]
+
+
+def braid_presentation_suite(dom, kmax: int = 3, degree: int = 2) -> dict:
+    """Defining relations of the braid monoid under the representation."""
+    return _relation_report("braid_presentation", [
+        rep for k in range(1, kmax + 1)
+        for rep in vk.check_relations(braid_presentation_relations(dom, k), k, degree, dom)])
 
 
 def braid_suite(dom) -> dict:

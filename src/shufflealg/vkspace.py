@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, lcm
 
 from . import symfunc as sf
-from .scalars import _Q, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned
+from .scalars import _Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned, tag_of
 from .symfunc import SymFunc, mono_times_e, partitions_of
 
 _ONE = {0: 1}
@@ -456,26 +457,12 @@ def parse_word(text: str, dom=None):
 # --------------------------------------------------------------- relations
 
 def spanning_set(dom, k: int, degree: int):
-    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree."""
+    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, by |a|, a, |lam|, lam."""
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    out = []
-    for dy in range(degree + 1):
-        for ys in _compositions_exact(dy, k):
-            for dx in range(degree - dy + 1):
-                for lam in partitions_of(dx):
-                    out.append(VElem(dom, k, {(lam, ys): dict(_ONE)}))
-    return out
-
-
-def _compositions_exact(total: int, k: int):
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_exact(total - first, k - 1):
-            yield (first,) + rest
+    return [VElem(dom, k, {(lam, ys): dict(_ONE)}) for dy in range(degree + 1)
+            for ys in product(range(dy + 1), repeat=k) if sum(ys) == dy
+            for dx in range(degree - dy + 1) for lam in partitions_of(dx)]
 
 
 @dataclass
@@ -510,10 +497,13 @@ def relation_check(lhs, rhs, k: int, degree: int, dom, name: str = "relation") -
 def check_relations(rels, k: int, degree: int, dom) -> list:
     """A RelationReport per (name, lhs, rhs), in order, from one pass over the spanning set of V_k.
 
-    Each relation is checked on the basis elements in order and stops at its
-    first failure, which is its witness.  Words act rightmost-first, so words
-    that end alike share their images: at each basis element, the image of a
-    suffix looked up more than once is held until its last lookup.
+    The operators are linear and treat coefficients as opaque polynomials, so the
+    pass acts once on sum_i s^i b_i over the spanning set b_0, b_1, ..., s the tag
+    of `scalars.TAG_SHIFT`.  A failing relation is found once the whole set is
+    evaluated: the least power of s in lhs - rhs is its first failing basis element,
+    and that power's coefficients are the witness.  No tagged coefficient leaves.
+    Words act rightmost-first, so words that end alike share their images: the
+    image of a suffix looked up more than once is held until its last lookup.
     """
     if k < 0 or degree < 0:
         raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
@@ -524,36 +514,43 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
             lands = [" or ".join(f"V_{j}" for j in sorted(e)) for e in ends]
             raise ValueError(f"{name}: lhs lands in {lands[0]} and rhs in {lands[1]}")
     basis = spanning_set(dom, k, degree)
-    reports = [RelationReport(name, True, len(basis)) for name, _, _ in rels]
-    # lookups of a suffix: one per appearance as a whole word, one per distinct
-    # one-letter extension; a failed relation makes none of its own, so what only
-    # it needed is held to the end of the basis element
+    tagged = VElem(dom, k, {key: {i << TAG_SHIFT: 1}
+                            for i, b in enumerate(basis) for key in b.terms})
+    # lookups of a suffix: one per appearance as a whole word, one per distinct one-letter extension
     words = [word for _, lhs, rhs in rels for _, word in lhs + rhs]
-    uses = Counter(words)
-    uses.update(s[1:] for s in {word[i:] for word in words for i in range(len(word))})
-    for cases, base in enumerate(basis, 1):
-        left, held = uses.copy(), {}
+    left, held = Counter(words), {}
+    left.update(s[1:] for s in {word[i:] for word in words for i in range(len(word))})
 
-        def image(word):
-            if not word:
-                return base
-            f = held.pop(word, None)
-            if f is None:
-                f = apply_gen(image(word[1:]), word[0])
-            left[word] -= 1
-            if left[word] > 0:
-                held[word] = f
-            return f
+    def image(word):
+        if not word:
+            return tagged
+        f = held.pop(word, None)
+        if f is None:
+            f = apply_gen(image(word[1:]), word[0])
+        left[word] -= 1
+        if left[word] > 0:
+            held[word] = f
+        return f
 
-        def value(expr):
-            images = [image(word) if c == dom.one else image(word).scale(c) for c, word in expr]
-            return sum(images[1:], images[0]) if images else VElem(dom, k)
+    def value(expr):
+        images = [image(word) if c == dom.one else image(word).scale(c) for c, word in expr]
+        return sum(images[1:], images[0]) if images else VElem(dom, k)
 
-        for i, (name, lhs, rhs) in enumerate(rels):
-            if reports[i].passed:
-                a, b = value(lhs), value(rhs)
-                if a != b:
-                    reports[i] = RelationReport(name, False, cases, (str(base), str(a), str(b)))
+    def untagged(f, i):
+        """The coefficient of s^i in f."""
+        lo = i << TAG_SHIFT
+        return VElem(dom, k, {key: c for key, p in f.terms.items()
+                              if (c := {m - lo: v for m, v in p.items() if tag_of(m) == i})}, f.den)
+
+    reports = []
+    for name, lhs, rhs in rels:
+        a, b = value(lhs), value(rhs)
+        if a == b:
+            reports.append(RelationReport(name, True, len(basis)))
+            continue
+        i = tag_of(min(m for p in (a - b).terms.values() for m in p))
+        witness = tuple(map(str, (basis[i], untagged(a, i), untagged(b, i))))
+        reports.append(RelationReport(name, False, i + 1, witness))
     return reports
 
 

@@ -28,7 +28,7 @@ def test_polynomial_division(dom):
     assert (dom.q * dom.q - dom.one) / (dom.q - dom.one) == dom.q + dom.one
 
 
-@pytest.mark.parametrize("tok", ["q^x", "q^", "t^1.5", "q*t^y", "x", "\u00b2"])
+@pytest.mark.parametrize("tok", ["q^x", "q^", "t^1.5", "q*t^y", "x", "\u00b2", "0^-1", "2*0^-3"])
 def test_parse_scalar_token_names_the_bad_token(dom, tok):
     with pytest.raises(ValueError, match=re.escape(f"bad scalar token {tok!r}")):
         parse_scalar_token(tok, dom)

@@ -76,22 +76,23 @@ def test_verify_shuffle_rejects_alpha_before_any_work(alpha, monkeypatch):
 
 
 def test_relations_suite_applies_each_suffix_once(dom, monkeypatch):
-    # one generator application per distinct (basis element, word suffix) pair
-    pairs = 0
+    # one generator application per distinct nonempty word suffix at each k, whatever
+    # the basis size; every suffix is applied at least once, so equal totals mean
+    # exactly once at each k
+    suffixes = Counter()
     for k in range(4):
         words = {word for _, lhs, rhs in vf.vk.standard_relations(dom, k) for _, word in lhs + rhs}
-        suffixes = {word[i:] for word in words for i in range(len(word))}
-        pairs += len(vf.vk.spanning_set(dom, k, 3)) * len(suffixes)
-    calls = []
+        suffixes.update(s[0] for s in {word[i:] for word in words for i in range(len(word))})
+    calls = Counter()
     apply_gen = vf.vk.apply_gen
 
     def counted(f, gen):
-        calls.append(gen)
+        calls[gen] += 1
         return apply_gen(f, gen)
 
     monkeypatch.setattr(vf.vk, "apply_gen", counted)
     rep = vf.relations_suite(dom, 3, 3)
-    assert not rep["failures"] and len(calls) <= pairs
+    assert not rep["failures"] and calls == suffixes
 
 
 def test_relations_suite_operator_counts(dom, monkeypatch):
@@ -601,6 +602,12 @@ def test_dp_cache_keeps_its_format(dom, tmp_path):
     assert min(eu for eu, _, _ in rows) == -3 and min(et for _, et, _ in rows) == -1
     back = vf._read_dp_cache(str(path), 2, 3, dom)
     assert back.events == dp.events and back.state == dp.state
+
+
+def test_cli_relation_refuses_zero_to_a_negative_power(capsys):
+    code, data = _run_cli(["verify", "relation", "--lhs", "0^-1 d- d+", "--rhs", "d- d+",
+                           "--k", "1"], capsys)
+    assert code == 2 and data == {"error": "ValueError: bad scalar token '0^-1'"}
 
 
 def test_cli_relation_witness_over_an_integer_denominator(capsys):

@@ -1,3 +1,4 @@
+import operator
 import re
 from fractions import Fraction
 
@@ -5,8 +6,9 @@ import pytest
 
 from shufflealg import actions as ac
 from shufflealg import symfunc as sf
+from shufflealg import verify as vf
 from shufflealg import vkspace as vk
-from shufflealg.scalars import CoefRatError, ExactDomain
+from shufflealg.scalars import TAG_SHIFT, CoefRatError, ExactDomain
 from shufflealg.vkspace import VElem
 
 
@@ -327,15 +329,62 @@ def _per_relation_report(name, lhs, rhs, k, degree, dom):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_check_relations_matches_per_relation_loop(dom, k):
-    # q * 1 = 1 fails at the first basis element; d- d+* = 1 holds at 1 and fails at m_1
+    # q * 1 = 1 fails at the first basis element; d- d+* = 1 holds at 1 and fails at
+    # m_1, halved over the denominator 2; z1 d+* d- = q(1-t) z1 holds at 1 and m_1, so
+    # on [1, m_1, y_1], the spanning set of V_1 at degree 1, it fails only at the last
+    half = dom.from_fraction(Fraction(1, 2))
+    dm, dps, z1 = ("dm",), ("dps",), ("z", 1)
     bogus = [("bogus first", [(dom.q, ())], [(dom.one, ())]),
-             ("bogus later", [(dom.one, (("dm",), ("dps",)))], [(dom.one, ())])]
+             ("bogus later", [(dom.one, (dm, dps))], [(dom.one, ())]),
+             ("bogus halves", [(half, (dm, dps)), (half, ())], [(dom.one, ())])]
+    if k:
+        bogus.append(("bogus last", [(dom.one, (z1, dps, dm))], [(dom.q - dom.q * dom.t, (z1,))]))
     rels = vk.standard_relations(dom, k)
-    rels = rels[:3] + bogus[:1] + rels[3:] + bogus[1:]
-    reports = vk.check_relations(rels, k, 3, dom)
-    assert reports == [_per_relation_report(name, lhs, rhs, k, 3, dom)
-                       for name, lhs, rhs in rels]
-    assert [rep.cases for rep in reports if not rep.passed] == [1, 2]
+    # the braid monoid's relations, whose sides carry odd powers of u
+    rels = rels[:3] + bogus[:1] + rels[3:] + bogus[1:] + (vf.braid_presentation_relations(dom, k)
+                                                            if k else [])
+    for degree in (3, 1):
+        reports = vk.check_relations(rels, k, degree, dom)
+        assert reports == [_per_relation_report(name, lhs, rhs, k, degree, dom)
+                           for name, lhs, rhs in rels]
+        failed = {rep.name: rep for rep in reports if not rep.passed}
+        assert set(failed) == {name for name, _, _ in bogus}
+        assert failed["bogus first"].cases == 1 and failed["bogus later"].cases == 2
+        assert "/ 2" in failed["bogus halves"].witness[1]
+        if (k, degree) == (1, 1):
+            assert failed["bogus last"].cases == len(vk.spanning_set(dom, k, degree)) == 3
+
+
+def _tagged(elems):
+    """sum_i s^i elems[i], with s the tag that check_relations puts on basis element i."""
+    out = VElem(elems[0].dom, elems[0].k)
+    for i, f in enumerate(elems):
+        out = out + VElem(f.dom, f.k, {key: {m + (i << TAG_SHIFT): c for m, c in p.items()}
+                                       for key, p in f.terms.items()}, f.den)
+    return out
+
+
+def test_tagging_commutes_with_the_checkers_operators(dom):
+    # the one-pass check is exact because each operator it reaches maps the tagged sum
+    # of elements to the tagged sum of their images, denominator normalisation included
+    basis = vk.spanning_set(dom, 3, 2)
+    half, qm1 = dom.from_fraction(Fraction(1, 2)), dom.q - dom.one
+    # over 2 or 1, and over 4 or 1 once halved: the tagged sum's denominator is not every part's
+    mixed = [b.scale(half) if i % 3 else b.scale(dom.from_int(2)) for i, b in enumerate(basis)]
+    gens = [("T", 1), ("T", 2), ("Ti", 1), ("Ti", 2), ("dm",), ("dp",), ("dps",)]
+    gens += [(kind, i) for kind in ("y", "z", "yt") for i in (1, 2, 3)]
+    ops = [lambda f, gen=gen: vk.apply_gen(f, gen) for gen in gens]
+    ops += [lambda f: f.scale(dom.one - dom.q), lambda f: f.scale(half)]
+    for elems in (basis, mixed):
+        for op in ops:
+            assert op(_tagged(elems)) == _tagged([op(f) for f in elems])
+    divisible = [f.scale(qm1) for f in mixed]
+    assert _tagged(divisible).divide(qm1) == _tagged([f.divide(qm1) for f in divisible])
+    thirds = [vk.act_T(b, 1).scale(dom.from_fraction(Fraction(1, 1 + 2 * (i % 2))))
+              for i, b in enumerate(basis)]
+    assert _tagged(mixed).den == 2 and _tagged(thirds).den == 3
+    for op in (operator.add, operator.sub):
+        assert op(_tagged(mixed), _tagged(thirds)) == _tagged(list(map(op, mixed, thirds)))
 
 
 def test_spanning_set_size(dom):
