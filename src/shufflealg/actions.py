@@ -1,25 +1,23 @@
 """The tower of algebra actions indexed by coprime slopes.
 
-Starting from the two base actions (the standard one and its conjugate),
-each Farey mediant (m+m', n+n') of an intertwined sector
-((m,n), (m',n')) with m'n - mn' = 1 gets a new pair of actions:
+The base actions are d_+ with y_i multiplication on (0, 1) of the q-algebra,
+and d_+^* with y_i = z_i (`vkspace.act_z`) on (1, 0) of the conjugate
+algebra.  Each algebra's handle at the other base slope has the other's
+raising operator times -q^{+-k} and takes y_i from the commutator formula
+(`vkspace.commutator_y`): the only handles that divide by q - 1.
 
-    new d_+  = -(qt)^{-1} * z_1 * d_+        (z_1 = partner's y_1)
-    new d_+* = - y_1 * d_+*                  (y_1 = partner's y_1)
+Every other coprime (m, n) has m, n >= 1, and its handle is s b_{m,n} applied
+after the (1, 1) handle, with s = (-1)^(m-1) and b_{m,n} the single-strand
+braid (`braid.single_strand_braid`), a word in y_1 and z_1 taken with its
+representation scalars y -> -y, z -> (qt)^{-1} z:
 
-T and d_- never change.  The base handles take their y_i in closed form:
-multiplication by y_i on the standard handle (0, 1) of the q-algebra, and
-`vkspace.act_z` on the conjugate handle (1, 0).  A replicated q-algebra
-handle takes y_1 from its sector by the recipe of its d_+, with y_1 in
-place of d_+, and y_i from y_1 by the Hecke recursion:
+    q-algebra:  d_+ = s b_{m,n} -(qt)^{-1} z_1 d_+     y_1 = s b_{m,n} -(qt)^{-1} z_1 y_1
+    conjugate:  d_+ = s b_{m,n} -y_1 d_+^*             y_1 = s b_{m,n} -y_1 z_1
 
-    new y_1  = -(qt)^{-1} * z_1 * y_1        (y_1 = left end's y_1)
-
-Replicated conjugate handles, (0, 1) of the conjugate algebra and (1, 0) of
-the q-algebra recover y_i from their own d_+ through the commutator formula
-(`vkspace.commutator_y`), with q inverted on conjugate handles.  That
-formula calls d_+ twice, so its cost compounds with every Stern-Brocot
-level; it stays the test oracle for the recipe.
+T and d_- never change.  The q-algebra y_i follow from y_1 by the Hecke
+recursion.  The conjugate y_i telescope as z_i does, around the core
+s b_{m,n} (-y_1) Z, so z_1's own T^{-1}-train is the recursion's.
+`mediant_decompose` is the Stern-Brocot descent that `actions build` reports.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import braid as br
 from . import symfunc as sf
 from . import vkspace as vk
 from .scalars import InvariantError
@@ -86,13 +85,13 @@ def mediant_decompose(m: int, n: int) -> MediantWord:
 # ------------------------------------------------------------- action handles
 
 class ActionHandle:
-    """One action of the pair at slope (m, n).
+    """One action of the pair at slope (m, n): its d_+ and its y_i.
 
     star=False: an action of the q-algebra (T_i as is);
     star=True: an action of the conjugate algebra (T_i inverted).
     """
 
-    def __init__(self, m, n, star, dplus, y=None):
+    def __init__(self, m, n, star, dplus, y):
         self.m, self.n, self.star = m, n, star
         self._dplus = dplus
         self._y = y
@@ -108,11 +107,10 @@ class ActionHandle:
         return self.y(f, 1)
 
     def y(self, f: VElem, i: int) -> VElem:
-        """y_i: the handle's own y_i when it was given one, else the commutator
-        formula on its d_+ (`vkspace.commutator_y`)."""
-        if self._y is not None:
-            return self._y(f, i)
-        return vk.commutator_y(f, self.dplus, self.star, i)
+        """y_i.  At m, n >= 1 in closed form from y_1 = s b_{m,n} -y_1 z_1 (conjugate)
+        or s b_{m,n} -(qt)^{-1} z_1 y_1 (q-algebra); only (1, 0) of the q-algebra and
+        (0, 1) of the conjugate algebra use the commutator formula."""
+        return self._y(f, i)
 
 
 def _y_from_y1(y1, f: VElem, i: int) -> VElem:
@@ -134,47 +132,47 @@ class ActionTower:
         self.dom = dom
         # y_i is multiplication on (0, 1) and z_i on (1, 0): the relations
         # `y1 from commutator` and `z1 from commutator`
-        base_q = ActionHandle(0, 1, False, vk.act_dplus, vk.act_y)
-        base_star = ActionHandle(1, 0, True, vk.act_dplus_star, vk.act_z)
-        self._handles = {(0, 1, False): base_q, (1, 0, True): base_star}
+        self._handles = {(0, 1, False): ActionHandle(0, 1, False, vk.act_dplus, vk.act_y),
+                         (1, 0, True): ActionHandle(1, 0, True, vk.act_dplus_star, vk.act_z)}
 
     def handle(self, m: int, n: int, star: bool) -> ActionHandle:
         key = (m, n, bool(star))
-        hit = self._handles.get(key)
-        if hit is not None:
-            return hit
-        if (m, n) == (1, 0) and not star:
-            base = self.handle(1, 0, True)
-            h = ActionHandle(1, 0, False,
-                             lambda f: base.dplus(f).scale(-self.dom.q_power(f.k)))
-        elif (m, n) == (0, 1) and star:
-            base = self.handle(0, 1, False)
-            h = ActionHandle(0, 1, True,
-                             lambda f: base.dplus(f).scale(-self.dom.q_power(-f.k)))
-        else:
-            word = mediant_decompose(m, n)
-            left, right = word.endpoints
-            h = self._replicate(left, right, m, n, star)
-        self._handles[key] = h
+        h = self._handles.get(key)
+        if h is None:
+            h = self._handles[key] = self._build(*key)
         return h
 
-    def _replicate(self, left, right, m, n, star) -> ActionHandle:
-        rho = self.handle(left[0], left[1], False)
-        rho_star = self.handle(right[0], right[1], True)
+    def _build(self, m, n, star) -> ActionHandle:
         dom = self.dom
+        if (m, n) in ((1, 0), (0, 1)):
+            # the other algebra's base d_+, scaled: rho(d_+) = -q^k rho*(d_+^*)
+            base, e = (vk.act_dplus, -1) if star else (vk.act_dplus_star, 1)
+
+            def dplus(f):
+                return base(f).scale(-dom.q_power(e * f.k))
+            return ActionHandle(m, n, star, dplus,
+                                lambda f, i: vk.commutator_y(f, dplus, star, i))
+        # the representation scalars of b_{m,n} and the sign s make one monomial
+        gens = br.single_strand_braid(m, n).gens
+        scalar = br.word_scalar(gens, dom) * (dom.one if m % 2 else -dom.one)
+
+        def b(f, c):
+            return vk.apply_word(f, gens).scale(scalar * c)
         if star:
-            def dplus(f, _a=rho, _b=rho_star):
-                return -_a.y1(_b.dplus(f))
-            return ActionHandle(m, n, star, dplus)
-        scale = -(dom.q_power(-1) / dom.t)
+            # y_i = q^{k+1-i} T_{i-1}...T_1 (s b (-y_1) Z) T_{k-1}^{-1}...T_i^{-1}
+            def y(f, i):
+                if not 1 <= i <= f.k:
+                    raise ValueError(f"y_{i} is not defined on V_{f.k}")
+                c = -dom.q_power(f.k + 1 - i)
+                return vk._telescoped(f, i, True, lambda g: b(vk.act_y(vk.act_Z(g), 1), c))
+            return ActionHandle(m, n, True,
+                                lambda f: b(vk.act_y(vk.act_dplus_star(f), 1), -dom.one), y)
+        c = -(dom.q_power(-1) / dom.t)
 
-        def dplus(f, _a=rho, _b=rho_star, _s=scale):
-            return _b.y1(_a.dplus(f)).scale(_s)
-
-        # the sector recipe of d_+ with y_1 in place of d_+
-        def y1(f, _a=rho, _b=rho_star, _s=scale):
-            return _b.y1(_a.y1(f)).scale(_s)
-        return ActionHandle(m, n, star, dplus, lambda f, i: _y_from_y1(y1, f, i))
+        def y1(f):
+            return b(vk.act_z(vk.act_y(f, 1), 1), c)
+        return ActionHandle(m, n, False, lambda f: b(vk.act_z(vk.act_dplus(f), 1), c),
+                            lambda f, i: _y_from_y1(y1, f, i))
 
 
 def build_action(dom, m: int, n: int, star: bool = False,

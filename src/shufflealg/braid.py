@@ -377,11 +377,6 @@ def rewrite_trains(w: BraidWord, rule: str, site: int, params: dict) -> BraidWor
 
 # --------------------------------------------------------- creation operators
 
-def expand_ytilde(i: int, k: int):
-    """ytilde_i as a word over T^{+-} and y, the one `vkspace.act_ytilde` applies."""
-    return vk.ytilde_word(i, k)
-
-
 def expand_y(i: int, k: int):
     """y_i as a word over T^{+-} and ytilde (inverts the previous expansion)."""
     # y_1 = T*_{1 up k} ytilde_k T_{k down 1}; y_{i+1} = T_i^{-1} y_i T_i^{-1}
@@ -405,7 +400,7 @@ def creation_hom(w: BraidWord, which: str) -> BraidWord:
     elif which in ("phi_minus", "phi_plus_star"):
         pre = []
         for g in w.gens:
-            pre.extend(expand_ytilde(g[1], k) if g[0] == "yt" else [g])
+            pre.extend(vk.ytilde_word(g[1], k) if g[0] == "yt" else [g])
         delta = 0 if which == "phi_minus" else 1
         for g in pre:
             out.append((g[0], g[1] + delta))

@@ -470,7 +470,8 @@ def verify_shuffle(cfg: JobConfig) -> dict:
         skipped = [list(a) for a in alphas]
         return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "ok": False, "results": [],
                 "skipped": skipped,
-                "skip_reason": f"estimated work exceeds budget {cfg.budget}"}
+                "skip_reason": f"estimated work exceeds budget {cfg.budget}",
+                "rhs_method": "coloring_dp"}
     dom = ExactDomain()
     tower = ac.ActionTower(dom)
     dp = _load_dp_cache(cfg, dom)

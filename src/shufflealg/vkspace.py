@@ -368,9 +368,7 @@ def act_ytilde(f: VElem, i: int) -> VElem:
     """ytilde_i, the word `ytilde_word(i, k)` applied."""
     if not 1 <= i <= f.k:
         raise ValueError(f"ytilde_{i} is not defined on V_{f.k}")
-    for kind, j in reversed(ytilde_word(i, f.k)):
-        f = act_y(f, j) if kind == "y" else act_T(f, j, inverse=kind == "Ti")
-    return f
+    return apply_word(f, ytilde_word(i, f.k))
 
 
 # ------------------------------------------------------------ operator words
@@ -382,13 +380,6 @@ _GEN_ACTIONS = {"T": lambda f, i: act_T(f, i), "Ti": lambda f, i: act_T(f, i, in
                 "dm": lambda f: act_dminus(f), "dp": lambda f: act_dplus(f),
                 "dps": lambda f: act_dplus_star(f), "y": lambda f, i: act_y(f, i),
                 "z": lambda f, i: act_z(f, i), "yt": lambda f, i: act_ytilde(f, i)}
-
-
-def apply_gen(f: VElem, gen) -> VElem:
-    # each lambda looks its operator up at call time, so rebinding a module name takes effect
-    if gen[0] not in _GEN_ACTIONS:
-        raise ValueError(f"unknown generator {gen!r}")
-    return _GEN_ACTIONS[gen[0]](f, *gen[1:])
 
 
 def word_target(word, k: int) -> int:
@@ -408,8 +399,17 @@ def word_target(word, k: int) -> int:
 def apply_word(f: VElem, word) -> VElem:
     """Apply a word (written order, rightmost acts first)."""
     for gen in reversed(word):
-        f = apply_gen(f, gen)
+        # each lambda looks its operator up at call time, so rebinding a module name takes effect
+        act = _GEN_ACTIONS.get(gen[0])
+        if act is None:
+            raise ValueError(f"unknown generator {gen!r}")
+        f = act(f, *gen[1:])
     return f
+
+
+def apply_gen(f: VElem, gen) -> VElem:
+    """Apply one generator: the one-letter word."""
+    return apply_word(f, (gen,))
 
 
 def _token_index(tok: str, body: str) -> int:

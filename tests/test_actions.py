@@ -28,6 +28,68 @@ def test_mediant_replay_invariant():
         assert w.replay() == w.endpoints
 
 
+class SectorTower:
+    """The Farey-sector replication, the test oracle for the tower's handles.
+
+    Each handle with m, n >= 1 is replicated from the ends of its sector
+    ((m, n), (m', n')), m'n - mn' = 1, found by `mediant_decompose`: the steep
+    end's q-algebra handle rho and the shallow end's conjugate handle rho*.
+
+        q-algebra:  d_+ = -(qt)^{-1} z_1 d_+,  y_1 = -(qt)^{-1} z_1 y_1
+                    (z_1 = rho*'s y_1, d_+ and y_1 = rho's)
+        conjugate:  d_+ = -y_1 d_+^*           (y_1 = rho's, d_+^* = rho*'s d_+)
+
+    The q-algebra y_i follow from y_1 by the Hecke recursion, and the
+    conjugate y_i are the commutator formula on the handle's own d_+, which
+    divides by q - 1.  The base handles are the tower's.
+    """
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.tower = ac.ActionTower(dom)
+        self._handles = {}
+
+    def handle(self, m, n, star):
+        if min(m, n) == 0:
+            return self.tower.handle(m, n, star)
+        key = (m, n, star)
+        if key not in self._handles:
+            self._handles[key] = self._replicate(m, n, star)
+        return self._handles[key]
+
+    def _replicate(self, m, n, star):
+        left, right = ac.mediant_decompose(m, n).endpoints
+        rho, rho_star = self.handle(*left, False), self.handle(*right, True)
+        if star:
+            def dplus(f):
+                return -rho.y1(rho_star.dplus(f))
+            return ac.ActionHandle(m, n, True, dplus,
+                                   lambda f, i: vk.commutator_y(f, dplus, True, i))
+        s = -(self.dom.q_power(-1) / self.dom.t)
+
+        def y1(f):
+            return rho_star.y1(rho.y1(f)).scale(s)
+        return ac.ActionHandle(m, n, False, lambda f: rho_star.y1(rho.dplus(f)).scale(s),
+                               lambda f, i: ac._y_from_y1(y1, f, i))
+
+
+COPRIME_6 = [(m, n) for m in range(1, 7) for n in range(1, 7) if gcd(m, n) == 1]
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_handles_match_sector_oracle(dom, star):
+    # s b_{m,n} after the (1, 1) handle against the Farey-sector replication,
+    # d_+ and every y_i, for every coprime m, n <= 6
+    tower, oracle = ac.ActionTower(dom), SectorTower(dom)
+    for m, n in COPRIME_6:
+        h, want = tower.handle(m, n, star), oracle.handle(m, n, star)
+        for k in (0, 1, 2):
+            for base in vk.spanning_set(dom, k, 2 if k < 2 else 1):
+                assert h.dplus(base) == want.dplus(base), (m, n, k, str(base))
+                for i in range(1, k + 1):
+                    assert h.y(base, i) == want.y(base, i), (m, n, k, i, str(base))
+
+
 def test_base_handles(dom):
     tower = ac.ActionTower(dom)
     one0 = VElem.one(dom, 0)
@@ -50,7 +112,7 @@ Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
 
 @pytest.mark.parametrize("m,n", Q_SIDE_REPLICATED)
 def test_q_side_y1_matches_commutator(dom, m, n):
-    # the sector recipe -(qt)^{-1} z_1 y_1 against the commutator formula
+    # y_1 = s b_{m,n} -(qt)^{-1} z_1 y_1 against the commutator formula on the handle's d_+
     h = ac.ActionTower(dom).handle(m, n, False)
     for k, degree in ((1, 2), (2, 1), (3, 1)):
         for base in vk.spanning_set(dom, k, degree):

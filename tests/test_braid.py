@@ -308,9 +308,10 @@ def test_evaluate_matches_per_generator_oracle(dom):
 
 
 def test_single_strand_words_realize_tower_dplus(dom):
-    # b_{m,n}(-y1, (qt)^{-1} z1) . (-y1 d+*) acts as +-(the conjugate tower d_+)
-    from shufflealg import actions as ac
-    tower = ac.ActionTower(dom)
+    # b_{m,n}(-y1, (qt)^{-1} z1) . (-y1 d+*) acts as +-(the Farey-sector replication's
+    # conjugate d_+), which the tower's handles are built from and tested against
+    from test_actions import SectorTower
+    tower = SectorTower(dom)
     for (m, n) in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2)):
         b = br.single_strand_braid(m, n)
         h = tower.handle(m, n, star=True)
@@ -323,9 +324,10 @@ def test_single_strand_words_realize_tower_dplus(dom):
 
 
 def test_single_strand_words_realize_tower_y1(dom):
-    # with the literal algebra tail -y1 z1 (no representation scalar)
-    from shufflealg import actions as ac
-    tower = ac.ActionTower(dom)
+    # with the literal algebra tail -y1 z1 (no representation scalar), against the
+    # replication's commutator y_1
+    from test_actions import SectorTower
+    tower = SectorTower(dom)
     for (m, n) in ((1, 1), (1, 2), (2, 1), (2, 3)):
         b = br.single_strand_braid(m, n)
         h = tower.handle(m, n, star=True)

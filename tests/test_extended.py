@@ -33,9 +33,8 @@ def test_shuffle_identity_extended(dom, m1, n1, g):
 
 @pytest.mark.parametrize("m1,n1,g", [(3, 4, 2), (4, 3, 2), (2, 5, 2)])
 def test_tower_matches_dp_beyond_unit_left_ends(dom, m1, n1, g):
-    # the star handle's sector has a replicated q-side end, whose y_1 comes
-    # from its own sector: (2,3) at (3,4), a sector that starts at (1,2),
-    # and (1,1) at (4,3), (1,3) at (2,5)
+    # slopes whose Farey sector has a q-side end with m, n >= 1: (2,3) at (3,4),
+    # (1,1) at (4,3), (1,3) at (2,5); each handle's b_{m,n} has five letters
     tower = ac.ActionTower(dom)
     dp = sw.recursion_dp(g * m1, g * n1, dom)
     for alpha in vf.compositions_of(g):

@@ -43,7 +43,7 @@ def test_verify_shuffle_smallest(dom):
 def test_verify_shuffle_budget_skip():
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2, budget=1))
     assert not rep["ok"] and rep["skipped"] and not rep["results"]
-    assert "budget" in rep["skip_reason"]
+    assert "budget" in rep["skip_reason"] and rep["rhs_method"] == "coloring_dp"
 
 
 def test_verify_shuffle_budget_prices_dyck_paths():
@@ -501,6 +501,11 @@ def _braid_word_ytilde_out_of_range(tmp_path):
     return ["braid", "eval", "--word", "ytilde0", "--k", "2"]
 
 
+def _lhs_negative_slope(tmp_path):
+    # coprime, so it passes the gcd check and reaches the single-strand braid's
+    return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
@@ -513,7 +518,8 @@ def _braid_word_ytilde_out_of_range(tmp_path):
                                   _coloring_negative_m, _coloring_zero_m,
                                   _alpha_empty_part, _relation_sides_in_different_spaces,
                                   _chi_over_word_budget, _braid_word_with_d_letters,
-                                  _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range])
+                                  _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
+                                  _lhs_negative_slope])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()

@@ -160,7 +160,7 @@ def test_z_and_ytilde_match_recursive_oracles(dom, k):
 
 
 def test_z_ytilde_and_commutator_y_never_undo_a_T(dom, monkeypatch):
-    # no T_j directly after T_j^{-1} or the reverse; z divides nothing
+    # no T_j directly after T_j^{-1} or the reverse; only the commutator y_i divide
     trace = []
     act_T, act_y, act_Z, act_dminus = vk.act_T, vk.act_y, vk.act_Z, vk.act_dminus
     divide = VElem.divide
@@ -177,10 +177,14 @@ def test_z_ytilde_and_commutator_y_never_undo_a_T(dom, monkeypatch):
     monkeypatch.setattr(VElem, "divide", no_divide)
     tower = ac.ActionTower(dom)
     commutator_ys = [tower.handle(m, n, star).y for m, n, star in
-                     ((1, 0, False), (0, 1, True), (1, 1, True), (1, 2, True))]
+                     ((1, 0, False), (0, 1, True))]
+    # every other handle's y_i is built from its single-strand braid and divides nothing
+    braid_ys = [tower.handle(m, n, star).y for m, n, star in
+                ((1, 1, True), (1, 1, False), (1, 2, True), (1, 2, False),
+                 (2, 3, True), (2, 3, False), (2, 1, False))]
     for k in (2, 3, 4):
         f = vk.spanning_set(dom, k, 1)[-1]
-        for op in [vk.act_z, vk.act_ytilde] + commutator_ys:
+        for op in [vk.act_z, vk.act_ytilde] + commutator_ys + braid_ys:
             for i in range(1, k + 1):
                 trace.clear()
                 op(f, i)
