@@ -3,10 +3,11 @@
 Strand positions live on the antidiagonal of the torus cell at slope
 s = n1/m1 - eps.  A position x is stored as X = x (s + 1), in units of the
 corner t = 1/(s + 1), so the corner sits at 1 and the far end of the cell
-at s + 1.  Each X is a polynomial germ in the tie-breaking infinitesimal eps
-(EpsRat), ordered by its behaviour as eps -> 0+, and held as integer
-numerators over one positive integer denominator, so the geometry runs in
-integer arithmetic.  Braid words evaluate on
+at s + 1.  Each X is a germ in the tie-breaking infinitesimal eps, ordered
+by its behaviour as eps -> 0+.  A configuration holds its slope and its X
+as integer rows over one denominator of its own, so strands move and
+compare as plain integer tuples; EpsRat, a germ kept reduced, is the type of
+stratum bounds and line heights.  Braid words evaluate on
 V_* through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
 z_i -> (qt)^{-1} z_i, ytilde_i -> -q^{1-i} ytilde_i: every scalar is a
 monomial, so a word evaluates as its operator word times one monomial.
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 from . import vkspace as vk
 from .vkspace import VElem
@@ -30,6 +32,7 @@ class DegenerateGeometry(ArithmeticError):
     """An exact coincidence (point at the puncture, a wall, or a collision)."""
 
 
+@total_ordering
 class EpsRat:
     """The germ (n[0] + n[1] eps + n[2] eps^2 + ...) / d as eps -> 0+.
 
@@ -93,20 +96,8 @@ class EpsRat:
         return EpsRat(out, self.d * other.d)
 
     def sign(self) -> int:
-        # trimmed, so a nonzero germ has a nonzero numerator
-        for a in self.n:
-            if a:
-                return 1 if a > 0 else -1
-        return 0
-
-    def _cmp(self, other) -> int:
-        """The sign of self - other, cross-multiplied, with no germ built."""
-        da, db = self.d, other.d
-        for a, b in zip_longest(self.n, other.n, fillvalue=0):
-            c = a * db - b * da
-            if c:
-                return 1 if c > 0 else -1
-        return 0
+        """The sign of the first nonzero numerator, the germ's sign."""
+        return next((1 if a > 0 else -1 for a in self.n if a), 0)
 
     def __eq__(self, other):
         return isinstance(other, EpsRat) and self.n == other.n and self.d == other.d
@@ -115,36 +106,7 @@ class EpsRat:
         return hash((self.n, self.d))
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def floor_div(self, d: "EpsRat") -> int:
-        """floor(self / d) as eps -> 0+, for a divisor with d(0) > 0."""
-        p, q = self.n, d.n
-        if not q or q[0] <= 0:
-            raise ValueError(f"floor_div needs a divisor with a positive constant "
-                             f"term, got {d!r}")
-        # self / d = (p / P) / (q / Q) = (p Q) / (q P), with q(0) P > 0
-        r, rem = divmod((p[0] if p else 0) * d.d, q[0] * self.d)
-        if rem:
-            return r
-        # integral at eps = 0: the sign of p Q - r q P decides the side
-        for a, b in zip_longest(p, q, fillvalue=0):
-            c = a * d.d - r * b * self.d
-            if c:
-                return r if c > 0 else r - 1
-        raise DegenerateGeometry("exactly integral value")
-
-    def ceil(self) -> int:
-        return -(-self).floor_div(ONE)
+        return (self - other).sign() < 0
 
     def __repr__(self):
         return f"EpsRat({self.n}, {self.d})"
@@ -155,37 +117,75 @@ ONE = EpsRat.const(1)   # the corner t, in units of t
 
 # -------------------------------------------------------------- point configs
 
+def row_floor(p: tuple, q: tuple) -> int:
+    """floor(p / q) as eps -> 0+, for rows over one denominator with q[0] > 0."""
+    if not q or q[0] <= 0:
+        raise ValueError(f"row_floor needs a divisor with a positive constant term, got {q!r}")
+    r, rem = divmod(p[0], q[0])
+    if rem:
+        return r
+    # integral at eps = 0: the sign of p - r q decides the side
+    for a, b in zip(p, q):
+        c = a - r * b
+        if c:
+            return r if c > 0 else r - 1
+    raise DegenerateGeometry("exactly integral value")
+
+
+def _axpy(a: int, x: tuple, y: tuple) -> tuple:
+    """The row a x + y."""
+    return tuple([a * p + q for p, q in zip(x, y)])
+
+
 @dataclass(frozen=True)
 class PointConfig:
-    """k labelled points on the antidiagonal, with the slope."""
+    """k labelled points on the antidiagonal, with the slope, as rows over d.
 
-    v: tuple          # EpsRat positions in (0, s + 1), in units of t, by strand label
-    s: EpsRat         # slope (n1/m1 - eps)
+    The row (n[0], n[1], ...) is the germ (n[0] + n[1] eps + ...) / d.  Every
+    row of a configuration, and of each one moved from it, has one width and
+    the one denominator d > 0, so rows compare as their germs do, as tuples.
+    """
+
+    v: tuple          # position rows in (0, s + 1), in units of t, by strand label
+    s: tuple          # the slope row (n1/m1 - eps)
+    d: int            # the one positive denominator
 
     @property
     def k(self) -> int:
         return len(self.v)
 
-    def sorted_position(self, x: EpsRat) -> int:
+    @property
+    def one(self) -> tuple:
+        """The corner t, at 1 in units of t."""
+        return (self.d,) + (0,) * (len(self.s) - 1)
+
+    def sorted_position(self, x: tuple) -> int:
         return 1 + sum(1 for w in self.v if w < x)
 
+    def germ(self, row: tuple) -> EpsRat:
+        return EpsRat(row, self.d)
 
-def _slope(m1: int, n1: int) -> EpsRat:
-    return EpsRat((n1, -m1), m1)
+    @staticmethod
+    def of_germs(v, s: EpsRat) -> "PointConfig":
+        """The configuration of germ positions v (in units of t) at slope s."""
+        d, width = lcm(s.d, *(x.d for x in v)), max(len(x.n) for x in (s, *v))
+        rows = [tuple(a * (d // x.d) for a in x.n) + (0,) * (width - len(x.n)) for x in (s, *v)]
+        return PointConfig(tuple(rows[1:]), rows[0], d)
 
 
 def make_config(m1: int, n1: int, positions) -> PointConfig:
-    """Points given as fractions of the antidiagonal, stored in units of t."""
-    s = _slope(m1, n1)
-    return PointConfig(tuple(p * (s + ONE) for p in positions), s)
+    """Points given as germ fractions of the antidiagonal, stored in units of t."""
+    s = EpsRat((n1, -m1), m1)
+    return PointConfig.of_germs(tuple(p * (s + ONE) for p in positions), s)
 
 
-def opnext(cfg: PointConfig, x: EpsRat) -> EpsRat:
-    if x == ONE:
+def opnext(cfg: PointConfig, x: tuple) -> tuple:
+    one = cfg.one
+    if x == one:
         raise DegenerateGeometry("point sits exactly on the departure corner")
-    if x < ONE:
-        return x + cfg.s
-    return x - ONE
+    if x < one:
+        return tuple([a + b for a, b in zip(x, cfg.s)])
+    return (x[0] - cfg.d,) + x[1:]
 
 
 # --------------------------------------------------------------- braid words
@@ -263,14 +263,12 @@ def elementary_step(cfg: PointConfig, i: int):
         raise ValueError(f"strand {i} is not in 1..{cfg.k}")
     x = cfg.v[i - 1]
     nx = opnext(cfg, x)
-    for j, w in enumerate(cfg.v):
-        if j != i - 1 and w == nx:
-            raise DegenerateGeometry("moved point collides with another strand")
+    if nx in cfg.v[:i - 1] or nx in cfg.v[i:]:
+        raise DegenerateGeometry("moved point collides with another strand")
     a = cfg.sorted_position(x)
-    newv = cfg.v[:i - 1] + (nx,) + cfg.v[i:]
-    new_cfg = PointConfig(newv, cfg.s)
+    new_cfg = PointConfig(cfg.v[:i - 1] + (nx,) + cfg.v[i:], cfg.s, cfg.d)
     ap = new_cfg.sorted_position(nx)
-    if x < ONE:
+    if x < cfg.one:
         gens = tuple(train_down(ap, a)) + (("z", a),)
     else:
         gens = tuple(star(train_up(ap, a))) + (("yt", a),)
@@ -302,12 +300,12 @@ def special_braid(cfg: PointConfig, alpha, order=None):
     if len(alpha) != cfg.k or any(a < 1 for a in alpha):
         raise ValueError("alpha must assign a positive crossing count per strand")
     flat = [p for tr in trajectories(cfg, alpha) for p in tr]
-    top = cfg.s + ONE
-    seen = Counter(flat)
+    zero, top = (0,) * len(cfg.s), _axpy(1, cfg.s, cfg.one)
+    distinct = len(set(flat)) == len(flat)
     for p in flat:
-        if p.sign() <= 0 or p >= top:
+        if not zero < p < top:
             raise DegenerateGeometry("trajectory leaves the open interval")
-        if seen[p] > 1:
+        if not distinct and flat.count(p) > 1:
             raise DegenerateGeometry("trajectories collide")
     if order is None:
         order = [i for i in range(cfg.k, 0, -1) for _ in range(alpha[i - 1] - 1)]
@@ -427,26 +425,28 @@ def safe_height(lower: EpsRat, upper: EpsRat, m1: int, n1: int) -> EpsRat:
 
 
 def coloring_geometry(m1: int, n1: int, intervals, h: EpsRat):
-    """Initial positions and crossing counts of a coloring's intervals."""
-    s = _slope(m1, n1)
-    s1 = s + ONE
-    hs = h * s
+    """Initial positions and crossing counts of a coloring's intervals, on
+    rows over d = m1 h.d: s = (n1 h.d - m1 h.d eps)/d and h = m1 h.n/d."""
+    if m1 < 1 or n1 < 1:
+        raise ValueError("need positive m1, n1")
+    hn = h.n + (0,) * (2 - len(h.n))     # at least affine, as the slope is
+    d, pad = m1 * h.d, (0,) * (len(hn) - 2)
+    s, one = (n1 * h.d, -m1 * h.d) + pad, (d, 0) + pad
+    s1, neg_h = _axpy(1, s, one), tuple(-m1 * a for a in hn)
     vs, alphas = [], []
     for (xi, yi) in intervals:
-        # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s;
-        # both sides of each comparison are multiplied by s > 0
-        x = EpsRat.const(xi)
-        above = EpsRat.const(yi) - h
-        if not x * s < above:
+        # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s
+        if not tuple([xi * a for a in s]) < _axpy(yi, one, neg_h):
             raise DegenerateGeometry("interval is empty at this height")
-        jmin = (x * s1 + h).ceil()
-        jmax = (above * s1 + hs).floor_div(s)
+        jmin = -row_floor(_axpy(-xi, s1, neg_h), one)   # ceil(xi (s + 1) + h)
+        # ((yi - h)(s + 1) + h s)/s = (yi (s + 1) - h)/s
+        jmax = row_floor(_axpy(yi, s1, neg_h), s)
         if jmin > jmax:
             raise DegenerateGeometry("interval does not cross the antidiagonal")
-        v = EpsRat.const(jmax) - h
-        vs.append(v - s1 * EpsRat.const(v.floor_div(s1)))
+        v = _axpy(jmax, one, neg_h)
+        vs.append(_axpy(-row_floor(v, s1), s1, v))
         alphas.append(jmax - jmin + 1)
-    return PointConfig(tuple(vs), s), tuple(alphas)
+    return PointConfig(tuple(vs), s, d), tuple(alphas)
 
 
 def braid_of_coloring(m1: int, n1: int, intervals, h: EpsRat):
@@ -476,14 +476,14 @@ def single_strand_braid(m: int, n: int) -> BraidWord:
     n-1 horizontal and m-1 vertical wall crossings."""
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("need coprime positive m, n")
-    s = _slope(m, n)
-    cfg = PointConfig((s - EpsRat.eps() * (s + ONE),), s)
+    # over d = m: s = n/m - eps, and the start s - eps (s + 1)
+    cfg = PointConfig(((n, -2 * m - n, m),), (n, -m, 0), m)
     x = cfg.v[0]
     gens: tuple = ()
     horiz = vert = 0
     # the word lives in the free monoid on y_1 and z_1
     for _ in range((m - 1) + (n - 1)):
-        if x < ONE:
+        if x < cfg.one:
             gens = (("z", 1),) + gens
             vert += 1
         else:
@@ -492,8 +492,7 @@ def single_strand_braid(m: int, n: int) -> BraidWord:
         x = opnext(cfg, x)
     if (horiz, vert) != (n - 1, m - 1):
         raise DegenerateGeometry("wall crossing counts are off")
-    gap = ONE - x
-    if gap.sign() <= 0 or gap.n[0]:
+    if x[0] != m or not x < cfg.one:   # 1 - x must be a positive multiple of eps
         raise DegenerateGeometry("strand does not finish just left of the corner")
     return BraidWord(1, gens)
 

@@ -352,20 +352,21 @@ def _creation_checks(cfg, alpha, B):
     checks = []
     k = cfg.k
     # phi_plus: extra fixed point left of every trajectory point
-    flat = [p for tr in br.trajectories(cfg, alpha) for p in tr]
-    s1 = cfg.s + br.ONE
+    flat = [cfg.germ(p) for tr in br.trajectories(cfg, alpha) for p in tr]
+    s = cfg.germ(cfg.s)
+    s1 = s + br.ONE
     lowest = min(Fr(p.n[0], p.d) for p in flat)
     x0 = br.EpsRat.const(lowest / Fr(2 * s1.n[0], s1.d)) * s1
     if any(x0 == p for p in flat):
         raise br.DegenerateGeometry("left guard collides")
-    cfg_plus = br.PointConfig((x0,) + cfg.v, cfg.s)
+    cfg_plus = br.PointConfig.of_germs((x0,) + tuple(map(cfg.germ, cfg.v)), s)
     Bp, _ = br.special_braid(cfg_plus, (1,) + alpha,
                              order=[i + 1 for i in range(k, 0, -1)
                                     for _ in range(alpha[i - 1] - 1)])
     checks.append(("phi_plus", k + 1, Bp.gens, br.creation_hom(B, "phi_plus").gens))
 
     # phi_minus: extra fixed point at the finish corner (t, 1-t)
-    cfg_minus = br.PointConfig(cfg.v + (br.ONE,), cfg.s)
+    cfg_minus = br.PointConfig(cfg.v + (cfg.one,), cfg.s, cfg.d)
     traj = br.trajectories(cfg_minus, alpha + (1,))
     flat2 = [p for tr in traj for p in tr]
     if len(set(flat2)) != len(flat2):
@@ -373,15 +374,15 @@ def _creation_checks(cfg, alpha, B):
     Bm, cfgm_final = br.special_braid(cfg_minus, alpha + (1,),
                                       order=[i for i in range(k, 0, -1)
                                              for _ in range(alpha[i - 1] - 1)])
-    i0 = cfg_minus.sorted_position(br.ONE)
-    i1 = cfgm_final.sorted_position(br.ONE)
+    i0 = cfg_minus.sorted_position(cfg.one)
+    i1 = cfgm_final.sorted_position(cfg.one)
     lhs = tuple(br.star(br.train_down(k + 1, i1))) + Bm.gens
     rhs = br.creation_hom(B, "phi_minus").gens + tuple(br.star(br.train_down(k + 1, i0)))
     checks.append(("phi_minus", k + 1, lhs, rhs))
 
     # phi_plus_star: extra fixed point at the start corner (1-t, t)
     pstart = cfg.s
-    cfg_star = br.PointConfig(cfg.v + (pstart,), cfg.s)
+    cfg_star = br.PointConfig(cfg.v + (pstart,), cfg.s, cfg.d)
     traj = br.trajectories(cfg_star, alpha + (1,))
     flat3 = [p for tr in traj for p in tr]
     if len(set(flat3)) != len(flat3):

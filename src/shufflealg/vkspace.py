@@ -256,11 +256,11 @@ def act_dplus(f: VElem) -> VElem:
 
 
 def dplus_power(dom, k: int) -> VElem:
-    """d_+^k applied to 1 in V_0."""
-    f = VElem.one(dom, 0)
-    for _ in range(k):
-        f = act_dplus(f)
-    return f
+    """d_+^k applied to 1 in V_0; cached per domain, each power from the last."""
+    powers = dom.cache.setdefault("dplus_power", [VElem.one(dom, 0)])
+    while len(powers) <= k:
+        powers.append(act_dplus(powers[-1]))
+    return powers[max(k, 0)]
 
 
 def act_dplus_star(f: VElem) -> VElem:

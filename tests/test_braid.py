@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from itertools import zip_longest
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,26 @@ def test_epsrat_ordering():
     eps = br.EpsRat.eps()
     assert C(0) < eps < C("1/1000000")
     assert (C(1) - eps) < C(1)
-    assert C(1).floor_div(C(2) - eps) == 0
-    assert (C(2) + eps).floor_div(C(1)) == 2
-    assert (C(2) - eps).floor_div(C(1)) == 1
-    with pytest.raises(br.DegenerateGeometry):
-        C(2).floor_div(C(1))  # exactly integral: caller must perturb
-    x = C("7/3") + eps
-    assert x - C(x.floor_div(C(1))) == C("1/3") + eps
+
+
+def _rows(*germs):
+    """The germs as rows of one width over their least common denominator."""
+    den = lcm(*(g.d for g in germs))
+    width = max(1, *(len(g.n) for g in germs))
+    return [tuple(a * (den // g.d) for a in g.n) + (0,) * (width - len(g.n))
+            for g in germs]
+
+
+def test_row_floor_examples():
+    eps = br.EpsRat.eps()
+    assert br.row_floor(*_rows(C(1), C(2) - eps)) == 0
+    assert br.row_floor(*_rows(C(2) + eps, C(1))) == 2
+    assert br.row_floor(*_rows(C(2) - eps, C(1))) == 1
+    with pytest.raises(br.DegenerateGeometry, match="exactly integral"):
+        br.row_floor(*_rows(C(2), C(1)))  # exactly integral: caller must perturb
+    x, one = _rows(C("7/3") + eps, C(1))  # over 3: (7, 3) and (3, 0)
+    r = br.row_floor(x, one)
+    assert br.EpsRat([a - r * b for a, b in zip(x, one)], 3) == C("1/3") + eps
 
 
 _germ = st.builds(br.EpsRat, st.lists(st.integers(-20, 20), max_size=3),
@@ -43,8 +59,8 @@ def _sign(x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_germ, _germ, _germ)
-def test_epsrat_germ_matches_small_eps(p, q, d):
+@given(_germ, _germ)
+def test_epsrat_germ_matches_small_eps(p, q):
     for germ, value in ((p + q, _at(p, _EPS0) + _at(q, _EPS0)),
                         (p - q, _at(p, _EPS0) - _at(q, _EPS0)),
                         (p * q, _at(p, _EPS0) * _at(q, _EPS0)),
@@ -57,17 +73,24 @@ def test_epsrat_germ_matches_small_eps(p, q, d):
     assert p.sign() == _sign(_at(p, _EPS0))
     assert (p < q, p <= q, p > q, p >= q, p == q) == \
         (diff < 0, diff <= 0, diff > 0, diff >= 0, diff == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_germ, _germ)
+def test_row_floor_matches_small_eps(p, d):
+    neg_p, one = _rows(-p, br.ONE)
     try:
-        assert p.ceil() == ceil(_at(p, _EPS0))
+        assert -br.row_floor(neg_p, one) == ceil(_at(p, _EPS0))
     except br.DegenerateGeometry:
         assert not p.n[1:] and _at(p, 0).denominator == 1   # an exact integer
+    rp, rd = _rows(p, d)
     if not d.n or d.n[0] <= 0:
         with pytest.raises(ValueError, match="divisor"):
-            p.floor_div(d)
+            br.row_floor(rp, rd)
         return
     ratio = _at(p, _EPS0) / _at(d, _EPS0)
     try:
-        assert p.floor_div(d) == floor(ratio)
+        assert br.row_floor(rp, rd) == floor(ratio)
     except br.DegenerateGeometry:
         assert p == d * C(ratio)      # only an exact multiple has no germ floor
 
@@ -91,25 +114,29 @@ def test_epsrat_canonical_form():
         br.EpsRat((1,), 0)
 
 
-def test_epsrat_floor_div_needs_positive_divisor():
+def test_row_floor_needs_positive_divisor():
     eps = br.EpsRat.eps()
     # floor(2 / (-1 + eps)) is -3; the divisor breaks the contract
     with pytest.raises(ValueError, match="divisor"):
-        C(2).floor_div(C(-1) + eps)
+        br.row_floor(*_rows(C(2), C(-1) + eps))
     for zero in (C(0), br.EpsRat()):
         with pytest.raises(ValueError, match="divisor"):
-            C(2).floor_div(zero)
+            br.row_floor(*_rows(C(2), zero))
     with pytest.raises(ValueError, match="divisor"):
-        C(2).floor_div(eps)           # d(0) = 0 although d > 0
+        br.row_floor((2,), ())          # no entries at all
+    with pytest.raises(ValueError, match="divisor"):
+        br.row_floor(*_rows(C(2), eps))  # d(0) = 0 although d > 0
 
 
 def test_opnext_walls():
     cfg = br.make_config(1, 1, [C("1/5")])
-    # positions are in units of t = 1/(2 - eps), so the corner t sits at 1
-    assert cfg.v[0] < br.ONE
+    # positions are rows over cfg.d in units of t = 1/(2 - eps), so the corner t is cfg.one
+    assert cfg.v[0] < cfg.one
     nxt = br.opnext(cfg, cfg.v[0])
-    assert nxt > br.ONE                     # crossed the vertical wall upward
-    assert br.opnext(cfg, nxt) == (nxt - br.ONE)
+    assert nxt > cfg.one                    # crossed the vertical wall upward
+    after = br.opnext(cfg, nxt)
+    assert after == tuple(a - b for a, b in zip(nxt, cfg.one))
+    assert cfg.germ(after) == cfg.germ(nxt) - br.ONE
 
 
 def test_elementary_step_single_strand():
@@ -124,8 +151,10 @@ def test_elementary_step_two_strands():
     # v = (0.2, 0.7) at slope just under 1: moving strand 2 crosses the
     # horizontal wall and lands left of strand 1
     cfg = br.make_config(1, 1, [C("2/10"), C("7/10")])
+    assert cfg.v[1] > cfg.one               # strand 2 starts above the corner
     word, cfg2 = br.elementary_step(cfg, 2)
     assert word.gens == (("Ti", 1), ("yt", 2))
+    assert cfg2.v[1] == tuple(a - b for a, b in zip(cfg.v[1], cfg.one))
     assert cfg2.sorted_position(cfg2.v[1]) == 1
 
 
@@ -350,3 +379,228 @@ def test_braid_formula_integer_q_degree(dom):
             val = br.braid_coloring_value(2, 3, key, h, dom)
             assert val == want, (s, key)
             assert val.has_integer_q_degree()
+
+
+# ------------------------------------------------------------ the germ oracle
+# The geometry on EpsRat objects that the row code replaced, kept as the
+# oracle the rows are checked against.
+
+def _floor_div(p, q):
+    """floor(p / q) as eps -> 0+, for a divisor with q(0) > 0."""
+    if not q.n or q.n[0] <= 0:
+        raise ValueError(f"floor_div needs a divisor with a positive constant "
+                         f"term, got {q!r}")
+    r, rem = divmod((p.n[0] if p.n else 0) * q.d, q.n[0] * p.d)
+    if rem:
+        return r
+    for a, b in zip_longest(p.n, q.n, fillvalue=0):
+        c = a * q.d - r * b * p.d
+        if c:
+            return r if c > 0 else r - 1
+    raise br.DegenerateGeometry("exactly integral value")
+
+
+@dataclass(frozen=True)
+class _GermConfig:
+    v: tuple          # EpsRat positions in units of t, by strand label
+    s: br.EpsRat
+
+    @property
+    def k(self):
+        return len(self.v)
+
+    def sorted_position(self, x):
+        return 1 + sum(1 for w in self.v if w < x)
+
+
+def _germ_config(m1, n1, positions):
+    s = br.EpsRat((n1, -m1), m1)
+    return _GermConfig(tuple(p * (s + br.ONE) for p in positions), s)
+
+
+def _germ_opnext(cfg, x):
+    if x == br.ONE:
+        raise br.DegenerateGeometry("point sits exactly on the departure corner")
+    return x + cfg.s if x < br.ONE else x - br.ONE
+
+
+def _germ_step(cfg, i):
+    x = cfg.v[i - 1]
+    nx = _germ_opnext(cfg, x)
+    for j, w in enumerate(cfg.v):
+        if j != i - 1 and w == nx:
+            raise br.DegenerateGeometry("moved point collides with another strand")
+    a = cfg.sorted_position(x)
+    new_cfg = _GermConfig(cfg.v[:i - 1] + (nx,) + cfg.v[i:], cfg.s)
+    ap = new_cfg.sorted_position(nx)
+    if x < br.ONE:
+        gens = tuple(br.train_down(ap, a)) + (("z", a),)
+    else:
+        gens = tuple(br.star(br.train_up(ap, a))) + (("yt", a),)
+    return gens, new_cfg
+
+
+def _germ_special_braid(cfg, alpha, order=None):
+    if len(alpha) != cfg.k or any(a < 1 for a in alpha):
+        raise ValueError("alpha must assign a positive crossing count per strand")
+    flat = []
+    for x, a in zip(cfg.v, alpha):
+        flat.append(x)
+        for _ in range(a - 1):
+            x = _germ_opnext(cfg, x)
+            flat.append(x)
+    top = cfg.s + br.ONE
+    seen = Counter(flat)
+    for p in flat:
+        if p.sign() <= 0 or p >= top:
+            raise br.DegenerateGeometry("trajectory leaves the open interval")
+        if seen[p] > 1:
+            raise br.DegenerateGeometry("trajectories collide")
+    if order is None:
+        order = [i for i in range(cfg.k, 0, -1) for _ in range(alpha[i - 1] - 1)]
+    gens: tuple = ()
+    for i in order:
+        w, cfg = _germ_step(cfg, i)
+        gens = w + gens
+    return gens, cfg
+
+
+def _germ_coloring_geometry(m1, n1, intervals, h):
+    s = br.EpsRat((n1, -m1), m1)
+    s1 = s + br.ONE
+    hs = h * s
+    vs, alphas = [], []
+    for (xi, yi) in intervals:
+        x = C(xi)
+        above = C(yi) - h
+        if not x * s < above:
+            raise br.DegenerateGeometry("interval is empty at this height")
+        jmin = -_floor_div(-(x * s1 + h), br.ONE)
+        jmax = _floor_div(above * s1 + hs, s)
+        if jmin > jmax:
+            raise br.DegenerateGeometry("interval does not cross the antidiagonal")
+        v = C(jmax) - h
+        vs.append(v - s1 * C(_floor_div(v, s1)))
+        alphas.append(jmax - jmin + 1)
+    return _GermConfig(tuple(vs), s), tuple(alphas)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _germs(cfg):
+    return tuple(map(cfg.germ, cfg.v)), cfg.germ(cfg.s)
+
+
+def _rows_step(cfg, i):
+    word, end = br.elementary_step(cfg, i)
+    return word.gens, _germs(end)
+
+
+def _oracle_step(cfg, i):
+    gens, end = _germ_step(cfg, i)
+    return gens, (end.v, end.s)
+
+
+def _rows_braid(cfg, alpha, order=None):
+    word, end = br.special_braid(cfg, alpha, order)
+    return word.gens, _germs(end)
+
+
+def _oracle_braid(cfg, alpha, order=None):
+    gens, end = _germ_special_braid(cfg, alpha, order)
+    return gens, (end.v, end.s)
+
+
+def _rows_coloring(m1, n1, key, h):
+    cfg, alphas = br.coloring_geometry(m1, n1, key, h)
+    return _germs(cfg), alphas, _outcome(_rows_braid, cfg, alphas)
+
+
+def _oracle_coloring(m1, n1, key, h):
+    cfg, alphas = _germ_coloring_geometry(m1, n1, key, h)
+    return (cfg.v, cfg.s), alphas, _outcome(_oracle_braid, cfg, alphas)
+
+
+def test_coloring_geometry_matches_germ_oracle(dom):
+    # every reachable coloring with m + n <= 7, at its stratum's safe height
+    cases = 0
+    for m in range(1, 7):
+        for n in range(1, 8 - m):
+            g = gcd(m, n)
+            m1, n1 = m // g, n // g
+            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+            for s, state in enumerate(dp.states):
+                h = br.safe_height(*dp.stratum_bounds(s), m1, n1)
+                for key in state:
+                    if key:
+                        cases += 1
+                        want = _outcome(_oracle_coloring, m1, n1, key, h)
+                        assert _outcome(_rows_coloring, m1, n1, key, h) == want, (m, n, s, key)
+    assert cases > 500
+
+
+def test_special_braid_matches_germ_oracle():
+    # random slopes, germ positions and crossing counts; inadmissible ones and
+    # collisions included, each with the default and a shuffled order
+    rng = random.Random(20261019)
+    errors = Counter()
+    for case in range(2000):
+        m1, n1 = rng.randint(1, 3), rng.randint(1, 3)
+        k = rng.randint(1, 4)
+        s = br.EpsRat((n1, -m1), m1)
+        den = m1 * rng.choice([2, 3, 5, 7])
+        if case % 2:    # fractions of the antidiagonal
+            positions = [br.EpsRat((rng.randint(-1, den + 1), rng.choice((-1, 0, 0, 1))), den)
+                         for _ in range(k)]
+            rows_cfg, germ_cfg = br.make_config(m1, n1, positions), _germ_config(m1, n1, positions)
+        else:           # units of t on the lattice of the moves, where strands can collide
+            top = den * (n1 + m1) // m1
+            positions = [br.EpsRat((rng.randint(-1, top + 1), den * rng.choice((-1, 0, 0, 1))),
+                                   den) for _ in range(k)]
+            rows_cfg = br.PointConfig.of_germs(positions, s)
+            germ_cfg = _GermConfig(tuple(positions), s)
+        assert _germs(rows_cfg) == (germ_cfg.v, germ_cfg.s)
+        alpha = tuple(rng.randint(1, 3) for _ in range(k))
+        moves = [i for i in range(1, k + 1) for _ in range(alpha[i - 1] - 1)]
+        rng.shuffle(moves)
+        outcomes = [(_outcome(_rows_step, rows_cfg, i), _outcome(_oracle_step, germ_cfg, i))
+                    for i in range(1, k + 1)]   # single moves check collisions themselves
+        outcomes += [(_outcome(_rows_braid, rows_cfg, alpha, order),
+                      _outcome(_oracle_braid, germ_cfg, alpha, order)) for order in (None, moves)]
+        for got, want in outcomes:
+            assert got == want, (m1, n1, positions, alpha, moves)
+            if isinstance(want[0], type):
+                errors[want[1]] += 1
+    # every refusal of the geometry occurs, and most cases go through
+    assert set(errors) == {"point sits exactly on the departure corner",
+                           "moved point collides with another strand",
+                           "trajectory leaves the open interval", "trajectories collide"}
+    assert sum(errors.values()) < 4000
+
+
+def test_geometry_builds_no_germs(dom, monkeypatch):
+    h = br.safe_height(br.EpsRat(), br.EpsRat((0, 2)), 2, 3)
+    cfg = br.make_config(2, 3, [C("3/17"), C("9/17")])
+    made = []
+    init = br.EpsRat.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(br.EpsRat, "__init__", counting_init)
+    word, _, _ = br.braid_of_coloring(2, 3, ((0, 3),), h)
+    assert word.gens
+    br.special_braid(cfg, (2, 2))
+    br.special_braid(cfg, (2, 2), order=[1, 2])
+    br.braid_coloring_value(2, 3, ((0, 3),), h, dom)
+    assert br.single_strand_braid(5, 3).gens
+    assert made == []
+    cfg.germ(cfg.v[0])     # a germ is built only when a reader asks for one
+    assert len(made) == 1

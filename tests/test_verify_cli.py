@@ -408,6 +408,12 @@ def _coloring_zero_m(tmp_path):
     return ["braid", "of-coloring", "--m", "0", "--n", "2", "--coloring", str(coloring)]
 
 
+def _coloring_empty_at_height(tmp_path):
+    coloring = tmp_path / "c.json"
+    coloring.write_text(json.dumps({"intervals": [[0, 1], [0, 2]], "stratum": 0}))
+    return ["braid", "of-coloring", "--m", "2", "--n", "3", "--coloring", str(coloring)]
+
+
 def _relation_sides_in_different_spaces(tmp_path):
     return ["verify", "relation", "--lhs", "d+", "--rhs", "d-", "--k", "2"]
 
@@ -519,7 +525,7 @@ def _lhs_negative_slope(tmp_path):
                                   _alpha_empty_part, _relation_sides_in_different_spaces,
                                   _chi_over_word_budget, _braid_word_with_d_letters,
                                   _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
-                                  _lhs_negative_slope])
+                                  _lhs_negative_slope, _coloring_empty_at_height])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -532,6 +538,8 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "ValueError: z_3 is not defined on V_2"
     if argv is _braid_word_ytilde_out_of_range:
         assert error == "ValueError: ytilde_0 is not defined on V_2"
+    if argv is _coloring_empty_at_height:
+        assert error == "DegenerateGeometry: interval is empty at this height"
 
 
 @pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),

@@ -84,6 +84,18 @@ def test_dplus_examples(dom):
                                           ((), (2,)): dom.one - dom.q})
 
 
+def test_dplus_power_cache_matches_repeated_dplus():
+    dom = ExactDomain()
+    # ask out of order, so a power is built both from scratch and from a cached one
+    for k in (2, 0, 4, 1, 3, 4):
+        f = VElem.one(dom, 0)
+        for _ in range(k):
+            f = vk.act_dplus(f)
+        assert vk.dplus_power(dom, k) == f, k
+    assert vk.dplus_power(dom, 3) is vk.dplus_power(dom, 3)
+    assert vk.dplus_power(dom, -1) == VElem.one(dom, 0)
+
+
 def test_dplus_star_examples(dom):
     assert vk.act_dplus_star(VElem.one(dom, 0)) == VElem.one(dom, 1)
     y1 = V(dom, 1, [((), (1,))])
