@@ -188,11 +188,17 @@ def build_action(dom, m: int, n: int, star: bool = False,
 
 def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
                       tower: ActionTower | None = None) -> SymFunc:
-    """(-1)^(g(m1+1)) q^(r-g) * rho*_{m1,n1}(d_-^r y^(alpha-1) d_+^r) applied to 1."""
+    """(-1)^(g(m1+1)) q^(r-g) * rho*_{m1,n1}(d_-^r y^(alpha-1) d_+^r) applied to 1.
+
+    The tower gives y^(alpha-1) d_+^r 1 in V_r, and `vkspace.dminus_to_v0`
+    takes it to V_0 with its y-exponents straightened first.
+    """
     alpha = tuple(alpha)
     r = len(alpha)
-    if gcd(m1, n1) != 1 or sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError("need coprime (m1, n1) and a composition of g")
+    if gcd(m1, n1) != 1:
+        raise ValueError(f"m1, n1 must be coprime, got ({m1}, {n1})")
+    if sum(alpha) != g or any(a < 1 for a in alpha):
+        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
     h = build_action(dom, m1, n1, star=True, tower=tower)
     f = VElem.one(dom, 0)
     for _ in range(r):
@@ -200,8 +206,7 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     for i, a in enumerate(alpha):
         for _ in range(a - 1):
             f = h.y(f, i + 1)
-    for _ in range(r):
-        f = vk.act_dminus(f)
+    f = vk.dminus_to_v0(f)
     sign = -dom.one if (g * (m1 + 1)) % 2 else dom.one
     f = f.scale(sign * dom.q_power(r - g))
     return f.as_symfunc()

@@ -375,8 +375,10 @@ def rhs_compositional(m1: int, n1: int, g: int, alpha, dom) -> SymFunc:
     """Sum of path weights over paths with the given touch composition: each
     attack structure's chi once, scaled by the sum of its paths' monomials."""
     alpha = tuple(alpha)
-    if gcd(m1, n1) != 1 or sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError("need coprime (m1, n1) and a composition of g")
+    if gcd(m1, n1) != 1:
+        raise ValueError(f"m1, n1 must be coprime, got ({m1}, {n1})")
+    if sum(alpha) != g or any(a < 1 for a in alpha):
+        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
     cap = g * n1
     monomials = {}  # attack structure -> {pack(eu, et): number of paths}
     for p in enumerate_paths(g * m1, g * n1, alpha):

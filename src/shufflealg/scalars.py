@@ -44,6 +44,11 @@ def unpack(key):
     return eu, key - (eu << KEY_SHIFT)
 
 
+def odd_u(key) -> int:
+    """1 if the u-exponent of key is odd, else 0; the tag bits do not matter."""
+    return (key + _HALF) >> KEY_SHIFT & 1
+
+
 def tag_of(key):
     """i of a tagged key (i << TAG_SHIFT) + pack(eu, et)."""
     return (key + _TAG_HALF) >> TAG_SHIFT
@@ -222,23 +227,30 @@ class CoefRat:
     # -- predicates and views ----------------------------------------
     def has_integer_q_degree(self) -> bool:
         """True iff every monomial's u-exponent is even."""
-        return all(unpack(k)[0] % 2 == 0 for k in self.num)
+        return not any(map(odd_u, self.num))
 
     def eval_at(self, q0, t0) -> Fraction:
-        """Exact value at q = q0, t = t0 (u = sqrt(q0) when needed)."""
+        """Exact value at q = q0, t = t0 (u = sqrt(q0) when needed).
+
+        With x = a/b (q0, or u0 when u has an odd exponent) and t0 = c/e, every
+        term is an integer over one denominator a^-lo b^hi c^-lo' e^hi', the
+        exponent bounds of x and t0 each widened to take in 0.
+        """
         q0, t0 = Fraction(q0), Fraction(t0)
-        u0 = None
-        if not self.has_integer_q_degree():
-            u0 = _rational_sqrt(q0)
-            if u0 is None:
+        if self.has_integer_q_degree():
+            x, exps = q0, [(eu // 2, et) for eu, et in map(unpack, self.num)]
+        else:
+            x, exps = _rational_sqrt(q0), list(map(unpack, self.num))
+            if x is None:
                 raise CoefRatError("q0 has no rational square root and u occurs with odd exponent")
-        s = Fraction(0)
-        for k, c in self.num.items():
-            eu, et = unpack(k)
-            if (eu < 0 and not q0) or (et < 0 and not t0):
-                raise CoefRatError("denominator vanishes at the evaluation point")
-            s += c * (q0 ** (eu // 2) if eu % 2 == 0 else u0 ** eu) * t0 ** et
-        return s / self.d
+        es, fs = zip(*exps) if exps else ((0,), (0,))
+        lo, hi, lo_t, hi_t = min(0, *es), max(0, *es), min(0, *fs), max(0, *fs)
+        if (lo < 0 and not x) or (lo_t < 0 and not t0):
+            raise CoefRatError("denominator vanishes at the evaluation point")
+        a, b, c, e = x.numerator, x.denominator, t0.numerator, t0.denominator
+        s = sum(v * a ** (i - lo) * b ** (hi - i) * c ** (j - lo_t) * e ** (hi_t - j)
+                for v, i, j in zip(self.num.values(), es, fs))
+        return Fraction(s, a ** -lo * b ** hi * c ** -lo_t * e ** hi_t * self.d)
 
     def __str__(self):
         """num / den with den = d * u^a * t^b, the least a, b >= 0 that leave num a polynomial."""

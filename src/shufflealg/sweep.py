@@ -32,7 +32,7 @@ from math import gcd
 from .braid import EpsRat
 from .combinat import DyckPath, reading_order, touch_composition
 from .scalars import InvariantError
-from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y
+from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y, dminus_to_v0
 
 
 @dataclass(frozen=True)
@@ -265,15 +265,14 @@ def composition_coloring(m1: int, n1: int, alpha) -> tuple:
 
 
 def assemble_composition(m1: int, n1: int, g: int, alpha, dp: DpResult, dom):
-    """t^(sum(alpha_i - 1)) d_-^r applied to the DP value at c_alpha."""
+    """t^(sum(alpha_i - 1)) d_-^r applied to the DP value at c_alpha, by
+    `vkspace.dminus_to_v0`, which straightens the y-exponents first."""
     alpha = tuple(alpha)
     if sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError("alpha must be a composition of g")
+        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
     key = composition_coloring(m1, n1, alpha)
     if key not in dp.state:
         raise KeyError(f"coloring {key} not reachable in the DP")
-    f = dp.state[key]
-    for _ in range(len(alpha)):
-        f = act_dminus(f)
+    f = dminus_to_v0(dp.state[key])
     f = f.scale(dom.monomial(1, 0, g - len(alpha)))
     return f.as_symfunc()

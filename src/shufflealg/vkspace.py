@@ -20,7 +20,8 @@ from itertools import product
 from math import gcd, lcm
 
 from . import symfunc as sf
-from .scalars import _Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned, tag_of
+from .scalars import (_Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned,
+                      odd_u, tag_of)
 from .symfunc import SymFunc, mono_times_e, partitions_of
 
 _ONE = {0: 1}
@@ -73,7 +74,7 @@ class VElem:
 
     def has_integer_q_degree(self) -> bool:
         """True iff u occurs with even exponents only, that is q with integer ones."""
-        return all(CoefRat(p).has_integer_q_degree() for p in self.terms.values())
+        return not any(odd_u(m) for p in self.terms.values() for m in p)
 
     def __add__(self, other, sign: int = 1) -> "VElem":
         if self.k != other.k:
@@ -223,6 +224,41 @@ def act_dminus(f: VElem) -> VElem:
         for nu, w in _dminus_image(dom, lam, ys[-1]):
             _fma(acc, (nu, rest), c, w)
     return VElem(dom, f.k - 1, _pruned(acc), f.den)
+
+
+def _straightened(dom, ys: tuple):
+    """y^ys as ((zs, w), ...), each zs weakly decreasing, equal under d_-^k.  The first
+    increasing pair p < r at (i, i+1) becomes its T_i-image q y_i^r y_{i+1}^p +
+    (q-1) sum_{0<j<r-p} y_i^(r-j) y_{i+1}^(p+j), whose increasing pairs spread less."""
+    key = ("st", ys)
+    hit = dom.cache.get(key)
+    if hit is not None:
+        return hit
+    i = next((i for i in range(len(ys) - 1) if ys[i] < ys[i + 1]), None)
+    if i is None:
+        out = ((ys, _ONE),)
+    else:
+        acc: dict = {}
+        for a, b, w in _dl_table(dom, ys[i], ys[i + 1]):
+            for zs, v in _straightened(dom, ys[:i] + (a, b) + ys[i + 2:]):
+                _fma(acc, zs, w, v)
+        out = tuple(_pruned(acc).items())
+    dom.cache[key] = out
+    return out
+
+
+def dminus_to_v0(f: VElem) -> VElem:
+    """d_-^k f in V_0, k = f.k, on y-exponents straightened so that d_- meets the smallest
+    last: d_-^2 T_{k-1} = d_-^2 and T_i d_- = d_- T_i give d_-^k T_i = d_-^k on V_k."""
+    if f.k >= 2:
+        acc: dict = {}
+        for (lam, ys), c in f.terms.items():
+            for zs, w in _straightened(f.dom, ys):
+                _fma(acc, (lam, zs), c, w)
+        f = VElem(f.dom, f.k, _pruned(acc), f.den)
+    for _ in range(f.k):
+        f = act_dminus(f)
+    return f
 
 
 def _dplus_image(dom, lam, star: bool):

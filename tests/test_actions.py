@@ -246,9 +246,9 @@ def test_replicated_handles_satisfy_action_relations(dom):
 def test_lhs_examples(dom):
     assert ac.lhs_compositional(1, 1, 1, (1,), dom) == SymFunc.e(dom, 1, 1)
     assert ac.lhs_compositional(1, 2, 1, (1,), dom) == SymFunc.e(dom, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alpha must be a composition of g = 1, got \[\]"):
         ac.lhs_compositional(1, 1, 1, (), dom)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"m1, n1 must be coprime, got \(2, 4\)"):
         ac.lhs_compositional(2, 4, 1, (1,), dom)
 
 

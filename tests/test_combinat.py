@@ -358,6 +358,10 @@ def test_rhs_examples(dom):
     assert cb.rhs_compositional(1, 2, 1, (1,), dom) == SymFunc.e(dom, 2, 2)
     t_e2 = SymFunc.e(dom, 2, 2).scale(dom.t)
     assert cb.rhs_compositional(1, 1, 2, (2,), dom) == t_e2
+    with pytest.raises(ValueError, match=r"alpha must be a composition of g = 2, got \[0, 2\]"):
+        cb.rhs_compositional(1, 1, 2, (0, 2), dom)
+    with pytest.raises(ValueError, match=r"m1, n1 must be coprime, got \(2, 4\)"):
+        cb.rhs_compositional(2, 4, 1, (1,), dom)
 
 
 def test_rhs_alpha_sum_is_unfiltered_sum(dom):

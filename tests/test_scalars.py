@@ -44,12 +44,30 @@ def test_eval_at(dom):
     assert (dom.u * dom.u).eval_at(4, 0) == 4
     with pytest.raises(CoefRatError):
         (dom.one / (dom.q * dom.t)).eval_at(1, 0)
+    # negative exponents, odd u at a square q0, Fraction q0 and a denominator
+    assert (dom.one / (dom.q * dom.t)).eval_at(2, 3) == Fraction(1, 6)
+    assert dom.monomial(3, -3, 2).eval_at(4, Fraction(1, 2)) == Fraction(3, 32)
+    assert (dom.u + dom.monomial(-1, -1, -1)).eval_at(Fraction(9, 4), Fraction(2, 3)) == \
+        Fraction(1, 2)
+    assert (dom.q_power(-2) * dom.t + dom.q).eval_at(Fraction(2, 3), -2) == Fraction(-23, 6)
+    assert (dom.from_fraction(Fraction(1, 3)) * dom.q_power(-1)).eval_at(Fraction(-1, 2), 5) == \
+        Fraction(-2, 3)
+    for c, q0, t0, want in ((dom.q * dom.t, 0, 0, 0), (dom.one, 0, 0, 1), (dom.zero, 2, 3, 0),
+                            (dom.u * dom.t, 0, 7, 0)):
+        got = c.eval_at(q0, t0)
+        assert type(got) is Fraction and got == want
+    with pytest.raises(CoefRatError, match="denominator vanishes"):
+        dom.monomial(1, -1, 0).eval_at(0, 1)
+    with pytest.raises(CoefRatError, match="denominator vanishes"):
+        (dom.q + dom.monomial(1, 0, -2)).eval_at(4, 0)
 
 
 def test_eval_needs_square_root(dom):
     with pytest.raises(CoefRatError):
         dom.u.eval_at(2, 1)  # sqrt(2) is irrational
     assert dom.u.eval_at(Fraction(9, 4), 1) == Fraction(3, 2)
+    with pytest.raises(CoefRatError, match="no rational square root"):
+        (dom.u * dom.monomial(1, 0, -1)).eval_at(Fraction(2, 9), 0)  # checked before t0 = 0
 
 
 def test_integer_q_degree(dom):

@@ -160,7 +160,7 @@ def test_assemble_t_power(dom):
 
 def test_assemble_bad_alpha(dom):
     dp = sw.recursion_dp(2, 2, dom)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"alpha must be a composition of g = 2, got \[3\]"):
         sw.assemble_composition(1, 1, 2, (3,), dp, dom)
 
 

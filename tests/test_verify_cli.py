@@ -507,6 +507,10 @@ def _braid_word_ytilde_out_of_range(tmp_path):
     return ["braid", "eval", "--word", "ytilde0", "--k", "2"]
 
 
+def _lhs_alpha_not_a_composition(tmp_path):
+    return ["actions", "lhs", "--m1", "1", "--n1", "1", "--g", "2", "--alpha", "0,2"]
+
+
 def _lhs_negative_slope(tmp_path):
     # coprime, so it passes the gcd check and reaches the single-strand braid's
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
@@ -525,7 +529,8 @@ def _lhs_negative_slope(tmp_path):
                                   _alpha_empty_part, _relation_sides_in_different_spaces,
                                   _chi_over_word_budget, _braid_word_with_d_letters,
                                   _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
-                                  _lhs_negative_slope, _coloring_empty_at_height])
+                                  _lhs_negative_slope, _lhs_alpha_not_a_composition,
+                                  _coloring_empty_at_height])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -540,6 +545,8 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "ValueError: ytilde_0 is not defined on V_2"
     if argv is _coloring_empty_at_height:
         assert error == "DegenerateGeometry: interval is empty at this height"
+    if argv is _lhs_alpha_not_a_composition:
+        assert error == "ValueError: alpha must be a composition of g = 2, got [0, 2]"
 
 
 @pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),

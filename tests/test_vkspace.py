@@ -1,6 +1,7 @@
 import operator
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -406,3 +407,49 @@ def test_tagging_commutes_with_the_checkers_operators(dom):
 def test_spanning_set_size(dom):
     # |lam| + |a| <= 2 at k = 1: lam in {(), (1), (2), (1,1)}, a in {0, 1, 2}
     assert len(vk.spanning_set(dom, 1, 2)) == 7
+
+
+def _dminus_chain(f: VElem) -> VElem:
+    """d_-^k f, one d_- at a time with no straightening: the oracle of dminus_to_v0."""
+    for _ in range(f.k):
+        f = vk.act_dminus(f)
+    return f
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_dminus_to_v0_matches_the_plain_chain(dom, k):
+    basis = vk.spanning_set(dom, k, 4 if k < 4 else 3)
+    for base in basis:
+        assert vk.dminus_to_v0(base) == _dminus_chain(base), str(base)
+    # one element over denominator 2, and the tagged sum of the whole spanning set
+    half = dom.from_fraction(Fraction(1, 2))
+    mixed = sum((b.scale(half if i % 2 else dom.q) for i, b in enumerate(basis)), VElem(dom, k))
+    assert mixed.den == (2 if len(basis) > 1 else 1)
+    assert vk.dminus_to_v0(mixed) == _dminus_chain(mixed)
+    tagged = _tagged(basis)
+    assert vk.dminus_to_v0(tagged) == _dminus_chain(tagged) == \
+        _tagged([_dminus_chain(b) for b in basis])
+
+
+def test_straightened_exponents_are_weakly_decreasing():
+    dom = ExactDomain()
+    for k in range(5):
+        for ys in product(range(4), repeat=k):
+            image = vk._straightened(dom, ys)
+            assert image and all(sum(zs) == sum(ys) for zs, _ in image)
+            assert all(list(zs) == sorted(zs, reverse=True) for zs, _ in image), ys
+    # the cache holds the whole table, and every key of it is weakly decreasing
+    keys = [zs for key, image in dom.cache.items() if key[0] == "st" for zs, _ in image]
+    assert keys and all(list(zs) == sorted(zs, reverse=True) for zs in keys)
+    # T_1 y2^3 = q y1^3 + (q-1)(y1^2 y2 + y1 y2^2), and T_1 y1 y2^2 = q y1^2 y2
+    q, q2m1 = dom.q.num, (dom.q * dom.q - dom.one).num
+    assert dict(vk._straightened(dom, (0, 3))) == {(3, 0): q, (2, 1): q2m1}
+
+
+@pytest.mark.parametrize("k", range(2, 5))
+def test_dminus_power_absorbs_every_T(dom, k):
+    # d_-^k T_i = d_-^k on V_k, from d_-^2 T_{k-1} = d_-^2 and T_i d_- = d_- T_i
+    chain = " ".join(["d-"] * k)
+    for i in range(1, k):
+        rep = vk.relation_check(f"{chain} T{i}", chain, k, 3, dom, f"d-^{k} T{i}")
+        assert rep.passed, str(rep)
