@@ -3,11 +3,12 @@
 Strand positions live on the antidiagonal of the torus cell at slope
 s = n1/m1 - eps.  A position x is stored as X = x (s + 1), in units of the
 corner t = 1/(s + 1), so the corner sits at 1 and the far end of the cell
-at s + 1.  Each X is a germ in the tie-breaking infinitesimal eps, ordered
-by its behaviour as eps -> 0+.  A configuration holds its slope and its X
-as integer rows over one denominator of its own, so strands move and
-compare as plain integer tuples; EpsRat, a germ kept reduced, is the type of
-stratum bounds and line heights.  Braid words evaluate on
+at s + 1.  Each X, the slope, every stratum bound and every line height is
+affine in the tie-breaking infinitesimal eps, ordered by its behaviour as
+eps -> 0+, and is held as an integer row (a, b, ...) with a denominator d,
+the germ (a + b eps + ...)/d.  A configuration keeps all its rows over one
+denominator of its own, so strands move and compare as plain integer
+tuples.  Braid words evaluate on
 V_* through the representation T_i -> q^{-1/2} T_i, y_i -> -y_i,
 z_i -> (qt)^{-1} z_i, ytilde_i -> -q^{1-i} ytilde_i: every scalar is a
 monomial, so a word evaluates as its operator word times one monomial.
@@ -17,105 +18,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
-from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 
 from . import vkspace as vk
 from .vkspace import VElem
 
 
-# ------------------------------------------------------------------- EpsRat
+# -------------------------------------------------------------- point configs
 
 class DegenerateGeometry(ArithmeticError):
     """An exact coincidence (point at the puncture, a wall, or a collision)."""
 
-
-@total_ordering
-class EpsRat:
-    """The germ (n[0] + n[1] eps + n[2] eps^2 + ...) / d as eps -> 0+.
-
-    The numerators n are integers over one integer denominator d > 0, kept
-    canonical: gcd(d, *n) == 1 and trailing zero numerators trimmed (zero is
-    ((), 1)).  So equality and hashing compare (n, d) exactly, and no
-    operation on germs builds a Fraction; one enters only through `const`.
-    """
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, nums=(), den=1):
-        n = list(nums)
-        while n and not n[-1]:
-            n.pop()
-        if den <= 0:
-            raise ValueError(f"EpsRat denominator must be positive, got {den}")
-        g = gcd(den, *n)
-        if g != 1:
-            n = [a // g for a in n]
-            den //= g
-        self.n = tuple(n)
-        self.d = den
-
-    @staticmethod
-    def const(fr) -> "EpsRat":
-        if isinstance(fr, int):
-            return EpsRat((fr,))
-        fr = Fraction(fr)
-        return EpsRat((fr.numerator,), fr.denominator)
-
-    @staticmethod
-    def eps() -> "EpsRat":
-        return EpsRat((0, 1))
-
-    def _over_common(self, other):
-        """Both numerator tuples over the least common denominator."""
-        da, db = self.d, other.d
-        if da == db:
-            return self.n, other.n, da
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        return [a * fa for a in self.n], [b * fb for b in other.n], da * fa
-
-    def __add__(self, other):
-        a, b, d = self._over_common(other)
-        return EpsRat([x + y for x, y in zip_longest(a, b, fillvalue=0)], d)
-
-    def __neg__(self):
-        return EpsRat([-a for a in self.n], self.d)
-
-    def __sub__(self, other):
-        a, b, d = self._over_common(other)
-        return EpsRat([x - y for x, y in zip_longest(a, b, fillvalue=0)], d)
-
-    def __mul__(self, other):
-        out = [0] * max(0, len(self.n) + len(other.n) - 1)
-        for i, a in enumerate(self.n):
-            for j, b in enumerate(other.n):
-                out[i + j] += a * b
-        return EpsRat(out, self.d * other.d)
-
-    def sign(self) -> int:
-        """The sign of the first nonzero numerator, the germ's sign."""
-        return next((1 if a > 0 else -1 for a in self.n if a), 0)
-
-    def __eq__(self, other):
-        return isinstance(other, EpsRat) and self.n == other.n and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.n, self.d))
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __repr__(self):
-        return f"EpsRat({self.n}, {self.d})"
-
-
-ONE = EpsRat.const(1)   # the corner t, in units of t
-
-
-# -------------------------------------------------------------- point configs
 
 def row_floor(p: tuple, q: tuple) -> int:
     """floor(p / q) as eps -> 0+, for rows over one denominator with q[0] > 0."""
@@ -162,21 +75,14 @@ class PointConfig:
     def sorted_position(self, x: tuple) -> int:
         return 1 + sum(1 for w in self.v if w < x)
 
-    def germ(self, row: tuple) -> EpsRat:
-        return EpsRat(row, self.d)
-
-    @staticmethod
-    def of_germs(v, s: EpsRat) -> "PointConfig":
-        """The configuration of germ positions v (in units of t) at slope s."""
-        d, width = lcm(s.d, *(x.d for x in v)), max(len(x.n) for x in (s, *v))
-        rows = [tuple(a * (d // x.d) for a in x.n) + (0,) * (width - len(x.n)) for x in (s, *v)]
-        return PointConfig(tuple(rows[1:]), rows[0], d)
-
 
 def make_config(m1: int, n1: int, positions) -> PointConfig:
-    """Points given as germ fractions of the antidiagonal, stored in units of t."""
-    s = EpsRat((n1, -m1), m1)
-    return PointConfig.of_germs(tuple(p * (s + ONE) for p in positions), s)
+    """Points given as constant fractions p of the antidiagonal, stored in
+    units of t as p (s + 1), over d = m1 lcm(denominators of the p)."""
+    den = lcm(*(p.denominator for p in positions))
+    rows = tuple((a * (n1 + m1), -a * m1)
+                 for a in (p.numerator * (den // p.denominator) for p in positions))
+    return PointConfig(rows, (n1 * den, -m1 * den), m1 * den)
 
 
 def opnext(cfg: PointConfig, x: tuple) -> tuple:
@@ -196,11 +102,6 @@ class BraidWord:
 
     k: int
     gens: tuple
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.k != other.k:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.k, self.gens + other.gens)
 
     def __str__(self):
         names = {"T": "T{0}", "Ti": "T{0}^-1", "y": "y{0}", "z": "z{0}", "yt": "ytilde{0}"}
@@ -409,30 +310,33 @@ def creation_hom(w: BraidWord, which: str) -> BraidWord:
 
 # ----------------------------------------------------- braids from colorings
 
-def safe_height(lower: EpsRat, upper: EpsRat, m1: int, n1: int) -> EpsRat:
+def safe_height(lower: tuple, upper: tuple, m1: int, n1: int):
     """A height strictly between the bounds whose line misses every lattice point.
 
-    The line y = (n1/m1 - eps) x + (a + b eps)/d meets the lattice point
-    (x, y) iff x = b/d and y = (a m1 + b n1)/(d m1) are both integers.
+    The bounds are affine rows over m1, as `sweep.stratum_bounds` gives them;
+    the height is returned as ((a, b), d), the germ (a + b eps)/d.  The line
+    y = (n1/m1 - eps) x + (a + b eps)/d meets the lattice point (x, y) iff
+    x = b/d and y = (a m1 + b n1)/(d m1) are both integers.
     """
+    (l0, l1), (u0, u1) = lower, upper
     for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 7), (2, 9), (5, 11), (3, 11)):
-        h = lower + (upper - lower) * EpsRat((num,), den)
-        a, b = h.n + (0,) * (2 - len(h.n))
-        if b % h.d == 0 and (a * m1 + b * n1) % (h.d * m1) == 0:
+        a, b, d = den * l0 + num * (u0 - l0), den * l1 + num * (u1 - l1), den * m1
+        if b % d == 0 and (a * m1 + b * n1) % (d * m1) == 0:
             continue  # the line at this height passes through a lattice point
-        return h
+        return (a, b), d
     raise DegenerateGeometry("no safe height found between the strata")
 
 
-def coloring_geometry(m1: int, n1: int, intervals, h: EpsRat):
-    """Initial positions and crossing counts of a coloring's intervals, on
-    rows over d = m1 h.d: s = (n1 h.d - m1 h.d eps)/d and h = m1 h.n/d."""
+def coloring_geometry(m1: int, n1: int, intervals, h):
+    """Initial positions and crossing counts of a coloring's intervals at the
+    height h = ((a, b), hd), on rows over d = m1 hd:
+    s = (n1 hd - m1 hd eps)/d and h = (m1 a + m1 b eps)/d."""
     if m1 < 1 or n1 < 1:
         raise ValueError("need positive m1, n1")
-    hn = h.n + (0,) * (2 - len(h.n))     # at least affine, as the slope is
-    d, pad = m1 * h.d, (0,) * (len(hn) - 2)
-    s, one = (n1 * h.d, -m1 * h.d) + pad, (d, 0) + pad
-    s1, neg_h = _axpy(1, s, one), tuple(-m1 * a for a in hn)
+    (ha, hb), hd = h
+    d = m1 * hd
+    s, one = (n1 * hd, -m1 * hd), (d, 0)
+    s1, neg_h = _axpy(1, s, one), (-m1 * ha, -m1 * hb)
     vs, alphas = [], []
     for (xi, yi) in intervals:
         # the line y = s x + h spans the interval from x = xi to x = (yi - h)/s
@@ -449,8 +353,8 @@ def coloring_geometry(m1: int, n1: int, intervals, h: EpsRat):
     return PointConfig(tuple(vs), s, d), tuple(alphas)
 
 
-def braid_of_coloring(m1: int, n1: int, intervals, h: EpsRat):
-    """The special braid of a coloring at line height h."""
+def braid_of_coloring(m1: int, n1: int, intervals, h):
+    """The special braid of a coloring at the line height h = ((a, b), d)."""
     cfg, alphas = coloring_geometry(m1, n1, intervals, h)
     word, final_cfg = special_braid(cfg, alphas)
     return word, cfg, final_cfg
@@ -462,7 +366,7 @@ def _inversions(cfg: PointConfig) -> int:
                if labels[a] > labels[b])
 
 
-def braid_coloring_value(m1: int, n1: int, intervals, h: EpsRat, dom) -> VElem:
+def braid_coloring_value(m1: int, n1: int, intervals, h, dom) -> VElem:
     """q^((inv_final - inv_initial)/2) * B_{s,c} applied to d_+^k(1)."""
     word, cfg0, cfg1 = braid_of_coloring(m1, n1, intervals, h)
     g = evaluate(word, vk.dplus_power(dom, len(intervals)))

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from . import actions as ac
 from . import braid as br
@@ -140,7 +141,6 @@ def cmd_braid(args):
         _emit({"word": str(word), "k": args.k,
                "on": f"d_+^{args.k}(1)", "value": str(val)}, args.out)
     else:  # of-coloring
-        from math import gcd
         with open(args.coloring) as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or "intervals" not in data:
@@ -156,10 +156,9 @@ def cmd_braid(args):
         stratum = data.get("stratum", len(events))
         if type(stratum) is not int or not 0 <= stratum <= len(events):
             raise ValueError(f"stratum must be an integer from 0 to {len(events)}")
-        bounds_holder = sw.DpResult(args.m, args.n, events, {})
-        lower, upper = bounds_holder.stratum_bounds(stratum)
         g = gcd(args.m, args.n)
-        h = br.safe_height(lower, upper, args.m // g, args.n // g)
+        h = br.safe_height(*sw.stratum_bounds(args.m, args.n, events, stratum),
+                           args.m // g, args.n // g)
         word, cfg0, cfg1 = br.braid_of_coloring(args.m // g, args.n // g, intervals, h)
         _emit({"m": args.m, "n": args.n, "intervals": [list(iv) for iv in intervals],
                "stratum": stratum, "braid": str(word),

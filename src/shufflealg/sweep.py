@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .braid import EpsRat
 from .combinat import DyckPath, reading_order, touch_composition
 from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y, dminus_to_v0
@@ -120,6 +119,23 @@ def dp_events(m: int, n: int) -> list:
     return [(x, y) for (x, y) in reversed(reading_order(m, n)) if m1 * y > n1 * x]
 
 
+def stratum_bounds(m: int, n: int, events, s: int):
+    """Open height interval (lower, upper) of stratum s, after the first s
+    of the events.
+
+    A height is an affine row (a, b) over m1, the germ (a + b eps)/m1: the
+    event (x, y) is at height y - (n1/m1 - eps) x, the row
+    (m1 y - n1 x, m1 x).  Above the first event the bound is n + 1, and
+    below the last it is (m + 1) eps.
+    """
+    g = gcd(m, n)
+    m1, n1 = m // g, n // g
+    height = lambda x, y: (m1 * y - n1 * x, m1 * x)
+    upper = height(*events[s - 1]) if s >= 1 else (m1 * (n + 1), 0)
+    lower = height(*events[s]) if s < len(events) else (0, m1 * (m + 1))
+    return lower, upper
+
+
 @dataclass
 class DpResult:
     m: int
@@ -128,16 +144,6 @@ class DpResult:
     state: dict                  # intervals tuple -> VElem, at the final stratum
     states: list | None = None   # snapshots per stratum, 0 .. len(events)
     steps: list | None = None    # per event: {coloring: its (kind, dst, extra) transitions}
-
-    def stratum_bounds(self, s: int):
-        """Open height interval of stratum s (after processing s events), as
-        germs: the event (x, y) is at height y - (n1/m1 - eps) x."""
-        g = gcd(self.m, self.n)
-        m1, n1 = self.m // g, self.n // g
-        height = lambda x, y: EpsRat((m1 * y - n1 * x, m1 * x), m1)
-        upper = height(*self.events[s - 1]) if s >= 1 else EpsRat.const(self.n + 1)
-        lower = height(*self.events[s]) if s < len(self.events) else EpsRat((0, self.m + 1))
-        return lower, upper
 
     def complete_state(self) -> dict:
         """Final colorings that complete a path, i.e. c_alpha for some alpha."""

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import zip_longest
 from math import ceil, floor, gcd, lcm
 
@@ -15,12 +16,98 @@ from shufflealg import vkspace as vk
 from shufflealg.vkspace import VElem
 
 
+# ---------------------------------------------------------------- the germs
+# A general polynomial germ in eps, the oracle the package's integer rows are
+# checked against.
+
+@total_ordering
+class EpsRat:
+    """The germ (n[0] + n[1] eps + n[2] eps^2 + ...) / d as eps -> 0+.
+
+    The numerators n are integers over one integer denominator d > 0, kept
+    canonical: gcd(d, *n) == 1 and trailing zero numerators trimmed (zero is
+    ((), 1)).  So equality and hashing compare (n, d) exactly.
+    """
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, nums=(), den=1):
+        n = list(nums)
+        while n and not n[-1]:
+            n.pop()
+        if den <= 0:
+            raise ValueError(f"EpsRat denominator must be positive, got {den}")
+        g = gcd(den, *n)
+        if g != 1:
+            n = [a // g for a in n]
+            den //= g
+        self.n = tuple(n)
+        self.d = den
+
+    @staticmethod
+    def const(fr) -> "EpsRat":
+        fr = Fraction(fr)
+        return EpsRat((fr.numerator,), fr.denominator)
+
+    @staticmethod
+    def eps() -> "EpsRat":
+        return EpsRat((0, 1))
+
+    def _over_common(self, other):
+        """Both numerator tuples over the least common denominator."""
+        da, db = self.d, other.d
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return [a * fa for a in self.n], [b * fb for b in other.n], da * fa
+
+    def __add__(self, other):
+        a, b, d = self._over_common(other)
+        return EpsRat([x + y for x, y in zip_longest(a, b, fillvalue=0)], d)
+
+    def __neg__(self):
+        return EpsRat([-a for a in self.n], self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = [0] * max(0, len(self.n) + len(other.n) - 1)
+        for i, a in enumerate(self.n):
+            for j, b in enumerate(other.n):
+                out[i + j] += a * b
+        return EpsRat(out, self.d * other.d)
+
+    def sign(self) -> int:
+        """The sign of the first nonzero numerator, the germ's sign."""
+        return next((1 if a > 0 else -1 for a in self.n if a), 0)
+
+    def __eq__(self, other):
+        return isinstance(other, EpsRat) and self.n == other.n and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.n, self.d))
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __repr__(self):
+        return f"EpsRat({self.n}, {self.d})"
+
+
+ONE = EpsRat.const(1)   # the corner t, in units of t
+
+
 def C(x):
-    return br.EpsRat.const(Fraction(x))
+    return EpsRat.const(x)
+
+
+def _germs(cfg):
+    """The positions and the slope of a configuration of rows, as germs."""
+    return tuple(EpsRat(row, cfg.d) for row in cfg.v), EpsRat(cfg.s, cfg.d)
 
 
 def test_epsrat_ordering():
-    eps = br.EpsRat.eps()
+    eps = EpsRat.eps()
     assert C(0) < eps < C("1/1000000")
     assert (C(1) - eps) < C(1)
 
@@ -34,7 +121,7 @@ def _rows(*germs):
 
 
 def test_row_floor_examples():
-    eps = br.EpsRat.eps()
+    eps = EpsRat.eps()
     assert br.row_floor(*_rows(C(1), C(2) - eps)) == 0
     assert br.row_floor(*_rows(C(2) + eps, C(1))) == 2
     assert br.row_floor(*_rows(C(2) - eps, C(1))) == 1
@@ -42,10 +129,10 @@ def test_row_floor_examples():
         br.row_floor(*_rows(C(2), C(1)))  # exactly integral: caller must perturb
     x, one = _rows(C("7/3") + eps, C(1))  # over 3: (7, 3) and (3, 0)
     r = br.row_floor(x, one)
-    assert br.EpsRat([a - r * b for a, b in zip(x, one)], 3) == C("1/3") + eps
+    assert EpsRat([a - r * b for a, b in zip(x, one)], 3) == C("1/3") + eps
 
 
-_germ = st.builds(br.EpsRat, st.lists(st.integers(-20, 20), max_size=3),
+_germ = st.builds(EpsRat, st.lists(st.integers(-20, 20), max_size=3),
                   st.integers(1, 20))
 _EPS0 = Fraction(1, 10 ** 12)
 
@@ -78,7 +165,7 @@ def test_epsrat_germ_matches_small_eps(p, q):
 @settings(max_examples=200, deadline=None)
 @given(_germ, _germ)
 def test_row_floor_matches_small_eps(p, d):
-    neg_p, one = _rows(-p, br.ONE)
+    neg_p, one = _rows(-p, ONE)
     try:
         assert -br.row_floor(neg_p, one) == ceil(_at(p, _EPS0))
     except br.DegenerateGeometry:
@@ -99,27 +186,27 @@ def test_row_floor_matches_small_eps(p, d):
 @given(_germ, _germ)
 def test_epsrat_equal_germs_hash_equal(p, q):
     for a, b in (((p + q) - q, p), (p * q, q * p), (p - q, -(q - p)),
-                 (br.EpsRat([c * 3 for c in p.n], p.d * 3), p)):
+                 (EpsRat([c * 3 for c in p.n], p.d * 3), p)):
         assert a == b and hash(a) == hash(b)
 
 
 def test_epsrat_canonical_form():
     half = C("1/2")
-    assert half + half == br.ONE and hash(half + half) == hash(br.ONE)
-    assert br.EpsRat((2, 4, 0), 4) == br.EpsRat((1, 2), 2)
-    assert (br.EpsRat((2, 4, 0), 4).n, br.EpsRat((2, 4, 0), 4).d) == ((1, 2), 2)
-    zero = br.EpsRat((0, 0), 6)
+    assert half + half == ONE and hash(half + half) == hash(ONE)
+    assert EpsRat((2, 4, 0), 4) == EpsRat((1, 2), 2)
+    assert (EpsRat((2, 4, 0), 4).n, EpsRat((2, 4, 0), 4).d) == ((1, 2), 2)
+    zero = EpsRat((0, 0), 6)
     assert (zero.n, zero.d) == ((), 1) and zero == C(0) and zero.sign() == 0
     with pytest.raises(ValueError):
-        br.EpsRat((1,), 0)
+        EpsRat((1,), 0)
 
 
 def test_row_floor_needs_positive_divisor():
-    eps = br.EpsRat.eps()
+    eps = EpsRat.eps()
     # floor(2 / (-1 + eps)) is -3; the divisor breaks the contract
     with pytest.raises(ValueError, match="divisor"):
         br.row_floor(*_rows(C(2), C(-1) + eps))
-    for zero in (C(0), br.EpsRat()):
+    for zero in (C(0), EpsRat()):
         with pytest.raises(ValueError, match="divisor"):
             br.row_floor(*_rows(C(2), zero))
     with pytest.raises(ValueError, match="divisor"):
@@ -129,18 +216,18 @@ def test_row_floor_needs_positive_divisor():
 
 
 def test_opnext_walls():
-    cfg = br.make_config(1, 1, [C("1/5")])
+    cfg = br.make_config(1, 1, [Fraction("1/5")])
     # positions are rows over cfg.d in units of t = 1/(2 - eps), so the corner t is cfg.one
     assert cfg.v[0] < cfg.one
     nxt = br.opnext(cfg, cfg.v[0])
     assert nxt > cfg.one                    # crossed the vertical wall upward
     after = br.opnext(cfg, nxt)
     assert after == tuple(a - b for a, b in zip(nxt, cfg.one))
-    assert cfg.germ(after) == cfg.germ(nxt) - br.ONE
+    assert EpsRat(after, cfg.d) == EpsRat(nxt, cfg.d) - ONE
 
 
 def test_elementary_step_single_strand():
-    cfg = br.make_config(1, 1, [C("1/5")])
+    cfg = br.make_config(1, 1, [Fraction("1/5")])
     word, cfg2 = br.elementary_step(cfg, 1)
     assert word.gens == (("z", 1),)         # below t: vertical wall
     word, _ = br.elementary_step(cfg2, 1)
@@ -150,7 +237,7 @@ def test_elementary_step_single_strand():
 def test_elementary_step_two_strands():
     # v = (0.2, 0.7) at slope just under 1: moving strand 2 crosses the
     # horizontal wall and lands left of strand 1
-    cfg = br.make_config(1, 1, [C("2/10"), C("7/10")])
+    cfg = br.make_config(1, 1, [Fraction("2/10"), Fraction("7/10")])
     assert cfg.v[1] > cfg.one               # strand 2 starts above the corner
     word, cfg2 = br.elementary_step(cfg, 2)
     assert word.gens == (("Ti", 1), ("yt", 2))
@@ -159,7 +246,7 @@ def test_elementary_step_two_strands():
 
 
 def test_elementary_step_and_trajectories_check_their_indices():
-    cfg = br.make_config(1, 1, [C("2/10"), C("7/10")])
+    cfg = br.make_config(1, 1, [Fraction("2/10"), Fraction("7/10")])
     for i in (0, 3, -1):
         with pytest.raises(ValueError, match="strand"):
             br.elementary_step(cfg, i)
@@ -232,7 +319,7 @@ def test_single_strand_examples():
 
 
 def test_special_braid_order_independence(dom):
-    cfg = br.make_config(2, 3, [C("3/17"), C("9/17")])
+    cfg = br.make_config(2, 3, [Fraction("3/17"), Fraction("9/17")])
     alpha = (2, 2)
     w1, end1 = br.special_braid(cfg, alpha)
     w2, end2 = br.special_braid(cfg, alpha, order=[1, 2])
@@ -250,33 +337,33 @@ def test_special_braid_admissibility_messages():
                            (["-1/5", "1/5", "1/5"], "leaves"),
                            (["6/5", "1/5"], "leaves"),
                            (["1/5", "1/5"], "collide")):
-        cfg = br.make_config(1, 1, [C(p) for p in positions])
+        cfg = br.make_config(1, 1, [Fraction(p) for p in positions])
         with pytest.raises(br.DegenerateGeometry, match=msg):
             br.special_braid(cfg, (1,) * cfg.k)
 
 
 def test_special_braid_all_ones_is_empty():
-    cfg = br.make_config(1, 1, [C("1/5"), C("2/5")])
+    cfg = br.make_config(1, 1, [Fraction("1/5"), Fraction("2/5")])
     word, end = br.special_braid(cfg, (1, 1))
     assert word.gens == () and end == cfg
 
 
 def test_braid_of_coloring_unit(dom):
     # the one-part coloring of the unit square never crosses a wall
-    h = br.EpsRat((1, 1), 2)   # 1/2 + eps/2
+    h = ((1, 1), 2)   # 1/2 + eps/2
     word, cfg0, cfg1 = br.braid_of_coloring(1, 1, ((0, 1),), h)
     assert word.gens == ()
     assert cfg0.k == 1
 
 
 def test_safe_height_skips_lattice_lines():
-    eps2 = br.EpsRat((0, 2))
+    # bounds 0 and 2 eps, as rows over m1
     # slope 1: the midpoint eps is the height of (1, 1), so the next fraction, 1/3, is taken
-    assert br.safe_height(br.EpsRat(), eps2, 1, 1) == br.EpsRat((0, 2), 3)
-    # slope 1/2: the line at height eps meets x = 1 at y = 1/2, off the lattice
-    assert br.safe_height(br.EpsRat(), eps2, 2, 1) == br.EpsRat.eps()
+    assert br.safe_height((0, 0), (0, 2), 1, 1) == ((0, 2), 3)
+    # slope 1/2: the line at height 4 eps/4 = eps meets x = 1 at y = 1/2, off the lattice
+    assert br.safe_height((0, 0), (0, 4), 2, 1) == ((0, 4), 4)
     with pytest.raises(br.DegenerateGeometry, match="no safe height"):
-        br.safe_height(br.EpsRat.eps(), br.EpsRat.eps(), 1, 1)
+        br.safe_height((0, 1), (0, 1), 1, 1)
 
 
 def test_braid_of_coloring_two_strands(dom):
@@ -284,7 +371,7 @@ def test_braid_of_coloring_two_strands(dom):
     # one antidiagonal crossing each, no wall crossings
     dp = sw.recursion_dp(2, 2, dom)
     intervals = sw.composition_coloring(1, 1, (1, 1))
-    h = br.safe_height(*dp.stratum_bounds(len(dp.events)), 1, 1)
+    h = br.safe_height(*sw.stratum_bounds(2, 2, dp.events, len(dp.events)), 1, 1)
     word, cfg0, cfg1 = br.braid_of_coloring(1, 1, intervals, h)
     assert cfg0.k == 2
     assert word.gens == ()
@@ -294,7 +381,7 @@ def test_braid_of_coloring_two_strands(dom):
 
 def test_braid_formula_unit(dom):
     dp = sw.recursion_dp(1, 1, dom, keep_states=True)
-    lower, upper = dp.stratum_bounds(1)
+    lower, upper = sw.stratum_bounds(1, 1, dp.events, 1)
     h = br.safe_height(lower, upper, 1, 1)
     val = br.braid_coloring_value(1, 1, ((0, 1),), h, dom)
     assert val == dp.state[((0, 1),)]
@@ -371,7 +458,7 @@ def test_single_strand_words_realize_tower_y1(dom):
 def test_braid_formula_integer_q_degree(dom):
     dp = sw.recursion_dp(2, 3, dom, keep_states=True, every_coloring=True)
     for s in range(len(dp.states)):
-        lower, upper = dp.stratum_bounds(s)
+        lower, upper = sw.stratum_bounds(2, 3, dp.events, s)
         for key, want in dp.states[s].items():
             if not key:
                 continue
@@ -403,7 +490,7 @@ def _floor_div(p, q):
 @dataclass(frozen=True)
 class _GermConfig:
     v: tuple          # EpsRat positions in units of t, by strand label
-    s: br.EpsRat
+    s: EpsRat
 
     @property
     def k(self):
@@ -414,14 +501,39 @@ class _GermConfig:
 
 
 def _germ_config(m1, n1, positions):
-    s = br.EpsRat((n1, -m1), m1)
-    return _GermConfig(tuple(p * (s + br.ONE) for p in positions), s)
+    s = EpsRat((n1, -m1), m1)
+    return _GermConfig(tuple(p * (s + ONE) for p in positions), s)
+
+
+def _rows_config(v, s):
+    """The configuration of rows of the germ positions v (in units of t) at slope s."""
+    rows = _rows(s, *v)
+    return br.PointConfig(tuple(rows[1:]), rows[0], lcm(s.d, *(x.d for x in v)))
+
+
+def _germ_bounds(m, n, events, s):
+    """The bounds of stratum s: the event (x, y) at height y - (n1/m1 - eps) x."""
+    g = gcd(m, n)
+    slope = EpsRat((n // g, -(m // g)), m // g)
+    height = lambda x, y: C(y) - slope * C(x)
+    upper = height(*events[s - 1]) if s >= 1 else C(n + 1)
+    lower = height(*events[s]) if s < len(events) else EpsRat((0, m + 1))
+    return lower, upper
+
+
+def _germ_safe_height(lower, upper, m1, n1):
+    for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 7), (2, 9), (5, 11), (3, 11)):
+        h = lower + (upper - lower) * EpsRat((num,), den)
+        a, b = h.n + (0,) * (2 - len(h.n))
+        if b % h.d or (a * m1 + b * n1) % (h.d * m1):   # no lattice point on the line
+            return h
+    raise br.DegenerateGeometry("no safe height found between the strata")
 
 
 def _germ_opnext(cfg, x):
-    if x == br.ONE:
+    if x == ONE:
         raise br.DegenerateGeometry("point sits exactly on the departure corner")
-    return x + cfg.s if x < br.ONE else x - br.ONE
+    return x + cfg.s if x < ONE else x - ONE
 
 
 def _germ_step(cfg, i):
@@ -433,7 +545,7 @@ def _germ_step(cfg, i):
     a = cfg.sorted_position(x)
     new_cfg = _GermConfig(cfg.v[:i - 1] + (nx,) + cfg.v[i:], cfg.s)
     ap = new_cfg.sorted_position(nx)
-    if x < br.ONE:
+    if x < ONE:
         gens = tuple(br.train_down(ap, a)) + (("z", a),)
     else:
         gens = tuple(br.star(br.train_up(ap, a))) + (("yt", a),)
@@ -449,7 +561,7 @@ def _germ_special_braid(cfg, alpha, order=None):
         for _ in range(a - 1):
             x = _germ_opnext(cfg, x)
             flat.append(x)
-    top = cfg.s + br.ONE
+    top = cfg.s + ONE
     seen = Counter(flat)
     for p in flat:
         if p.sign() <= 0 or p >= top:
@@ -466,8 +578,8 @@ def _germ_special_braid(cfg, alpha, order=None):
 
 
 def _germ_coloring_geometry(m1, n1, intervals, h):
-    s = br.EpsRat((n1, -m1), m1)
-    s1 = s + br.ONE
+    s = EpsRat((n1, -m1), m1)
+    s1 = s + ONE
     hs = h * s
     vs, alphas = [], []
     for (xi, yi) in intervals:
@@ -475,7 +587,7 @@ def _germ_coloring_geometry(m1, n1, intervals, h):
         above = C(yi) - h
         if not x * s < above:
             raise br.DegenerateGeometry("interval is empty at this height")
-        jmin = -_floor_div(-(x * s1 + h), br.ONE)
+        jmin = -_floor_div(-(x * s1 + h), ONE)
         jmax = _floor_div(above * s1 + hs, s)
         if jmin > jmax:
             raise br.DegenerateGeometry("interval does not cross the antidiagonal")
@@ -491,10 +603,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-
-
-def _germs(cfg):
-    return tuple(map(cfg.germ, cfg.v)), cfg.germ(cfg.s)
 
 
 def _rows_step(cfg, i):
@@ -523,7 +631,7 @@ def _rows_coloring(m1, n1, key, h):
 
 
 def _oracle_coloring(m1, n1, key, h):
-    cfg, alphas = _germ_coloring_geometry(m1, n1, key, h)
+    cfg, alphas = _germ_coloring_geometry(m1, n1, key, EpsRat(*h))
     return (cfg.v, cfg.s), alphas, _outcome(_oracle_braid, cfg, alphas)
 
 
@@ -536,13 +644,73 @@ def test_coloring_geometry_matches_germ_oracle(dom):
             m1, n1 = m // g, n // g
             dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
             for s, state in enumerate(dp.states):
-                h = br.safe_height(*dp.stratum_bounds(s), m1, n1)
+                h = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m1, n1)
                 for key in state:
                     if key:
                         cases += 1
                         want = _outcome(_oracle_coloring, m1, n1, key, h)
                         assert _outcome(_rows_coloring, m1, n1, key, h) == want, (m, n, s, key)
     assert cases > 500
+
+
+def _safe_height_outcomes(lower, upper, m1, n1):
+    """safe_height of bounds given as rows over m1, and the oracle's, as germs or errors."""
+    got = _outcome(br.safe_height, lower, upper, m1, n1)
+    want = _outcome(_germ_safe_height, EpsRat(lower, m1), EpsRat(upper, m1), m1, n1)
+    return (got if isinstance(got[0], type) else EpsRat(*got)), want
+
+
+def test_stratum_bounds_and_safe_height_match_germ_oracle():
+    # every stratum with m + n <= 7, sentinels included
+    cases = 0
+    for m in range(1, 7):
+        for n in range(1, 8 - m):
+            g = gcd(m, n)
+            m1, n1 = m // g, n // g
+            events = sw.dp_events(m, n)
+            for s in range(len(events) + 1):
+                lower, upper = sw.stratum_bounds(m, n, events, s)
+                want = _germ_bounds(m, n, events, s)
+                assert (EpsRat(lower, m1), EpsRat(upper, m1)) == want, (m, n, s)
+                got, want = _safe_height_outcomes(lower, upper, m1, n1)
+                assert got == want, (m, n, s)
+                cases += 1
+    assert cases > 100
+
+
+def test_safe_height_matches_germ_oracle_off_the_strata():
+    # between consecutive strata the midpoint never meets a lattice point, so
+    # small random bounds reach the later fractions and the refusal
+    rng = random.Random(20261021)
+    skipped = refused = 0
+    for _ in range(3000):
+        m1, n1 = rng.choice(((1, 1), (1, 2), (2, 1), (2, 3), (3, 1)))
+        lower, upper = sorted(tuple(rng.randint(-2, 2) * m1 for _ in range(2)) for _ in range(2))
+        got, want = _safe_height_outcomes(lower, upper, m1, n1)
+        assert got == want, (lower, upper, m1, n1)
+        if isinstance(want, tuple):   # the type and message of the refusal
+            refused += 1
+        elif want != (EpsRat(lower, m1) + EpsRat(upper, m1)) * C("1/2"):
+            skipped += 1
+    assert skipped > 100 and refused > 10
+    # slope 1 between 0 and L eps: the line at num L eps/den meets a lattice
+    # point iff den divides L, so each L takes a later fraction, the last none
+    for L in (1, 2, 6, 30, 210, 1890, 20790):
+        got, want = _safe_height_outcomes((0, 0), (0, L), 1, 1)
+        assert got == want, L
+
+
+def test_make_config_matches_germ_oracle():
+    # constant fractions of the antidiagonal with mixed denominators, none at all included
+    rng = random.Random(20261020)
+    for _ in range(500):
+        m1, n1 = rng.randint(1, 3), rng.randint(1, 3)
+        positions = [Fraction(rng.randint(-2, 14), rng.choice((1, 2, 3, 4, 5, 7, 12)))
+                     for _ in range(rng.randint(0, 4))]
+        cfg = br.make_config(m1, n1, positions)
+        germ_cfg = _germ_config(m1, n1, [C(p) for p in positions])
+        assert _germs(cfg) == (germ_cfg.v, germ_cfg.s), (m1, n1, positions)
+        assert cfg.d > 0 and all(len(row) == 2 for row in cfg.v + (cfg.s,))
 
 
 def test_special_braid_matches_germ_oracle():
@@ -553,17 +721,18 @@ def test_special_braid_matches_germ_oracle():
     for case in range(2000):
         m1, n1 = rng.randint(1, 3), rng.randint(1, 3)
         k = rng.randint(1, 4)
-        s = br.EpsRat((n1, -m1), m1)
+        s = EpsRat((n1, -m1), m1)
         den = m1 * rng.choice([2, 3, 5, 7])
         if case % 2:    # fractions of the antidiagonal
-            positions = [br.EpsRat((rng.randint(-1, den + 1), rng.choice((-1, 0, 0, 1))), den)
+            positions = [EpsRat((rng.randint(-1, den + 1), rng.choice((-1, 0, 0, 1))), den)
                          for _ in range(k)]
-            rows_cfg, germ_cfg = br.make_config(m1, n1, positions), _germ_config(m1, n1, positions)
+            germ_cfg = _germ_config(m1, n1, positions)
+            rows_cfg = _rows_config(germ_cfg.v, s)
         else:           # units of t on the lattice of the moves, where strands can collide
             top = den * (n1 + m1) // m1
-            positions = [br.EpsRat((rng.randint(-1, top + 1), den * rng.choice((-1, 0, 0, 1))),
-                                   den) for _ in range(k)]
-            rows_cfg = br.PointConfig.of_germs(positions, s)
+            positions = [EpsRat((rng.randint(-1, top + 1), den * rng.choice((-1, 0, 0, 1))), den)
+                         for _ in range(k)]
+            rows_cfg = _rows_config(positions, s)
             germ_cfg = _GermConfig(tuple(positions), s)
         assert _germs(rows_cfg) == (germ_cfg.v, germ_cfg.s)
         alpha = tuple(rng.randint(1, 3) for _ in range(k))
@@ -582,25 +751,3 @@ def test_special_braid_matches_germ_oracle():
                            "moved point collides with another strand",
                            "trajectory leaves the open interval", "trajectories collide"}
     assert sum(errors.values()) < 4000
-
-
-def test_geometry_builds_no_germs(dom, monkeypatch):
-    h = br.safe_height(br.EpsRat(), br.EpsRat((0, 2)), 2, 3)
-    cfg = br.make_config(2, 3, [C("3/17"), C("9/17")])
-    made = []
-    init = br.EpsRat.__init__
-
-    def counting_init(self, *args):
-        made.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(br.EpsRat, "__init__", counting_init)
-    word, _, _ = br.braid_of_coloring(2, 3, ((0, 3),), h)
-    assert word.gens
-    br.special_braid(cfg, (2, 2))
-    br.special_braid(cfg, (2, 2), order=[1, 2])
-    br.braid_coloring_value(2, 3, ((0, 3),), h, dom)
-    assert br.single_strand_braid(5, 3).gens
-    assert made == []
-    cfg.germ(cfg.v[0])     # a germ is built only when a reader asks for one
-    assert len(made) == 1

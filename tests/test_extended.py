@@ -85,7 +85,7 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
     m1, n1 = m // g, n // g
     dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
     for s in range(len(dp.states)):
-        lower, upper = dp.stratum_bounds(s)
+        lower, upper = sw.stratum_bounds(m, n, dp.events, s)
         for key in vf._changed_keys(dp, s):
             if not key:
                 continue

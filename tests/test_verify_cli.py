@@ -148,8 +148,8 @@ def _transition_reads(dom, m, n):
     dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
     reads = {}
     for s, step in enumerate(dp.steps):
-        h_src = br.safe_height(*dp.stratum_bounds(s), m1, n1)
-        h_dst = br.safe_height(*dp.stratum_bounds(s + 1), m1, n1)
+        h_src = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m1, n1)
+        h_dst = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s + 1), m1, n1)
         px, py = dp.events[s]
         for src in dp.states[s]:
             for kind, dst, _ in step[src]:
