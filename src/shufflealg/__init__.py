@@ -9,10 +9,9 @@ The quickest entry points:
 """
 
 from .actions import (ActionTower, build_action, c_alpha_identity_check,
-                      lhs_compositional, mediant_decompose,
-                      nabla_conjugation_check, op_C)
+                      lhs_compositional, nabla_conjugation_check, op_C)
 from .braid import (BraidWord, braid_of_coloring, creation_hom, evaluate,
-                    rewrite_trains, single_strand_family, special_braid,
+                    rewrite_trains, special_braid,
                     braid_coloring_value)
 from .combinat import (DyckPath, attack_structure, char_function, dinv,
                        enumerate_paths, reading_order, rhs_compositional,
@@ -31,9 +30,9 @@ __all__ = [
     "assemble_composition", "attack_structure",
     "braid_of_coloring", "build_action", "c_alpha_identity_check",
     "char_function", "creation_hom", "dinv", "enumerate_paths", "evaluate",
-    "event_sequence", "lhs_compositional", "mediant_decompose",
+    "event_sequence", "lhs_compositional",
     "nabla_conjugation_check", "op_C", "reading_order",
     "recursion_dp", "relation_check", "rewrite_trains", "rhs_compositional",
-    "run_suite", "single_strand_family", "special_braid", "statistics",
+    "run_suite", "special_braid", "statistics",
     "sweep_path", "braid_coloring_value", "touch_composition", "verify_shuffle",
 ]

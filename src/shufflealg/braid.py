@@ -311,20 +311,21 @@ def creation_hom(w: BraidWord, which: str) -> BraidWord:
 # ----------------------------------------------------- braids from colorings
 
 def safe_height(lower: tuple, upper: tuple, m1: int, n1: int):
-    """A height strictly between the bounds whose line misses every lattice point.
+    """The midpoint of the bounds, a height whose line misses every lattice point.
 
     The bounds are affine rows over m1, as `sweep.stratum_bounds` gives them;
     the height is returned as ((a, b), d), the germ (a + b eps)/d.  The line
     y = (n1/m1 - eps) x + (a + b eps)/d meets the lattice point (x, y) iff
-    x = b/d and y = (a m1 + b n1)/(d m1) are both integers.
+    x = b/d and y = (a m1 + b n1)/(d m1) are both integers.  Between two
+    consecutive event heights that never happens: the lattice point's own
+    height would be an event strictly between them.  Bounds that are not
+    consecutive events are refused when it does.
     """
     (l0, l1), (u0, u1) = lower, upper
-    for num, den in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 7), (2, 9), (5, 11), (3, 11)):
-        a, b, d = den * l0 + num * (u0 - l0), den * l1 + num * (u1 - l1), den * m1
-        if b % d == 0 and (a * m1 + b * n1) % (d * m1) == 0:
-            continue  # the line at this height passes through a lattice point
-        return (a, b), d
-    raise DegenerateGeometry("no safe height found between the strata")
+    a, b, d = l0 + u0, l1 + u1, 2 * m1
+    if b % d == 0 and (a * m1 + b * n1) % (d * m1) == 0:
+        raise DegenerateGeometry("the midpoint's line passes through a lattice point")
+    return (a, b), d
 
 
 def coloring_geometry(m1: int, n1: int, intervals, h):
@@ -400,11 +401,3 @@ def single_strand_braid(m: int, n: int) -> BraidWord:
         raise DegenerateGeometry("strand does not finish just left of the corner")
     return BraidWord(1, gens)
 
-
-def single_strand_family(m: int, n: int, a: int) -> BraidWord:
-    """(b_{m,n} y_1 z_1)^(a-1) b_{m,n}."""
-    if a < 1:
-        raise ValueError("need a >= 1")
-    b = single_strand_braid(m, n)
-    loop = b.gens + (("y", 1), ("z", 1))
-    return BraidWord(1, loop * (a - 1) + b.gens)

@@ -91,15 +91,8 @@ def cmd_paths(args):
 def cmd_actions(args):
     dom = ExactDomain()
     if args.actions_cmd == "build":
-        word = ac.mediant_decompose(args.m, args.n)
-        tower = ac.ActionTower(dom)
-        handle = tower.handle(args.m, args.n, args.star)
-        probe = handle.dplus(vk.VElem.one(dom, 0))
-        _emit({"m": args.m, "n": args.n, "star": bool(args.star),
-               "letters": list(word.letters),
-               "sector": [list(word.endpoints[0]), list(word.endpoints[1])],
-               "mediants": [list(c) for c in word.chain],
-               "dplus_on_1": str(probe)}, args.out)
+        probe = ac.build_action(dom, args.m, args.n).dplus(vk.VElem.one(dom, 0))
+        _emit({"m": args.m, "n": args.n, "dplus_on_1": str(probe)}, args.out)
     else:  # lhs
         alpha = _parse_alpha(args.alpha)
         val = ac.lhs_compositional(args.m1, args.n1, args.g, alpha, dom)
@@ -220,7 +213,6 @@ def main(argv=None) -> int:
     q = ps.add_parser("build")
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--star", action="store_true")
     q = ps.add_parser("lhs")
     q.add_argument("--m1", type=int, required=True)
     q.add_argument("--n1", type=int, required=True)

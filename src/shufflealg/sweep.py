@@ -72,8 +72,8 @@ def event_sequence(p: DyckPath) -> list[SweepEvent]:
 
 def _c_op(f: VElem, a: int) -> VElem:
     """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f,
-    by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k
-    that `vkspace.commutator_y` states."""
+    by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k,
+    the relation `y1 from commutator` of `vkspace.standard_relations`."""
     for i in range(f.k - 1, 0, -1):
         f = act_T(f, i, inverse=True)
     return act_y(f, 1).scale(-f.dom.q_power(f.k - 1 - a))

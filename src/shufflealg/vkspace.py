@@ -317,33 +317,33 @@ def act_y(f: VElem, i: int) -> VElem:
                   for (lam, ys), c in f.terms.items()}, f.den)
 
 
-def _telescoped(f: VElem, i: int, star: bool, core) -> VElem:
-    """T_{i-1}^{-1}...T_1^{-1} core(T_{k-1}...T_i f), with every T inverted when star.
+def _telescoped(f: VElem, i: int, core) -> VElem:
+    """T_{i-1}...T_1 core(T_{k-1}^{-1}...T_i^{-1} f).
 
-    These are the trains that the Hecke recursion y_{i+1} = q T_i^{-1} y_i T_i^{-1}
-    (conjugate algebra: q^{-1} and T_i) leaves around y_1 = core T_{k-1}...T_1 once
-    the inner T_j T_j^{-1} cancel; core carries the power of q."""
+    These are the trains that the conjugate algebra's Hecke recursion
+    y_{i+1} = q^{-1} T_i y_i T_i leaves around y_1 = core T_{k-1}^{-1}...T_1^{-1}
+    once the inner T_j T_j^{-1} cancel; core carries the power of q."""
     for j in range(i, f.k):
-        f = act_T(f, j, inverse=star)
+        f = act_T(f, j, inverse=True)
     f = core(f)
     for j in range(1, i):
-        f = act_T(f, j, inverse=not star)
+        f = act_T(f, j)
     return f
 
 
-def commutator_y(f: VElem, dplus, star: bool = False, i: int = 1) -> VElem:
-    """y_i of the action with raising operator `dplus`, from the commutator formula:
-    (dplus d_- - d_- dplus) times q^{i-k}/(q-1) between the trains of `_telescoped`,
-    or times q^{k+1-i}/(1-q) on the conjugate algebra (star).  A remainder raises."""
+def commutator_y(f: VElem, dplus, i: int = 1) -> VElem:
+    """y_i of the conjugate-algebra action with raising operator `dplus`, from the
+    commutator formula: (dplus d_- - d_- dplus) times q^{k+1-i}/(1-q) between the
+    trains of `_telescoped`.  A remainder raises."""
     k = f.k
     if not 1 <= i <= k:
         raise ValueError(f"y_{i} is not defined on V_{k}")
     dom = f.dom
 
     def core(g):
-        s = -dom.q_power(k + 1 - i) if star else dom.q_power(i - k)
-        return (dplus(act_dminus(g)) - act_dminus(dplus(g))).scale(s).divide(dom.q - dom.one)
-    return _telescoped(f, i, star, core)
+        comm = dplus(act_dminus(g)) - act_dminus(dplus(g))
+        return comm.scale(-dom.q_power(k + 1 - i)).divide(dom.q - dom.one)
+    return _telescoped(f, i, core)
 
 
 def _z_image(dom, lam, a: int):
@@ -389,7 +389,7 @@ def act_z(f: VElem, i: int) -> VElem:
     d_+^* (`commutator_y`) with Z in closed form, no subtraction and no division."""
     if not 1 <= i <= f.k:
         raise ValueError(f"z_{i} is not defined on V_{f.k}")
-    return _telescoped(f.scale(f.dom.q_power(f.k + 1 - i)), i, True, act_Z)
+    return _telescoped(f.scale(f.dom.q_power(f.k + 1 - i)), i, act_Z)
 
 
 def ytilde_word(i: int, k: int) -> tuple:

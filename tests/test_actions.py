@@ -1,31 +1,169 @@
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
 
 from shufflealg import actions as ac
+from shufflealg import braid as br
 from shufflealg import combinat as cb
 from shufflealg import vkspace as vk
+from shufflealg.scalars import InvariantError
 from shufflealg.symfunc import SymFunc
 from shufflealg.vkspace import VElem
 
 
+# ------------------------------------------------------- mediant decomposition
+
+@dataclass(frozen=True)
+class MediantWord:
+    """Stern-Brocot descent to (m, n): letters over {N, S} plus the final sector."""
+
+    letters: tuple
+    endpoints: tuple  # ((m,n) steep side, (m',n') shallow side), m'n - mn' = 1
+    chain: tuple      # successive mediants, ending at (m, n) when not a seed
+
+    def replay(self):
+        """Recompute the sector from the seed; used by the invariant check."""
+        left, right = (0, 1), (1, 0)
+        for letter in self.letters:
+            mid = (left[0] + right[0], left[1] + right[1])
+            if letter == "S":
+                right = mid
+            elif letter == "N":
+                left = mid
+            else:
+                raise ValueError(f"bad letter {letter!r}")
+        return left, right
+
+
+def mediant_decompose(m: int, n: int) -> MediantWord:
+    if m < 0 or n < 0 or (m, n) == (0, 0) or gcd(m, n) != 1:
+        raise ValueError("need m, n >= 0 coprime and not both zero")
+    if (m, n) in ((0, 1), (1, 0)):
+        return MediantWord((), ((0, 1), (1, 0)), ())
+    left, right = (0, 1), (1, 0)
+    letters = []
+    chain = []
+    while True:
+        mid = (left[0] + right[0], left[1] + right[1])
+        chain.append(mid)
+        if mid == (m, n):
+            word = MediantWord(tuple(letters), (left, right), tuple(chain))
+            if word.replay() != (left, right):
+                raise InvariantError("mediant word does not replay to its sector")
+            return word
+        # steeper than the mediant <=> n*mid_m - m*mid_n > 0
+        if n * mid[0] - m * mid[1] > 0:
+            right = mid
+            letters.append("S")
+        else:
+            left = mid
+            letters.append("N")
+
+
 def test_mediant_examples():
-    w = ac.mediant_decompose(1, 1)
+    w = mediant_decompose(1, 1)
     assert w.chain == ((1, 1),) and w.endpoints == ((0, 1), (1, 0))
-    w = ac.mediant_decompose(2, 3)
+    w = mediant_decompose(2, 3)
     assert w.chain == ((1, 1), (1, 2), (2, 3))
     assert w.endpoints == ((1, 2), (1, 1))
     left, right = w.endpoints
     assert right[0] * left[1] - left[0] * right[1] == 1
-    assert ac.mediant_decompose(0, 1).chain == ()
+    assert mediant_decompose(0, 1).chain == ()
     with pytest.raises(ValueError):
-        ac.mediant_decompose(2, 4)
+        mediant_decompose(2, 4)
 
 
 def test_mediant_replay_invariant():
     for (m, n) in ((2, 3), (3, 2), (1, 4), (5, 2), (3, 4)):
-        w = ac.mediant_decompose(m, n)
+        w = mediant_decompose(m, n)
         assert w.replay() == w.endpoints
+
+
+# ------------------------------------------------------------ the q-algebra
+
+def q_commutator_y(f, dplus, i=1):
+    """y_i of the q-algebra action with raising operator `dplus`, from the commutator
+    formula: (dplus d_- - d_- dplus) q^{i-k}/(q-1) between T_{k-1}...T_i and
+    T_{i-1}^{-1}...T_1^{-1}."""
+    dom, k = f.dom, f.k
+    if not 1 <= i <= k:
+        raise ValueError(f"y_{i} is not defined on V_{k}")
+    for j in range(i, k):
+        f = vk.act_T(f, j)
+    comm = dplus(vk.act_dminus(f)) - vk.act_dminus(dplus(f))
+    f = comm.scale(dom.q_power(i - k)).divide(dom.q - dom.one)
+    for j in range(1, i):
+        f = vk.act_T(f, j, inverse=True)
+    return f
+
+
+def y_from_y1(y1, f, i):
+    """y_i of a q-algebra action from its y_1, by y_{i+1} = q T_i^{-1} y_i T_i^{-1}."""
+    if not 1 <= i <= f.k:
+        raise ValueError(f"y_{i} is not defined on V_{f.k}")
+    for j in range(i - 1, 0, -1):
+        f = vk.act_T(f, j, inverse=True)
+    f = y1(f)
+    for j in range(1, i):
+        f = vk.act_T(f, j, inverse=True)
+    return f if i == 1 else f.scale(f.dom.q_power(i - 1))
+
+
+def commutator_y(f, dplus, star, i=1):
+    """The commutator y_i of either algebra: conjugate (star) or q-algebra."""
+    return vk.commutator_y(f, dplus, i) if star else q_commutator_y(f, dplus, i)
+
+
+class PairTower:
+    """The handles of both algebras: the package's conjugate tower (star=True)
+    and the q-algebra's handles rho (star=False), the conjugate ones' partners.
+
+    rho's base actions are d_+ with y_i multiplication on (0, 1), and -q^k d_+^*
+    with the commutator y_i on (1, 0).  Every other coprime (m, n) is s b_{m,n}
+    applied after the (1, 1) handle, as in the conjugate tower:
+
+        d_+ = s b_{m,n} -(qt)^{-1} z_1 d_+     y_1 = s b_{m,n} -(qt)^{-1} z_1 y_1
+
+    and the y_i follow from y_1 by the Hecke recursion.
+    """
+
+    def __init__(self, dom):
+        self.dom = dom
+        self.conjugate = ac.ActionTower(dom)
+        self._q = {(0, 1): ac.ActionHandle(0, 1, vk.act_dplus, vk.act_y)}
+
+    def handle(self, m, n, star):
+        if star:
+            return self.conjugate.handle(m, n)
+        h = self._q.get((m, n))
+        if h is None:
+            h = self._q[m, n] = self._build_q(m, n)
+        return h
+
+    def _build_q(self, m, n):
+        dom = self.dom
+        if (m, n) == (1, 0):
+            # the conjugate algebra's base d_+, scaled: rho(d_+) = -q^k rho*(d_+^*)
+            def dplus(f):
+                return vk.act_dplus_star(f).scale(-dom.q_power(f.k))
+            return ac.ActionHandle(1, 0, dplus, lambda f, i: q_commutator_y(f, dplus, i))
+        gens = br.single_strand_braid(m, n).gens
+        c = br.word_scalar(gens, dom) * (dom.one if m % 2 else -dom.one) \
+            * -(dom.q_power(-1) / dom.t)
+
+        def b(f):
+            return vk.apply_word(f, gens).scale(c)
+
+        def y1(f):
+            return b(vk.act_z(vk.act_y(f, 1), 1))
+        return ac.ActionHandle(m, n, lambda f: b(vk.act_z(vk.act_dplus(f), 1)),
+                               lambda f, i: y_from_y1(y1, f, i))
+
+
+def act_T(f, i, star):
+    """T_i of either algebra: the conjugate algebra's (star) is vkspace's T_i^{-1}."""
+    return vk.act_T(f, i, inverse=star)
 
 
 class SectorTower:
@@ -41,12 +179,12 @@ class SectorTower:
 
     The q-algebra y_i follow from y_1 by the Hecke recursion, and the
     conjugate y_i are the commutator formula on the handle's own d_+, which
-    divides by q - 1.  The base handles are the tower's.
+    divides by q - 1.  The base handles are `PairTower`'s.
     """
 
     def __init__(self, dom):
         self.dom = dom
-        self.tower = ac.ActionTower(dom)
+        self.tower = PairTower(dom)
         self._handles = {}
 
     def handle(self, m, n, star):
@@ -58,19 +196,18 @@ class SectorTower:
         return self._handles[key]
 
     def _replicate(self, m, n, star):
-        left, right = ac.mediant_decompose(m, n).endpoints
+        left, right = mediant_decompose(m, n).endpoints
         rho, rho_star = self.handle(*left, False), self.handle(*right, True)
         if star:
             def dplus(f):
                 return -rho.y1(rho_star.dplus(f))
-            return ac.ActionHandle(m, n, True, dplus,
-                                   lambda f, i: vk.commutator_y(f, dplus, True, i))
+            return ac.ActionHandle(m, n, dplus, lambda f, i: vk.commutator_y(f, dplus, i))
         s = -(self.dom.q_power(-1) / self.dom.t)
 
         def y1(f):
             return rho_star.y1(rho.y1(f)).scale(s)
-        return ac.ActionHandle(m, n, False, lambda f: rho_star.y1(rho.dplus(f)).scale(s),
-                               lambda f, i: ac._y_from_y1(y1, f, i))
+        return ac.ActionHandle(m, n, lambda f: rho_star.y1(rho.dplus(f)).scale(s),
+                               lambda f, i: y_from_y1(y1, f, i))
 
 
 COPRIME_6 = [(m, n) for m in range(1, 7) for n in range(1, 7) if gcd(m, n) == 1]
@@ -80,7 +217,7 @@ COPRIME_6 = [(m, n) for m in range(1, 7) for n in range(1, 7) if gcd(m, n) == 1]
 def test_handles_match_sector_oracle(dom, star):
     # s b_{m,n} after the (1, 1) handle against the Farey-sector replication,
     # d_+ and every y_i, for every coprime m, n <= 6
-    tower, oracle = ac.ActionTower(dom), SectorTower(dom)
+    tower, oracle = PairTower(dom), SectorTower(dom)
     for m, n in COPRIME_6:
         h, want = tower.handle(m, n, star), oracle.handle(m, n, star)
         for k in (0, 1, 2):
@@ -91,19 +228,19 @@ def test_handles_match_sector_oracle(dom, star):
 
 
 def test_base_handles(dom):
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
     one0 = VElem.one(dom, 0)
     assert tower.handle(0, 1, False).dplus(one0) == vk.act_dplus(one0)
     assert tower.handle(1, 0, True).dplus(one0) == vk.act_dplus_star(one0)
 
 
 def test_standard_handle_y1_is_multiplication(dom):
-    h = ac.ActionTower(dom).handle(0, 1, False)
+    h = PairTower(dom).handle(0, 1, False)
     for k in range(1, 5):
         for base in vk.spanning_set(dom, k, 3):
             y1 = h.y1(base)
             assert y1 == vk.act_y(base, 1), str(base)
-            assert y1 == vk.commutator_y(base, vk.act_dplus), str(base)
+            assert y1 == q_commutator_y(base, vk.act_dplus), str(base)
 
 
 Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
@@ -113,37 +250,37 @@ Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
 @pytest.mark.parametrize("m,n", Q_SIDE_REPLICATED)
 def test_q_side_y1_matches_commutator(dom, m, n):
     # y_1 = s b_{m,n} -(qt)^{-1} z_1 y_1 against the commutator formula on the handle's d_+
-    h = ac.ActionTower(dom).handle(m, n, False)
+    h = PairTower(dom).handle(m, n, False)
     for k, degree in ((1, 2), (2, 1), (3, 1)):
         for base in vk.spanning_set(dom, k, degree):
-            assert h.y1(base) == vk.commutator_y(base, h.dplus), (m, n, str(base))
+            assert h.y1(base) == q_commutator_y(base, h.dplus), (m, n, str(base))
 
 
 @pytest.mark.parametrize("m,n,star", [(2, 3, True), (3, 4, True), (2, 5, True),
                                       (3, 5, True), (3, 5, False)])
 def test_y1_divides_on_spanning_set(dom, m, n, star):
     # the commutator is divisible by q - 1 on all of V_1, which no degree truncation cuts
-    h = ac.ActionTower(dom).handle(m, n, star)
+    h = PairTower(dom).handle(m, n, star)
     for base in vk.spanning_set(dom, 1, 2):
-        assert h.y1(base) == vk.commutator_y(base, h.dplus, star), (m, n, str(base))
+        assert h.y1(base) == commutator_y(base, h.dplus, star), (m, n, str(base))
 
 
-def _handle_y_recursive(h, f, i):
+def _handle_y_recursive(h, star, f, i):
     # y_1 by the commutator formula on the handle's d_+ (q inverted on conjugate
     # handles), then y_{i+1} = q^{+-1} T_i^{-+1} y_i T_i^{-+1}
     dom, k = f.dom, f.k
     if i == 1:
         g = f
         for j in range(1, k):
-            g = vk.act_T(g, j, inverse=h.star)
+            g = vk.act_T(g, j, inverse=star)
         comm = h.dplus(vk.act_dminus(g)) - vk.act_dminus(h.dplus(g))
-        if h.star:
+        if star:
             return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
         return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
-    inv = not h.star
+    inv = not star
     g = vk.act_T(f, i - 1, inverse=inv)
-    g = vk.act_T(_handle_y_recursive(h, g, i - 1), i - 1, inverse=inv)
-    return g.scale(dom.q_power(-1 if h.star else 1))
+    g = vk.act_T(_handle_y_recursive(h, star, g, i - 1), i - 1, inverse=inv)
+    return g.scale(dom.q_power(-1 if star else 1))
 
 
 DEPTH_3 = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2), (3, 1)]
@@ -153,20 +290,21 @@ DEPTH_3 = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 2), (3, 1
 def test_handle_y_matches_recursive_oracle(dom, star):
     # every handle of Stern-Brocot depth <= 3, against the Hecke recursion from
     # the commutator y_1
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
     for m, n in DEPTH_3:
-        assert len(ac.mediant_decompose(m, n).chain) <= 3
+        assert len(mediant_decompose(m, n).chain) <= 3
         h = tower.handle(m, n, star)
         for k, degree in ((1, 3), (2, 2), (3, 2)):
             for base in vk.spanning_set(dom, k, degree):
                 for i in range(1, k + 1):
-                    assert h.y(base, i) == _handle_y_recursive(h, base, i), (m, n, k, i, str(base))
+                    want = _handle_y_recursive(h, star, base, i)
+                    assert h.y(base, i) == want, (m, n, k, i, str(base))
         with pytest.raises(ValueError):
             h.y(VElem.one(dom, 2), 3)
 
 
 def test_replicated_handle_examples(dom):
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
     one0 = VElem.one(dom, 0)
     m_y1 = VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
     assert tower.handle(1, 1, True).dplus(one0) == m_y1
@@ -175,7 +313,7 @@ def test_replicated_handle_examples(dom):
 
 def test_dplus_star_sign_law(dom):
     # rho_{m,n}(d_+) = -q^k rho*_{m,n}(d_+^*) as actions, m + n <= 5
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
     for m in range(0, 5):
         for n in range(0, 6 - m):
             if (m, n) == (0, 0) or gcd(m, n) != 1:
@@ -203,7 +341,7 @@ def _pair_intertwining_laws(hq, hs, dom, kmax=2, degree=2):
 
 
 def test_replicated_pairs_intertwine(dom):
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
     for (left, mid, right) in (((0, 1), (1, 1), (1, 0)),
                                ((0, 1), (1, 2), (1, 1)),
                                ((1, 1), (2, 1), (1, 0))):
@@ -218,7 +356,7 @@ def test_replicated_pairs_intertwine(dom):
 def test_replicated_handles_satisfy_action_relations(dom):
     # T_1 d_+^2 = d_+^2, d_+ T_i = T_{i+1} d_+ and both commutator relations,
     # for a replicated handle of each algebra type
-    tower = ac.ActionTower(dom)
+    tower = PairTower(dom)
 
     def comm(h, f):
         return h.dplus(vk.act_dminus(f)) - vk.act_dminus(h.dplus(f))
@@ -229,16 +367,16 @@ def test_replicated_handles_satisfy_action_relations(dom):
         for k in (0, 1, 2):
             for base in vk.spanning_set(dom, k, 2):
                 two = h.dplus(h.dplus(base))
-                assert h.T(two, 1) == two, (m, n, star, k, "T1 d+^2")
+                assert act_T(two, 1, star) == two, (m, n, star, k, "T1 d+^2")
                 for i in range(1, k):
-                    assert h.dplus(h.T(base, i)) == h.T(h.dplus(base), i + 1), \
+                    assert h.dplus(act_T(base, i, star)) == act_T(h.dplus(base), i + 1, star), \
                         (m, n, star, k, i, "d+ T")
                 if k >= 1:
-                    lhs = h.T(comm(h, h.dplus(base)), 1)
+                    lhs = act_T(comm(h, h.dplus(base)), 1, star)
                     rhs = h.dplus(comm(h, base)).scale(q_eff)
                     assert lhs == rhs, (m, n, star, k, "high comm")
                 if k >= 2:
-                    lhs = vk.act_dminus(comm(h, h.T(base, k - 1)))
+                    lhs = vk.act_dminus(comm(h, act_T(base, k - 1, star)))
                     rhs = comm(h, vk.act_dminus(base)).scale(q_eff)
                     assert lhs == rhs, (m, n, star, k, "low comm")
 

@@ -44,6 +44,7 @@ def test_tower_matches_dp_beyond_unit_left_ends(dom, m1, n1, g):
 
 def test_mediant_tree_matches_farey_five():
     # four mediant iterations fill in exactly the fifth Farey row of slopes
+    from test_actions import mediant_decompose
     level = [((0, 1), (1, 0))]
     vectors = {(0, 1), (1, 0)}
     for _ in range(4):
@@ -59,7 +60,7 @@ def test_mediant_tree_matches_farey_five():
              "4/3", "3/2", "5/3", "2", "5/2", "3", "4")] + [Fraction(10 ** 9)]
     assert slopes == want
     for (m, n) in vectors - {(0, 1), (1, 0)}:
-        word = ac.mediant_decompose(m, n)
+        word = mediant_decompose(m, n)
         assert word.chain[-1] == (m, n)
         assert len(word.chain) <= 4
 

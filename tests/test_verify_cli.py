@@ -330,11 +330,19 @@ def test_cli_paths(capsys):
 
 def test_cli_actions(capsys):
     code, data = _run_cli(["actions", "build", "--m", "2", "--n", "3"], capsys)
-    assert code == 0 and data["mediants"] == [[1, 1], [1, 2], [2, 3]]
+    assert code == 0
+    assert data == {"m": 2, "n": 3, "dplus_on_1": "(t)*m[]*y1^3 + (-1)*m[1]*y1^2"}
     code, data = _run_cli(["actions", "lhs", "--m1", "1", "--n1", "1",
                            "--g", "2", "--alpha", "2"], capsys)
     assert code == 0
     assert data["lhs"]["terms"] == [{"partition": [1, 1], "coef": "t"}]
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (0, 0), (-1, 2), (1, -1), (0, 2)])
+def test_cli_actions_build_refuses_bad_slopes(capsys, m, n):
+    code, data = _run_cli(["actions", "build", "--m", str(m), "--n", str(n)], capsys)
+    assert code == 2
+    assert data == {"error": "ValueError: need m, n >= 0 coprime and not both zero"}
 
 
 def test_cli_sweep(capsys, tmp_path):
