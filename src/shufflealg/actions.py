@@ -1,9 +1,10 @@
 """The tower of conjugate-algebra actions indexed by coprime slopes.
 
-The base action on (1, 0) is d_+^* with y_i = z_i (`vkspace.act_z`).  The
-handle on (0, 1) has the q-algebra's d_+ times -q^{-k} as its raising
-operator and takes y_i from the commutator formula (`vkspace.commutator_y`):
-the only handle that divides by q - 1.
+Every handle is a sum of (monomial, word) pairs that `vkspace.apply_word`
+evaluates, so no handle subtracts or divides.  The base action on (1, 0) is
+d_+^* with y_i the word z_i.  The handle on (0, 1) has the q-algebra's d_+
+times -q^{-k} as its raising operator, and y_i in closed form from the
+relation `y1 from commutator` (see `ActionTower._build`).
 
 Every other coprime (m, n) has m, n >= 1, and its handle is s b_{m,n} applied
 after the (1, 1) handle, with s = (-1)^(m-1) and b_{m,n} the single-strand
@@ -30,25 +31,36 @@ from .vkspace import VElem
 
 # ------------------------------------------------------------- action handles
 
+def check_slope(m: int, n: int) -> None:
+    """Refuse a slope (m, n) that is not coprime with m, n >= 0."""
+    if m < 0 or n < 0 or gcd(m, n) != 1:
+        raise ValueError(f"need m, n >= 0 coprime and not both zero, got ({m}, {n})")
+
+
+def _apply(f: VElem, expr) -> VElem:
+    """The sum of c w f over the (c, w) of expr."""
+    images = [vk.apply_word(f, word, c) for c, word in expr]
+    return sum(images[1:], images[0])
+
+
 class ActionHandle:
-    """One action of the conjugate algebra at slope (m, n): its d_+ and its y_i."""
+    """One action of the conjugate algebra at slope (m, n): its d_+ and its y_i as
+    sums ((c, word), ...) of monomials times words, built for the V_k they act on."""
 
     def __init__(self, m, n, dplus, y):
         self.m, self.n = m, n
-        self._dplus = dplus
-        self._y = y
+        self._dplus, self._y = dplus, y   # k -> sum and (i, k) -> sum
 
     def dplus(self, f: VElem) -> VElem:
-        return self._dplus(f)
+        return _apply(f, self._dplus(f.k))
 
     def y1(self, f: VElem) -> VElem:
-        """The handle's own y_1."""
         return self.y(f, 1)
 
     def y(self, f: VElem, i: int) -> VElem:
-        """y_i.  At m, n >= 1 in closed form from y_1 = s b_{m,n} -y_1 z_1; only
-        (0, 1) uses the commutator formula."""
-        return self._y(f, i)
+        if not 1 <= i <= f.k:
+            raise ValueError(f"y_{i} is not defined on V_{f.k}")
+        return _apply(f, self._y(i, f.k))
 
 
 class ActionTower:
@@ -57,7 +69,8 @@ class ActionTower:
     def __init__(self, dom):
         self.dom = dom
         # z_i on (1, 0): the relation `z1 from commutator`
-        self._handles = {(1, 0): ActionHandle(1, 0, vk.act_dplus_star, vk.act_z)}
+        self._handles = {(1, 0): ActionHandle(1, 0, lambda k: ((dom.one, (("dps",),)),),
+                                              lambda i, k: ((dom.one, (("z", i),)),))}
 
     def handle(self, m: int, n: int) -> ActionHandle:
         h = self._handles.get((m, n))
@@ -68,30 +81,25 @@ class ActionTower:
     def _build(self, m, n) -> ActionHandle:
         dom = self.dom
         if (m, n) == (0, 1):
-            # the q-algebra's d_+, scaled: rho(d_+) = -q^k rho*(d_+^*)
-            def dplus(f):
-                return vk.act_dplus(f).scale(-dom.q_power(-f.k))
-            return ActionHandle(0, 1, dplus, lambda f, i: vk.commutator_y(f, dplus, i))
+            # d_+ is -q^{-k} times the q-algebra's d_+, so its commutator y_i is q^{1-i}/(q-1)
+            # T_{i-1}...T_1 (q d_+d_- - d_-d_+) T_{k-1}^{-1}...T_i^{-1}; by the relation `y1
+            # from commutator`, d_+d_- - d_-d_+ = q^{k-1}(q-1) y_1 T_1^{-1}...T_{k-1}^{-1}, the
+            # core is (q-1)(d_+d_- + q^{k-1} y_1 T_1^{-1}...T_{k-1}^{-1}): two words, no division.
+            return ActionHandle(0, 1, lambda k: ((-dom.q_power(-k), (("dp",),)),), lambda i, k: (
+                (dom.q_power(1 - i), vk.around(i, k, [("dp",), ("dm",)])),
+                (dom.q_power(k - i), vk.around(i, k, [("y", 1)] + vk.train_down(1, k)))))
         # the representation scalars of b_{m,n} and the sign s make one monomial
         gens = br.single_strand_braid(m, n).gens
         scalar = br.word_scalar(gens, dom) * (dom.one if m % 2 else -dom.one)
-
-        def b(f, c):
-            return vk.apply_word(f, gens).scale(scalar * c)
-
+        dplus = ((-scalar, gens + (("y", 1), ("dps",))),)
         # y_i = q^{k+1-i} T_{i-1}...T_1 (s b (-y_1) Z) T_{k-1}^{-1}...T_i^{-1}
-        def y(f, i):
-            if not 1 <= i <= f.k:
-                raise ValueError(f"y_{i} is not defined on V_{f.k}")
-            c = -dom.q_power(f.k + 1 - i)
-            return vk._telescoped(f, i, lambda g: b(vk.act_y(vk.act_Z(g), 1), c))
-        return ActionHandle(m, n, lambda f: b(vk.act_y(vk.act_dplus_star(f), 1), -dom.one), y)
+        return ActionHandle(m, n, lambda k: dplus, lambda i, k: (
+            (-scalar * dom.q_power(k + 1 - i), vk.around(i, k, gens + (("y", 1), ("Z",)))),))
 
 
 def build_action(dom, m: int, n: int) -> ActionHandle:
     """The handle at slope (m, n), which must be coprime with m, n >= 0."""
-    if m < 0 or n < 0 or gcd(m, n) != 1:
-        raise ValueError("need m, n >= 0 coprime and not both zero")
+    check_slope(m, n)
     return ActionTower(dom).handle(m, n)
 
 
@@ -106,8 +114,7 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     """
     alpha = tuple(alpha)
     r = len(alpha)
-    if gcd(m1, n1) != 1:
-        raise ValueError(f"m1, n1 must be coprime, got ({m1}, {n1})")
+    check_slope(m1, n1)
     if sum(alpha) != g or any(a < 1 for a in alpha):
         raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
     h = (ActionTower(dom) if tower is None else tower).handle(m1, n1)
@@ -177,19 +184,11 @@ def nabla_conjugation_check(path, dom):
     if path.m != path.n:
         raise ValueError("need an (n,n) path")
     dom_scale = -(dom.q_power(-1) / dom.t)
-
-    def east1(f):
-        return vk.act_z(vk.act_dplus(f), 1).scale(dom_scale)
-
-    def east2(f):
-        return vk.act_y(vk.act_dplus_star(f), 1).scale(dom.q_power(f.k))
-
     a = b = VElem.one(dom, 0)
     for bit in reversed(path.steps):
         if bit:
-            a = vk.act_dminus(a)
-            b = vk.act_dminus(b)
+            a, b = vk.act_dminus(a), vk.act_dminus(b)
         else:
-            a = east1(a)
-            b = east2(b)
+            a = vk.apply_word(a, (("z", 1), ("dp",)), dom_scale)
+            b = vk.apply_word(b, (("y", 1), ("dps",)), dom.q_power(b.k))
     return a == b, a, b

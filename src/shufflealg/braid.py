@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import vkspace as vk
-from .vkspace import VElem
+from .vkspace import VElem, star, train_down, train_up
 
 
 # -------------------------------------------------------------- point configs
@@ -108,25 +108,6 @@ class BraidWord:
         return " ".join(names[g[0]].format(g[1]) for g in self.gens) or "1"
 
 
-def train_up(a: int, b: int):
-    """T_{a up b}; for a > b this is the starred descending train."""
-    if a <= b:
-        return [("T", i) for i in range(a, b)]
-    return [("Ti", i) for i in range(a - 1, b - 1, -1)]
-
-
-def train_down(a: int, b: int):
-    """T_{a down b}; for a < b this is the starred ascending train."""
-    if a >= b:
-        return [("T", i) for i in range(a - 1, b - 1, -1)]
-    return [("Ti", i) for i in range(a, b)]
-
-
-def star(gens):
-    flip = {"T": "Ti", "Ti": "T"}
-    return [(flip.get(g[0], g[0]),) + g[1:] for g in gens]
-
-
 def word_scalar(gens, dom):
     """The product of the generators' monomials: q^{-1/2} per T_i, q^{1/2} per
     T_i^{-1}, -1 per y_i, (qt)^{-1} per z_i and -q^{1-i} per ytilde_i."""
@@ -153,7 +134,7 @@ def evaluate(w: BraidWord, f: VElem) -> VElem:
     if w.k != f.k:
         raise ValueError(f"word on {w.k} strands applied to V_{f.k}")
     scalar = word_scalar(w.gens, f.dom)   # refuses a foreign letter before any operator runs
-    return vk.apply_word(f, w.gens).scale(scalar)
+    return vk.apply_word(f, w.gens, scalar)
 
 
 # ------------------------------------------------------------ elementary moves

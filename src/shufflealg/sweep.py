@@ -249,7 +249,8 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
     while steps:
         step = steps.pop()  # freed once used, unless kept
         nxt: dict = {}
-        for key, val in state.items():
+        for key in list(state):   # each source is freed once its transitions are applied
+            val = state.pop(key)
             for kind, dst, extra in step[key]:
                 out = val if kind == "keep" else _apply(val, kind, extra)
                 prev = nxt.get(dst)

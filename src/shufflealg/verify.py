@@ -433,8 +433,7 @@ class JobConfig:
     def __post_init__(self):
         if min(self.m1, self.n1, self.g) < 1:
             raise ValueError("m1, n1 and g must be at least 1")
-        if gcd(self.m1, self.n1) != 1:
-            raise ValueError("m1, n1 must be coprime")
+        ac.check_slope(self.m1, self.n1)
         if self.alpha is not None and (sum(self.alpha) != self.g or min(self.alpha) < 1):
             raise ValueError(f"alpha must be a composition of g = {self.g}, "
                              f"got {list(self.alpha)}")

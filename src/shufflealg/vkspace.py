@@ -6,16 +6,19 @@ A coefficient is a polynomial of `scalars`: an integer Laurent polynomial
 in u and t (u^2 = q) keyed by packed exponents, the same form as a
 CoefRat's numerator, so an element reads and builds scalars without
 conversion.  T_i, d_-, the one-variable expansion behind d_+ and d_+^*,
-and the commutator Z behind z_i are cached per-term images; an operator accumulates each c * w into its
-output in place with `_fma` and drops zeros once with `_pruned`.  `divide`
-by q - 1 is one exact pass per coefficient.  Operator words are tuples of
-generators in written order and act rightmost-first.
+and the commutator Z behind z_i are cached per-term images; an operator
+accumulates each c * w into its output in place with `_fma` and drops
+zeros once with `_pruned`.  `divide` by q - 1 is one exact pass per
+coefficient.  Operator words are tuples of generators in written order and
+act rightmost-first, all through `apply_word` on the freely reduced T^{+-1},
+y, Z and d letters of `expand_word`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -317,35 +320,6 @@ def act_y(f: VElem, i: int) -> VElem:
                   for (lam, ys), c in f.terms.items()}, f.den)
 
 
-def _telescoped(f: VElem, i: int, core) -> VElem:
-    """T_{i-1}...T_1 core(T_{k-1}^{-1}...T_i^{-1} f).
-
-    These are the trains that the conjugate algebra's Hecke recursion
-    y_{i+1} = q^{-1} T_i y_i T_i leaves around y_1 = core T_{k-1}^{-1}...T_1^{-1}
-    once the inner T_j T_j^{-1} cancel; core carries the power of q."""
-    for j in range(i, f.k):
-        f = act_T(f, j, inverse=True)
-    f = core(f)
-    for j in range(1, i):
-        f = act_T(f, j)
-    return f
-
-
-def commutator_y(f: VElem, dplus, i: int = 1) -> VElem:
-    """y_i of the conjugate-algebra action with raising operator `dplus`, from the
-    commutator formula: (dplus d_- - d_- dplus) times q^{k+1-i}/(1-q) between the
-    trains of `_telescoped`.  A remainder raises."""
-    k = f.k
-    if not 1 <= i <= k:
-        raise ValueError(f"y_{i} is not defined on V_{k}")
-    dom = f.dom
-
-    def core(g):
-        comm = dplus(act_dminus(g)) - act_dminus(dplus(g))
-        return comm.scale(-dom.q_power(k + 1 - i)).divide(dom.q - dom.one)
-    return _telescoped(f, i, core)
-
-
 def _z_image(dom, lam, a: int):
     """Z(m_lam y_k^a) = (d_+^* d_- - d_- d_+^*)(m_lam y_k^a) / (1-q) as ((nu, j, w), ...):
     sum w m_nu y_1^j, the old y_1..y_{k-1} (now y_2..y_k) left out.
@@ -384,63 +358,96 @@ def act_Z(f: VElem) -> VElem:
     return VElem(f.dom, f.k, _pruned(acc), f.den)
 
 
-def act_z(f: VElem, i: int) -> VElem:
-    """z_i = q^{k+1-i} T_{i-1}...T_1 Z T_{k-1}^{-1}...T_i^{-1}: the commutator y_i of
-    d_+^* (`commutator_y`) with Z in closed form, no subtraction and no division."""
-    if not 1 <= i <= f.k:
-        raise ValueError(f"z_{i} is not defined on V_{f.k}")
-    return _telescoped(f.scale(f.dom.q_power(f.k + 1 - i)), i, act_Z)
+def train_up(a: int, b: int):
+    """T_{a up b}; for a > b this is the starred descending train."""
+    if a <= b:
+        return [("T", i) for i in range(a, b)]
+    return [("Ti", i) for i in range(a - 1, b - 1, -1)]
+
+
+def train_down(a: int, b: int):
+    """T_{a down b}; for a < b this is the starred ascending train."""
+    if a >= b:
+        return [("T", i) for i in range(a - 1, b - 1, -1)]
+    return [("Ti", i) for i in range(a, b)]
+
+
+_INVERSE = {"T": "Ti", "Ti": "T"}
+
+
+def star(gens):
+    return [(_INVERSE.get(g[0], g[0]),) + g[1:] for g in gens]
+
+
+def around(i: int, k: int, core) -> tuple:
+    """T_{i-1}...T_1 core T_{k-1}^{-1}...T_i^{-1} on V_k: the trains that the recursion
+    x_{i+1} = c T_i^{+-1} x_i T_i^{+-1} leaves around x_1 once the inner T_j T_j^{-1} cancel."""
+    return tuple(train_down(i, 1) + list(core) + train_up(k, i))
 
 
 def ytilde_word(i: int, k: int) -> tuple:
     """ytilde_i on V_k, T_{i-1}...T_1 T_1...T_{k-1} y_k T_{k-1}^{-1}...T_i^{-1}: the
     recursion ytilde_{i+1} = T_i ytilde_i T_i from ytilde_1 = T_1...T_{k-1} y_k
     T_{k-1}^{-1}...T_1^{-1}, with the inner T_j^{-1} T_j cancelled."""
-    return (tuple(("T", j) for j in range(i - 1, 0, -1)) + tuple(("T", j) for j in range(1, k))
-            + (("y", k),) + tuple(("Ti", j) for j in range(k - 1, i - 1, -1)))
-
-
-def act_ytilde(f: VElem, i: int) -> VElem:
-    """ytilde_i, the word `ytilde_word(i, k)` applied."""
-    if not 1 <= i <= f.k:
-        raise ValueError(f"ytilde_{i} is not defined on V_{f.k}")
-    return apply_word(f, ytilde_word(i, f.k))
+    return around(i, k, train_up(1, k) + [("y", k)])
 
 
 # ------------------------------------------------------------ operator words
 
-GEN_ARITY = {"T": 0, "Ti": 0, "dm": -1, "dp": +1, "dps": +1, "y": 0, "z": 0, "yt": 0}
-
-
 _GEN_ACTIONS = {"T": lambda f, i: act_T(f, i), "Ti": lambda f, i: act_T(f, i, inverse=True),
                 "dm": lambda f: act_dminus(f), "dp": lambda f: act_dplus(f),
                 "dps": lambda f: act_dplus_star(f), "y": lambda f, i: act_y(f, i),
-                "z": lambda f, i: act_z(f, i), "yt": lambda f, i: act_ytilde(f, i)}
+                "Z": lambda f: act_Z(f)}
 
 
-def word_target(word, k: int) -> int:
-    """Final strand count of a word applied at V_k; raises if ill-formed."""
+@lru_cache(maxsize=None)
+def _letters(gen, k: int):
+    """One generator at V_k as ((letter, its inverse or None), ...) in the order they act,
+    its power of q and the strand count it ends at.  A bad generator raises."""
+    kind = gen[0]
+    if kind in ("z", "yt") and not 1 <= gen[1] <= k:
+        raise ValueError(f"{'z' if kind == 'z' else 'ytilde'}_{gen[1]} is not defined on V_{k}")
+    if kind not in _GEN_ACTIONS and kind not in ("z", "yt"):
+        raise ValueError(f"unknown generator {gen!r}")
+    if (kind in ("T", "Ti") and not 1 <= gen[1] <= k - 1) or \
+            (kind == "y" and not 1 <= gen[1] <= k) or (kind in ("dm", "Z") and k < 1):
+        raise ValueError(f"d- invalid at V_{k}" if kind == "dm" else f"{gen} invalid at V_{k}")
+    word, e = (gen,), 0
+    if kind == "z":
+        word, e = around(gen[1], k, [("Z",)]), k + 1 - gen[1]
+    elif kind == "yt":
+        word = ytilde_word(gen[1], k)
+    letters = tuple((g, (_INVERSE[g[0]],) + g[1:] if g[0] in _INVERSE else None)
+                    for g in reversed(word))
+    return letters, e, k + {"dm": -1, "dp": 1, "dps": 1}.get(kind, 0)
+
+
+def expand_word(word, k: int):
+    """(letters, e, end): a word at V_k as T^{+-1}, y, Z and d letters times q^e, and its
+    end strand count; z_i is q^{k+1-i} `around(i, k, Z)`, ytilde_i `ytilde_word(i, k)`,
+    and each T_j that meets its inverse cancels.  A bad letter raises before any operator runs."""
+    out, e = [], 0   # letters in the order they act
     for gen in reversed(word):
-        kind = gen[0]
-        if kind in ("T", "Ti") and not 1 <= gen[1] <= k - 1:
-            raise ValueError(f"{gen} invalid at V_{k}")
-        if kind in ("y", "z", "yt") and not 1 <= gen[1] <= k:
-            raise ValueError(f"{gen} invalid at V_{k}")
-        if kind == "dm" and k < 1:
-            raise ValueError(f"d- invalid at V_{k}")
-        k += GEN_ARITY[kind]
-    return k
+        letters, de, k = _letters(gen, k)
+        e += de
+        for g, inverse in letters:
+            if out and out[-1] == inverse:
+                out.pop()
+            else:
+                out.append(g)
+    return tuple(reversed(out)), e, k
 
 
-def apply_word(f: VElem, word) -> VElem:
-    """Apply a word (written order, rightmost acts first)."""
-    for gen in reversed(word):
+def apply_word(f: VElem, word, scalar=None) -> VElem:
+    """Apply a word (written order, rightmost acts first): the letters of `expand_word`,
+    then their q^e times `scalar` as one monomial scale."""
+    letters, e, _ = expand_word(word, f.k)
+    for gen in reversed(letters):
         # each lambda looks its operator up at call time, so rebinding a module name takes effect
-        act = _GEN_ACTIONS.get(gen[0])
-        if act is None:
-            raise ValueError(f"unknown generator {gen!r}")
-        f = act(f, *gen[1:])
-    return f
+        f = _GEN_ACTIONS[gen[0]](f, *gen[1:])
+    if e:
+        scalar = f.dom.q_power(e) if scalar is None else scalar * f.dom.q_power(e)
+    return f if scalar is None else f.scale(scalar)
 
 
 def apply_gen(f: VElem, gen) -> VElem:
@@ -545,7 +552,7 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
         raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
     rels = [(name, _as_expr(lhs, dom), _as_expr(rhs, dom)) for name, lhs, rhs in rels]
     for name, lhs, rhs in rels:
-        ends = [{word_target(word, k) for _, word in side} or {k} for side in (lhs, rhs)]
+        ends = [{expand_word(word, k)[2] for _, word in side} or {k} for side in (lhs, rhs)]
         if len(ends[0] | ends[1]) > 1:
             lands = [" or ".join(f"V_{j}" for j in sorted(e)) for e in ends]
             raise ValueError(f"{name}: lhs lands in {lands[0]} and rhs in {lands[1]}")
@@ -669,9 +676,8 @@ def standard_relations(dom, k: int):
     for i in range(1, k):
         add(f"y{i} d- = d- y{i} @k={k}", (y(i), dm), (dm, y(i)))
     for i in range(1, k + 1):
-        train_up = tuple(("T", a) for a in range(1, i + 1))
-        train_down = tuple(("Ti", a) for a in range(i, 0, -1))
-        add(f"d+ y{i} rel @k={k}", (dp, y(i)), train_up + (y(i),) + train_down + (dp,))
+        add(f"d+ y{i} rel @k={k}", (dp, y(i)),
+            tuple(train_up(1, i + 1) + [y(i)] + train_up(i + 1, 1)) + (dp,))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
             add(f"y{i} y{j} comm @k={k}", (y(i), y(j)), (y(j), y(i)))
@@ -683,8 +689,7 @@ def standard_relations(dom, k: int):
     # q^{k-1}(q-1) y_1 = (d_+ d_- - d_- d_+) T_{k-1}...T_1 and
     # q^{-k}(1-q) z_1 = (d_+^* d_- - d_- d_+^*) T_{k-1}^{-1}...T_1^{-1}
     if k >= 1:
-        train = tuple(("T", a) for a in range(k - 1, 0, -1))
-        star_train = tuple(("Ti", a) for a in range(k - 1, 0, -1))
+        train, star_train = tuple(train_down(k, 1)), tuple(train_up(k, 1))
         add(f"y1 from commutator @k={k}", [(dom.q_power(k - 1) * (q - one), (y(1),))],
             [(one, (dp, dm) + train), (-one, (dm, dp) + train)])
         add(f"z1 from commutator @k={k}", [(dom.q_power(-k) * (one - q), (z(1),))],

@@ -82,19 +82,21 @@ def test_mediant_replay_invariant():
 
 # ------------------------------------------------------------ the q-algebra
 
-def q_commutator_y(f, dplus, i=1):
-    """y_i of the q-algebra action with raising operator `dplus`, from the commutator
-    formula: (dplus d_- - d_- dplus) q^{i-k}/(q-1) between T_{k-1}...T_i and
-    T_{i-1}^{-1}...T_1^{-1}."""
+def commutator_y(f, dplus, star, i=1):
+    """y_i of either algebra from the commutator formula on its raising operator `dplus`:
+    (dplus d_- - d_- dplus) q^{i-k}/(q-1) between T_{i-1}^{-1}...T_1^{-1} and
+    T_{k-1}...T_i in the q-algebra, and times q^{k+1-i}/(1-q) with every T inverted
+    in the conjugate algebra (star)."""
     dom, k = f.dom, f.k
     if not 1 <= i <= k:
         raise ValueError(f"y_{i} is not defined on V_{k}")
     for j in range(i, k):
-        f = vk.act_T(f, j)
+        f = vk.act_T(f, j, inverse=star)
     comm = dplus(vk.act_dminus(f)) - vk.act_dminus(dplus(f))
-    f = comm.scale(dom.q_power(i - k)).divide(dom.q - dom.one)
+    f = comm.scale(-dom.q_power(k + 1 - i) if star else dom.q_power(i - k))
+    f = f.divide(dom.q - dom.one)
     for j in range(1, i):
-        f = vk.act_T(f, j, inverse=True)
+        f = vk.act_T(f, j, inverse=not star)
     return f
 
 
@@ -110,9 +112,22 @@ def y_from_y1(y1, f, i):
     return f if i == 1 else f.scale(f.dom.q_power(i - 1))
 
 
-def commutator_y(f, dplus, star, i=1):
-    """The commutator y_i of either algebra: conjugate (star) or q-algebra."""
-    return vk.commutator_y(f, dplus, i) if star else q_commutator_y(f, dplus, i)
+class Handle:
+    """A handle given by functions: its d_+ and its y_i."""
+
+    def __init__(self, dplus, y):
+        self.dplus, self._y = dplus, y
+
+    def y1(self, f):
+        return self.y(f, 1)
+
+    def y(self, f, i):
+        return self._y(f, i)
+
+
+def commutator_handle(dplus, star):
+    """The handle whose y_i is the commutator formula on its own d_+."""
+    return Handle(dplus, lambda f, i: commutator_y(f, dplus, star, i))
 
 
 class PairTower:
@@ -125,17 +140,21 @@ class PairTower:
 
         d_+ = s b_{m,n} -(qt)^{-1} z_1 d_+     y_1 = s b_{m,n} -(qt)^{-1} z_1 y_1
 
-    and the y_i follow from y_1 by the Hecke recursion.
+    and the y_i follow from y_1 by the Hecke recursion.  The conjugate (0, 1)
+    handle is the commutator formula on -q^{-k} d_+, the oracle of the package's
+    closed form.
     """
 
     def __init__(self, dom):
         self.dom = dom
         self.conjugate = ac.ActionTower(dom)
-        self._q = {(0, 1): ac.ActionHandle(0, 1, vk.act_dplus, vk.act_y)}
+        self._q = {(0, 1): Handle(vk.act_dplus, vk.act_y)}
+        self._star_01 = commutator_handle(
+            lambda f: vk.act_dplus(f).scale(-dom.q_power(-f.k)), True)
 
     def handle(self, m, n, star):
         if star:
-            return self.conjugate.handle(m, n)
+            return self._star_01 if (m, n) == (0, 1) else self.conjugate.handle(m, n)
         h = self._q.get((m, n))
         if h is None:
             h = self._q[m, n] = self._build_q(m, n)
@@ -145,20 +164,15 @@ class PairTower:
         dom = self.dom
         if (m, n) == (1, 0):
             # the conjugate algebra's base d_+, scaled: rho(d_+) = -q^k rho*(d_+^*)
-            def dplus(f):
-                return vk.act_dplus_star(f).scale(-dom.q_power(f.k))
-            return ac.ActionHandle(1, 0, dplus, lambda f, i: q_commutator_y(f, dplus, i))
-        gens = br.single_strand_braid(m, n).gens
-        c = br.word_scalar(gens, dom) * (dom.one if m % 2 else -dom.one) \
-            * -(dom.q_power(-1) / dom.t)
-
-        def b(f):
-            return vk.apply_word(f, gens).scale(c)
+            return commutator_handle(lambda f: vk.act_dplus_star(f).scale(-dom.q_power(f.k)),
+                                     False)
+        gens = br.single_strand_braid(m, n).gens + (("z", 1),)
+        c = br.word_scalar(gens, dom) * (dom.one if m % 2 else -dom.one) * -dom.one
 
         def y1(f):
-            return b(vk.act_z(vk.act_y(f, 1), 1))
-        return ac.ActionHandle(m, n, lambda f: b(vk.act_z(vk.act_dplus(f), 1)),
-                               lambda f, i: y_from_y1(y1, f, i))
+            return vk.apply_word(f, gens + (("y", 1),), c)
+        return Handle(lambda f: vk.apply_word(f, gens + (("dp",),), c),
+                      lambda f, i: y_from_y1(y1, f, i))
 
 
 def act_T(f, i, star):
@@ -199,15 +213,13 @@ class SectorTower:
         left, right = mediant_decompose(m, n).endpoints
         rho, rho_star = self.handle(*left, False), self.handle(*right, True)
         if star:
-            def dplus(f):
-                return -rho.y1(rho_star.dplus(f))
-            return ac.ActionHandle(m, n, dplus, lambda f, i: vk.commutator_y(f, dplus, i))
+            return commutator_handle(lambda f: -rho.y1(rho_star.dplus(f)), True)
         s = -(self.dom.q_power(-1) / self.dom.t)
 
         def y1(f):
             return rho_star.y1(rho.y1(f)).scale(s)
-        return ac.ActionHandle(m, n, lambda f: rho_star.y1(rho.dplus(f)).scale(s),
-                               lambda f, i: y_from_y1(y1, f, i))
+        return Handle(lambda f: rho_star.y1(rho.dplus(f)).scale(s),
+                      lambda f, i: y_from_y1(y1, f, i))
 
 
 COPRIME_6 = [(m, n) for m in range(1, 7) for n in range(1, 7) if gcd(m, n) == 1]
@@ -232,6 +244,17 @@ def test_base_handles(dom):
     one0 = VElem.one(dom, 0)
     assert tower.handle(0, 1, False).dplus(one0) == vk.act_dplus(one0)
     assert tower.handle(1, 0, True).dplus(one0) == vk.act_dplus_star(one0)
+    # the package's (0, 1) handle, in closed form, against the commutator formula at
+    # every i of the spanning sets below, up to k = 6
+    closed, oracle = ac.ActionTower(dom).handle(0, 1), tower.handle(0, 1, True)
+    cases = 0
+    for k, degree in ((1, 3), (2, 3), (3, 3), (4, 2), (5, 2), (6, 2)):
+        for base in vk.spanning_set(dom, k, degree):
+            assert closed.dplus(base) == oracle.dplus(base), (k, str(base))
+            for i in range(1, k + 1):
+                assert closed.y(base, i) == oracle.y(base, i), (k, i, str(base))
+                cases += 1
+    assert cases == 642
 
 
 def test_standard_handle_y1_is_multiplication(dom):
@@ -240,7 +263,7 @@ def test_standard_handle_y1_is_multiplication(dom):
         for base in vk.spanning_set(dom, k, 3):
             y1 = h.y1(base)
             assert y1 == vk.act_y(base, 1), str(base)
-            assert y1 == q_commutator_y(base, vk.act_dplus), str(base)
+            assert y1 == commutator_y(base, vk.act_dplus, False), str(base)
 
 
 Q_SIDE_REPLICATED = [(m, n) for m in range(1, 7) for n in range(1, 8 - m)
@@ -253,7 +276,7 @@ def test_q_side_y1_matches_commutator(dom, m, n):
     h = PairTower(dom).handle(m, n, False)
     for k, degree in ((1, 2), (2, 1), (3, 1)):
         for base in vk.spanning_set(dom, k, degree):
-            assert h.y1(base) == q_commutator_y(base, h.dplus), (m, n, str(base))
+            assert h.y1(base) == commutator_y(base, h.dplus, False), (m, n, str(base))
 
 
 @pytest.mark.parametrize("m,n,star", [(2, 3, True), (3, 4, True), (2, 5, True),
@@ -386,7 +409,7 @@ def test_lhs_examples(dom):
     assert ac.lhs_compositional(1, 2, 1, (1,), dom) == SymFunc.e(dom, 2, 2)
     with pytest.raises(ValueError, match=r"alpha must be a composition of g = 1, got \[\]"):
         ac.lhs_compositional(1, 1, 1, (), dom)
-    with pytest.raises(ValueError, match=r"m1, n1 must be coprime, got \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"coprime and not both zero, got \(2, 4\)"):
         ac.lhs_compositional(2, 4, 1, (1,), dom)
 
 

@@ -399,7 +399,9 @@ def test_braid_formula_unit(dom):
 
 
 def _evaluate_per_generator(w, f):
-    """The representation one generator at a time, each scaled by its own monomial."""
+    """The representation one generator at a time, each scaled by its own monomial;
+    z_i and ytilde_i by their Hecke recursions, not by `vkspace.apply_word`."""
+    from test_vkspace import _ytilde_recursive, _z_recursive
     dom = f.dom
     u_inv = dom.monomial(1, -1, 0)
     qt_inv = dom.one / (dom.q * dom.t)
@@ -412,9 +414,9 @@ def _evaluate_per_generator(w, f):
         elif kind == "y":
             f = -vk.act_y(f, gen[1])
         elif kind == "z":
-            f = vk.act_z(f, gen[1]).scale(qt_inv)
+            f = _z_recursive(f, gen[1]).scale(qt_inv)
         else:
-            f = vk.act_ytilde(f, gen[1]).scale(-dom.q_power(1 - gen[1]))
+            f = _ytilde_recursive(f, gen[1]).scale(-dom.q_power(1 - gen[1]))
     return f
 
 
@@ -431,6 +433,20 @@ def test_evaluate_matches_per_generator_oracle(dom):
         w = br.BraidWord(k, tuple(gens))
         for f in vk.spanning_set(dom, k, 2):
             assert br.evaluate(w, f) == _evaluate_per_generator(w, f), (str(w), str(f))
+    # the special braid of every coloring with m + n <= 7, on d_+^k(1) as criterion 4 applies it
+    words = set()
+    for m in range(1, 7):
+        for n in range(1, 8 - m):
+            g = gcd(m, n)
+            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+            for s, state in enumerate(dp.states):
+                h = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m // g, n // g)
+                words.update(br.braid_of_coloring(m // g, n // g, key, h)[0]
+                             for key in state if key)
+    assert len(words) == 59
+    for w in words:
+        f = vk.dplus_power(dom, w.k)
+        assert br.evaluate(w, f) == _evaluate_per_generator(w, f), str(w)
 
 
 def test_single_strand_words_realize_tower_dplus(dom):
@@ -460,7 +476,7 @@ def test_single_strand_words_realize_tower_y1(dom):
         sign = dom.one if (m - 1) % 2 == 0 else -dom.one
         for k in (1, 2):
             for base in vk.spanning_set(dom, k, 2):
-                seed = -vk.act_y(vk.act_z(base, 1), 1)
+                seed = -vk.apply_word(base, (("y", 1), ("z", 1)))
                 lhs = br.evaluate(br.BraidWord(k, b.gens), seed)
                 assert lhs == h.y1(base).scale(sign), (m, n, k)
 

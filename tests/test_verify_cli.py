@@ -342,7 +342,23 @@ def test_cli_actions(capsys):
 def test_cli_actions_build_refuses_bad_slopes(capsys, m, n):
     code, data = _run_cli(["actions", "build", "--m", str(m), "--n", str(n)], capsys)
     assert code == 2
-    assert data == {"error": "ValueError: need m, n >= 0 coprime and not both zero"}
+    assert data == {"error": f"ValueError: need m, n >= 0 coprime and not both zero, "
+                             f"got ({m}, {n})"}
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (-1, 1)])
+def test_cli_one_slope_check(capsys, m, n):
+    # build_action, lhs_compositional and JobConfig refuse a bad slope with one message;
+    # JobConfig refuses a negative m1 by its own "at least 1" check first
+    argvs = [["actions", "build", "--m", str(m), "--n", str(n)],
+             ["actions", "lhs", "--m1", str(m), "--n1", str(n), "--g", "1", "--alpha", "1"]]
+    if m >= 0:
+        argvs.append(["verify", "shuffle", "--m1", str(m), "--n1", str(n), "--g", "1"])
+    for argv in argvs:
+        code, data = _run_cli(argv, capsys)
+        assert code == 2, argv
+        assert data == {"error": f"ValueError: need m, n >= 0 coprime and not both zero, "
+                                 f"got ({m}, {n})"}, argv
 
 
 def test_cli_sweep(capsys, tmp_path):
@@ -520,7 +536,7 @@ def _lhs_alpha_not_a_composition(tmp_path):
 
 
 def _lhs_negative_slope(tmp_path):
-    # coprime, so it passes the gcd check and reaches the single-strand braid's
+    # coprime, but refused by the slope check before any handle is built
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
 
 

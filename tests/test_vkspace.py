@@ -108,10 +108,10 @@ def test_dplus_star_examples(dom):
 
 def test_derived_operator_examples(dom):
     y1 = V(dom, 1, [((), (1,))])
-    assert vk.act_z(y1, 1) == V(dom, 1, {((), (1,)): dom.q * dom.t})
-    assert vk.act_z(VElem.one(dom, 1), 1) == VElem(dom, 1)
+    assert vk.apply_word(y1, (("z", 1),)) == V(dom, 1, {((), (1,)): dom.q * dom.t})
+    assert vk.apply_word(VElem.one(dom, 1), (("z", 1),)) == VElem(dom, 1)
     f = V(dom, 1, {((1,), (2,)): dom.t})
-    assert vk.act_ytilde(f, 1) == V(dom, 1, {((1,), (3,)): dom.t})
+    assert vk.apply_word(f, (("yt", 1),)) == V(dom, 1, {((1,), (3,)): dom.t})
 
 
 def test_y_from_commutator_is_multiplication(dom):
@@ -168,15 +168,16 @@ def test_Z_matches_commutator():
 def test_z_and_ytilde_match_recursive_oracles(dom, k):
     for f in vk.spanning_set(dom, k, 3):
         for i in range(1, k + 1):
-            assert vk.act_z(f, i) == _z_recursive(f, i), (i, str(f))
-            assert vk.act_ytilde(f, i) == _ytilde_recursive(f, i), (i, str(f))
+            assert vk.apply_word(f, (("z", i),)) == _z_recursive(f, i), (i, str(f))
+            assert vk.apply_word(f, (("yt", i),)) == _ytilde_recursive(f, i), (i, str(f))
 
 
 def test_z_ytilde_and_commutator_y_never_undo_a_T(dom, monkeypatch):
-    # no T_j directly after T_j^{-1} or the reverse; only the commutator y_i divide
+    # no T_j directly after T_j^{-1} or the reverse within one word, and no y_i divides:
+    # not z_i, not ytilde_i, and no handle's, (0, 1) included
     trace = []
     act_T, act_y, act_Z, act_dminus = vk.act_T, vk.act_y, vk.act_Z, vk.act_dminus
-    divide = VElem.divide
+    apply_word, divide = vk.apply_word, VElem.divide
 
     def no_divide(self, d):
         trace.append("divide")
@@ -187,21 +188,22 @@ def test_z_ytilde_and_commutator_y_never_undo_a_T(dom, monkeypatch):
     monkeypatch.setattr(vk, "act_y", lambda f, i: trace.append("y") or act_y(f, i))
     monkeypatch.setattr(vk, "act_Z", lambda f: trace.append("Z") or act_Z(f))
     monkeypatch.setattr(vk, "act_dminus", lambda f: trace.append("d-") or act_dminus(f))
+    monkeypatch.setattr(vk, "apply_word", lambda f, word, scalar=None:
+                        trace.append("word") or apply_word(f, word, scalar))
     monkeypatch.setattr(VElem, "divide", no_divide)
     tower = ac.ActionTower(dom)
-    commutator_ys = [tower.handle(0, 1).y]
-    # every other handle's y_i is built from its single-strand braid and divides nothing
-    braid_ys = [tower.handle(m, n).y for m, n in ((1, 1), (1, 2), (2, 3))]
+    ops = [lambda f, i: vk.apply_word(f, (("z", i),)), lambda f, i: vk.apply_word(f, (("yt", i),))]
+    ops += [tower.handle(m, n).y for m, n in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 3))]
     for k in (2, 3, 4):
         f = vk.spanning_set(dom, k, 1)[-1]
-        for op in [vk.act_z, vk.act_ytilde] + commutator_ys + braid_ys:
+        for op in ops:
             for i in range(1, k + 1):
                 trace.clear()
                 op(f, i)
                 undone = [(a, b) for a, b in zip(trace, trace[1:])
                           if isinstance(a, tuple) and isinstance(b, tuple) and a == (b[0], not b[1])]
                 assert len(trace) >= k and not undone, (op, k, i, trace)
-                assert ("divide" in trace) == (op in commutator_ys), (op, k, i)
+                assert "divide" not in trace, (op, k, i)
 
 
 def test_T_times_step_is_the_defining_numerator(dom):
@@ -275,12 +277,27 @@ def test_parse_word_names_the_bad_token(dom, token):
         vk.parse_word(f"d+ {token}", dom)
 
 
-def test_word_target_validation():
-    assert vk.word_target((("dm",), ("dp",)), 1) == 1
-    with pytest.raises(ValueError):
-        vk.word_target((("T", 2),), 2)
-    with pytest.raises(ValueError):
-        vk.word_target((("dm",),), 0)
+def test_expand_word_end_and_refusals():
+    assert vk.expand_word((("dm",), ("dp",)), 1) == ((("dm",), ("dp",)), 0, 1)
+    assert vk.expand_word((("dp",), ("dps",), ("dm",)), 2)[2] == 3
+    # z_2 on V_3 is q^2 T_1 Z T_2^{-1}; T_2 z_2 cancels its T_2^{-1} against nothing, and
+    # z_2 T_2 cancels it against the T_2
+    assert vk.expand_word((("z", 2),), 3) == ((("T", 1), ("Z",), ("Ti", 2)), 2, 3)
+    assert vk.expand_word((("z", 2), ("T", 2)), 3) == ((("T", 1), ("Z",)), 2, 3)
+    # ytilde_1 ytilde_1 on V_2: T_1 y_2 T_1^{-1} T_1 y_2 T_1^{-1}, the middle pair cancelled
+    assert vk.expand_word((("yt", 1), ("yt", 1)), 2) == \
+        ((("T", 1), ("y", 2), ("y", 2), ("Ti", 1)), 0, 2)
+    # a T and its inverse across a d letter are on different V_k and stay
+    assert vk.expand_word((("T", 1), ("dm",), ("Ti", 1)), 3)[0] == (("T", 1), ("dm",), ("Ti", 1))
+    for word, k, message in (((("T", 2),), 2, "('T', 2) invalid at V_2"),
+                             ((("y", 1), ("dm",)), 1, "('y', 1) invalid at V_0"),
+                             ((("dm",),), 0, "d- invalid at V_0"),
+                             ((("Z",),), 0, "('Z',) invalid at V_0"),
+                             ((("z", 3), ("T", 1)), 2, "z_3 is not defined on V_2"),
+                             ((("yt", 0),), 2, "ytilde_0 is not defined on V_2"),
+                             ((("x", 1),), 2, "unknown generator ('x', 1)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vk.expand_word(word, k)
 
 
 def test_relation_check_reports_failure(dom):
@@ -386,7 +403,7 @@ def test_tagging_commutes_with_the_checkers_operators(dom):
     # over 2 or 1, and over 4 or 1 once halved: the tagged sum's denominator is not every part's
     mixed = [b.scale(half) if i % 3 else b.scale(dom.from_int(2)) for i, b in enumerate(basis)]
     gens = [("T", 1), ("T", 2), ("Ti", 1), ("Ti", 2), ("dm",), ("dp",), ("dps",)]
-    gens += [(kind, i) for kind in ("y", "z", "yt") for i in (1, 2, 3)]
+    gens += [(kind, i) for kind in ("y", "z", "yt") for i in (1, 2, 3)] + [("Z",)]
     ops = [lambda f, gen=gen: vk.apply_gen(f, gen) for gen in gens]
     ops += [lambda f: f.scale(dom.one - dom.q), lambda f: f.scale(half)]
     for elems in (basis, mixed):
