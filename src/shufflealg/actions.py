@@ -20,22 +20,15 @@ z_1's own T^{-1}-train is the recursion's.
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import braid as br
 from . import symfunc as sf
 from . import vkspace as vk
+from .combinat import check_composition, check_slope
 from .symfunc import SymFunc
 from .vkspace import VElem
 
 
 # ------------------------------------------------------------- action handles
-
-def check_slope(m: int, n: int) -> None:
-    """Refuse a slope (m, n) that is not coprime with m, n >= 0."""
-    if m < 0 or n < 0 or gcd(m, n) != 1:
-        raise ValueError(f"need m, n >= 0 coprime and not both zero, got ({m}, {n})")
-
 
 def _apply(f: VElem, expr) -> VElem:
     """The sum of c w f over the (c, w) of expr."""
@@ -115,8 +108,7 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     alpha = tuple(alpha)
     r = len(alpha)
     check_slope(m1, n1)
-    if sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
+    check_composition(alpha, g)
     h = (ActionTower(dom) if tower is None else tower).handle(m1, n1)
     f = VElem.one(dom, 0)
     for _ in range(r):

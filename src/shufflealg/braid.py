@@ -204,7 +204,7 @@ def special_braid(cfg: PointConfig, alpha, order=None):
     return BraidWord(cfg.k, gens), cur
 
 
-# ------------------------------------------------------------- train rewriting
+# ----------------------------------------------------------------- train rules
 
 def sigma_shift(a: int, b: int, c: int) -> int:
     if a <= c < b:
@@ -244,15 +244,6 @@ def rule_instance(rule: str, params: dict):
         a, b = params["a"], params["b"]
         return train_down(a, b) + [("yt", b)], [("yt", a)] + train_up(a, b)
     raise ValueError(f"unknown rule {rule!r}")
-
-
-def rewrite_trains(w: BraidWord, rule: str, site: int, params: dict) -> BraidWord:
-    """Replace the rule's left side at `site` with its right side."""
-    lhs, rhs = rule_instance(rule, params)
-    lhs, rhs = tuple(lhs), tuple(rhs)
-    if w.gens[site:site + len(lhs)] != lhs:
-        raise ValueError(f"word does not match rule {rule} at site {site}")
-    return BraidWord(w.k, w.gens[:site] + rhs + w.gens[site + len(lhs):])
 
 
 # --------------------------------------------------------- creation operators

@@ -93,6 +93,18 @@ class DyckPath:
     __repr__ = __str__
 
 
+def check_slope(m: int, n: int) -> None:
+    """Refuse a slope (m, n) that is not coprime with m, n >= 0."""
+    if m < 0 or n < 0 or gcd(m, n) != 1:
+        raise ValueError(f"need m, n >= 0 coprime and not both zero, got ({m}, {n})")
+
+
+def check_composition(alpha, g: int) -> None:
+    """Refuse alpha unless its parts are positive and sum to g."""
+    if sum(alpha) != g or any(a < 1 for a in alpha):
+        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
+
+
 def enumerate_paths(m: int, n: int, alpha=None):
     """All (m,n)-Dyck paths; with alpha, only those with that touch composition."""
     if m < 1 or n < 1:
@@ -102,8 +114,7 @@ def enumerate_paths(m: int, n: int, alpha=None):
     touch_xs = None
     if alpha is not None:
         alpha = tuple(alpha)
-        if sum(alpha) != g or any(a < 1 for a in alpha):
-            raise ValueError("alpha must be a composition of gcd(m, n)")
+        check_composition(alpha, g)
         touch_xs = {m1 * s for s in itertools.accumulate(alpha)}
     out = []
 
@@ -375,10 +386,8 @@ def rhs_compositional(m1: int, n1: int, g: int, alpha, dom) -> SymFunc:
     """Sum of path weights over paths with the given touch composition: each
     attack structure's chi once, scaled by the sum of its paths' monomials."""
     alpha = tuple(alpha)
-    if gcd(m1, n1) != 1:
-        raise ValueError(f"m1, n1 must be coprime, got ({m1}, {n1})")
-    if sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
+    check_slope(m1, n1)
+    check_composition(alpha, g)
     cap = g * n1
     monomials = {}  # attack structure -> {pack(eu, et): number of paths}
     for p in enumerate_paths(g * m1, g * n1, alpha):

@@ -300,8 +300,11 @@ def _poly_str(p) -> str:
 
 
 def parse_scalar_token(tok: str, dom):
-    """Parse tokens like 'q', 'q^-1', 't^2', '-1', '3', 'u', 'q*t'."""
+    """Parse tokens like 'q', 'q^-1', 't^2', '-1', '3', 'u', 'q*t'.  A token whose exponents
+    add up to 2^20 or more in absolute value is refused, which keeps every exponent far
+    inside the key packing and bounds every power of an integer."""
     out = dom.one
+    total = 0
     for piece in tok.split("*"):
         piece = piece.strip()
         neg = piece.startswith("-")
@@ -312,6 +315,10 @@ def parse_scalar_token(tok: str, dom):
             e = int(e) if caret else 1
         except ValueError:
             raise ValueError(f"bad scalar token {tok!r}") from None
+        total += abs(e)
+        if total >= 1 << 20:
+            raise ValueError(f"bad scalar token {tok!r}: the absolute values of its "
+                             f"exponents must add up to less than 2^20")
         if base == "q":
             f = dom.monomial(1, 2 * e, 0)
         elif base == "u":

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .combinat import DyckPath, reading_order, touch_composition
+from .combinat import DyckPath, check_composition, reading_order, touch_composition
 from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y, dminus_to_v0
 
@@ -143,13 +143,6 @@ class DpResult:
     events: list
     state: dict                  # intervals tuple -> VElem, at the final stratum
     states: list | None = None   # snapshots per stratum, 0 .. len(events)
-    steps: list | None = None    # per event: {coloring: its (kind, dst, extra) transitions}
-
-    def complete_state(self) -> dict:
-        """Final colorings that complete a path, i.e. c_alpha for some alpha."""
-        g = gcd(self.m, self.n)
-        return {key: val for key, val in self.state.items()
-                if _is_complete(key, self.n, self.m // g, self.n // g)}
 
 
 def _is_complete(key, n: int, m1: int, n1: int) -> bool:
@@ -197,7 +190,7 @@ def _step(key, px: int, py: int) -> tuple:
     return (("keep", key, None), ("A", key[:pos] + ((px, py),) + key[pos:], pos))
 
 
-def _transitions(m: int, n: int, events, every_coloring: bool) -> list:
+def transitions(m: int, n: int, events, every_coloring: bool) -> list:
     """Per event, {coloring: its transitions} over the colorings the DP visits.
 
     A pass over keys alone runs forward from the empty coloring. Unless
@@ -227,13 +220,13 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
     the diagonal, accumulating sums of per-path operator products.
 
     By default only colorings that can still reach a complete coloring (a
-    c_alpha) are propagated, so the final state is complete_state() and the
-    snapshots and transition tables hold only those colorings. The values
-    there are the same either way: every predecessor of a kept coloring is
-    kept, and the order of summation is unchanged. every_coloring=True
-    propagates every reachable coloring, for callers that read intermediate
-    or incomplete colorings. keep_states=True keeps the value snapshot of
-    every stratum and the per-event transition tables in `states` and `steps`.
+    c_alpha) are propagated, so the final state holds only the c_alpha and
+    the snapshots hold only colorings that reach one. The values there are
+    the same either way: every predecessor of a kept coloring is kept, and
+    the order of summation is unchanged. every_coloring=True propagates
+    every reachable coloring, for callers that read intermediate or
+    incomplete colorings. keep_states=True keeps the value snapshot of every
+    stratum in `states`; `transitions` gives the tables the values follow.
 
     cap is kept only for perfbench/child.py and perfbench/reference.py,
     which pass cap=n: it changes nothing, and a value below n raises.
@@ -241,13 +234,12 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
     events = dp_events(m, n)
     if cap is not None and cap < n:
         raise ValueError(f"cap must be at least n = {n}, got {cap}")
-    steps = _transitions(m, n, events, every_coloring)
+    steps = transitions(m, n, events, every_coloring)
     state: dict = {(): VElem.one(dom, 0)}
     states = [dict(state)] if keep_states else None
-    kept = list(steps) if keep_states else None
     steps.reverse()
     while steps:
-        step = steps.pop()  # freed once used, unless kept
+        step = steps.pop()  # freed once used
         nxt: dict = {}
         for key in list(state):   # each source is freed once its transitions are applied
             val = state.pop(key)
@@ -258,7 +250,7 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
         state = nxt
         if keep_states:
             states.append(dict(state))
-    return DpResult(m, n, events, state, states, kept)
+    return DpResult(m, n, events, state, states)
 
 
 def composition_coloring(m1: int, n1: int, alpha) -> tuple:
@@ -275,8 +267,7 @@ def assemble_composition(m1: int, n1: int, g: int, alpha, dp: DpResult, dom):
     """t^(sum(alpha_i - 1)) d_-^r applied to the DP value at c_alpha, by
     `vkspace.dminus_to_v0`, which straightens the y-exponents first."""
     alpha = tuple(alpha)
-    if sum(alpha) != g or any(a < 1 for a in alpha):
-        raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
+    check_composition(alpha, g)
     key = composition_coloring(m1, n1, alpha)
     if key not in dp.state:
         raise KeyError(f"coloring {key} not reachable in the DP")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 
 # ----------------------------------------------------------------- partitions
@@ -67,33 +67,6 @@ def mono_mult_table(lam: tuple, mu: tuple) -> dict:
 
     place(0, tuple(n for _, n in lam_vals), [])
     return out
-
-
-@lru_cache(maxsize=None)
-def mono_times_e(mu: tuple, j: int) -> tuple:
-    """m_mu * e_j in the monomial basis by the Pieri rule, as ((nu, n), ...).
-
-    Raise s_v of the mult_mu(v) parts equal to v by one (zeros padded), with
-    the s_v summing to j; the coefficient of the resulting nu is
-    prod_w C(mult_nu(w), s_{w-1}).  Distinct (s_v) give distinct nu.
-    """
-    mult = Counter(mu)
-    mult[0] = j
-    values = sorted(mult)
-    out = []
-    for raised in itertools.product(*(range(min(mult[v], j) + 1) for v in values)):
-        if sum(raised) != j:
-            continue
-        nu_mult = Counter()
-        for v, s in zip(values, raised):
-            if v:
-                nu_mult[v] += mult[v] - s
-            nu_mult[v + 1] += s
-        n = 1
-        for v, s in zip(values, raised):
-            n *= comb(nu_mult[v + 1], s)
-        out.append((tuple(sorted(nu_mult.elements(), reverse=True)), n))
-    return tuple(out)
 
 
 # ------------------------------------------------------------------ SymFunc

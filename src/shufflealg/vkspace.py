@@ -25,7 +25,7 @@ from math import gcd, lcm
 from . import symfunc as sf
 from .scalars import (_Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned,
                       odd_u, tag_of)
-from .symfunc import SymFunc, mono_times_e, partitions_of
+from .symfunc import SymFunc, mono_mult_table, partitions_of
 
 _ONE = {0: 1}
 
@@ -199,7 +199,7 @@ def _dminus_image(dom, lam, a: int):
     """d_-(m_lam * y_k^a) as ((nu, w), ...), the y_1..y_{k-1} part left out.
 
     Substitute X - (q-1)y_k in m_lam, pair y_k^j with (-1)^j e_j, and expand
-    m_mu * e_j by the Pieri rule.  Every nu has size |lam| + a.
+    m_mu * e_j = m_mu * m_(1^j) by the product table.  Every nu has size |lam| + a.
     """
     key = ("dm", lam, a)
     hit = dom.cache.get(key)
@@ -209,7 +209,7 @@ def _dminus_image(dom, lam, a: int):
     for j, gdict in sf.m_expand_one_var(dom, lam, -1):
         jj = a + j
         for mu, c in gdict.items():
-            for nu, n in mono_times_e(mu, jj):
+            for nu, n in mono_mult_table(mu, (1,) * jj).items():
                 _fma(acc, nu, _poly(c), {0: -n if jj % 2 else n})
     out = tuple(_pruned(acc).items())
     dom.cache[key] = out
@@ -327,7 +327,7 @@ def _z_image(dom, lam, a: int):
     Both orders substitute X + (q-1)t y_1 - (q-1)y_k in m_lam and pair y_k^m with
     (-1)^m e_m, taken at X + (q-1)t y_1 by d_+^* d_- and at X by d_- d_+^*.  As
     e_m[X + (q-1)ty] - e_m[X] = (1-q) sum_{i>=1} (-ty)^i e_{m-i}, Z pairs y_k^m
-    with sum_{i=1..m} (-1)^(m+i) t^i y_1^i e_{m-i}, expanded by the Pieri rule.
+    with sum_{i=1..m} (-1)^(m+i) t^i y_1^i e_{m-i}, expanded by the product table.
     """
     key = ("z", lam, a)
     hit = dom.cache.get(key)
@@ -340,7 +340,7 @@ def _z_image(dom, lam, a: int):
             for rho, c in gdict.items():
                 cw = _poly(c * CoefRat(w))
                 for i in range(1, m + 1):
-                    for nu, n in mono_times_e(rho, m - i):
+                    for nu, n in mono_mult_table(rho, (1,) * (m - i)).items():
                         _fma(acc, (nu, j + i), cw, {i: -n if (m + i) % 2 else n})
     out = tuple((nu, j, p) for (nu, j), p in _pruned(acc).items())
     dom.cache[key] = out
@@ -399,19 +399,21 @@ _GEN_ACTIONS = {"T": lambda f, i: act_T(f, i), "Ti": lambda f, i: act_T(f, i, in
                 "dps": lambda f: act_dplus_star(f), "y": lambda f, i: act_y(f, i),
                 "Z": lambda f: act_Z(f)}
 
+# the name of each letter that is defined on some V_k only; d_- and Z need k >= 1
+_LETTER_NAMES = {"T": "T_{}", "Ti": "T_{}", "y": "y_{}", "z": "z_{}", "yt": "ytilde_{}",
+                 "dm": "d_-", "Z": "Z"}
+
 
 @lru_cache(maxsize=None)
 def _letters(gen, k: int):
     """One generator at V_k as ((letter, its inverse or None), ...) in the order they act,
     its power of q and the strand count it ends at.  A bad generator raises."""
     kind = gen[0]
-    if kind in ("z", "yt") and not 1 <= gen[1] <= k:
-        raise ValueError(f"{'z' if kind == 'z' else 'ytilde'}_{gen[1]} is not defined on V_{k}")
     if kind not in _GEN_ACTIONS and kind not in ("z", "yt"):
         raise ValueError(f"unknown generator {gen!r}")
-    if (kind in ("T", "Ti") and not 1 <= gen[1] <= k - 1) or \
-            (kind == "y" and not 1 <= gen[1] <= k) or (kind in ("dm", "Z") and k < 1):
-        raise ValueError(f"d- invalid at V_{k}" if kind == "dm" else f"{gen} invalid at V_{k}")
+    i = gen[1] if len(gen) > 1 else 1
+    if kind in _LETTER_NAMES and not 1 <= i <= (k - 1 if kind in ("T", "Ti") else k):
+        raise ValueError(f"{_LETTER_NAMES[kind].format(i)} is not defined on V_{k}")
     word, e = (gen,), 0
     if kind == "z":
         word, e = around(gen[1], k, [("Z",)]), k + 1 - gen[1]

@@ -279,10 +279,6 @@ def test_gluing_rewrite():
     lhs, rhs = br.rule_instance("gluing", {"a": 1, "b": 3, "c": 5})
     assert lhs == br.train_up(1, 3) + br.train_up(3, 5)
     assert rhs == br.train_up(1, 5)
-    w = br.BraidWord(5, tuple(lhs))
-    assert br.rewrite_trains(w, "gluing", 0, {"a": 1, "b": 3, "c": 5}).gens == tuple(rhs)
-    with pytest.raises(ValueError):
-        br.rewrite_trains(w, "gluing", 1, {"a": 1, "b": 3, "c": 5})
 
 
 def test_Tz_rewrite_evaluation(dom):

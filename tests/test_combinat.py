@@ -205,8 +205,9 @@ def test_enumerate_alpha_partitions_path_set():
             assert not (part & split)
             split |= part
         assert split == {p.steps for p in full}
-        with pytest.raises(ValueError):
-            cb.enumerate_paths(m, n, (math.gcd(m, n) + 1,))
+        g = math.gcd(m, n)
+        with pytest.raises(ValueError, match=rf"composition of g = {g}, got \[{g + 1}\]"):
+            cb.enumerate_paths(m, n, (g + 1,))
 
 
 def test_touch_composition():
@@ -360,7 +361,7 @@ def test_rhs_examples(dom):
     assert cb.rhs_compositional(1, 1, 2, (2,), dom) == t_e2
     with pytest.raises(ValueError, match=r"alpha must be a composition of g = 2, got \[0, 2\]"):
         cb.rhs_compositional(1, 1, 2, (0, 2), dom)
-    with pytest.raises(ValueError, match=r"m1, n1 must be coprime, got \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"coprime and not both zero, got \(2, 4\)"):
         cb.rhs_compositional(2, 4, 1, (1,), dom)
 
 

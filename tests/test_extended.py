@@ -85,9 +85,10 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
     g = gcd(m, n)
     m1, n1 = m // g, n // g
     dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+    steps = sw.transitions(m, n, dp.events, True)
     for s in range(len(dp.states)):
         lower, upper = sw.stratum_bounds(m, n, dp.events, s)
-        for key in vf._changed_keys(dp, s):
+        for key in vf._changed_keys(dp, steps, s):
             if not key:
                 continue
             h = br.safe_height(lower, upper, m1, n1)

@@ -19,3 +19,12 @@ def test_every_export_resolves():
     missing = [name for name in shufflealg.__all__ if not hasattr(shufflealg, name)]
     assert missing == []
     exec("from shufflealg import *", {})
+
+
+def test_exports_are_the_readme_quick_entry():
+    # the package exports exactly what README's library example imports
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    imports = [line for line in readme.splitlines() if line.startswith("from shufflealg import ")]
+    assert len(imports) == 1
+    names = imports[0].removeprefix("from shufflealg import ").split(",")
+    assert sorted(shufflealg.__all__) == sorted(name.strip() for name in names)

@@ -28,10 +28,18 @@ def test_polynomial_division(dom):
     assert (dom.q * dom.q - dom.one) / (dom.q - dom.one) == dom.q + dom.one
 
 
-@pytest.mark.parametrize("tok", ["q^x", "q^", "t^1.5", "q*t^y", "x", "\u00b2", "0^-1", "2*0^-3"])
+@pytest.mark.parametrize("tok", ["q^x", "q^", "t^1.5", "q*t^y", "x", "\u00b2", "0^-1", "2*0^-3",
+                                 "t^4294967296", "2^1048576", "q^524288*t^-524288"])
 def test_parse_scalar_token_names_the_bad_token(dom, tok):
     with pytest.raises(ValueError, match=re.escape(f"bad scalar token {tok!r}")):
         parse_scalar_token(tok, dom)
+
+
+def test_parse_scalar_token_keeps_exponents_inside_the_packing(dom):
+    # the largest accepted exponent packs and unpacks to itself
+    e = (1 << 20) - 1
+    c = parse_scalar_token(f"t^{e}", dom)
+    assert c == dom.monomial(1, 0, e) and [unpack(key) for key in c.num] == [(0, e)]
 
 
 def test_division_by_zero(dom):

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,9 +105,8 @@ def test_c_op_matches_commutator_random(case):
 
 def test_dp_unit(dom):
     dp = sw.recursion_dp(1, 1, dom)
-    complete = dp.complete_state()
-    assert set(complete) == {((0, 1),)}
-    assert complete[((0, 1),)] == VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
+    assert set(dp.state) == {((0, 1),)}
+    assert dp.state[((0, 1),)] == VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
 
 
 def test_dp_cap_keyword_changes_nothing(dom):
@@ -116,8 +117,7 @@ def test_dp_cap_keyword_changes_nothing(dom):
 
 def test_dp_square(dom):
     dp = sw.recursion_dp(2, 2, dom)
-    complete = dp.complete_state()
-    assert set(complete) == {sw.composition_coloring(1, 1, (1, 1)),
+    assert set(dp.state) == {sw.composition_coloring(1, 1, (1, 1)),
                              sw.composition_coloring(1, 1, (2,))}
 
 
@@ -132,13 +132,15 @@ def test_dp_strand_counts(dom):
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 10 - m)])
 def test_pruned_dp_keeps_exactly_the_complete_colorings(dom, m, n):
     # pruning drops only colorings that cannot complete a path; the values
-    # and their order at the complete ones are those of the full DP
+    # and their order at the complete ones, the c_alpha, are those of the full DP
+    g = gcd(m, n)
+    c_alphas = {sw.composition_coloring(m // g, n // g, alpha) for alpha in _compositions(g)}
     pruned = sw.recursion_dp(m, n, dom)
-    full = sw.recursion_dp(m, n, dom, every_coloring=True).complete_state()
+    full = sw.recursion_dp(m, n, dom, every_coloring=True).state
+    full = {key: val for key, val in full.items() if key in c_alphas}
     assert list(pruned.state) == list(full)
     for key, val in full.items():
         assert pruned.state[key] == val, key
-    assert list(pruned.complete_state()) == list(pruned.state)
 
 
 def test_assemble_matches_rhs(dom):

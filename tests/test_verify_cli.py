@@ -116,26 +116,32 @@ def test_relations_suite_operator_counts(dom, monkeypatch):
 
 
 def _counted_braid_builds(monkeypatch):
-    """Counter of braid_of_coloring calls by (m, n, key, h), m and n from the last DP run."""
+    """Counter of braid_of_coloring calls by (m, n, key, h), m and n from the last
+    transition tables built."""
     builds = Counter()
     cell = []
-    recursion_dp, braid_of_coloring = sw.recursion_dp, br.braid_of_coloring
+    transitions, braid_of_coloring = sw.transitions, br.braid_of_coloring
 
-    def dp_run(m, n, *args, **kwargs):
+    def tables(m, n, *args):
         cell[:] = [m, n]
-        return recursion_dp(m, n, *args, **kwargs)
+        return transitions(m, n, *args)
 
     def build(m1, n1, key, h):
         builds[(*cell, key, h)] += 1
         return braid_of_coloring(m1, n1, key, h)
 
-    monkeypatch.setattr(sw, "recursion_dp", dp_run)
+    monkeypatch.setattr(sw, "transitions", tables)
     monkeypatch.setattr(br, "braid_of_coloring", build)
     return builds
 
 
 def test_braid_transition_suite_builds_each_braid_once(dom, monkeypatch):
     builds = _counted_braid_builds(monkeypatch)
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the suite reads transition tables only, never DP values")
+
+    monkeypatch.setattr(sw, "recursion_dp", no_dp)
     rep = vf.braid_transition_suite(dom, total_max=7)
     assert rep["cases"] == 485 and not rep["failures"]
     assert builds and max(builds.values()) == 1
@@ -145,14 +151,14 @@ def _transition_reads(dom, m, n):
     """{failure id: {(key, h), ...}} of the braids each transition of the suite at (m, n) reads."""
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
+    events = sw.dp_events(m, n)
     reads = {}
-    for s, step in enumerate(dp.steps):
-        h_src = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m1, n1)
-        h_dst = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s + 1), m1, n1)
-        px, py = dp.events[s]
-        for src in dp.states[s]:
-            for kind, dst, _ in step[src]:
+    for s, step in enumerate(sw.transitions(m, n, events, True)):
+        h_src = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
+        h_dst = br.safe_height(*sw.stratum_bounds(m, n, events, s + 1), m1, n1)
+        px, py = events[s]
+        for src, out in step.items():
+            for kind, dst, _ in out:
                 ident = f"rule{kind}({m},{n})@{s}:{dst}"
                 if kind == "keep" or ident in reads:
                     continue
@@ -535,6 +541,11 @@ def _lhs_alpha_not_a_composition(tmp_path):
     return ["actions", "lhs", "--m1", "1", "--n1", "1", "--g", "2", "--alpha", "0,2"]
 
 
+def _relation_exponent_past_packing(tmp_path):
+    # t^(2^32) would pack to the key of u
+    return ["verify", "relation", "--lhs", "t^4294967296 T1", "--rhs", "u T1", "--k", "2"]
+
+
 def _lhs_negative_slope(tmp_path):
     # coprime, but refused by the slope check before any handle is built
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
@@ -554,7 +565,7 @@ def _lhs_negative_slope(tmp_path):
                                   _chi_over_word_budget, _braid_word_with_d_letters,
                                   _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
                                   _lhs_negative_slope, _lhs_alpha_not_a_composition,
-                                  _coloring_empty_at_height])
+                                  _coloring_empty_at_height, _relation_exponent_past_packing])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -571,6 +582,9 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "DegenerateGeometry: interval is empty at this height"
     if argv is _lhs_alpha_not_a_composition:
         assert error == "ValueError: alpha must be a composition of g = 2, got [0, 2]"
+    if argv is _relation_exponent_past_packing:
+        assert error == ("ValueError: bad scalar token 't^4294967296': the absolute values "
+                         "of its exponents must add up to less than 2^20")
 
 
 @pytest.mark.parametrize("option, argv", [("--degree", _relation_negative_degree),

@@ -289,10 +289,11 @@ def test_expand_word_end_and_refusals():
         ((("T", 1), ("y", 2), ("y", 2), ("Ti", 1)), 0, 2)
     # a T and its inverse across a d letter are on different V_k and stay
     assert vk.expand_word((("T", 1), ("dm",), ("Ti", 1)), 3)[0] == (("T", 1), ("dm",), ("Ti", 1))
-    for word, k, message in (((("T", 2),), 2, "('T', 2) invalid at V_2"),
-                             ((("y", 1), ("dm",)), 1, "('y', 1) invalid at V_0"),
-                             ((("dm",),), 0, "d- invalid at V_0"),
-                             ((("Z",),), 0, "('Z',) invalid at V_0"),
+    for word, k, message in (((("T", 2),), 2, "T_2 is not defined on V_2"),
+                             ((("Ti", 0),), 2, "T_0 is not defined on V_2"),
+                             ((("y", 1), ("dm",)), 1, "y_1 is not defined on V_0"),
+                             ((("dm",),), 0, "d_- is not defined on V_0"),
+                             ((("Z",),), 0, "Z is not defined on V_0"),
                              ((("z", 3), ("T", 1)), 2, "z_3 is not defined on V_2"),
                              ((("yt", 0),), 2, "ytilde_0 is not defined on V_2"),
                              ((("x", 1),), 2, "unknown generator ('x', 1)")):
