@@ -263,14 +263,22 @@ def _mult_by_permutations(lam, mu):
 
 
 def test_mono_mult_table_matches_permutations():
-    # every pair of total degree at most 8, and past it the products m_mu * e_j =
-    # m_mu * m_(1^j) with |mu| < 7 and j < 8 - l(mu), which d_- and Z read
-    pairs = [(lam, mu) for total in range(9) for size in range(total + 1)
-             for lam in sf.partitions_of(size) for mu in sf.partitions_of(total - size)]
-    pairs += [(mu, (1,) * j) for size in range(7) for mu in sf.partitions_of(size)
-              for j in range(8 - len(mu)) if size + j > 8]
-    for lam, mu in pairs:
-        assert sf.mono_mult_table(lam, mu) == _mult_by_permutations(lam, mu), (lam, mu)
+    for total in range(9):
+        for size in range(total + 1):
+            for lam in sf.partitions_of(size):
+                for mu in sf.partitions_of(total - size):
+                    assert sf.mono_mult_table(lam, mu) == _mult_by_permutations(lam, mu), \
+                        (lam, mu)
+
+
+def test_pieri_rule_matches_brute_force_table():
+    # the Pieri rule m_mu * e_j = m_mu * m_(1^j), which d_- and Z read, against
+    # the structure constants from all placements
+    for size in range(7):
+        for mu in sf.partitions_of(size):
+            for j in range(8 - len(mu)):
+                want = _mult_by_permutations(mu, (1,) * j) if j else {mu: 1}
+                assert sf.mono_mult_table(mu, (1,) * j) == want, (mu, j)
 
 
 def _m_expand_by_power_sums(dom, lam, letter):
