@@ -62,7 +62,7 @@ def _parse_alpha(text: str) -> tuple:
 def cmd_paths(args):
     dom = ExactDomain()
     if args.paths_cmd == "enum":
-        alpha = _parse_alpha(args.alpha) if args.alpha else None
+        alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
         paths = cb.enumerate_paths(args.m, args.n, alpha)
         _emit({"m": args.m, "n": args.n,
                "alpha": list(alpha) if alpha else None,
@@ -163,7 +163,7 @@ def cmd_braid(args):
 def cmd_verify(args):
     if args.verify_cmd == "shuffle":
         cfg = vf.JobConfig(m1=args.m1, n1=args.n1, g=args.g,
-                           alpha=_parse_alpha(args.alpha) if args.alpha else None)
+                           alpha=_parse_alpha(args.alpha) if args.alpha is not None else None)
         report = vf.verify_shuffle(cfg)
         _emit(report, args.out)
         return 0 if report["ok"] else 1

@@ -105,6 +105,21 @@ def check_composition(alpha, g: int) -> None:
         raise ValueError(f"alpha must be a composition of g = {g}, got {list(alpha)}")
 
 
+def compositions_of(g: int):
+    """The compositions of g in lex order, as tuples."""
+    out = []
+
+    def rec(rem, cur):
+        if rem == 0:
+            out.append(tuple(cur))
+            return
+        for a in range(1, rem + 1):
+            rec(rem - a, cur + [a])
+
+    rec(g, [])
+    return out
+
+
 def enumerate_paths(m: int, n: int, alpha=None):
     """All (m,n)-Dyck paths; with alpha, only those with that touch composition."""
     if m < 1 or n < 1:

@@ -19,9 +19,9 @@ strictly above the diagonal. A single path walks one coloring through them
 (`event_sequence`); the coloring DP runs them over all paths at once. A pass
 over keys alone tabulates the transitions and keeps the colorings from which
 a complete coloring (a c_alpha, read by `assemble_composition`) is still
-reachable; the pass over values then applies operators along the kept
-transitions only. `recursion_dp(..., every_coloring=True)` keeps every
-reachable coloring.
+reachable; the pass over values (`dp_strata`, which yields each stratum)
+then applies operators along the kept transitions only.
+`recursion_dp(..., every_coloring=True)` keeps every reachable coloring.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .combinat import DyckPath, check_composition, reading_order, touch_composition
+from .combinat import (DyckPath, check_composition, compositions_of, reading_order,
+                       touch_composition)
 from .scalars import InvariantError
 from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y, dminus_to_v0
 
@@ -142,19 +143,6 @@ class DpResult:
     n: int
     events: list
     state: dict                  # intervals tuple -> VElem, at the final stratum
-    states: list | None = None   # snapshots per stratum, 0 .. len(events)
-
-
-def _is_complete(key, n: int, m1: int, n1: int) -> bool:
-    """Whether the final coloring key is composition_coloring(m1, n1, alpha)."""
-    if not key or key[0][0] != 0 or key[-1][1] != n:
-        return False
-    prev_y = None
-    for (x, y) in key:
-        if x % m1 or y % n1 or (prev_y is not None and x * n1 != prev_y * m1):
-            return False
-        prev_y = y
-    return True
 
 
 def _insert_position(intervals, x: int, y: int) -> int:
@@ -206,7 +194,7 @@ def transitions(m: int, n: int, events, every_coloring: bool) -> list:
     if every_coloring:
         return steps
     g = gcd(m, n)
-    live = {key for key in keys if _is_complete(key, n, m // g, n // g)}
+    live = {composition_coloring(m // g, n // g, alpha) for alpha in compositions_of(g)}
     for s in range(len(steps) - 1, -1, -1):
         kept = {key: tuple(t for t in out if t[1] in live) for key, out in steps[s].items()}
         steps[s] = {key: out for key, out in kept.items() if out}
@@ -214,19 +202,41 @@ def transitions(m: int, n: int, events, every_coloring: bool) -> list:
     return steps
 
 
+def dp_strata(steps: list, dom):
+    """Yield (step, state) per stratum: step None and the state {(): 1} at the top,
+    then each table of `transitions` with the state it leads to, where the
+    values sum the per-path operator products along the transitions.
+
+    The tables are consumed: each is freed once used, and each source value
+    once its transitions are applied, so a state is read before the next is
+    asked for.
+    """
+    state: dict = {(): VElem.one(dom, 0)}
+    yield None, state
+    steps.reverse()
+    while steps:
+        step = steps.pop()
+        nxt: dict = {}
+        for key in list(state):
+            val = state.pop(key)
+            for kind, dst, extra in step[key]:
+                out = val if kind == "keep" else _apply(val, kind, extra)
+                prev = nxt.get(dst)
+                nxt[dst] = out if prev is None else prev + out
+        state = nxt
+        yield step, state
+
+
 def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
-                 keep_states: bool = False, every_coloring: bool = False) -> DpResult:
-    """Propagate colorings from the empty one down to the last stratum above
-    the diagonal, accumulating sums of per-path operator products.
+                 every_coloring: bool = False) -> DpResult:
+    """The last stratum of `dp_strata` above the diagonal, from the empty coloring.
 
     By default only colorings that can still reach a complete coloring (a
-    c_alpha) are propagated, so the final state holds only the c_alpha and
-    the snapshots hold only colorings that reach one. The values there are
-    the same either way: every predecessor of a kept coloring is kept, and
-    the order of summation is unchanged. every_coloring=True propagates
-    every reachable coloring, for callers that read intermediate or
-    incomplete colorings. keep_states=True keeps the value snapshot of every
-    stratum in `states`; `transitions` gives the tables the values follow.
+    c_alpha) are propagated, so the final state holds only the c_alpha. The
+    values there are the same either way: every predecessor of a kept
+    coloring is kept, and the order of summation is unchanged.
+    every_coloring=True propagates every reachable coloring, for callers that
+    read incomplete colorings.
 
     cap is kept only for perfbench/child.py and perfbench/reference.py,
     which pass cap=n: it changes nothing, and a value below n raises.
@@ -234,23 +244,9 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
     events = dp_events(m, n)
     if cap is not None and cap < n:
         raise ValueError(f"cap must be at least n = {n}, got {cap}")
-    steps = transitions(m, n, events, every_coloring)
-    state: dict = {(): VElem.one(dom, 0)}
-    states = [dict(state)] if keep_states else None
-    steps.reverse()
-    while steps:
-        step = steps.pop()  # freed once used
-        nxt: dict = {}
-        for key in list(state):   # each source is freed once its transitions are applied
-            val = state.pop(key)
-            for kind, dst, extra in step[key]:
-                out = val if kind == "keep" else _apply(val, kind, extra)
-                prev = nxt.get(dst)
-                nxt[dst] = out if prev is None else prev + out
-        state = nxt
-        if keep_states:
-            states.append(dict(state))
-    return DpResult(m, n, events, state, states)
+    for _, state in dp_strata(transitions(m, n, events, every_coloring), dom):
+        pass
+    return DpResult(m, n, events, state)
 
 
 def composition_coloring(m1: int, n1: int, alpha) -> tuple:

@@ -22,22 +22,9 @@ from . import braid as br
 from . import combinat as cb
 from . import sweep as sw
 from . import vkspace as vk
+from .combinat import compositions_of
 from .scalars import ExactDomain, InvariantError, pack, unpack
 from .vkspace import VElem
-
-
-def compositions_of(g: int):
-    out = []
-
-    def rec(rem, cur):
-        if rem == 0:
-            out.append(tuple(cur))
-            return
-        for a in range(1, rem + 1):
-            rec(rem - a, cur + [a])
-
-    rec(g, [])
-    return out
 
 
 # ------------------------------------------------------------------- suites
@@ -92,14 +79,11 @@ def coloring_suite(dom, total_max: int = 9) -> dict:
     return {"suite": "coloring", "cases": cases, "failures": failures}
 
 
-def _changed_keys(dp: sw.DpResult, steps: list, s: int):
-    """Colorings whose value or braid changed entering stratum s; steps are the
-    DP's `sweep.transitions`."""
-    if s == 0:
-        return list(dp.states[0])
-    step = steps[s - 1]
-    return list(dict.fromkeys(dst for src in dp.states[s - 1]
-                              for kind, dst, _ in step[src] if kind != "keep"))
+def _changed_keys(step: dict) -> list:
+    """The colorings that a table of `sweep.transitions` enters other than by "keep":
+    those whose value or braid changes at its event."""
+    return list(dict.fromkeys(dst for out in step.values() for kind, dst, _ in out
+                              if kind != "keep"))
 
 
 def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) -> dict:
@@ -110,17 +94,17 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
         for n in range(1, total_max - m + 1):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
-            steps = sw.transitions(m, n, dp.events, True)
-            for s in range(len(dp.states)):
-                keys = [key for key in _changed_keys(dp, steps, s) if key]
+            events = sw.dp_events(m, n)
+            strata = sw.dp_strata(sw.transitions(m, n, events, True), dom)
+            for s, (step, state) in enumerate(strata):
+                keys = _changed_keys(step) if step else []   # the top holds () only
                 if not keys:
                     continue
-                h = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m1, n1)
+                h = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
                 for key in keys:
                     cases += 1
                     rhs = br.braid_coloring_value(m1, n1, key, h, dom)
-                    lhs = dp.states[s][key]
+                    lhs = state[key]
                     if lhs != rhs:
                         failures.append({"id": f"main({m},{n})@{s}:{key}",
                                          "witness": f"dp={lhs} braid={rhs}"})
@@ -501,7 +485,7 @@ def _dp_cache_path(cfg: JobConfig):
     return os.path.join(cfg.cache_dir, f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}.json")
 
 
-DP_CACHE_VERSION = 3
+DP_CACHE_VERSION = 4
 
 
 def _read_dp_cache(path: str, m: int, n: int, dom):
@@ -564,10 +548,9 @@ def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
 
 
 def _velem_to_json(f: VElem) -> dict:
-    return {"k": f.k, "den": f.den,
-            "terms": [{"partition": list(lam), "ys": list(ys),
-                       "poly": [[*unpack(m), c] for m, c in sorted(p.items())]}
-                      for (lam, ys), p in sorted(f.terms.items())]}
+    return {"k": f.k, "terms": [{"partition": list(lam), "ys": list(ys),
+                                 "poly": [[*unpack(m), c] for m, c in sorted(p.items())]}
+                                for (lam, ys), p in sorted(f.terms.items())]}
 
 
 def _int_row(row, length=None) -> tuple:
@@ -581,14 +564,13 @@ def _int_row(row, length=None) -> tuple:
 def _velem_from_json(payload: dict, k: int, dom) -> VElem:
     """The element of V_k that _velem_to_json wrote.
 
-    A k other than the given one, a den below 1, a partition that is not
-    positive and non-increasing, ys that are not k ints, a term listed twice,
-    or an exponent or coefficient that is not an int or is zero raises
-    ValueError, so the file is recomputed.
+    A k other than the given one, a partition that is not positive and
+    non-increasing, ys that are not k ints, a term listed twice, or an
+    exponent or coefficient that is not an int or is zero raises ValueError,
+    so the file is recomputed.
     """
-    den = payload["den"]
-    if type(payload["k"]) is not int or payload["k"] != k or type(den) is not int or den < 1:
-        raise ValueError("malformed strand count or denominator in the DP cache")
+    if type(payload["k"]) is not int or payload["k"] != k:
+        raise ValueError("malformed strand count in the DP cache")
     terms = {}
     for item in payload["terms"]:
         lam, ys = _int_row(item["partition"]), _int_row(item["ys"], k)
@@ -597,4 +579,4 @@ def _velem_from_json(payload: dict, k: int, dom) -> VElem:
                 or (lam, ys) in terms or not poly or not all(c for _, _, c in poly):
             raise ValueError("malformed term in the DP cache")
         terms[(lam, ys)] = {pack(eu, et): c for eu, et, c in poly}
-    return VElem(dom, k, terms, den)
+    return VElem(dom, k, terms)

@@ -1,17 +1,20 @@
 """The spaces V_k = Sym[X] (x) Q(q,t)[y_1..y_k] and the generator operators.
 
-An element is {(partition, y-exponents): coefficient} over one integer
-denominator, which only `scale` by a scalar such as 1/2 makes other than 1.
-A coefficient is a polynomial of `scalars`: an integer Laurent polynomial
-in u and t (u^2 = q) keyed by packed exponents, the same form as a
-CoefRat's numerator, so an element reads and builds scalars without
-conversion.  T_i, d_-, the one-variable expansion behind d_+ and d_+^*,
-and the commutator Z behind z_i are cached per-term images; an operator
-accumulates each c * w into its output in place with `_fma` and drops
-zeros once with `_pruned`.  `divide` by q - 1 is one exact pass per
-coefficient.  Operator words are tuples of generators in written order and
-act rightmost-first, all through `apply_word` on the freely reduced T^{+-1},
-y, Z and d letters of `expand_word`.
+An element is {(partition, y-exponents): coefficient}, and a coefficient
+is a polynomial of `scalars`: an integer Laurent polynomial in u and t
+(u^2 = q) keyed by packed exponents, the same form as a CoefRat's
+numerator, so an element reads and builds scalars without conversion.
+Every operator has Laurent-polynomial coefficients, so no element has a
+denominator: `scale` refuses a scalar such as 1/2, and the relation checker
+clears the denominators of a relation's scalars before it acts.
+
+T_i, d_-, the one-variable expansion behind d_+ and d_+^*, and the
+commutator Z behind z_i are cached per-term images; an operator accumulates
+each c * w into its output in place with `_fma` and drops zeros once with
+`_pruned`.  `divide` by q - 1 is one exact pass per coefficient.  Operator
+words are tuples of generators in written order and act rightmost-first,
+all through `apply_word` on the freely reduced T^{+-1}, y, Z and d letters
+of `expand_word`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from . import symfunc as sf
 from .scalars import (_Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned,
@@ -31,42 +34,26 @@ _ONE = {0: 1}
 
 
 class VElem:
-    """Element of V_k: terms / den.
+    """Element of V_k: {(partition, y-exponents): integer Laurent polynomial}.
 
     Coefficient polynomials are never changed once an element holds them,
     so operators may share them between elements.
     """
 
-    __slots__ = ("dom", "k", "terms", "den")
+    __slots__ = ("dom", "k", "terms")
 
-    def __init__(self, dom, k: int, terms: dict | None = None, den: int = 1):
-        terms = {} if terms is None else terms
-        if den != 1:  # lowest terms, so that equal elements compare equal
-            g = gcd(den, *(c for p in terms.values() for c in p.values()))
-            if g > 1:
-                terms = {key: {m: c // g for m, c in p.items()} for key, p in terms.items()}
-                den //= g
+    def __init__(self, dom, k: int, terms: dict | None = None):
         self.dom = dom
         self.k = k
-        self.terms = terms
-        self.den = den
+        self.terms = {} if terms is None else terms
 
     @staticmethod
     def one(dom, k: int) -> "VElem":
         return VElem(dom, k, {((), (0,) * k): dict(_ONE)})
 
-    @staticmethod
-    def from_scalars(dom, k: int, coefs: dict) -> "VElem":
-        """The element with coefficients {(lam, ys): c} given as dom scalars."""
-        coefs = {key: c for key, c in coefs.items() if c}
-        den = lcm(*(c.d for c in coefs.values()))
-        return VElem(dom, k, {key: c.num if c.d == den else
-                              {m: v * (den // c.d) for m, v in c.num.items()}
-                              for key, c in coefs.items()}, den)
-
     def scalars(self) -> dict:
         """{(lam, ys): coefficient as a dom scalar}."""
-        return {key: CoefRat(p, self.den) for key, p in self.terms.items()}
+        return {key: CoefRat(p) for key, p in self.terms.items()}
 
     def as_symfunc(self) -> SymFunc:
         """The element of V_0 as a SymFunc capped at its largest degree."""
@@ -82,69 +69,67 @@ class VElem:
     def __add__(self, other, sign: int = 1) -> "VElem":
         if self.k != other.k:
             raise ValueError("strand count mismatch")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * den // other.den
         # polynomials are shared, never changed: only a key both operands hold gets a new one
-        acc = dict(self.terms) if a == 1 else \
-            {key: {m: c * a for m, c in p.items()} for key, p in self.terms.items()}
+        acc = dict(self.terms)
         for key, c in other.terms.items():
             p = acc.get(key)
             if p is None:
-                acc[key] = c if b == 1 else {m: v * b for m, v in c.items()}
+                acc[key] = c if sign == 1 else {m: -v for m, v in c.items()}
             else:
-                p = _added(p, c, b)
+                p = _added(p, c, sign)
                 if p:
                     acc[key] = p
                 else:
                     del acc[key]
-        return VElem(self.dom, self.k, acc, den)
+        return VElem(self.dom, self.k, acc)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
     def __neg__(self):
         return VElem(self.dom, self.k,
-                     {key: {m: -c for m, c in p.items()} for key, p in self.terms.items()},
-                     self.den)
+                     {key: {m: -c for m, c in p.items()} for key, p in self.terms.items()})
 
     def scale(self, s) -> "VElem":
+        """self times a Laurent-polynomial scalar; any other scalar raises CoefRatError."""
         if not s:
             return VElem(self.dom, self.k)
-        w = s.num
+        w = _poly(s)
         acc: dict = {}
         for key, c in self.terms.items():
             _fma(acc, key, c, w)
         # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
-        return VElem(self.dom, self.k, acc if len(w) == 1 else _pruned(acc), self.den * s.d)
+        return VElem(self.dom, self.k, acc if len(w) == 1 else _pruned(acc))
 
     def divide(self, d) -> "VElem":
         """Coefficient-wise c / d for d = q - 1 or 1 - q; a remainder raises CoefRatError."""
         w = d.num
         if d.d != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
             raise ValueError("VElem.divide takes q - 1 or 1 - q")
-        return VElem(self.dom, self.k,
-                     {key: _div_qm1(p, w) for key, p in self.terms.items()}, self.den)
+        return VElem(self.dom, self.k, {key: _div_qm1(p, w) for key, p in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, VElem):
             return NotImplemented
-        return self.k == other.k and self.den == other.den and self.terms == other.terms
+        return self.k == other.k and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        coefs = self.scalars()
-        bits = []
-        for (lam, ys) in sorted(coefs, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
-            ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
-                            for i, e in enumerate(ys) if e)
-            bits.append(f"({coefs[(lam, ys)]})*m{list(lam)}{ypart}")
-        return " + ".join(bits)
+        return _format(self.scalars())
 
     __repr__ = __str__
+
+
+def _format(coefs: dict) -> str:
+    """{(lam, ys): scalar} as a sum of (scalar)*m[lam]*y1^e..., by total degree, then key."""
+    bits = []
+    for (lam, ys) in sorted(coefs, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
+        ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
+                        for i, e in enumerate(ys) if e)
+        bits.append(f"({coefs[(lam, ys)]})*m{list(lam)}{ypart}")
+    return " + ".join(bits) or "0"
 
 
 # ------------------------------------------------------------- T operators
@@ -183,7 +168,7 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
         head, tail = ys[:i - 1], ys[i + 1:]
         for a, b, w in _dl_table(f.dom, ys[i - 1], ys[i], inverse):
             _fma(acc, (lam, head + (a, b) + tail), c, w)
-    return VElem(f.dom, f.k, _pruned(acc), f.den)
+    return VElem(f.dom, f.k, _pruned(acc))
 
 
 # ------------------------------------------------------ raising and lowering
@@ -226,7 +211,7 @@ def act_dminus(f: VElem) -> VElem:
         rest = ys[:-1]
         for nu, w in _dminus_image(dom, lam, ys[-1]):
             _fma(acc, (nu, rest), c, w)
-    return VElem(dom, f.k - 1, _pruned(acc), f.den)
+    return VElem(dom, f.k - 1, _pruned(acc))
 
 
 def _straightened(dom, ys: tuple):
@@ -258,7 +243,7 @@ def dminus_to_v0(f: VElem) -> VElem:
         for (lam, ys), c in f.terms.items():
             for zs, w in _straightened(f.dom, ys):
                 _fma(acc, (lam, zs), c, w)
-        f = VElem(f.dom, f.k, _pruned(acc), f.den)
+        f = VElem(f.dom, f.k, _pruned(acc))
     for _ in range(f.k):
         f = act_dminus(f)
     return f
@@ -288,7 +273,7 @@ def act_dplus(f: VElem) -> VElem:
     for (lam, ys), c in f.terms.items():
         for mu, j, w in _dplus_image(dom, lam, False):
             _fma(acc, (mu, ys + (j + 1,)), c, w)
-    tmp = VElem(dom, k + 1, _pruned(acc), f.den)
+    tmp = VElem(dom, k + 1, _pruned(acc))
     for i in range(k, 0, -1):
         tmp = act_T(tmp, i)
     return tmp
@@ -308,7 +293,7 @@ def act_dplus_star(f: VElem) -> VElem:
     for (lam, ys), c in f.terms.items():
         for mu, j, w in _dplus_image(f.dom, lam, True):
             _fma(acc, (mu, (j,) + ys), c, w)
-    return VElem(f.dom, f.k + 1, _pruned(acc), f.den)
+    return VElem(f.dom, f.k + 1, _pruned(acc))
 
 
 def act_y(f: VElem, i: int) -> VElem:
@@ -317,7 +302,7 @@ def act_y(f: VElem, i: int) -> VElem:
         raise ValueError(f"y_{i} is not defined on V_{f.k}")
     return VElem(f.dom, f.k,
                  {(lam, ys[:i - 1] + (ys[i - 1] + 1,) + ys[i:]): c
-                  for (lam, ys), c in f.terms.items()}, f.den)
+                  for (lam, ys), c in f.terms.items()})
 
 
 def _z_image(dom, lam, a: int):
@@ -355,7 +340,7 @@ def act_Z(f: VElem) -> VElem:
     for (lam, ys), c in f.terms.items():
         for nu, j, w in _z_image(f.dom, lam, ys[-1]):
             _fma(acc, (nu, (j,) + ys[:-1]), c, w)
-    return VElem(f.dom, f.k, _pruned(acc), f.den)
+    return VElem(f.dom, f.k, _pruned(acc))
 
 
 def train_up(a: int, b: int):
@@ -547,6 +532,8 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
     of `scalars.TAG_SHIFT`.  A failing relation is found once the whole set is
     evaluated: the least power of s in lhs - rhs is its first failing basis element,
     and that power's coefficients are the witness.  No tagged coefficient leaves.
+    Each relation is checked as den times both sides, den the lcm of the
+    denominators of its scalars, and its witness printed divided by den.
     Words act rightmost-first, so words that end alike share their images: the
     image of a suffix looked up more than once is held until its last lookup.
     """
@@ -577,24 +564,28 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
             held[word] = f
         return f
 
-    def value(expr):
-        images = [image(word) if c == dom.one else image(word).scale(c) for c, word in expr]
+    def value(expr, den):
+        scaled = [(c * dom.from_int(den), word) for c, word in expr]
+        images = [image(word) if c == dom.one else image(word).scale(c) for c, word in scaled]
         return sum(images[1:], images[0]) if images else VElem(dom, k)
 
-    def untagged(f, i):
-        """The coefficient of s^i in f."""
+    def untagged(f, i, den):
+        """The coefficient of s^i in f / den, printed."""
         lo = i << TAG_SHIFT
-        return VElem(dom, k, {key: c for key, p in f.terms.items()
-                              if (c := {m - lo: v for m, v in p.items() if tag_of(m) == i})}, f.den)
+        return _format({key: CoefRat(c, den) for key, p in f.terms.items()
+                        if (c := {m - lo: v for m, v in p.items() if tag_of(m) == i})})
 
     reports = []
     for name, lhs, rhs in rels:
-        a, b = value(lhs), value(rhs)
+        # den times both sides has polynomial scalars; the operators are linear and
+        # den is not 0, so the verdict and the first failing basis element stay the same
+        den = lcm(*(c.d for c, _ in lhs + rhs))
+        a, b = value(lhs, den), value(rhs, den)
         if a == b:
             reports.append(RelationReport(name, True, len(basis)))
             continue
         i = tag_of(min(m for p in (a - b).terms.values() for m in p))
-        witness = tuple(map(str, (basis[i], untagged(a, i), untagged(b, i))))
+        witness = (str(basis[i]), untagged(a, i, den), untagged(b, i, den))
         reports.append(RelationReport(name, False, i + 1, witness))
     return reports
 

@@ -329,7 +329,7 @@ def test_handle_y_matches_recursive_oracle(dom, star):
 def test_replicated_handle_examples(dom):
     tower = PairTower(dom)
     one0 = VElem.one(dom, 0)
-    m_y1 = VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
+    m_y1 = -vk.act_y(VElem.one(dom, 1), 1)
     assert tower.handle(1, 1, True).dplus(one0) == m_y1
     assert tower.handle(1, 1, False).dplus(one0) == -m_y1
 

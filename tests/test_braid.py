@@ -257,12 +257,11 @@ def test_elementary_step_and_trajectories_check_their_indices():
 
 
 def test_evaluate_examples(dom):
-    y1 = VElem.from_scalars(dom, 1, {((), (1,)): dom.one})
+    y1 = vk.act_y(VElem.one(dom, 1), 1)
     assert br.evaluate(br.BraidWord(1, (("z", 1),)), y1) == y1
     one1 = VElem.one(dom, 1)
     assert br.evaluate(br.BraidWord(1, ()), one1) == one1
-    assert br.evaluate(br.BraidWord(1, (("yt", 1),)), one1) == \
-        VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
+    assert br.evaluate(br.BraidWord(1, (("yt", 1),)), one1) == -y1
     with pytest.raises(ValueError):
         br.evaluate(br.BraidWord(2, ()), one1)
 
@@ -386,7 +385,7 @@ def test_braid_of_coloring_two_strands(dom):
 
 
 def test_braid_formula_unit(dom):
-    dp = sw.recursion_dp(1, 1, dom, keep_states=True)
+    dp = sw.recursion_dp(1, 1, dom)
     lower, upper = sw.stratum_bounds(1, 1, dp.events, 1)
     h = br.safe_height(lower, upper, 1, 1)
     val = br.braid_coloring_value(1, 1, ((0, 1),), h, dom)
@@ -416,6 +415,13 @@ def _evaluate_per_generator(w, f):
     return f
 
 
+def _strata_keys(m, n):
+    """The colorings of each stratum of the full coloring DP, read off `sweep.transitions`
+    with no value computed."""
+    steps = sw.transitions(m, n, sw.dp_events(m, n), True)
+    return [{()}] + [{dst for out in step.values() for _, dst, _ in out} for step in steps]
+
+
 def test_evaluate_matches_per_generator_oracle(dom):
     # the operator word times one monomial equals a monomial per generator
     rng = random.Random(7)
@@ -434,11 +440,11 @@ def test_evaluate_matches_per_generator_oracle(dom):
     for m in range(1, 7):
         for n in range(1, 8 - m):
             g = gcd(m, n)
-            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
-            for s, state in enumerate(dp.states):
-                h = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m // g, n // g)
+            events = sw.dp_events(m, n)
+            for s, keys in enumerate(_strata_keys(m, n)):
+                h = br.safe_height(*sw.stratum_bounds(m, n, events, s), m // g, n // g)
                 words.update(br.braid_of_coloring(m // g, n // g, key, h)[0]
-                             for key in state if key)
+                             for key in keys if key)
     assert len(words) == 59
     for w in words:
         f = vk.dplus_power(dom, w.k)
@@ -478,10 +484,10 @@ def test_single_strand_words_realize_tower_y1(dom):
 
 
 def test_braid_formula_integer_q_degree(dom):
-    dp = sw.recursion_dp(2, 3, dom, keep_states=True, every_coloring=True)
-    for s in range(len(dp.states)):
-        lower, upper = sw.stratum_bounds(2, 3, dp.events, s)
-        for key, want in dp.states[s].items():
+    events = sw.dp_events(2, 3)
+    for s, (_, state) in enumerate(sw.dp_strata(sw.transitions(2, 3, events, True), dom)):
+        lower, upper = sw.stratum_bounds(2, 3, events, s)
+        for key, want in state.items():
             if not key:
                 continue
             h = br.safe_height(lower, upper, 2, 3)
@@ -663,10 +669,10 @@ def test_coloring_geometry_matches_germ_oracle(dom):
         for n in range(1, 8 - m):
             g = gcd(m, n)
             m1, n1 = m // g, n // g
-            dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
-            for s, state in enumerate(dp.states):
-                h = br.safe_height(*sw.stratum_bounds(m, n, dp.events, s), m1, n1)
-                for key in state:
+            events = sw.dp_events(m, n)
+            for s, keys in enumerate(_strata_keys(m, n)):
+                h = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
+                for key in keys:
                     if key:
                         cases += 1
                         want = _outcome(_oracle_coloring, m1, n1, key, h)

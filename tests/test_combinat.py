@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from shufflealg import combinat as cb
+from shufflealg.combinat import compositions_of
 from shufflealg.scalars import CoefRat, pack
 from shufflealg.symfunc import SymFunc, partitions_of
-from shufflealg.verify import compositions_of
 
 FIG_PATH = cb.DyckPath(10, 6, (1, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0))
 

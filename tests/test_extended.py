@@ -84,13 +84,10 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
 
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    dp = sw.recursion_dp(m, n, dom, keep_states=True, every_coloring=True)
-    steps = sw.transitions(m, n, dp.events, True)
-    for s in range(len(dp.states)):
-        lower, upper = sw.stratum_bounds(m, n, dp.events, s)
-        for key in vf._changed_keys(dp, steps, s):
-            if not key:
-                continue
-            h = br.safe_height(lower, upper, m1, n1)
-            assert br.braid_coloring_value(m1, n1, key, h, dom) == \
-                dp.states[s][key], (s, key)
+    events = sw.dp_events(m, n)
+    for s, (step, state) in enumerate(sw.dp_strata(sw.transitions(m, n, events, True), dom)):
+        if step is None:
+            continue   # the top stratum holds the empty coloring only
+        h = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
+        for key in vf._changed_keys(step):
+            assert br.braid_coloring_value(m1, n1, key, h, dom) == state[key], (s, key)

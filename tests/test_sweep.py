@@ -106,7 +106,7 @@ def test_c_op_matches_commutator_random(case):
 def test_dp_unit(dom):
     dp = sw.recursion_dp(1, 1, dom)
     assert set(dp.state) == {((0, 1),)}
-    assert dp.state[((0, 1),)] == VElem.from_scalars(dom, 1, {((), (1,)): -dom.one})
+    assert dp.state[((0, 1),)] == -vk.act_y(VElem.one(dom, 1), 1)
 
 
 def test_dp_cap_keyword_changes_nothing(dom):
@@ -123,10 +123,11 @@ def test_dp_square(dom):
 
 def test_dp_strand_counts(dom):
     # the V-index of each value always equals the interval count of its key
-    dp = sw.recursion_dp(3, 2, dom, keep_states=True, every_coloring=True)
-    for state in dp.states:
+    for _, state in sw.dp_strata(sw.transitions(3, 2, sw.dp_events(3, 2), True), dom):
         for key, val in state.items():
             assert val.k == len(key)
+    # the last stratum is the DP's final state
+    assert state == sw.recursion_dp(3, 2, dom, every_coloring=True).state
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 10 - m)])

@@ -142,9 +142,25 @@ def test_braid_transition_suite_builds_each_braid_once(dom, monkeypatch):
         raise AssertionError("the suite reads transition tables only, never DP values")
 
     monkeypatch.setattr(sw, "recursion_dp", no_dp)
+    monkeypatch.setattr(sw, "dp_strata", no_dp)
     rep = vf.braid_transition_suite(dom, total_max=7)
     assert rep["cases"] == 485 and not rep["failures"]
     assert builds and max(builds.values()) == 1
+
+
+def test_braid_formula_suite_builds_each_table_once(dom, monkeypatch):
+    # the suite reads each stratum as the DP yields it, so no second pass over keys
+    built = Counter()
+    transitions = sw.transitions
+
+    def tables(m, n, *args):
+        built[(m, n)] += 1
+        return transitions(m, n, *args)
+
+    monkeypatch.setattr(sw, "transitions", tables)
+    rep = vf.braid_formula_suite(dom, total_max=5)
+    assert rep["cases"] == 79 and not rep["failures"]
+    assert len(built) == 10 and max(built.values()) == 1
 
 
 def _transition_reads(dom, m, n):
@@ -230,9 +246,11 @@ def _fractional_exponent(payload, text):
     return json.dumps(payload)
 
 
-def _zero_den(payload, text):
-    payload["state"][0]["value"]["den"] = 0
-    return json.dumps(payload)
+def _version_3_with_den(payload, text):
+    # the format before V_k lost its denominator: version 3, each element with a den
+    for item in payload["state"]:
+        item["value"]["den"] = 1
+    return json.dumps({**payload, "version": 3})
 
 
 def _first_term(payload):
@@ -291,7 +309,7 @@ def _missing_state_entry(payload, text):
 
 
 @pytest.mark.parametrize("spoil", [_truncate, _stale_version, _zero_coefficient,
-                                   _fractional_exponent, _zero_den, _k_not_an_int,
+                                   _fractional_exponent, _version_3_with_den, _k_not_an_int,
                                    _k_off_by_one, _ys_too_long, _ys_not_a_list,
                                    _partition_not_ints, _partition_increasing,
                                    _key_not_int_pairs, _term_listed_twice, _other_events,
@@ -546,6 +564,14 @@ def _relation_exponent_past_packing(tmp_path):
     return ["verify", "relation", "--lhs", "t^4294967296 T1", "--rhs", "u T1", "--k", "2"]
 
 
+def _shuffle_alpha_empty(tmp_path):
+    return ["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "1", "--alpha", ""]
+
+
+def _enum_alpha_empty(tmp_path):
+    return ["paths", "enum", "--m", "2", "--n", "4", "--alpha", ""]
+
+
 def _lhs_negative_slope(tmp_path):
     # coprime, but refused by the slope check before any handle is built
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
@@ -565,7 +591,8 @@ def _lhs_negative_slope(tmp_path):
                                   _chi_over_word_budget, _braid_word_with_d_letters,
                                   _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
                                   _lhs_negative_slope, _lhs_alpha_not_a_composition,
-                                  _coloring_empty_at_height, _relation_exponent_past_packing])
+                                  _coloring_empty_at_height, _relation_exponent_past_packing,
+                                  _shuffle_alpha_empty, _enum_alpha_empty])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -582,6 +609,8 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "DegenerateGeometry: interval is empty at this height"
     if argv is _lhs_alpha_not_a_composition:
         assert error == "ValueError: alpha must be a composition of g = 2, got [0, 2]"
+    if argv in (_shuffle_alpha_empty, _enum_alpha_empty):
+        assert error == "ValueError: --alpha must be comma-separated integers, got ''"
     if argv is _relation_exponent_past_packing:
         assert error == ("ValueError: bad scalar token 't^4294967296': the absolute values "
                          "of its exponents must add up to less than 2^20")
@@ -644,21 +673,22 @@ def test_cli_closed_stdout_is_quiet(argv):
 
 
 def test_dp_cache_keeps_its_format(dom, tmp_path):
-    # version 3 on disk, each element as it is held: {k, den, terms: [{partition, ys,
-    # poly: [[eu, et, c], ...]}]}; negative exponents and an integer denominator read back
-    assert vf.DP_CACHE_VERSION == 3
+    # version 4 on disk, each element as it is held: {k, terms: [{partition, ys,
+    # poly: [[eu, et, c], ...]}]}; negative exponents and an integer content read back
+    assert vf.DP_CACHE_VERSION == 4
     dp = sw.recursion_dp(2, 3, dom)
     key = max(dp.state, key=lambda k: len(dp.state[k].terms))
-    dp.state[key] = dp.state[key].scale(dom.monomial(1, -3, -1) / dom.from_int(2))
+    dp.state[key] = dp.state[key].scale(dom.monomial(2, -3, -1))
     path = tmp_path / "dp.json"
     vf._write_dp_cache(str(path), dp)
     payload = json.loads(path.read_text())
-    assert payload["version"] == 3
+    assert payload["version"] == 4
     (value,) = [item["value"] for item in payload["state"]
                 if item["key"] == [list(iv) for iv in key]]
-    assert value["k"] == dp.state[key].k and value["den"] == 2
+    assert set(value) == {"k", "terms"} and value["k"] == dp.state[key].k
     rows = [row for term in value["terms"] for row in term["poly"]]
     assert min(eu for eu, _, _ in rows) == -3 and min(et for _, et, _ in rows) == -1
+    assert all(c % 2 == 0 for _, _, c in rows)
     back = vf._read_dp_cache(str(path), 2, 3, dom)
     assert back.events == dp.events and back.state == dp.state
 

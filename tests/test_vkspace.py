@@ -14,8 +14,11 @@ from shufflealg.vkspace import VElem
 
 
 def V(dom, k, terms):
-    return VElem.from_scalars(dom, k, {key: dom.one for key in terms}
-                              if isinstance(terms, list) else terms)
+    """The element with coefficients {(lam, ys): scalar}, or 1 at each key of a list;
+    a scalar that is not a Laurent polynomial raises CoefRatError."""
+    if isinstance(terms, list):
+        terms = {key: dom.one for key in terms}
+    return VElem(dom, k, {key: vk._poly(c) for key, c in terms.items() if c})
 
 
 def test_T_examples(dom):
@@ -63,7 +66,7 @@ def _dminus_reference(f: VElem) -> VElem:
                 cc = c * c2 * sign
                 for nu, n in sf.mono_mult_table(mu, ej).items():
                     out[(nu, rest)] = out.get((nu, rest), dom.zero) + cc * dom.from_int(n)
-    return VElem.from_scalars(dom, f.k - 1, out)
+    return V(dom, f.k - 1, out)
 
 
 def test_dminus_matches_reference():
@@ -217,21 +220,23 @@ def test_T_times_step_is_the_defining_numerator(dom):
             assert vk.act_y(image, 2) - vk.act_y(image, 1) == want, (p, r)
 
 
-def test_integer_denominator_in_lowest_terms(dom):
-    half = dom.from_fraction(Fraction(1, 2))
-    f = V(dom, 1, {((), (1,)): half, ((1,), (0,)): dom.t * half})
-    assert f.den == 2 and str(f) == "(1 / 2)*m[]*y1 + (t / 2)*m[1]"
-    assert f + f == V(dom, 1, {((), (1,)): dom.one, ((1,), (0,)): dom.t})
-    assert (f + f).den == 1 and f.scale(dom.from_int(2)) == f + f
-    assert f - f == V(dom, 1, {}) and vk.act_dminus(f).den == 2
+def test_scale_refuses_a_denominator(dom):
+    # V_k has integer Laurent coefficients: only the relation checker meets 1/2
+    f = V(dom, 1, {((), (1,)): dom.one, ((1,), (0,)): dom.t})
+    assert f.scale(dom.from_int(2)) == f + f and str(f) == "(1)*m[]*y1 + (t)*m[1]"
+    for bad in (dom.from_fraction(Fraction(1, 2)), dom.t / dom.from_int(3)):
+        with pytest.raises(CoefRatError):
+            f.scale(bad)
+        with pytest.raises(CoefRatError):
+            V(dom, 1, {((), (1,)): bad})
 
 
 def test_add_leaves_both_operands_unchanged(dom):
     # the sum shares coefficient polynomials with its operands, so none may change
     f = V(dom, 1, {((), (1,)): dom.one + dom.u, ((1,), (0,)): dom.t, ((2,), (0,)): dom.q})
     g = V(dom, 1, {((), (1,)): -dom.u, ((1,), (0,)): -dom.t, ((1, 1), (0,)): dom.one})
-    half = dom.from_fraction(Fraction(1, 2))
-    for a, b in ((f, g), (g, f), (f, -g), (f, g.scale(half)), (f.scale(half), g)):
+    two = dom.from_int(2)
+    for a, b in ((f, g), (g, f), (f, -g), (f, g.scale(two)), (f.scale(dom.u), g)):
         before = [{key: dict(p) for key, p in h.terms.items()} for h in (a, b)]
         total, diff = a + b, a - b
         assert [a.terms, b.terms] == before
@@ -249,10 +254,10 @@ def test_scale_drops_cancelled_monomials(dom):
 
 def test_divide_by_q_minus_one(dom):
     qm1 = dom.q - dom.one
-    # Laurent exponents of both signs, odd powers of u, and an integer denominator
+    # Laurent exponents of both signs, odd powers of u, and an integer content
     coefs = {((), (1,)): (dom.q * dom.q - dom.one) * dom.monomial(3, -3, -2),
              ((1,), (0,)): dom.u - dom.monomial(1, 5, 1),
-             ((2,), (0,)): qm1 * dom.from_fraction(Fraction(1, 2))}
+             ((2,), (0,)): qm1 * dom.from_int(6)}
     f = V(dom, 1, {key: c * qm1 for key, c in coefs.items()})
     assert f.divide(qm1) == V(dom, 1, coefs)
     assert f.divide(dom.one - dom.q) == -V(dom, 1, coefs)
@@ -347,28 +352,37 @@ def test_all_standard_relations(dom, k):
 
 
 def _per_relation_report(name, lhs, rhs, k, degree, dom):
-    """One relation checked word by word on the spanning set, sharing nothing."""
+    """One relation checked word by word on the spanning set, sharing nothing; each
+    side is {(lam, ys): CoefRat}, so its scalars may have any denominator."""
     def value(expr, base):
-        images = [vk.apply_word(base, word).scale(coef) for coef, word in expr]
-        return sum(images[1:], images[0])
+        out = {}
+        for coef, word in expr:
+            for key, c in vk.apply_word(base, word).scalars().items():
+                out[key] = out.get(key, dom.zero) + coef * c
+        return {key: c for key, c in out.items() if c}
 
     for cases, base in enumerate(vk.spanning_set(dom, k, degree), 1):
         a, b = value(lhs, base), value(rhs, base)
         if a != b:
-            return vk.RelationReport(name, False, cases, (str(base), str(a), str(b)))
+            return vk.RelationReport(name, False, cases, (str(base), vk._format(a),
+                                                          vk._format(b)))
     return vk.RelationReport(name, True, cases)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_check_relations_matches_per_relation_loop(dom, k):
     # q * 1 = 1 fails at the first basis element; d- d+* = 1 holds at 1 and fails at
-    # m_1, halved over the denominator 2; z1 d+* d- = q(1-t) z1 holds at 1 and m_1, so
-    # on [1, m_1, y_1], the spanning set of V_1 at degree 1, it fails only at the last
-    half = dom.from_fraction(Fraction(1, 2))
+    # m_1, and so does its mean with 1, and a mean over 2 against one over 3, each
+    # checked times the lcm of its scalars' denominators; z1 d+* d- = q(1-t) z1 holds
+    # at 1 and m_1, so on [1, m_1, y_1], the spanning set of V_1 at degree 1, it fails
+    # only at the last
+    half, third = dom.from_fraction(Fraction(1, 2)), dom.from_fraction(Fraction(1, 3))
     dm, dps, z1 = ("dm",), ("dps",), ("z", 1)
     bogus = [("bogus first", [(dom.q, ())], [(dom.one, ())]),
              ("bogus later", [(dom.one, (dm, dps))], [(dom.one, ())]),
-             ("bogus halves", [(half, (dm, dps)), (half, ())], [(dom.one, ())])]
+             ("bogus halves", [(half, (dm, dps)), (half, ())], [(dom.one, ())]),
+             ("bogus halves, thirds", [(half, (dm, dps)), (half, ())],
+              [(third, (dm, dps)), (third + third, ())])]
     if k:
         bogus.append(("bogus last", [(dom.one, (z1, dps, dm))], [(dom.q - dom.q * dom.t, (z1,))]))
     rels = vk.standard_relations(dom, k)
@@ -383,6 +397,9 @@ def test_check_relations_matches_per_relation_loop(dom, k):
         assert set(failed) == {name for name, _, _ in bogus}
         assert failed["bogus first"].cases == 1 and failed["bogus later"].cases == 2
         assert "/ 2" in failed["bogus halves"].witness[1]
+        witness = failed["bogus halves, thirds"].witness
+        assert failed["bogus halves, thirds"].cases == 2 and witness[0] == "(1)*m[1]"
+        assert "/ 2" in witness[1] and "/ 3" in witness[2] and "/ 6" not in "".join(witness)
         if (k, degree) == (1, 1):
             assert failed["bogus last"].cases == len(vk.spanning_set(dom, k, degree)) == 3
 
@@ -392,31 +409,29 @@ def _tagged(elems):
     out = VElem(elems[0].dom, elems[0].k)
     for i, f in enumerate(elems):
         out = out + VElem(f.dom, f.k, {key: {m + (i << TAG_SHIFT): c for m, c in p.items()}
-                                       for key, p in f.terms.items()}, f.den)
+                                       for key, p in f.terms.items()})
     return out
 
 
 def test_tagging_commutes_with_the_checkers_operators(dom):
     # the one-pass check is exact because each operator it reaches maps the tagged sum
-    # of elements to the tagged sum of their images, denominator normalisation included
+    # of elements to the tagged sum of their images
     basis = vk.spanning_set(dom, 3, 2)
-    half, qm1 = dom.from_fraction(Fraction(1, 2)), dom.q - dom.one
-    # over 2 or 1, and over 4 or 1 once halved: the tagged sum's denominator is not every part's
-    mixed = [b.scale(half) if i % 3 else b.scale(dom.from_int(2)) for i, b in enumerate(basis)]
+    two, qm1 = dom.from_int(2), dom.q - dom.one
+    # integer contents 2 and 1, and u-exponents odd and even
+    mixed = [b.scale(dom.u) if i % 3 else b.scale(two) for i, b in enumerate(basis)]
     gens = [("T", 1), ("T", 2), ("Ti", 1), ("Ti", 2), ("dm",), ("dp",), ("dps",)]
     gens += [(kind, i) for kind in ("y", "z", "yt") for i in (1, 2, 3)] + [("Z",)]
     ops = [lambda f, gen=gen: vk.apply_gen(f, gen) for gen in gens]
-    ops += [lambda f: f.scale(dom.one - dom.q), lambda f: f.scale(half)]
+    ops += [lambda f: f.scale(dom.one - dom.q), lambda f: f.scale(two)]
     for elems in (basis, mixed):
         for op in ops:
             assert op(_tagged(elems)) == _tagged([op(f) for f in elems])
     divisible = [f.scale(qm1) for f in mixed]
     assert _tagged(divisible).divide(qm1) == _tagged([f.divide(qm1) for f in divisible])
-    thirds = [vk.act_T(b, 1).scale(dom.from_fraction(Fraction(1, 1 + 2 * (i % 2))))
-              for i, b in enumerate(basis)]
-    assert _tagged(mixed).den == 2 and _tagged(thirds).den == 3
+    tripled = [vk.act_T(b, 1).scale(dom.from_int(1 + 2 * (i % 2))) for i, b in enumerate(basis)]
     for op in (operator.add, operator.sub):
-        assert op(_tagged(mixed), _tagged(thirds)) == _tagged(list(map(op, mixed, thirds)))
+        assert op(_tagged(mixed), _tagged(tripled)) == _tagged(list(map(op, mixed, tripled)))
 
 
 def test_spanning_set_size(dom):
@@ -436,10 +451,9 @@ def test_dminus_to_v0_matches_the_plain_chain(dom, k):
     basis = vk.spanning_set(dom, k, 4 if k < 4 else 3)
     for base in basis:
         assert vk.dminus_to_v0(base) == _dminus_chain(base), str(base)
-    # one element over denominator 2, and the tagged sum of the whole spanning set
-    half = dom.from_fraction(Fraction(1, 2))
-    mixed = sum((b.scale(half if i % 2 else dom.q) for i, b in enumerate(basis)), VElem(dom, k))
-    assert mixed.den == (2 if len(basis) > 1 else 1)
+    # one element with mixed scalars, and the tagged sum of the whole spanning set
+    mixed = sum((b.scale(dom.from_int(2) if i % 2 else dom.q) for i, b in enumerate(basis)),
+                VElem(dom, k))
     assert vk.dminus_to_v0(mixed) == _dminus_chain(mixed)
     tagged = _tagged(basis)
     assert vk.dminus_to_v0(tagged) == _dminus_chain(tagged) == \
