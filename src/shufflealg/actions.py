@@ -127,7 +127,7 @@ def _expand_one_var(f: SymFunc, sign: int) -> dict:
     dom = f.dom
     acc: dict = {}
     for lam, c in f.coeffs.items():
-        for j, gdict in sf.m_expand_one_var(dom, lam, sign):
+        for j, gdict in sf.m_expand_one_var(lam, sign):
             acc.setdefault(j, []).extend((mu, c * w) for mu, w in gdict.items())
     return {j: SymFunc.from_terms(dom, f.cap, terms) for j, terms in acc.items()}
 
@@ -175,7 +175,7 @@ def nabla_conjugation_check(path, dom):
     """
     if path.m != path.n:
         raise ValueError("need an (n,n) path")
-    dom_scale = -(dom.q_power(-1) / dom.t)
+    dom_scale = dom.monomial(-1, -2, -1)   # -q^-1 t^-1
     a = b = VElem.one(dom, 0)
     for bit in reversed(path.steps):
         if bit:

@@ -294,15 +294,17 @@ def _area_cells(pi: DyckPath):
     return cells
 
 
-def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
-                  budget: int = 2_000_000) -> SymFunc:
+CHAR_FUNCTION_BUDGET = 2_000_000   # standard words of one path that char_function accepts
+
+
+def char_function(mp: MarkedSquarePath, dom, cap: int | None = None) -> SymFunc:
     """chi(pi', S): q-weighted sum over S-admissible words.
 
     Standardizing (equal letters numbered left to right) keeps attack inversions
     and strict marks, so chi = sum over S-admissible permutations sigma of
     q^inv(sigma) F_iDes(sigma), and F_D has m_lam coefficient 1 iff D lies among
     lam's partial sums.  A DP over sets of filled positions counts them
-    (_monomial_qcounts); `budget` still prices the n! standard words.
+    (_monomial_qcounts); CHAR_FUNCTION_BUDGET still prices the n! standard words.
     """
     pi, S = mp.pi_prime, mp.marks
     n = pi.n
@@ -310,9 +312,9 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None,
         cap = n
     if n > cap:
         raise ValueError("word length exceeds the degree cap")
-    if word_enumeration_size(n) > budget:
+    if word_enumeration_size(n) > CHAR_FUNCTION_BUDGET:
         raise ResourceWarning(f"enumeration needs ~{word_enumeration_size(n)} words, "
-                              f"over budget {budget}")
+                              f"over budget {CHAR_FUNCTION_BUDGET}")
     cells = _area_cells(pi)
     coeffs = {lam: CoefRat({pack(2 * inv, 0): c for inv, c in enumerate(by_inv) if c})
               for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S))}

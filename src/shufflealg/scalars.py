@@ -2,9 +2,9 @@
 
 A polynomial is a dict {pack(eu, et): nonzero int} with signed exponents.
 The key is eu * 2^32 + et, so a monomial product is a key addition and
-integer order of keys is the lex order with u before t.  `_fma`, `_pruned`,
-`_added` and `_div_qm1` are the arithmetic on such polynomials that both
-CoefRat and the V_k operators of vkspace use.
+integer order of keys is the lex order with u before t.  `_fma`, `_pruned`
+and `_added` are the arithmetic on such polynomials that both CoefRat and
+the V_k operators of vkspace use.
 
 The bits from TAG_SHIFT up are the tag: key + (i << TAG_SHIFT) is the
 monomial times s^i, s a formal scalar ordered above u and t.  No exponent
@@ -13,13 +13,13 @@ element i of a spanning set as s^i times it through operators that treat
 coefficients as opaque polynomials; no tagged coefficient leaves it.
 
 A CoefRat is num / d: num a polynomial and d a positive integer coprime to
-num's integer content.  Division by a monomial is a key shift.  The only
-other division is the exact one by a monomial times (q - 1), the divisor of
-the y_1 commutator relation; any other divisor, or a remainder, raises
-CoefRatError.
+num's integer content.  Scalars form a ring: the only division is by a
+monomial, a key shift, and any other divisor raises CoefRatError.  No
+machine divides by a polynomial: each quotient of a commutator by (q - 1)
+has a closed form.
 
 ExactDomain is the scalar factory the rest of the package takes as `dom`:
-it builds constants and monomials and holds the per-domain operator caches.
+it builds constants and monomials and holds no other state.
 """
 
 from __future__ import annotations
@@ -102,35 +102,6 @@ def _added(a: dict, b: dict, s: int = 1) -> dict:
     return out
 
 
-def _div_qm1(p: dict, w: dict) -> dict:
-    """p / w for w = c * u^a * t^b * (q - 1), by exact long division over the integers.
-
-    A w of another form, or a remainder, raises CoefRatError.
-    """
-    lo, hi = min(w), max(w)
-    if len(w) != 2 or hi - lo != _Q or w[hi] != -w[lo]:
-        raise CoefRatError(f"({CoefRat(w)}) is neither a monomial nor one times q - 1")
-    c = w[hi]
-    low = min(p, default=0)
-    rem = dict(p)
-    quo = {}
-    while rem:
-        k = max(rem)
-        qc, r = divmod(rem.pop(k), c)
-        k -= hi
-        # the quotient's lowest term times w's lowest term is p's lowest term
-        if r or k + lo < low:
-            raise CoefRatError(f"({CoefRat(p)}) is not divisible by ({CoefRat(w)})")
-        quo[k] = qc
-        k += lo
-        v = rem.get(k, 0) + qc * c
-        if v:
-            rem[k] = v
-        else:
-            rem.pop(k, None)
-    return quo
-
-
 class CoefRat:
     """num / d: num a Laurent polynomial in u, t and d > 0 an integer, in lowest terms."""
 
@@ -195,21 +166,14 @@ class CoefRat:
         return CoefRat(_pruned(acc).get(0, {}), self.d * other.d)
 
     def __truediv__(self, other):
+        """self / other for a monomial other; any other divisor raises CoefRatError."""
         if not isinstance(other, CoefRat):
             return NotImplemented
-        div = other.num
-        if not div:
-            raise CoefRatError("division by zero")
-        g = gcd(*div.values())
-        if len(div) == 1:
-            ((k, c),) = div.items()
-            s = other.d if c > 0 else -other.d
-            num = {m - k: v * s for m, v in self.num.items()}
-        else:
-            num = _div_qm1(self.num, {k: c // g for k, c in div.items()})
-            if other.d != 1:
-                num = {m: v * other.d for m, v in num.items()}
-        return CoefRat(num, self.d * g)
+        if len(other.num) != 1:
+            raise CoefRatError(f"({other}) is not a monomial" if other else "division by zero")
+        ((k, c),) = other.num.items()
+        s = other.d if c > 0 else -other.d
+        return CoefRat({m - k: v * s for m, v in self.num.items()}, self.d * abs(c))
 
     def __bool__(self):
         return bool(self.num)
@@ -344,7 +308,6 @@ class ExactDomain:
         self.u = CoefRat.monomial(1, 1, 0)
         self.t = CoefRat.monomial(1, 0, 1)
         self.q = CoefRat.monomial(1, 2, 0)
-        self.cache: dict = {}
 
     monomial = staticmethod(CoefRat.monomial)
     from_int = staticmethod(CoefRat.from_int)

@@ -13,6 +13,8 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
+from .scalars import CoefRat
+
 
 # ----------------------------------------------------------------- partitions
 
@@ -191,7 +193,8 @@ def _m_at_minus_one(mult: Counter) -> int:
     return -out if ell % 2 else out
 
 
-def m_expand_one_var(dom, lam: tuple, sign: int):
+@lru_cache(maxsize=None)
+def m_expand_one_var(lam: tuple, sign: int):
     """Expansion of m_lam[X + sign*(q-1)*y] as [(j, {partition: scalar})].
 
     j is the exponent of the single auxiliary variable y; entry j carries
@@ -203,21 +206,15 @@ def m_expand_one_var(dom, lam: tuple, sign: int):
     m_nu[1-q] = sum_a q^(|nu|-a) m_{nu-a}[-1], over a = 0 (no part) and the
     distinct parts of nu.
     """
-    key = ("m1v", lam, sign)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
     mult = Counter(lam)
     acc: dict = {}
     for taken in itertools.product(*(range(c + 1) for c in mult.values())):
         nu = Counter(dict(zip(mult, taken)))
         size = sum(v * n for v, n in nu.items())
-        coef = dom.zero
+        coef = CoefRat.from_int(0)
         for a in [0] + [v for v, n in nu.items() if n]:  # nu - {0} is nu
             e = a if sign > 0 else size - a
-            coef = coef + dom.monomial(_m_at_minus_one(nu - Counter({a: 1})), 2 * e)
+            coef = coef + CoefRat.monomial(_m_at_minus_one(nu - Counter({a: 1})), 2 * e)
         if coef:
             acc.setdefault(size, {})[tuple(sorted((mult - nu).elements(), reverse=True))] = coef
-    out = [(j, acc[j]) for j in sorted(acc)]
-    dom.cache[key] = out
-    return out
+    return [(j, acc[j]) for j in sorted(acc)]

@@ -9,12 +9,13 @@ denominator: `scale` refuses a scalar such as 1/2, and the relation checker
 clears the denominators of a relation's scalars before it acts.
 
 T_i, d_-, the one-variable expansion behind d_+ and d_+^*, and the
-commutator Z behind z_i are cached per-term images; an operator accumulates
-each c * w into its output in place with `_fma` and drops zeros once with
-`_pruned`.  `divide` by q - 1 is one exact pass per coefficient.  Operator
-words are tuples of generators in written order and act rightmost-first,
-all through `apply_word` on the freely reduced T^{+-1}, y, Z and d letters
-of `expand_word`.
+commutator Z behind z_i are per-term images, each a pure function of its
+integer arguments cached once per process (`lru_cache`), so every domain
+shares them; an operator accumulates each c * w into its output in place
+with `_fma` and drops zeros once with `_pruned`.  No operator divides.
+Operator words are tuples of generators in written order and act
+rightmost-first, all through `apply_word` on the freely reduced T^{+-1}, y,
+Z and d letters of `expand_word`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from itertools import product
 from math import lcm
 
 from . import symfunc as sf
-from .scalars import (_Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _div_qm1, _fma, _pruned,
-                      odd_u, tag_of)
+from .scalars import _Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _fma, _pruned, odd_u, tag_of
 from .symfunc import SymFunc, mono_mult_table, partitions_of
 
 _ONE = {0: 1}
@@ -101,13 +101,6 @@ class VElem:
         # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
         return VElem(self.dom, self.k, acc if len(w) == 1 else _pruned(acc))
 
-    def divide(self, d) -> "VElem":
-        """Coefficient-wise c / d for d = q - 1 or 1 - q; a remainder raises CoefRatError."""
-        w = d.num
-        if d.d != 1 or w not in ({_Q: 1, 0: -1}, {_Q: -1, 0: 1}):
-            raise ValueError("VElem.divide takes q - 1 or 1 - q")
-        return VElem(self.dom, self.k, {key: _div_qm1(p, w) for key, p in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, VElem):
             return NotImplemented
@@ -134,29 +127,24 @@ def _format(coefs: dict) -> str:
 
 # ------------------------------------------------------------- T operators
 
-def _dl_table(dom, p: int, r: int, inverse: bool = False):
+@lru_cache(maxsize=None)
+def _dl_table(p: int, r: int, inverse: bool):
     """T(y_i^p y_{i+1}^r), or T^{-1}, as ((a, b, w), ...) meaning sum w * y_i^a y_{i+1}^b.
 
     T = s_i - (q-1) y_i D_i with D_i f = (f - s_i f) / (y_i - y_{i+1}), and
     y_i D_i(y_i^p y_{i+1}^r) = sign(p - r) sum_j y_i^(hi-j) y_{i+1}^(lo+j), 0 <= j < hi - lo.
     T^{-1} = (T + q - 1)/q by the quadratic relation.
     """
-    key = ("dl", p, r, inverse)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
     if inverse:
         acc: dict = {(p, r): {0: 1, -_Q: -1}}
-        for a, b, w in _dl_table(dom, p, r):
+        for a, b, w in _dl_table(p, r, False):
             _fma(acc, (a, b), w, {-_Q: 1})
     else:
         lo, hi = sorted((p, r))
         acc = {(r, p): dict(_ONE)}
         for j in range(hi - lo):
             _fma(acc, (hi - j, lo + j), _ONE, {_Q: -1, 0: 1} if p > r else {_Q: 1, 0: -1})
-    out = tuple((a, b, w) for (a, b), w in _pruned(acc).items())
-    dom.cache[key] = out
-    return out
+    return tuple((a, b, w) for (a, b), w in _pruned(acc).items())
 
 
 def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
@@ -166,7 +154,7 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
         head, tail = ys[:i - 1], ys[i + 1:]
-        for a, b, w in _dl_table(f.dom, ys[i - 1], ys[i], inverse):
+        for a, b, w in _dl_table(ys[i - 1], ys[i], inverse):
             _fma(acc, (lam, head + (a, b) + tail), c, w)
     return VElem(f.dom, f.k, _pruned(acc))
 
@@ -180,59 +168,47 @@ def _poly(c) -> dict:
     return c.num
 
 
-def _dminus_image(dom, lam, a: int):
+@lru_cache(maxsize=None)
+def _dminus_image(lam, a: int):
     """d_-(m_lam * y_k^a) as ((nu, w), ...), the y_1..y_{k-1} part left out.
 
     Substitute X - (q-1)y_k in m_lam, pair y_k^j with (-1)^j e_j, and expand
     m_mu * e_j = m_mu * m_(1^j) by the product table.  Every nu has size |lam| + a.
     """
-    key = ("dm", lam, a)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
     acc: dict = {}
-    for j, gdict in sf.m_expand_one_var(dom, lam, -1):
+    for j, gdict in sf.m_expand_one_var(lam, -1):
         jj = a + j
         for mu, c in gdict.items():
             for nu, n in mono_mult_table(mu, (1,) * jj).items():
                 _fma(acc, nu, _poly(c), {0: -n if jj % 2 else n})
-    out = tuple(_pruned(acc).items())
-    dom.cache[key] = out
-    return out
+    return tuple(_pruned(acc).items())
 
 
 def act_dminus(f: VElem) -> VElem:
     """V_k -> V_{k-1}: substitute X - (q-1)y_k and pair y_k^j with (-1)^j e_j."""
     if f.k < 1:
         raise ValueError("d_- is not defined on V_0")
-    dom = f.dom
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
         rest = ys[:-1]
-        for nu, w in _dminus_image(dom, lam, ys[-1]):
+        for nu, w in _dminus_image(lam, ys[-1]):
             _fma(acc, (nu, rest), c, w)
-    return VElem(dom, f.k - 1, _pruned(acc))
+    return VElem(f.dom, f.k - 1, _pruned(acc))
 
 
-def _straightened(dom, ys: tuple):
+@lru_cache(maxsize=None)
+def _straightened(ys: tuple):
     """y^ys as ((zs, w), ...), each zs weakly decreasing, equal under d_-^k.  The first
     increasing pair p < r at (i, i+1) becomes its T_i-image q y_i^r y_{i+1}^p +
     (q-1) sum_{0<j<r-p} y_i^(r-j) y_{i+1}^(p+j), whose increasing pairs spread less."""
-    key = ("st", ys)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
     i = next((i for i in range(len(ys) - 1) if ys[i] < ys[i + 1]), None)
     if i is None:
-        out = ((ys, _ONE),)
-    else:
-        acc: dict = {}
-        for a, b, w in _dl_table(dom, ys[i], ys[i + 1]):
-            for zs, v in _straightened(dom, ys[:i] + (a, b) + ys[i + 2:]):
-                _fma(acc, zs, w, v)
-        out = tuple(_pruned(acc).items())
-    dom.cache[key] = out
-    return out
+        return ((ys, _ONE),)
+    acc: dict = {}
+    for a, b, w in _dl_table(ys[i], ys[i + 1], False):
+        for zs, v in _straightened(ys[:i] + (a, b) + ys[i + 2:]):
+            _fma(acc, zs, w, v)
+    return tuple(_pruned(acc).items())
 
 
 def dminus_to_v0(f: VElem) -> VElem:
@@ -241,7 +217,7 @@ def dminus_to_v0(f: VElem) -> VElem:
     if f.k >= 2:
         acc: dict = {}
         for (lam, ys), c in f.terms.items():
-            for zs, w in _straightened(f.dom, ys):
+            for zs, w in _straightened(ys):
                 _fma(acc, (lam, zs), c, w)
         f = VElem(f.dom, f.k, _pruned(acc))
     for _ in range(f.k):
@@ -249,49 +225,47 @@ def dminus_to_v0(f: VElem) -> VElem:
     return f
 
 
-def _dplus_image(dom, lam, star: bool):
+@lru_cache(maxsize=None)
+def _dplus_image(lam, star: bool):
     """m_lam[X + (q-1)y] = sum w * m_mu * y^j as ((mu, j, w), ...).
 
     For d_+ (star False) each w is negated, the sign of its formula; for
     d_+^* (star True) each w carries the t^j of y_{k+1} -> t*y_1.
     """
-    key = ("dp", lam, star)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
-    out = tuple((mu, j, _poly(w * dom.monomial(1, 0, j) if star else -w))
-                for j, gdict in sf.m_expand_one_var(dom, lam, +1) for mu, w in gdict.items())
-    dom.cache[key] = out
-    return out
+    return tuple((mu, j, _poly(w * CoefRat.monomial(1, 0, j) if star else -w))
+                 for j, gdict in sf.m_expand_one_var(lam, 1) for mu, w in gdict.items())
 
 
 def act_dplus(f: VElem) -> VElem:
     """V_k -> V_{k+1}: -T_1...T_k ( y_{k+1} * F[X + (q-1)y_{k+1}] )."""
-    dom = f.dom
     k = f.k
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        for mu, j, w in _dplus_image(dom, lam, False):
+        for mu, j, w in _dplus_image(lam, False):
             _fma(acc, (mu, ys + (j + 1,)), c, w)
-    tmp = VElem(dom, k + 1, _pruned(acc))
+    tmp = VElem(f.dom, k + 1, _pruned(acc))
     for i in range(k, 0, -1):
         tmp = act_T(tmp, i)
     return tmp
 
 
+_DPLUS_POWERS = [{((), ()): _ONE}]   # the terms of d_+^k(1) at index k, each from the last
+
+
 def dplus_power(dom, k: int) -> VElem:
-    """d_+^k applied to 1 in V_0; cached per domain, each power from the last."""
-    powers = dom.cache.setdefault("dplus_power", [VElem.one(dom, 0)])
-    while len(powers) <= k:
-        powers.append(act_dplus(powers[-1]))
-    return powers[max(k, 0)]
+    """d_+^k applied to 1 in V_0 (1 for k < 0), on terms cached once per process."""
+    while len(_DPLUS_POWERS) <= k:
+        n = len(_DPLUS_POWERS) - 1
+        _DPLUS_POWERS.append(act_dplus(VElem(dom, n, _DPLUS_POWERS[n])).terms)
+    k = max(k, 0)
+    return VElem(dom, k, _DPLUS_POWERS[k])
 
 
 def act_dplus_star(f: VElem) -> VElem:
     """V_k -> V_{k+1}: substitute X + (q-1)y_{k+1}, then y_i -> y_{i+1}, y_{k+1} -> t*y_1."""
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        for mu, j, w in _dplus_image(f.dom, lam, True):
+        for mu, j, w in _dplus_image(lam, True):
             _fma(acc, (mu, (j,) + ys), c, w)
     return VElem(f.dom, f.k + 1, _pruned(acc))
 
@@ -305,7 +279,8 @@ def act_y(f: VElem, i: int) -> VElem:
                   for (lam, ys), c in f.terms.items()})
 
 
-def _z_image(dom, lam, a: int):
+@lru_cache(maxsize=None)
+def _z_image(lam, a: int):
     """Z(m_lam y_k^a) = (d_+^* d_- - d_- d_+^*)(m_lam y_k^a) / (1-q) as ((nu, j, w), ...):
     sum w m_nu y_1^j, the old y_1..y_{k-1} (now y_2..y_k) left out.
 
@@ -314,22 +289,16 @@ def _z_image(dom, lam, a: int):
     e_m[X + (q-1)ty] - e_m[X] = (1-q) sum_{i>=1} (-ty)^i e_{m-i}, Z pairs y_k^m
     with sum_{i=1..m} (-1)^(m+i) t^i y_1^i e_{m-i}, expanded by the product table.
     """
-    key = ("z", lam, a)
-    hit = dom.cache.get(key)
-    if hit is not None:
-        return hit
     acc: dict = {}
-    for mu, j, w in _dplus_image(dom, lam, True):
-        for jj, gdict in sf.m_expand_one_var(dom, mu, -1):
+    for mu, j, w in _dplus_image(lam, True):
+        for jj, gdict in sf.m_expand_one_var(mu, -1):
             m = a + jj
             for rho, c in gdict.items():
                 cw = _poly(c * CoefRat(w))
                 for i in range(1, m + 1):
                     for nu, n in mono_mult_table(rho, (1,) * (m - i)).items():
                         _fma(acc, (nu, j + i), cw, {i: -n if (m + i) % 2 else n})
-    out = tuple((nu, j, p) for (nu, j), p in _pruned(acc).items())
-    dom.cache[key] = out
-    return out
+    return tuple((nu, j, p) for (nu, j), p in _pruned(acc).items())
 
 
 def act_Z(f: VElem) -> VElem:
@@ -338,7 +307,7 @@ def act_Z(f: VElem) -> VElem:
         raise ValueError("Z is not defined on V_0")
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
-        for nu, j, w in _z_image(f.dom, lam, ys[-1]):
+        for nu, j, w in _z_image(lam, ys[-1]):
             _fma(acc, (nu, (j,) + ys[:-1]), c, w)
     return VElem(f.dom, f.k, _pruned(acc))
 

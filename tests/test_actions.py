@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from qm1_division import divide_velem
 from shufflealg import actions as ac
 from shufflealg import braid as br
 from shufflealg import combinat as cb
@@ -94,7 +95,7 @@ def commutator_y(f, dplus, star, i=1):
         f = vk.act_T(f, j, inverse=star)
     comm = dplus(vk.act_dminus(f)) - vk.act_dminus(dplus(f))
     f = comm.scale(-dom.q_power(k + 1 - i) if star else dom.q_power(i - k))
-    f = f.divide(dom.q - dom.one)
+    f = divide_velem(f, dom.q - dom.one)
     for j in range(1, i):
         f = vk.act_T(f, j, inverse=not star)
     return f
@@ -298,8 +299,8 @@ def _handle_y_recursive(h, star, f, i):
             g = vk.act_T(g, j, inverse=star)
         comm = h.dplus(vk.act_dminus(g)) - vk.act_dminus(h.dplus(g))
         if star:
-            return comm.scale(dom.q_power(k)).divide(dom.one - dom.q)
-        return comm.scale(dom.q_power(1 - k)).divide(dom.q - dom.one)
+            return divide_velem(comm.scale(dom.q_power(k)), dom.one - dom.q)
+        return divide_velem(comm.scale(dom.q_power(1 - k)), dom.q - dom.one)
     inv = not star
     g = vk.act_T(f, i - 1, inverse=inv)
     g = vk.act_T(_handle_y_recursive(h, star, g, i - 1), i - 1, inverse=inv)

@@ -310,12 +310,15 @@ def test_char_function_full_check_agrees(dom):
                 assert cb.char_function(mp, dom) == char_function_by_words(mp, dom), str(p)
 
 
-def test_char_function_budget(dom):
+def test_char_function_budget(dom, monkeypatch):
     # the word recursion prices n! standard words: 2 here
     mp = cb.MarkedSquarePath(cb.DyckPath(2, 2, (1, 0, 1, 0)), frozenset())
-    assert cb.char_function(mp, dom, budget=2) == cb.char_function(mp, dom)
+    want = cb.char_function(mp, dom)
+    monkeypatch.setattr(cb, "CHAR_FUNCTION_BUDGET", 2)
+    assert cb.char_function(mp, dom) == want
+    monkeypatch.setattr(cb, "CHAR_FUNCTION_BUDGET", 1)
     with pytest.raises(ResourceWarning, match="needs ~2 words, over budget 1"):
-        cb.char_function(mp, dom, budget=1)
+        cb.char_function(mp, dom)
 
 
 def _qcounts_args(pi: cb.DyckPath, marks) -> tuple:
@@ -343,12 +346,13 @@ def test_monomial_qcounts_matches_permutations_on_corner_marks():
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
-def test_char_function_full_staircase_is_q_multinomial(dom, n):
+def test_char_function_full_staircase_is_q_multinomial(dom, n, monkeypatch):
     # every cell attacked, no marks: chi sums q^inv over all words, so its m_lam
     # coefficient is MacMahon's q-multinomial; n = 10 is past the oracle's reach
     pi = cb.DyckPath(n, n, [1] * n + [0] * n)
     assert len(cb._area_cells(pi)) == n * (n - 1) // 2
-    chi = cb.char_function(cb.MarkedSquarePath(pi, frozenset()), dom, budget=10 ** 7)
+    monkeypatch.setattr(cb, "CHAR_FUNCTION_BUDGET", 10 ** 7)
+    chi = cb.char_function(cb.MarkedSquarePath(pi, frozenset()), dom)
     want = {lam: CoefRat({pack(2 * i, 0): c for i, c in enumerate(q_multinomial(lam)) if c})
             for lam in partitions_of(n)}
     assert chi == SymFunc(dom, n, want)

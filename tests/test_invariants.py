@@ -1,7 +1,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import shufflealg
+from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain
+from shufflealg.vkspace import VElem
 
 
 def test_no_assert_statements_in_package():
@@ -28,3 +32,18 @@ def test_exports_are_the_readme_quick_entry():
     assert len(imports) == 1
     names = imports[0].removeprefix("from shufflealg import ").split(",")
     assert sorted(shufflealg.__all__) == sorted(name.strip() for name in names)
+
+
+def test_exact_domain_is_stateless():
+    # a domain builds constants and monomials only; every operator image is cached by
+    # its integer arguments, once per process, not per domain
+    fields = vars(ExactDomain())
+    assert fields and all(type(v) is CoefRat for v in fields.values())
+
+
+def test_scalars_divide_by_monomials_only(dom):
+    # no machine divides by a polynomial, so an exact quotient by q - 1 is refused too
+    for num in (dom.one, dom.q * dom.q - dom.one):
+        with pytest.raises(CoefRatError, match="not a monomial"):
+            num / (dom.q - dom.one)
+    assert not hasattr(VElem, "divide")
