@@ -103,7 +103,8 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     """(-1)^(g(m1+1)) q^(r-g) * rho*_{m1,n1}(d_-^r y^(alpha-1) d_+^r) applied to 1.
 
     The tower gives y^(alpha-1) d_+^r 1 in V_r, and `vkspace.dminus_to_v0`
-    takes it to V_0 with its y-exponents straightened first.
+    takes it, times the closing monomial, to V_0 with its y-exponents
+    straightened first.
     """
     alpha = tuple(alpha)
     r = len(alpha)
@@ -116,10 +117,8 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
     for i, a in enumerate(alpha):
         for _ in range(a - 1):
             f = h.y(f, i + 1)
-    f = vk.dminus_to_v0(f)
     sign = -dom.one if (g * (m1 + 1)) % 2 else dom.one
-    f = f.scale(sign * dom.q_power(r - g))
-    return f.as_symfunc()
+    return vk.dminus_to_v0(f.scale(sign * dom.q_power(r - g))).as_symfunc()
 
 
 def _expand_one_var(f: SymFunc, sign: int) -> dict:

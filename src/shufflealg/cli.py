@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: paths (enum/stats/chi), actions (build/lhs), sweep (path/dp),
-braid (eval/of-coloring), verify (shuffle/suite).  All output is JSON with
-deterministic ordering; exit status is 1 when a verification fails and 2,
+braid (eval/of-coloring), verify (shuffle/suite/relation).  All output is JSON
+with deterministic ordering; exit status is 1 when a verification fails and 2,
 with a JSON {"error": ...} on stdout and nothing on stderr, when the
 command line cannot be parsed or the input cannot be computed (this
-includes input too deep for Python's recursion limit, and a path whose
-characteristic function is over `char_function`'s word budget).  When the
-reader of stdout goes away (`shufflealg ... | head -1`), the exit status
-is 2 and nothing is printed on either stream.
+includes input too deep for Python's recursion limit, a path whose
+characteristic function is over `char_function`'s word budget, and a
+relation whose spanning set is over `vkspace.SPANNING_BUDGET` elements).
+When the reader of stdout goes away (`shufflealg ... | head -1`), the exit
+status is 2 and nothing is printed on either stream.
 """
 
 from __future__ import annotations

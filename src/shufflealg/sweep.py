@@ -31,8 +31,8 @@ from math import gcd
 
 from .combinat import (DyckPath, check_composition, compositions_of, reading_order,
                        touch_composition)
-from .scalars import InvariantError
-from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y, dminus_to_v0
+from .scalars import _Q, InvariantError, _fma, _pruned
+from .vkspace import VElem, _dl_table, act_dminus, act_dplus, act_T, dminus_to_v0
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,22 @@ def event_sequence(p: DyckPath) -> list[SweepEvent]:
 def _c_op(f: VElem, a: int) -> VElem:
     """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f,
     by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k,
-    the relation `y1 from commutator` of `vkspace.standard_relations`."""
-    for i in range(f.k - 1, 0, -1):
+    the relation `y1 from commutator` of `vkspace.standard_relations`.  The last pass,
+    T_1^{-1}, also multiplies by y_1 and the monomial."""
+    k = f.k
+    for i in range(k - 1, 1, -1):
         f = act_T(f, i, inverse=True)
-    return act_y(f, 1).scale(-f.dom.q_power(f.k - 1 - a))
+    e = (k - 1 - a) * _Q
+    acc: dict = {}
+    if k == 1:
+        for (lam, (p,)), c in f.terms.items():
+            acc[lam, (p + 1,)] = {kc + e: -cc for kc, cc in c.items()}
+        return VElem(f.dom, 1, acc)
+    for (lam, ys), c in f.terms.items():
+        tail = ys[2:]
+        for x, y, w in _dl_table(ys[0], ys[1], True):
+            _fma(acc, (lam, (x + 1, y) + tail), c, {kw + e: -cw for kw, cw in w.items()})
+    return VElem(f.dom, k, _pruned(acc))
 
 
 def apply_event(f: VElem, ev: SweepEvent) -> VElem:
@@ -145,24 +157,27 @@ class DpResult:
     state: dict                  # intervals tuple -> VElem, at the final stratum
 
 
-def _insert_position(intervals, x: int, y: int) -> int:
-    pos = sum(1 for (xi, _) in intervals if xi < x)
-    pos2 = sum(1 for (_, yi) in intervals if yi < y)
-    if pos != pos2:
-        raise InvariantError("new interval would overlap an existing one")
-    return pos
-
-
 def _step(key, px: int, py: int) -> tuple:
     """The transitions of coloring key at the event (px, py): (kind, dst, extra).
 
     B merges the interval ending on row py with the one starting on column px;
     D and C extend one of them (extra = a); E is a point under an interval;
     otherwise the coloring is kept as it is and also gains the interval (px, py)
-    by A (extra = its position).
+    by A (extra = its position).  One loop over the intervals finds all of these.
     """
-    i = next((idx for idx, (_, yi) in enumerate(key) if yi == py), None)
-    j = next((idx for idx, (xi, _) in enumerate(key) if xi == px), None)
+    i = j = None           # the first interval ending on row py, and starting on column px
+    left = below = 0       # intervals starting left of px, and ending below py
+    under = False
+    for idx, (xi, yi) in enumerate(key):
+        if xi < px:
+            left += 1
+            under = under or py < yi
+        elif xi == px and j is None:
+            j = idx
+        if yi < py:
+            below += 1
+        elif yi == py and i is None:
+            i = idx
     k = len(key)
     if i is not None and j is not None:
         if j != i + 1:
@@ -172,10 +187,11 @@ def _step(key, px: int, py: int) -> tuple:
         return (("D", key, k - 1 - i),)
     if j is not None:
         return (("C", key, k - 1 - j),)
-    if any(xi < px and py < yi for (xi, yi) in key):
+    if under:
         return (("E", key, None),)
-    pos = _insert_position(key, px, py)
-    return (("keep", key, None), ("A", key[:pos] + ((px, py),) + key[pos:], pos))
+    if left != below:
+        raise InvariantError("new interval would overlap an existing one")
+    return (("keep", key, None), ("A", key[:left] + ((px, py),) + key[left:], left))
 
 
 def transitions(m: int, n: int, events, every_coloring: bool) -> list:
@@ -267,6 +283,4 @@ def assemble_composition(m1: int, n1: int, g: int, alpha, dp: DpResult, dom):
     key = composition_coloring(m1, n1, alpha)
     if key not in dp.state:
         raise KeyError(f"coloring {key} not reachable in the DP")
-    f = dminus_to_v0(dp.state[key])
-    f = f.scale(dom.monomial(1, 0, g - len(alpha)))
-    return f.as_symfunc()
+    return dminus_to_v0(dp.state[key].scale(dom.monomial(1, 0, g - len(alpha)))).as_symfunc()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from shufflealg import combinat as cb
 from shufflealg import sweep as sw
 from shufflealg import vkspace as vk
-from shufflealg.scalars import ExactDomain
+from shufflealg.scalars import ExactDomain, InvariantError
 from shufflealg.symfunc import SymFunc
 from shufflealg.vkspace import VElem
 
@@ -102,6 +102,71 @@ def _spanning_sums(draw):
 def test_c_op_matches_commutator_random(case):
     f, a = case
     assert sw._c_op(f, a).scale(_DOM.q - _DOM.one) == _c_op_commutator(f, a), (a, str(f))
+
+
+def _c_op_from_generators(f, a):
+    """The C event as its closed form -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1}, one
+    operator at a time."""
+    k = f.k
+    for i in range(k - 1, 0, -1):
+        f = vk.act_T(f, i, inverse=True)
+    return vk.act_y(f, 1).scale(-f.dom.q_power(k - 1 - a))
+
+
+def test_c_op_matches_its_generators_on_spanning_set(dom):
+    cases = 0
+    for k in range(1, 5):
+        basis = vk.spanning_set(dom, k, 3)
+        mixed = sum((b.scale(dom.monomial(1 - 2 * (i % 2), i % 3, -(i % 2)))
+                     for i, b in enumerate(basis)), VElem(dom, k))
+        for f in basis + [mixed]:
+            for a in range(k):
+                assert sw._c_op(f, a) == _c_op_from_generators(f, a), (k, a, str(f))
+                cases += 1
+    assert cases == 439 + 10
+
+
+def _step_by_scans(key, px: int, py: int) -> tuple:
+    """The transitions of key at (px, py) by four scans over its intervals: the oracle of
+    `sweep._step`, which finds the same in one loop."""
+    i = next((idx for idx, (_, yi) in enumerate(key) if yi == py), None)
+    j = next((idx for idx, (xi, _) in enumerate(key) if xi == px), None)
+    k = len(key)
+    if i is not None and j is not None:
+        if j != i + 1:
+            raise InvariantError("merging intervals are not adjacent")
+        return (("B", key[:i] + ((key[i][0], key[j][1]),) + key[j + 1:], None),)
+    if i is not None:
+        return (("D", key, k - 1 - i),)
+    if j is not None:
+        return (("C", key, k - 1 - j),)
+    if any(xi < px and py < yi for (xi, yi) in key):
+        return (("E", key, None),)
+    pos = sum(1 for (xi, _) in key if xi < px)
+    if pos != sum(1 for (_, yi) in key if yi < py):
+        raise InvariantError("new interval would overlap an existing one")
+    return (("keep", key, None), ("A", key[:pos] + ((px, py),) + key[pos:], pos))
+
+
+@pytest.mark.parametrize("every_coloring", [False, True])
+def test_transitions_match_the_scanning_step(every_coloring, monkeypatch):
+    for m in range(1, 9):
+        for n in range(1, 10 - m):
+            events = sw.dp_events(m, n)
+            got = sw.transitions(m, n, events, every_coloring)
+            with monkeypatch.context() as mp:
+                mp.setattr(sw, "_step", _step_by_scans)
+                want = sw.transitions(m, n, events, every_coloring)
+            assert got == want, (m, n)
+
+
+@pytest.mark.parametrize("key, point, message", [
+    (((1, 2), (3, 5)), (1, 5), "merging intervals are not adjacent"),
+    (((3, 1),), (1, 2), "new interval would overlap an existing one")])
+def test_step_refuses_a_broken_coloring(key, point, message):
+    for step in (sw._step, _step_by_scans):
+        with pytest.raises(InvariantError, match=message):
+            step(key, *point)
 
 
 def test_dp_unit(dom):

@@ -575,6 +575,11 @@ def _lhs_negative_slope(tmp_path):
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
 
 
+def _relation_over_spanning_budget(tmp_path):
+    # refused by counting, before the spanning set is built
+    return ["verify", "relation", "--lhs", "T1", "--rhs", "T1", "--k", "2", "--degree", "99999"]
+
+
 @pytest.mark.parametrize("argv", [_missing_coloring, _coloring_without_intervals,
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
@@ -590,7 +595,8 @@ def _lhs_negative_slope(tmp_path):
                                   _braid_word_z_out_of_range, _braid_word_ytilde_out_of_range,
                                   _lhs_negative_slope, _lhs_alpha_not_a_composition,
                                   _coloring_empty_at_height, _relation_exponent_past_packing,
-                                  _shuffle_alpha_empty, _enum_alpha_empty])
+                                  _shuffle_alpha_empty, _enum_alpha_empty,
+                                  _relation_over_spanning_budget])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -609,6 +615,9 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "ValueError: alpha must be a composition of g = 2, got [0, 2]"
     if argv in (_shuffle_alpha_empty, _enum_alpha_empty):
         assert error == "ValueError: --alpha must be comma-separated integers, got ''"
+    if argv is _relation_over_spanning_budget:
+        assert error == ("ResourceWarning: V_2 has over 1000 basis elements of degree at "
+                         "most 99999, the budget of a relation check")
     if argv is _relation_exponent_past_packing:
         assert error == ("ValueError: bad scalar token 't^4294967296': the absolute values "
                          "of its exponents must add up to less than 2^20")

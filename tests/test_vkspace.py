@@ -326,6 +326,16 @@ def test_relation_check_rejects_negative_k_or_degree(dom, k, degree):
             vk.spanning_set(dom, k, degree)
 
 
+def test_relation_budget_admits_what_it_counts(dom, monkeypatch):
+    # the count is exact up to the budget: k = 3 at degree 6 has 359 basis elements
+    assert vk._spanning_size(3, 6) == len(vk.spanning_set(dom, 3, 6)) == 359
+    monkeypatch.setattr(vk, "SPANNING_BUDGET", 358)
+    with pytest.raises(ResourceWarning, match="V_3 has over 358 basis elements"):
+        vk.relation_check("T1", "T1", 3, 6, dom)
+    monkeypatch.setattr(vk, "SPANNING_BUDGET", 359)
+    assert vk.relation_check("T1", "T1", 3, 6, dom).cases == 359
+
+
 def test_quadratic_relation_explicit(dom):
     # (T_i - 1)(T_i + q) = 0 at k = 2 over degree 2
     lhs = [(dom.one, (("T", 1), ("T", 1))), (dom.q - dom.one, (("T", 1),)),
@@ -447,7 +457,10 @@ def _dminus_chain(f: VElem) -> VElem:
 
 @pytest.mark.parametrize("k", range(5))
 def test_dminus_to_v0_matches_the_plain_chain(dom, k):
-    basis = vk.spanning_set(dom, k, 4 if k < 4 else 3)
+    basis = vk.spanning_set(dom, k, 4)
+    # straightening has work to do: some exponent vectors increase somewhere
+    assert k < 2 or any(list(ys) != sorted(ys, reverse=True)
+                        for b in basis for _, ys in b.terms)
     for base in basis:
         assert vk.dminus_to_v0(base) == _dminus_chain(base), str(base)
     # one element with mixed scalars, and the tagged sum of the whole spanning set
@@ -457,6 +470,19 @@ def test_dminus_to_v0_matches_the_plain_chain(dom, k):
     tagged = _tagged(basis)
     assert vk.dminus_to_v0(tagged) == _dminus_chain(tagged) == \
         _tagged([_dminus_chain(b) for b in basis])
+    # the closing monomials of both sides, -q^(r-g) and t^(g-r), scale the input in V_k
+    for s in (-dom.q_power(-2), dom.monomial(1, 0, 3)):
+        assert vk.dminus_to_v0(mixed.scale(s)) == _dminus_chain(mixed).scale(s)
+
+
+def test_dminus_power_image_is_the_chain_of_one_step_images(dom):
+    # one composed image per straightened term; d_-^0 is the identity on V_0
+    assert vk.dminus_to_v0(VElem.one(dom, 0)) == VElem.one(dom, 0)
+    for zs in ((3,), (2, 0), (0, 2), (1, 1, 0), (2, 0, 1, 1)):
+        lam = (2, 1)
+        f = VElem(dom, len(zs), {(lam, zs): dict(vk._ONE)})
+        image = {(nu, ()): w for nu, w in vk._dminus_power_image(lam, zs)}
+        assert VElem(dom, 0, image) == _dminus_chain(f), zs
 
 
 def test_straightened_exponents_are_weakly_decreasing(dom):
