@@ -488,7 +488,7 @@ def _spanning_size(k: int, degree: int) -> int:
     number over SPANNING_BUDGET as soon as the count passes it."""
     count = 0
     for dx in range(degree + 1):
-        # comb(d + k, k) monomials y^a with |a| <= d, as the rising product (hi + i) / i
+        # comb(d + k, k) monomials y^a with |a| <= d = degree - dx, as a rising product
         lo, hi = sorted((k, degree - dx))
         ys = 1
         for i in range(1, lo + 1):
@@ -549,6 +549,8 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
     and that power's coefficients are the witness.  No tagged coefficient leaves.
     Each relation is checked as den times both sides, den the lcm of the
     denominators of its scalars, and its witness printed divided by den.
+    A spanning set of over SPANNING_BUDGET elements raises ResourceWarning
+    before it is built.
     Words act rightmost-first, so words that end alike share their images: the
     image of a suffix looked up more than once is held until its last lookup.
     """
