@@ -31,8 +31,8 @@ from math import gcd
 
 from .combinat import (DyckPath, check_composition, compositions_of, reading_order,
                        touch_composition)
-from .scalars import _Q, InvariantError, _fma, _pruned
-from .vkspace import VElem, _dl_table, act_dminus, act_dplus, act_T, dminus_to_v0
+from .scalars import InvariantError
+from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y1_T1inv, dminus_to_v0
 
 
 @dataclass(frozen=True)
@@ -74,22 +74,10 @@ def event_sequence(p: DyckPath) -> list[SweepEvent]:
 def _c_op(f: VElem, a: int) -> VElem:
     """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f,
     by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k,
-    the relation `y1 from commutator` of `vkspace.standard_relations`.  The last pass,
-    T_1^{-1}, also multiplies by y_1 and the monomial."""
-    k = f.k
-    for i in range(k - 1, 1, -1):
+    the relation `y1 from commutator` of `vkspace.standard_relations`."""
+    for i in range(f.k - 1, 1, -1):
         f = act_T(f, i, inverse=True)
-    e = (k - 1 - a) * _Q
-    acc: dict = {}
-    if k == 1:
-        for (lam, (p,)), c in f.terms.items():
-            acc[lam, (p + 1,)] = {kc + e: -cc for kc, cc in c.items()}
-        return VElem(f.dom, 1, acc)
-    for (lam, ys), c in f.terms.items():
-        tail = ys[2:]
-        for x, y, w in _dl_table(ys[0], ys[1], True):
-            _fma(acc, (lam, (x + 1, y) + tail), c, {kw + e: -cw for kw, cw in w.items()})
-    return VElem(f.dom, k, _pruned(acc))
+    return act_y1_T1inv(f, -f.dom.q_power(f.k - 1 - a))
 
 
 def apply_event(f: VElem, ev: SweepEvent) -> VElem:

@@ -8,8 +8,8 @@ Every operator has Laurent-polynomial coefficients, so no element has a
 denominator: `scale` refuses a scalar such as 1/2, and the relation checker
 clears the denominators of a relation's scalars before it acts.
 
-T_i, d_-, d_-^k down to V_0, the one-variable expansion behind d_+ and
-d_+^*, and the commutator Z behind z_i are per-term images, each a pure
+T_i, d_-, its composed powers d_-^j, the one-variable expansion behind d_+
+and d_+^*, and the commutator Z behind z_i are per-term images, each a pure
 function of its integer arguments cached once per process (`lru_cache`), so
 every domain shares them; an operator accumulates each c * w into its
 output in place with `_fma` and drops zeros once with `_pruned`.  No
@@ -160,6 +160,23 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
     return VElem(f.dom, f.k, _pruned(acc))
 
 
+def act_y1_T1inv(f: VElem, s) -> VElem:
+    """s * y_1 T_1^{-1} f in one pass, s a monomial scalar; on V_1, s * y_1 f."""
+    if f.k < 1:
+        raise ValueError("y_1 is not defined on V_0")
+    ((e, sc),) = _poly(s).items()
+    acc: dict = {}
+    if f.k == 1:
+        for (lam, (p,)), c in f.terms.items():
+            acc[lam, (p + 1,)] = {kc + e: cc * sc for kc, cc in c.items()}
+        return VElem(f.dom, 1, acc)
+    for (lam, ys), c in f.terms.items():
+        tail = ys[2:]
+        for a, b, w in _dl_table(ys[0], ys[1], True):
+            _fma(acc, (lam, (a + 1, b) + tail), c, {kw + e: cw * sc for kw, cw in w.items()})
+    return VElem(f.dom, f.k, _pruned(acc))
+
+
 # ------------------------------------------------------ raising and lowering
 
 def _poly(c) -> dict:
@@ -214,8 +231,8 @@ def _straightened(ys: tuple):
 
 @lru_cache(maxsize=None)
 def _dminus_power_image(lam, zs: tuple):
-    """d_-^k(m_lam * y^zs), k = len(zs), as ((nu, w), ...).  The first k-1 d_- leave
-    y_1^zs[0] and act on m_lam * y^zs[1:] as on V_{k-1}, an image every zs[0] shares;
+    """d_-^j(m_lam * y^zs), j = len(zs) >= 1, as ((nu, w), ...).  The first j-1 d_- leave
+    y_1^zs[0] and act on m_lam * y^zs[1:] as on V_{j-1}, an image every zs[0] shares;
     the last takes y_1^zs[0] into each partition of it."""
     if len(zs) == 1:
         return _dminus_image(lam, zs[0])
@@ -230,24 +247,22 @@ def dminus_to_v0(f: VElem) -> VElem:
     """d_-^k f in V_0, k = f.k, on y-exponents straightened so that d_- meets the smallest
     last: d_-^2 T_{k-1} = d_-^2 and T_i d_- = d_- T_i give d_-^k T_i = d_-^k on V_k.
 
-    From k >= 3 each straightened term goes to V_0 in one step, by its cached composed
-    image `_dminus_power_image`.  On V_2 two d_- passes measured faster: the first
-    merges terms in V_1, so the second multiplies fewer long coefficients."""
+    The first k-1 d_- take each straightened term to V_1 in one step, by the composed
+    image of its y_2..y_k part, and the last d_- acts on V_1, where the terms have
+    merged: it is the step whose images are largest."""
+    if f.k == 0:
+        return f
     if f.k >= 2:
         acc: dict = {}
         for (lam, ys), c in f.terms.items():
             for zs, w in _straightened(ys):
                 _fma(acc, (lam, zs), c, w)
-        if f.k >= 3:
-            out: dict = {}
-            for (lam, zs), c in _pruned(acc).items():
-                for nu, w in _dminus_power_image(lam, zs):
-                    _fma(out, (nu, ()), c, w)
-            return VElem(f.dom, 0, _pruned(out))
-        f = VElem(f.dom, f.k, _pruned(acc))
-    for _ in range(f.k):
-        f = act_dminus(f)
-    return f
+        v1: dict = {}
+        for (lam, zs), c in _pruned(acc).items():
+            for mu, w in _dminus_power_image(lam, zs[1:]):
+                _fma(v1, (mu, zs[:1]), c, w)
+        f = VElem(f.dom, 1, _pruned(v1))
+    return act_dminus(f)
 
 
 @lru_cache(maxsize=None)

@@ -476,13 +476,26 @@ def test_dminus_to_v0_matches_the_plain_chain(dom, k):
 
 
 def test_dminus_power_image_is_the_chain_of_one_step_images(dom):
-    # one composed image per straightened term; d_-^0 is the identity on V_0
+    # the composed image of a term's y_2..y_k part, taken whole; d_-^0 is the identity on V_0
     assert vk.dminus_to_v0(VElem.one(dom, 0)) == VElem.one(dom, 0)
     for zs in ((3,), (2, 0), (0, 2), (1, 1, 0), (2, 0, 1, 1)):
         lam = (2, 1)
         f = VElem(dom, len(zs), {(lam, zs): dict(vk._ONE)})
         image = {(nu, ()): w for nu, w in vk._dminus_power_image(lam, zs)}
         assert VElem(dom, 0, image) == _dminus_chain(f), zs
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_y1_T1inv_is_its_two_generators(dom, k):
+    basis = vk.spanning_set(dom, k, 3)
+    mixed = sum((b.scale(dom.monomial(1 - 2 * (i % 2), i % 3, -(i % 2)))
+                 for i, b in enumerate(basis)), VElem(dom, k))
+    for s in (dom.one, -dom.q_power(2), dom.monomial(3, -1, 2)):
+        for f in basis + [mixed]:
+            g = vk.act_T(f, 1, inverse=True) if k > 1 else f
+            assert vk.act_y1_T1inv(f, s) == vk.act_y(g, 1).scale(s), (k, str(s), str(f))
+    with pytest.raises(ValueError, match="y_1 is not defined on V_0"):
+        vk.act_y1_T1inv(VElem.one(dom, 0), dom.one)
 
 
 def test_straightened_exponents_are_weakly_decreasing(dom):
