@@ -24,6 +24,7 @@ from . import braid as br
 from . import symfunc as sf
 from . import vkspace as vk
 from .combinat import check_composition, check_slope
+from .scalars import _fma, _pruned
 from .symfunc import SymFunc
 from .vkspace import VElem
 
@@ -46,9 +47,6 @@ class ActionHandle:
 
     def dplus(self, f: VElem) -> VElem:
         return _apply(f, self._dplus(f.k))
-
-    def y1(self, f: VElem) -> VElem:
-        return self.y(f, 1)
 
     def y(self, f: VElem, i: int) -> VElem:
         if not 1 <= i <= f.k:
@@ -123,12 +121,13 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
 
 def _expand_one_var(f: SymFunc, sign: int) -> dict:
     """F[X + sign*(q-1)y] as {j: the coefficient of y^j}, by the monomial coproduct."""
-    dom = f.dom
     acc: dict = {}
-    for lam, c in f.coeffs.items():
+    for (lam, _), c in f.terms.items():
         for j, gdict in sf.m_expand_one_var(lam, sign):
-            acc.setdefault(j, []).extend((mu, c * w) for mu, w in gdict.items())
-    return {j: SymFunc.from_terms(dom, f.cap, terms) for j, terms in acc.items()}
+            terms = acc.setdefault(j, {})
+            for mu, w in gdict.items():
+                _fma(terms, (mu, ()), c, sf._poly(w))
+    return {j: SymFunc(f.dom, f.cap, _pruned(terms)) for j, terms in acc.items()}
 
 
 def op_C(a: int, f: SymFunc) -> SymFunc:

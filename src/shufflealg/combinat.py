@@ -316,9 +316,8 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None) -> SymFunc:
         raise ResourceWarning(f"enumeration needs ~{word_enumeration_size(n)} words, "
                               f"over budget {CHAR_FUNCTION_BUDGET}")
     cells = _area_cells(pi)
-    coeffs = {lam: CoefRat({pack(2 * inv, 0): c for inv, c in enumerate(by_inv) if c})
-              for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S))}
-    return SymFunc(dom, cap, coeffs)
+    return SymFunc(dom, cap, {(lam, ()): {pack(2 * inv, 0): c for inv, c in enumerate(by_inv) if c}
+                              for lam, by_inv in _monomial_qcounts(n, tuple(cells), frozenset(S))})
 
 
 @lru_cache(maxsize=None)

@@ -217,17 +217,21 @@ class CoefRat:
         return Fraction(s, a ** -lo * b ** hi * c ** -lo_t * e ** hi_t * self.d)
 
     def __str__(self):
-        """num / den with den = d * u^a * t^b, the least a, b >= 0 that leave num a polynomial."""
-        if not self.num:
-            return "0"
-        eus, ets = zip(*map(unpack, self.num))
-        shift = pack(max(0, -min(eus)), max(0, -min(ets)))
-        s = _poly_str({k + shift: c for k, c in self.num.items()})
-        if shift or self.d != 1:
-            s += " / " + _poly_str({shift: self.d})
-        return s
+        return fraction_str(self.num, self.d)
 
     __repr__ = __str__
+
+
+def fraction_str(num: dict, d: int = 1) -> str:
+    """num / den with den = d * u^a * t^b, the least a, b >= 0 that leave num a polynomial."""
+    if not num:
+        return "0"
+    eus, ets = zip(*map(unpack, num))
+    shift = pack(max(0, -min(eus)), max(0, -min(ets)))
+    s = _poly_str({k + shift: c for k, c in num.items()})
+    if shift or d != 1:
+        s += " / " + _poly_str({shift: d})
+    return s
 
 
 def _rational_sqrt(fr: Fraction):

@@ -80,10 +80,6 @@ def _c_op(f: VElem, a: int) -> VElem:
     return act_y1_T1inv(f, -f.dom.q_power(f.k - 1 - a))
 
 
-def apply_event(f: VElem, ev: SweepEvent) -> VElem:
-    return _apply(f, ev.kind, ev.a)
-
-
 def _apply(f: VElem, kind: str, a: int) -> VElem:
     """The operator of an event of the given kind; a matters for C and D only."""
     if kind == "A":
@@ -103,7 +99,7 @@ def sweep_path(p: DyckPath, dom):
     """Fold the events over 1 in V_0; returns the weight as a SymFunc."""
     f = VElem.one(dom, 0)
     for ev in event_sequence(p):
-        f = apply_event(f, ev)
+        f = _apply(f, ev.kind, ev.a)
     if f.k != 0:
         raise InvariantError("sweep did not return to V_0")
     return f.as_symfunc()

@@ -1,6 +1,12 @@
-"""Symmetric functions in the monomial basis.
+"""Symmetric functions in the monomial basis, and the elements of every V_k.
 
-SymFunc stores a map {partition: scalar} truncated at a total-degree cap.
+An element of V_k = Sym[X] (x) Q(q,t)[y_1..y_k] is a `VElem`,
+{(partition, y-exponents): coefficient}, and a coefficient is a polynomial
+of `scalars`: an integer Laurent polynomial in u and t (u^2 = q) keyed by
+packed exponents, the same form as a CoefRat's numerator, so an element
+reads and builds scalars without conversion.  A symmetric function is the
+k = 0 case: a `SymFunc` is a VElem of V_0 whose keys are (partition, ()),
+with a total-degree cap, h_n, e_n and the product by `mono_mult_table`.
 The substitution X + sign*(q-1)*y of one rank-one letter y, behind d_+,
 d_+^*, d_- and the Sym operator C_a, expands m_lam by the monomial
 coproduct (`m_expand_one_var`).
@@ -13,7 +19,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from .scalars import CoefRat
+from .scalars import CoefRat, CoefRatError, _added, _fma, _pruned, fraction_str, odd_u
 
 
 # ----------------------------------------------------------------- partitions
@@ -71,17 +77,122 @@ def mono_mult_table(lam: tuple, mu: tuple) -> dict:
     return out
 
 
+# ------------------------------------------------------------------ V_k
+
+_ONE = {0: 1}
+
+
+class VElem:
+    """Element of V_k: {(partition, y-exponents): integer Laurent polynomial}.
+
+    Coefficient polynomials are never changed once an element holds them,
+    so operators may share them between elements.  Sums, negatives and
+    scalings keep the class of the left operand (`_like`).
+    """
+
+    __slots__ = ("dom", "k", "terms")
+
+    def __init__(self, dom, k: int, terms: dict | None = None):
+        self.dom = dom
+        self.k = k
+        self.terms = {} if terms is None else terms
+
+    @staticmethod
+    def one(dom, k: int) -> "VElem":
+        return VElem(dom, k, {((), (0,) * k): dict(_ONE)})
+
+    def _like(self, terms: dict) -> "VElem":
+        return VElem(self.dom, self.k, terms)
+
+    def as_symfunc(self) -> "SymFunc":
+        """The element of V_0 as a SymFunc capped at its largest degree, on the same terms."""
+        if self.k != 0:
+            raise ValueError("as_symfunc requires an element of V_0")
+        return SymFunc(self.dom, max((sum(lam) for lam, _ in self.terms), default=0), self.terms)
+
+    def has_integer_q_degree(self) -> bool:
+        """True iff u occurs with even exponents only, that is q with integer ones."""
+        return not any(odd_u(m) for p in self.terms.values() for m in p)
+
+    def __add__(self, other, sign: int = 1) -> "VElem":
+        if self.k != other.k:
+            raise ValueError("strand count mismatch")
+        # polynomials are shared, never changed: only a key both operands hold gets a new one
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            p = acc.get(key)
+            if p is None:
+                acc[key] = c if sign == 1 else {m: -v for m, v in c.items()}
+            else:
+                p = _added(p, c, sign)
+                if p:
+                    acc[key] = p
+                else:
+                    del acc[key]
+        return self._like(acc)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._like({key: {m: -c for m, c in p.items()} for key, p in self.terms.items()})
+
+    def scale(self, s) -> "VElem":
+        """self times a Laurent-polynomial scalar; any other scalar raises CoefRatError."""
+        if not s:
+            return self._like({})
+        w = _poly(s)
+        acc: dict = {}
+        for key, c in self.terms.items():
+            _fma(acc, key, c, w)
+        # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
+        return self._like(acc if len(w) == 1 else _pruned(acc))
+
+    def __eq__(self, other):
+        if not isinstance(other, VElem):
+            return NotImplemented
+        return self.k == other.k and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __str__(self):
+        return _format({key: fraction_str(p) for key, p in self.terms.items()})
+
+    __repr__ = __str__
+
+
+def _format(coefs: dict) -> str:
+    """{(lam, ys): scalar} as a sum of (scalar)*m[lam]*y1^e..., by total degree, then key."""
+    bits = []
+    for (lam, ys) in sorted(coefs, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
+        ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
+                        for i, e in enumerate(ys) if e)
+        bits.append(f"({coefs[(lam, ys)]})*m{list(lam)}{ypart}")
+    return " + ".join(bits) or "0"
+
+
+def _poly(c) -> dict:
+    """A dom scalar that is a Laurent polynomial, in the coefficient form."""
+    if c.d != 1:
+        raise CoefRatError(f"({c}) is not a Laurent polynomial")
+    return c.num
+
+
 # ------------------------------------------------------------------ SymFunc
 
-class SymFunc:
-    """Graded symmetric function, monomial basis, degree-capped."""
+class SymFunc(VElem):
+    """Element of V_0 = Sym[X] in the monomial basis, with a total-degree cap:
+    `from_terms`, `h`, `e` and the product leave out every term above it."""
 
-    __slots__ = ("dom", "cap", "coeffs")
+    __slots__ = ("cap",)
 
-    def __init__(self, dom, cap: int, coeffs: dict | None = None):
-        self.dom = dom
+    def __init__(self, dom, cap: int, terms: dict | None = None):
+        super().__init__(dom, 0, terms)
         self.cap = cap
-        self.coeffs = {} if coeffs is None else coeffs
+
+    def _like(self, terms: dict) -> "SymFunc":
+        return SymFunc(self.dom, self.cap, terms)
 
     @staticmethod
     def zero(dom, cap):
@@ -89,96 +200,50 @@ class SymFunc:
 
     @staticmethod
     def one(dom, cap):
-        return SymFunc(dom, cap, {(): dom.one})
+        return SymFunc(dom, cap, {((), ()): dict(_ONE)})
 
     @staticmethod
     def from_terms(dom, cap, items) -> "SymFunc":
-        out: dict = {}
+        """The sum of c * m_lam over the (lam, c) of items with |lam| <= cap; a scalar c
+        that is not a Laurent polynomial raises CoefRatError."""
+        acc: dict = {}
         for lam, c in items:
-            if sum(lam) > cap or not c:
-                continue
-            s = out.get(lam)
-            s = c if s is None else s + c
-            if s:
-                out[lam] = s
-            elif lam in out:
-                del out[lam]
-        return SymFunc(dom, cap, out)
+            if c and sum(lam) <= cap:
+                _fma(acc, (lam, ()), _poly(c), _ONE)
+        return SymFunc(dom, cap, _pruned(acc))
 
     @staticmethod
     def h(dom, cap, n: int) -> "SymFunc":
         """h_n, the sum of every m_lam with |lam| = n."""
         if n > cap:
             return SymFunc(dom, cap)
-        return SymFunc(dom, cap, {lam: dom.one for lam in partitions_of(n)})
+        return SymFunc(dom, cap, {(lam, ()): dict(_ONE) for lam in partitions_of(n)})
 
     @staticmethod
     def e(dom, cap, n: int) -> "SymFunc":
         """e_n = m_(1^n); zero for n < 0."""
         if n < 0 or n > cap:
             return SymFunc(dom, cap)
-        return SymFunc(dom, cap, {(1,) * n: dom.one})
+        return SymFunc(dom, cap, {((1,) * n, ()): dict(_ONE)})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = out.get(lam)
-            s = c if s is None else s + c
-            if s:
-                out[lam] = s
-            elif lam in out:
-                del out[lam]
-        return SymFunc(self.dom, self.cap, out)
-
-    def __neg__(self):
-        return SymFunc(self.dom, self.cap, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s) -> "SymFunc":
-        if not s:
-            return SymFunc(self.dom, self.cap)
-        return SymFunc(self.dom, self.cap, {k: c * s for k, c in self.coeffs.items()})
+    @property
+    def coeffs(self) -> dict:
+        """{lam: CoefRat}, a new dict on each read."""
+        return {lam: CoefRat(p) for (lam, _), p in self.terms.items()}
 
     def __mul__(self, other):
-        out: dict = {}
-        for lam, c in self.coeffs.items():
-            for mu, c2 in other.coeffs.items():
-                if sum(lam) + sum(mu) > self.cap:
-                    continue
-                cc = c * c2
-                for nu, n in mono_mult_table(lam, mu).items():
-                    s = out.get(nu)
-                    v = cc * self.dom.from_int(n)
-                    s = v if s is None else s + v
-                    if s:
-                        out[nu] = s
-                    elif nu in out:
-                        del out[nu]
-        return SymFunc(self.dom, self.cap, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for lam in sorted(self.coeffs, key=lambda l: (sum(l), l)):
-            bits.append(f"({self.coeffs[lam]})*m{list(lam)}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+        acc: dict = {}
+        for (lam, _), c in self.terms.items():
+            for (mu, _), c2 in other.terms.items():
+                if sum(lam) + sum(mu) <= self.cap:
+                    for nu, n in mono_mult_table(lam, mu).items():
+                        _fma(acc, (nu, ()), c, {m: v * n for m, v in c2.items()})
+        return self._like(_pruned(acc))
 
     def to_json(self) -> dict:
-        terms = [{"partition": list(lam), "coef": str(c)}
-                 for lam, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
+        terms = [{"partition": list(lam), "coef": fraction_str(p)}
+                 for (lam, _), p in sorted(self.terms.items(),
+                                           key=lambda kv: (sum(kv[0][0]), kv[0]))]
         return {"basis": "m", "cap": self.cap, "terms": terms}
 
 

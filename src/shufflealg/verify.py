@@ -2,8 +2,8 @@
 the compositional shuffle identity itself.
 
 Every suite returns a machine-readable dict {suite, cases, failures: [...]}
-with deterministic ordering.  Every scalar is an exact CoefRat, and
-equality of both sides is the only judge.
+with deterministic ordering.  Every coefficient is an exact integer
+Laurent polynomial, and equality of both sides is the only judge.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import combinat as cb
 from . import sweep as sw
 from . import vkspace as vk
 from .combinat import compositions_of
-from .scalars import ExactDomain, InvariantError, pack, unpack
+from .scalars import ExactDomain, InvariantError, fraction_str, pack, unpack
 from .vkspace import VElem
 
 
@@ -427,15 +427,15 @@ class JobConfig:
             cb.check_composition(self.alpha, self.g)
 
 
-def _compare_entry(alpha, lhs, rhs, dom, t0) -> dict:
+def _compare_entry(alpha, lhs, rhs, t0) -> dict:
     equal = lhs == rhs
-    q_ok = all(c.has_integer_q_degree() for c in lhs.coeffs.values())
+    q_ok = lhs.has_integer_q_degree()
     entry = {"alpha": list(alpha), "equal": equal, "integer_q_degree": q_ok,
              "seconds": round(time.monotonic() - t0, 4)}
     if not equal:
         entry["lhs"] = lhs.to_json()
         entry["rhs"] = rhs.to_json()
-        entry["diff"] = _coeff_diff(lhs, rhs, dom)
+        entry["diff"] = _coeff_diff(lhs, rhs)
     return entry
 
 
@@ -465,21 +465,19 @@ def verify_shuffle(cfg: JobConfig) -> dict:
         t0 = time.monotonic()
         lhs = ac.lhs_compositional(cfg.m1, cfg.n1, cfg.g, alpha, dom, tower)
         rhs = sw.assemble_composition(cfg.m1, cfg.n1, cfg.g, alpha, dp, dom)
-        results.append(_compare_entry(alpha, lhs, rhs, dom, t0))
+        results.append(_compare_entry(alpha, lhs, rhs, t0))
     ok_all = all(e["equal"] and e["integer_q_degree"] for e in results)
     return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g,
             "ok": ok_all, "results": results, "skipped": skipped,
             "rhs_method": "coloring_dp"}
 
 
-def _coeff_diff(lhs, rhs, dom):
-    keys = sorted(set(lhs.coeffs) | set(rhs.coeffs), key=lambda l: (sum(l), l))
+def _coeff_diff(lhs, rhs):
     out = []
-    for lam in keys:
-        a = lhs.coeffs.get(lam, dom.zero)
-        b = rhs.coeffs.get(lam, dom.zero)
+    for key in sorted(lhs.terms.keys() | rhs.terms.keys(), key=lambda key: (sum(key[0]), key)):
+        a, b = lhs.terms.get(key, {}), rhs.terms.get(key, {})
         if a != b:
-            out.append({"partition": list(lam), "lhs": str(a), "rhs": str(b)})
+            out.append({"partition": list(key[0]), "lhs": fraction_str(a), "rhs": fraction_str(b)})
     return out
 
 

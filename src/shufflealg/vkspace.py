@@ -1,12 +1,10 @@
-"""The spaces V_k = Sym[X] (x) Q(q,t)[y_1..y_k] and the generator operators.
+"""The generator operators on the spaces V_k = Sym[X] (x) Q(q,t)[y_1..y_k].
 
-An element is {(partition, y-exponents): coefficient}, and a coefficient
-is a polynomial of `scalars`: an integer Laurent polynomial in u and t
-(u^2 = q) keyed by packed exponents, the same form as a CoefRat's
-numerator, so an element reads and builds scalars without conversion.
-Every operator has Laurent-polynomial coefficients, so no element has a
-denominator: `scale` refuses a scalar such as 1/2, and the relation checker
-clears the denominators of a relation's scalars before it acts.
+Their element type, `VElem`, is defined in `symfunc` beside its k = 0 case
+`SymFunc`, and `vkspace.VElem` is the same class.  Every operator has
+Laurent-polynomial coefficients, so no element has a denominator: `scale`
+refuses a scalar such as 1/2, and the relation checker clears the
+denominators of a relation's scalars before it acts.
 
 T_i, d_-, its composed powers d_-^j, the one-variable expansion behind d_+
 and d_+^*, and the commutator Z behind z_i are per-term images, each a pure
@@ -24,106 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, islice
 from math import lcm
 
 from . import symfunc as sf
-from .scalars import _Q, TAG_SHIFT, CoefRat, CoefRatError, _added, _fma, _pruned, odd_u, tag_of
-from .symfunc import SymFunc, mono_mult_table, partitions_of
-
-_ONE = {0: 1}
-
-
-class VElem:
-    """Element of V_k: {(partition, y-exponents): integer Laurent polynomial}.
-
-    Coefficient polynomials are never changed once an element holds them,
-    so operators may share them between elements.
-    """
-
-    __slots__ = ("dom", "k", "terms")
-
-    def __init__(self, dom, k: int, terms: dict | None = None):
-        self.dom = dom
-        self.k = k
-        self.terms = {} if terms is None else terms
-
-    @staticmethod
-    def one(dom, k: int) -> "VElem":
-        return VElem(dom, k, {((), (0,) * k): dict(_ONE)})
-
-    def scalars(self) -> dict:
-        """{(lam, ys): coefficient as a dom scalar}."""
-        return {key: CoefRat(p) for key, p in self.terms.items()}
-
-    def as_symfunc(self) -> SymFunc:
-        """The element of V_0 as a SymFunc capped at its largest degree."""
-        if self.k != 0:
-            raise ValueError("as_symfunc requires an element of V_0")
-        coeffs = {lam: c for (lam, _), c in self.scalars().items()}
-        return SymFunc(self.dom, max(map(sum, coeffs), default=0), coeffs)
-
-    def has_integer_q_degree(self) -> bool:
-        """True iff u occurs with even exponents only, that is q with integer ones."""
-        return not any(odd_u(m) for p in self.terms.values() for m in p)
-
-    def __add__(self, other, sign: int = 1) -> "VElem":
-        if self.k != other.k:
-            raise ValueError("strand count mismatch")
-        # polynomials are shared, never changed: only a key both operands hold gets a new one
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            p = acc.get(key)
-            if p is None:
-                acc[key] = c if sign == 1 else {m: -v for m, v in c.items()}
-            else:
-                p = _added(p, c, sign)
-                if p:
-                    acc[key] = p
-                else:
-                    del acc[key]
-        return VElem(self.dom, self.k, acc)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return VElem(self.dom, self.k,
-                     {key: {m: -c for m, c in p.items()} for key, p in self.terms.items()})
-
-    def scale(self, s) -> "VElem":
-        """self times a Laurent-polynomial scalar; any other scalar raises CoefRatError."""
-        if not s:
-            return VElem(self.dom, self.k)
-        w = _poly(s)
-        acc: dict = {}
-        for key, c in self.terms.items():
-            _fma(acc, key, c, w)
-        # a nonzero monomial maps distinct nonzero terms to distinct nonzero terms
-        return VElem(self.dom, self.k, acc if len(w) == 1 else _pruned(acc))
-
-    def __eq__(self, other):
-        if not isinstance(other, VElem):
-            return NotImplemented
-        return self.k == other.k and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __str__(self):
-        return _format(self.scalars())
-
-    __repr__ = __str__
-
-
-def _format(coefs: dict) -> str:
-    """{(lam, ys): scalar} as a sum of (scalar)*m[lam]*y1^e..., by total degree, then key."""
-    bits = []
-    for (lam, ys) in sorted(coefs, key=lambda key: (sum(key[0]) + sum(key[1]), key)):
-        ypart = "".join(f"*y{i+1}^{e}" if e != 1 else f"*y{i+1}"
-                        for i, e in enumerate(ys) if e)
-        bits.append(f"({coefs[(lam, ys)]})*m{list(lam)}{ypart}")
-    return " + ".join(bits) or "0"
+from .scalars import _Q, TAG_SHIFT, CoefRat, _fma, _pruned, tag_of
+from .symfunc import _ONE, VElem, _format, _poly, mono_mult_table, partitions_of
 
 
 # ------------------------------------------------------------- T operators
@@ -178,13 +82,6 @@ def act_y1_T1inv(f: VElem, s) -> VElem:
 
 
 # ------------------------------------------------------ raising and lowering
-
-def _poly(c) -> dict:
-    """A dom scalar that is a Laurent polynomial, in the coefficient form."""
-    if c.d != 1:
-        raise CoefRatError(f"({c}) is not a Laurent polynomial")
-    return c.num
-
 
 @lru_cache(maxsize=None)
 def _dminus_image(lam, a: int):
@@ -495,34 +392,26 @@ def parse_word(text: str, dom=None):
 
 # --------------------------------------------------------------- relations
 
-SPANNING_BUDGET = 1000   # basis elements one relation check acts on at most
+SPANNING_BUDGET = 1000   # basis elements, and strands, one relation check acts on at most
 
 
-def _spanning_size(k: int, degree: int) -> int:
-    """The number of basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, or a
-    number over SPANNING_BUDGET as soon as the count passes it."""
-    count = 0
-    for dx in range(degree + 1):
-        # comb(d + k, k) monomials y^a with |a| <= d = degree - dx, as a rising product
-        lo, hi = sorted((k, degree - dx))
-        ys = 1
-        for i in range(1, lo + 1):
-            ys = ys * (hi + i) // i
-            if ys > SPANNING_BUDGET:
-                break
-        count += len(partitions_of(dx)) * ys
-        if count > SPANNING_BUDGET:
-            break
-    return count
+def _exponents(k: int, d: int):
+    """The k-tuples of nonnegative integers that sum to d, in lexicographic order: each
+    the gaps between k - 1 bars placed among d + k - 1 slots, as `combinations` places them."""
+    if k == 0:
+        return [()] if d == 0 else []
+    return (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + k - 1,)))
+            for bars in combinations(range(d + k - 1), k - 1))
 
 
-def spanning_set(dom, k: int, degree: int):
-    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, by |a|, a, |lam|, lam."""
+def spanning_set(dom, k: int, degree: int, limit: int | None = None) -> list:
+    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, by |a|, a, |lam|, lam;
+    only the first `limit` of them when a limit is given."""
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    return [VElem(dom, k, {(lam, ys): dict(_ONE)}) for dy in range(degree + 1)
-            for ys in product(range(dy + 1), repeat=k) if sum(ys) == dy
-            for dx in range(degree - dy + 1) for lam in partitions_of(dx)]
+    return list(islice((VElem(dom, k, {(lam, ys): dict(_ONE)}) for dy in range(degree + 1)
+                        for ys in _exponents(k, dy) for dx in range(degree - dy + 1)
+                        for lam in partitions_of(dx)), limit))
 
 
 @dataclass
@@ -564,14 +453,18 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
     and that power's coefficients are the witness.  No tagged coefficient leaves.
     Each relation is checked as den times both sides, den the lcm of the
     denominators of its scalars, and its witness printed divided by den.
-    A spanning set of over SPANNING_BUDGET elements raises ResourceWarning
-    before it is built.
+    A k or a spanning set over SPANNING_BUDGET raises ResourceWarning before
+    any operator acts; the set is built only up to one element past the budget.
     Words act rightmost-first, so words that end alike share their images: the
     image of a suffix looked up more than once is held until its last lookup.
     """
     if k < 0 or degree < 0:
         raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
-    if _spanning_size(k, degree) > SPANNING_BUDGET:
+    if k > SPANNING_BUDGET:
+        raise ResourceWarning(f"V_{k} has over {SPANNING_BUDGET} strands, the budget of a "
+                              f"relation check")
+    basis = spanning_set(dom, k, degree, SPANNING_BUDGET + 1)
+    if len(basis) > SPANNING_BUDGET:
         raise ResourceWarning(f"V_{k} has over {SPANNING_BUDGET} basis elements of degree "
                               f"at most {degree}, the budget of a relation check")
     rels = [(name, _as_expr(lhs, dom), _as_expr(rhs, dom)) for name, lhs, rhs in rels]
@@ -580,7 +473,6 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
         if len(ends[0] | ends[1]) > 1:
             lands = [" or ".join(f"V_{j}" for j in sorted(e)) for e in ends]
             raise ValueError(f"{name}: lhs lands in {lands[0]} and rhs in {lands[1]}")
-    basis = spanning_set(dom, k, degree)
     tagged = VElem(dom, k, {key: {i << TAG_SHIFT: 1}
                             for i, b in enumerate(basis) for key in b.terms})
     # lookups of a suffix: one per appearance as a whole word, one per distinct one-letter extension

@@ -119,9 +119,6 @@ class Handle:
     def __init__(self, dplus, y):
         self.dplus, self._y = dplus, y
 
-    def y1(self, f):
-        return self.y(f, 1)
-
     def y(self, f, i):
         return self._y(f, i)
 
@@ -214,12 +211,12 @@ class SectorTower:
         left, right = mediant_decompose(m, n).endpoints
         rho, rho_star = self.handle(*left, False), self.handle(*right, True)
         if star:
-            return commutator_handle(lambda f: -rho.y1(rho_star.dplus(f)), True)
+            return commutator_handle(lambda f: -rho.y(rho_star.dplus(f), 1), True)
         s = -(self.dom.q_power(-1) / self.dom.t)
 
         def y1(f):
-            return rho_star.y1(rho.y1(f)).scale(s)
-        return Handle(lambda f: rho_star.y1(rho.dplus(f)).scale(s),
+            return rho_star.y(rho.y(f, 1), 1).scale(s)
+        return Handle(lambda f: rho_star.y(rho.dplus(f), 1).scale(s),
                       lambda f, i: y_from_y1(y1, f, i))
 
 
@@ -262,7 +259,7 @@ def test_standard_handle_y1_is_multiplication(dom):
     h = PairTower(dom).handle(0, 1, False)
     for k in range(1, 5):
         for base in vk.spanning_set(dom, k, 3):
-            y1 = h.y1(base)
+            y1 = h.y(base, 1)
             assert y1 == vk.act_y(base, 1), str(base)
             assert y1 == commutator_y(base, vk.act_dplus, False), str(base)
 
@@ -277,7 +274,7 @@ def test_q_side_y1_matches_commutator(dom, m, n):
     h = PairTower(dom).handle(m, n, False)
     for k, degree in ((1, 2), (2, 1), (3, 1)):
         for base in vk.spanning_set(dom, k, degree):
-            assert h.y1(base) == commutator_y(base, h.dplus, False), (m, n, str(base))
+            assert h.y(base, 1) == commutator_y(base, h.dplus, False), (m, n, str(base))
 
 
 @pytest.mark.parametrize("m,n,star", [(2, 3, True), (3, 4, True), (2, 5, True),
@@ -286,7 +283,7 @@ def test_y1_divides_on_spanning_set(dom, m, n, star):
     # the commutator is divisible by q - 1 on all of V_1, which no degree truncation cuts
     h = PairTower(dom).handle(m, n, star)
     for base in vk.spanning_set(dom, 1, 2):
-        assert h.y1(base) == commutator_y(base, h.dplus, star), (m, n, str(base))
+        assert h.y(base, 1) == commutator_y(base, h.dplus, star), (m, n, str(base))
 
 
 def _handle_y_recursive(h, star, f, i):
@@ -355,8 +352,8 @@ def _pair_intertwining_laws(hq, hs, dom, kmax=2, degree=2):
     for k in range(0, kmax + 1):
         for base in vk.spanning_set(dom, k, degree):
             # z_1 d_+ = -t q^(k+1) y_1 d_+^*
-            lhs = hs.y1(hq.dplus(base))
-            rhs = hq.y1(hs.dplus(base)).scale(-dom.t * dom.q_power(k + 1))
+            lhs = hs.y(hq.dplus(base), 1)
+            rhs = hq.y(hs.dplus(base), 1).scale(-dom.t * dom.q_power(k + 1))
             assert lhs == rhs, f"interchange law at k={k}"
             for i in range(1, k + 1):
                 # d_+ z_i = z_{i+1} d_+ and d_+^* y_i = y_{i+1} d_+^*

@@ -480,7 +480,7 @@ def test_single_strand_words_realize_tower_y1(dom):
             for base in vk.spanning_set(dom, k, 2):
                 seed = -vk.apply_word(base, (("y", 1), ("z", 1)))
                 lhs = br.evaluate(br.BraidWord(k, b.gens), seed)
-                assert lhs == h.y1(base).scale(sign), (m, n, k)
+                assert lhs == h.y(base, 1).scale(sign), (m, n, k)
 
 
 def test_braid_formula_integer_q_degree(dom):

@@ -86,7 +86,7 @@ def from_word_multiset(dom, cap: int, words, alphabet: int | None = None) -> Sym
                 raise ValueError(f"inconsistent coefficients on shape {shape}: input not symmetric")
         if expected:
             coeffs[shape] = expected
-    return SymFunc(dom, cap, coeffs)
+    return SymFunc.from_terms(dom, cap, coeffs.items())
 
 
 def _count_multisets(shape: tuple, alphabet: int) -> int:
@@ -355,7 +355,7 @@ def test_char_function_full_staircase_is_q_multinomial(dom, n, monkeypatch):
     chi = cb.char_function(cb.MarkedSquarePath(pi, frozenset()), dom)
     want = {lam: CoefRat({pack(2 * i, 0): c for i, c in enumerate(q_multinomial(lam)) if c})
             for lam in partitions_of(n)}
-    assert chi == SymFunc(dom, n, want)
+    assert chi == SymFunc.from_terms(dom, n, want.items())
 
 
 def test_rhs_examples(dom):

@@ -256,7 +256,7 @@ def _sweep_until_diagonal(p, dom):
         x, y = ev.point
         if m1 * y == n1 * x:
             continue  # diagonal events belong to the assembly step
-        f = sw.apply_event(f, ev)
+        f = sw._apply(f, ev.kind, ev.a)
     return f
 
 

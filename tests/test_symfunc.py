@@ -6,8 +6,8 @@ import pytest
 
 from shufflealg import actions as ac
 from shufflealg import symfunc as sf
-from shufflealg.scalars import ExactDomain
-from shufflealg.symfunc import SymFunc
+from shufflealg.scalars import CoefRatError, ExactDomain
+from shufflealg.symfunc import SymFunc, VElem
 
 # Power sums: the independent oracle of the monomial-basis code.  Transition
 # matrices are computed once per degree with Fraction coefficients.
@@ -178,10 +178,11 @@ def basis_convert(f: SymFunc, to: str) -> dict:
 
 
 def from_basis(dom, cap: int, basis: str, coeffs: dict) -> SymFunc:
-    """Build a SymFunc from coefficients in basis m/p/h/e."""
+    """Build a SymFunc from coefficients in basis m/p/h/e.  The monomial coefficients
+    are summed as rational scalars first: only their totals are Laurent polynomials."""
     if basis in ("m", "monomial"):
-        return SymFunc(dom, cap, {lam: c for lam, c in coeffs.items() if c and sum(lam) <= cap})
-    out = SymFunc.zero(dom, cap)
+        return SymFunc.from_terms(dom, cap, coeffs.items())
+    out: dict = {}
     for lam, c in coeffs.items():
         if basis in ("p", "powersum"):
             table = _p_basis_to_mono({lam: Fraction(1)})
@@ -191,9 +192,9 @@ def from_basis(dom, cap: int, basis: str, coeffs: dict) -> SymFunc:
             table = _p_basis_to_mono(_prod_to_p(e_to_p, lam))
         else:
             raise ValueError(f"unknown basis {basis!r}")
-        out = out + SymFunc.from_terms(dom, cap,
-                                       ((m, c * dom.from_fraction(fr)) for m, fr in table.items()))
-    return out
+        for m, fr in table.items():
+            out[m] = out.get(m, dom.zero) + c * dom.from_fraction(fr)
+    return SymFunc.from_terms(dom, cap, out.items())
 
 
 def test_h2_e2_monomial_expansion(dom):
@@ -208,14 +209,14 @@ def test_h_and_e_of_negative_degree_are_zero(dom, n):
 
 
 def test_degree_one_bases_agree(dom):
-    m1 = SymFunc(dom, 4, {(1,): dom.one})
+    m1 = SymFunc.from_terms(dom, 4, [((1,), dom.one)])
     assert basis_convert(m1, "powersum") == {(1,): dom.one}
 
 
 def test_round_trips_degree_8(dom):
     f = SymFunc.zero(dom, 8)
     for i, lam in enumerate(sf.partitions_of(6)):
-        f = f + SymFunc(dom, 8, {lam: dom.monomial(i + 1, i % 3, i % 2)})
+        f = f + SymFunc.from_terms(dom, 8, [(lam, dom.monomial(i + 1, i % 3, i % 2))])
     f = f + SymFunc.h(dom, 8, 8).scale(dom.t)
     for basis in ("powersum", "homogeneous", "elementary"):
         back = from_basis(dom, 8, basis, basis_convert(f, basis))
@@ -225,7 +226,7 @@ def test_round_trips_degree_8(dom):
 def test_round_trips_every_partition_to_8(dom):
     for n in range(0, 9):
         for lam in sf.partitions_of(n):
-            f = SymFunc(dom, 8, {lam: dom.one})
+            f = SymFunc.from_terms(dom, 8, [(lam, dom.one)])
             for basis in ("powersum", "homogeneous", "elementary"):
                 assert from_basis(dom, 8, basis, basis_convert(f, basis)) == f
 
@@ -323,7 +324,7 @@ def _paired(dom, cap, pieces, offset, single):
     out = SymFunc.zero(dom, cap)
     for j, slot in pieces:
         if 0 <= j + offset <= cap:
-            out = out + SymFunc(dom, cap, slot) * single(j + offset)
+            out = out + SymFunc.from_terms(dom, cap, slot.items()) * single(j + offset)
     return out
 
 
@@ -341,7 +342,7 @@ def test_op_C_D_match_power_sums():
     cases = 0
     for size in range(cap + 1):
         for lam in sf.partitions_of(size):
-            f = SymFunc(dom, cap, {lam: dom.one})
+            f = SymFunc.from_terms(dom, cap, [(lam, dom.one)])
             c_pieces = _m_expand_by_power_sums(dom, lam, c_letter)
             for a in range(-1, cap + 2):
                 sign = dom.monomial((-1) ** ((1 - a) % 2), 2 * (1 - a))
@@ -355,3 +356,54 @@ def test_zee():
     assert zee((1, 1, 1)) == 6
     assert zee((2, 1)) == 2
     assert zee((3,)) == 3
+
+
+def _sample(dom):
+    # odd u- and t-powers, negative exponents, a term above the cap and a zero scalar
+    return SymFunc.from_terms(dom, 4, [((2, 1), dom.monomial(3, 1, 2)),
+                                       ((1,), dom.monomial(-1, -3, 0) + dom.t),
+                                       ((), dom.monomial(2, 5, -1)),
+                                       ((1, 1, 1, 1), dom.u + dom.monomial(-1, 0, 3)),
+                                       ((5,), dom.one), ((3,), dom.zero)])
+
+
+def test_symfunc_text_and_json(dom):
+    f = _sample(dom)
+    assert str(f) == ("(2*u^5 / t)*m[] + (u^3*t - 1 / u^3)*m[1] + (3*u*t^2)*m[2, 1]"
+                      " + (u - t^3)*m[1, 1, 1, 1]")
+    assert f.to_json() == {"basis": "m", "cap": 4, "terms": [
+        {"partition": [], "coef": "2*u^5 / t"},
+        {"partition": [1], "coef": "u^3*t - 1 / u^3"},
+        {"partition": [2, 1], "coef": "3*u*t^2"},
+        {"partition": [1, 1, 1, 1], "coef": "u - t^3"}]}
+    zero = SymFunc.zero(dom, 3)
+    assert str(zero) == "0" and not zero
+    assert zero.to_json() == {"basis": "m", "cap": 3, "terms": []}
+
+
+def test_symfunc_is_the_v0_element(dom):
+    f = _sample(dom)
+    assert isinstance(f, VElem) and f.k == 0
+    assert f.coeffs[(2, 1)] == dom.monomial(3, 1, 2)
+    f.coeffs.clear()   # a view: changing it leaves f as it was
+    assert len(f.coeffs) == 4
+    v = VElem(dom, 0, f.terms)
+    assert v == f and v.as_symfunc().terms is f.terms and v.as_symfunc().cap == 4
+
+
+def test_symfunc_arithmetic_keeps_class_and_cap(dom):
+    f, g = _sample(dom), SymFunc.h(dom, 6, 2)
+    for out in (f + g, f - g, -f, f.scale(dom.t), f * g):
+        assert type(out) is SymFunc and out.cap == 4
+    assert (g + f).cap == (g * f).cap == 6
+    assert f - f == SymFunc.zero(dom, 4) and f + (-f) == f - f
+    e1, e2 = SymFunc.e(dom, 2, 1), SymFunc.e(dom, 3, 2)
+    assert not e1 * e2 and e2 * e1   # degree 3 is above the cap 2, not above 3
+
+
+def test_symfunc_refuses_a_rational_coefficient(dom):
+    half = dom.from_fraction(Fraction(1, 2))
+    with pytest.raises(CoefRatError, match="is not a Laurent polynomial"):
+        SymFunc.from_terms(dom, 2, [((1,), half), ((1,), half)])
+    with pytest.raises(CoefRatError, match="is not a Laurent polynomial"):
+        SymFunc.e(dom, 2, 2).scale(half)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from shufflealg import braid as br
 from shufflealg import cli
 from shufflealg import sweep as sw
 from shufflealg import verify as vf
+from shufflealg.symfunc import SymFunc
 
 
 def test_run_suite_names(dom):
@@ -413,6 +415,36 @@ def test_cli_verify_shuffle_exit_status(capsys):
     assert code == 0 and data["ok"]
 
 
+def test_cli_verify_shuffle_reports_a_perturbed_side(monkeypatch, capsys):
+    # the DP side plus t m_(1^4) - u m_(4): one coefficient changed and one added
+    assemble = sw.assemble_composition
+
+    def perturbed(m1, n1, g, alpha, dp, dom):
+        rhs = assemble(m1, n1, g, alpha, dp, dom)
+        n = g * n1
+        return rhs + SymFunc.from_terms(dom, rhs.cap, [((1,) * n, dom.t), ((n,), -dom.u)])
+
+    monkeypatch.delenv("SHUFFLEALG_CACHE_DIR", raising=False)
+    monkeypatch.setattr(sw, "assemble_composition", perturbed)
+    code, data = _run_cli(["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "2",
+                           "--alpha", "2"], capsys)
+    assert code == 1 and data["ok"] is False
+    (entry,) = data["results"]
+    del entry["seconds"]
+    lhs_1111, rhs_1111 = "u^2*t + t^2 + 3*t", "u^2*t + t^2 + 4*t"
+    assert entry == {
+        "alpha": [2], "equal": False, "integer_q_degree": True,
+        "lhs": {"basis": "m", "cap": 4, "terms": [
+            {"coef": lhs_1111, "partition": [1, 1, 1, 1]},
+            {"coef": "t", "partition": [2, 1, 1]}]},
+        "rhs": {"basis": "m", "cap": 4, "terms": [
+            {"coef": rhs_1111, "partition": [1, 1, 1, 1]},
+            {"coef": "t", "partition": [2, 1, 1]},
+            {"coef": "-u", "partition": [4]}]},
+        "diff": [{"lhs": lhs_1111, "partition": [1, 1, 1, 1], "rhs": rhs_1111},
+                 {"lhs": "0", "partition": [4], "rhs": "-u"}]}
+
+
 def _missing_coloring(tmp_path):
     return ["braid", "of-coloring", "--m", "1", "--n", "1",
             "--coloring", str(tmp_path / "missing.json")]
@@ -576,7 +608,7 @@ def _lhs_negative_slope(tmp_path):
 
 
 def _relation_over_spanning_budget(tmp_path):
-    # refused by counting, before the spanning set is built
+    # refused once one element past the budget is built
     return ["verify", "relation", "--lhs", "T1", "--rhs", "T1", "--k", "2", "--degree", "99999"]
 
 
@@ -662,6 +694,25 @@ def test_cli_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["ok"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("word", ["T1", "z1", "ytilde1"])
+def test_cli_relation_refuses_a_huge_k_before_allocating(word):
+    # at degree 0 the spanning set has one element, but its exponents are k long, and so
+    # are the trains of z1 and ytilde1; under a 1 GiB address space an allocation that
+    # size fails at once instead of filling memory
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "shufflealg.cli", "verify", "relation",
+                           "--lhs", word, "--rhs", word, "--k", "1000000000", "--degree", "0"],
+                          capture_output=True, env=env, timeout=120,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stderr == b""
+    assert json.loads(proc.stdout) == {"error": "ResourceWarning: V_1000000000 has over 1000 "
+                                                "strands, the budget of a relation check"}
 
 
 @pytest.mark.parametrize("argv", [["paths", "enum", "--m", "10", "--n", "6"],

@@ -10,7 +10,7 @@ from shufflealg import actions as ac
 from shufflealg import symfunc as sf
 from shufflealg import verify as vf
 from shufflealg import vkspace as vk
-from shufflealg.scalars import TAG_SHIFT, CoefRatError, ExactDomain
+from shufflealg.scalars import TAG_SHIFT, CoefRat, CoefRatError, ExactDomain
 from shufflealg.vkspace import VElem
 
 
@@ -20,6 +20,11 @@ def V(dom, k, terms):
     if isinstance(terms, list):
         terms = {key: dom.one for key in terms}
     return VElem(dom, k, {key: vk._poly(c) for key, c in terms.items() if c})
+
+
+def scalars(f: VElem) -> dict:
+    """{(lam, ys): coefficient as a CoefRat}."""
+    return {key: CoefRat(p) for key, p in f.terms.items()}
 
 
 def test_T_examples(dom):
@@ -56,7 +61,7 @@ def _dminus_reference(f: VElem) -> VElem:
     # d_- term by term, with m_mu * e_j from the brute-force product table
     dom = f.dom
     out = {}
-    for (lam, ys), c in f.scalars().items():
+    for (lam, ys), c in scalars(f).items():
         ak = ys[-1]
         rest = ys[:-1]
         for j, gdict in sf.m_expand_one_var(lam, -1):
@@ -327,8 +332,8 @@ def test_relation_check_rejects_negative_k_or_degree(dom, k, degree):
 
 
 def test_relation_budget_admits_what_it_counts(dom, monkeypatch):
-    # the count is exact up to the budget: k = 3 at degree 6 has 359 basis elements
-    assert vk._spanning_size(3, 6) == len(vk.spanning_set(dom, 3, 6)) == 359
+    # k = 3 at degree 6 has 359 basis elements
+    assert len(vk.spanning_set(dom, 3, 6)) == 359
     monkeypatch.setattr(vk, "SPANNING_BUDGET", 358)
     with pytest.raises(ResourceWarning, match="V_3 has over 358 basis elements"):
         vk.relation_check("T1", "T1", 3, 6, dom)
@@ -367,7 +372,7 @@ def _per_relation_report(name, lhs, rhs, k, degree, dom):
     def value(expr, base):
         out = {}
         for coef, word in expr:
-            for key, c in vk.apply_word(base, word).scalars().items():
+            for key, c in scalars(vk.apply_word(base, word)).items():
                 out[key] = out.get(key, dom.zero) + coef * c
         return {key: c for key, c in out.items() if c}
 
@@ -446,6 +451,23 @@ def test_tagging_commutes_with_the_checkers_operators(dom):
 def test_spanning_set_size(dom):
     # |lam| + |a| <= 2 at k = 1: lam in {(), (1), (2), (1,1)}, a in {0, 1, 2}
     assert len(vk.spanning_set(dom, 1, 2)) == 7
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_spanning_set_order(dom, k):
+    # by |a|, then a as the filtered product of exponent tuples orders it, then |lam|, lam
+    want = [(lam, ys) for dy in range(5) for ys in product(range(dy + 1), repeat=k)
+            if sum(ys) == dy for dx in range(5 - dy) for lam in sf.partitions_of(dx)]
+    basis = vk.spanning_set(dom, k, 4)
+    assert [key for b in basis for key in b.terms] == want
+    assert vk.spanning_set(dom, k, 4, 9) == basis[:9]
+
+
+def test_relation_budget_bounds_k(dom):
+    # at degree 0 V_k has one basis element, but it and the words are k long
+    assert vk.relation_check("z1", "z1", vk.SPANNING_BUDGET, 0, dom).cases == 1
+    with pytest.raises(ResourceWarning, match="V_1001 has over 1000 strands"):
+        vk.relation_check("z1", "z1", vk.SPANNING_BUDGET + 1, 0, dom)
 
 
 def _dminus_chain(f: VElem) -> VElem:
