@@ -7,7 +7,8 @@ with a JSON {"error": ...} on stdout and nothing on stderr, when the
 command line cannot be parsed or the input cannot be computed (this
 includes input too deep for Python's recursion limit, a path whose
 characteristic function is over `char_function`'s word budget, and a
-relation whose k or spanning set is over `vkspace.SPANNING_BUDGET`).
+relation whose k is over `vkspace.STRAND_BUDGET` or whose spanning set is over
+`vkspace.SPANNING_BUDGET`).
 When the reader of stdout goes away (`shufflealg ... | head -1`), the exit
 status is 2 and nothing is printed on either stream.
 """

@@ -392,7 +392,8 @@ def parse_word(text: str, dom=None):
 
 # --------------------------------------------------------------- relations
 
-SPANNING_BUDGET = 1000   # basis elements, and strands, one relation check acts on at most
+SPANNING_BUDGET = 1000   # basis elements one relation check acts on at most
+STRAND_BUDGET = 150      # strands: ytilde_100 on V_150 at degree 1 takes about 30 s
 
 
 def _exponents(k: int, d: int):
@@ -404,14 +405,23 @@ def _exponents(k: int, d: int):
             for bars in combinations(range(d + k - 1), k - 1))
 
 
-def spanning_set(dom, k: int, degree: int, limit: int | None = None) -> list:
-    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, by |a|, a, |lam|, lam;
-    only the first `limit` of them when a limit is given."""
+def spanning_set(dom, k: int, degree: int) -> list:
+    """Basis elements m_lam * y^a of V_k with |lam| + |a| <= degree, by |a|, a, |lam|, lam.
+    They are what one relation check acts on, so a k over STRAND_BUDGET raises
+    ResourceWarning before any k-long tuple exists, and a set over SPANNING_BUDGET
+    once the element past the budget is built."""
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
-    return list(islice((VElem(dom, k, {(lam, ys): dict(_ONE)}) for dy in range(degree + 1)
-                        for ys in _exponents(k, dy) for dx in range(degree - dy + 1)
-                        for lam in partitions_of(dx)), limit))
+    if k > STRAND_BUDGET:
+        raise ResourceWarning(f"V_{k} has over {STRAND_BUDGET} strands, the budget of a "
+                              f"relation check")
+    basis = list(islice((VElem(dom, k, {(lam, ys): dict(_ONE)}) for dy in range(degree + 1)
+                         for ys in _exponents(k, dy) for dx in range(degree - dy + 1)
+                         for lam in partitions_of(dx)), SPANNING_BUDGET + 1))
+    if len(basis) > SPANNING_BUDGET:
+        raise ResourceWarning(f"V_{k} has over {SPANNING_BUDGET} basis elements of degree "
+                              f"at most {degree}, the budget of a relation check")
+    return basis
 
 
 @dataclass
@@ -453,20 +463,14 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
     and that power's coefficients are the witness.  No tagged coefficient leaves.
     Each relation is checked as den times both sides, den the lcm of the
     denominators of its scalars, and its witness printed divided by den.
-    A k or a spanning set over SPANNING_BUDGET raises ResourceWarning before
-    any operator acts; the set is built only up to one element past the budget.
+    A k or a spanning set over budget raises ResourceWarning in `spanning_set`,
+    before any operator acts.
     Words act rightmost-first, so words that end alike share their images: the
     image of a suffix looked up more than once is held until its last lookup.
     """
     if k < 0 or degree < 0:
         raise ValueError(f"k and degree must be at least 0, got k={k}, degree={degree}")
-    if k > SPANNING_BUDGET:
-        raise ResourceWarning(f"V_{k} has over {SPANNING_BUDGET} strands, the budget of a "
-                              f"relation check")
-    basis = spanning_set(dom, k, degree, SPANNING_BUDGET + 1)
-    if len(basis) > SPANNING_BUDGET:
-        raise ResourceWarning(f"V_{k} has over {SPANNING_BUDGET} basis elements of degree "
-                              f"at most {degree}, the budget of a relation check")
+    basis = spanning_set(dom, k, degree)
     rels = [(name, _as_expr(lhs, dom), _as_expr(rhs, dom)) for name, lhs, rhs in rels]
     for name, lhs, rhs in rels:
         ends = [{expand_word(word, k)[2] for _, word in side} or {k} for side in (lhs, rhs)]

@@ -711,7 +711,7 @@ def test_cli_relation_refuses_a_huge_k_before_allocating(word):
                           capture_output=True, env=env, timeout=120,
                           preexec_fn=_limit_address_space)
     assert proc.returncode == 2 and proc.stderr == b""
-    assert json.loads(proc.stdout) == {"error": "ResourceWarning: V_1000000000 has over 1000 "
+    assert json.loads(proc.stdout) == {"error": "ResourceWarning: V_1000000000 has over 150 "
                                                 "strands, the budget of a relation check"}
 
 
