@@ -104,28 +104,23 @@ class BraidWord:
     gens: tuple
 
     def __str__(self):
-        names = {"T": "T{0}", "Ti": "T{0}^-1", "y": "y{0}", "z": "z{0}", "yt": "ytilde{0}"}
-        return " ".join(names[g[0]].format(g[1]) for g in self.gens) or "1"
+        return vk.word_str(self.gens)
+
+
+# each braid letter's monomial at index i as (sign, u-exponent, t-exponent), u^2 = q
+_MONOMIALS = {"T": lambda i: (1, -1, 0), "Ti": lambda i: (1, 1, 0), "y": lambda i: (-1, 0, 0),
+              "z": lambda i: (1, -2, -1), "yt": lambda i: (-1, 2 - 2 * i, 0)}
 
 
 def word_scalar(gens, dom):
     """The product of the generators' monomials: q^{-1/2} per T_i, q^{1/2} per
     T_i^{-1}, -1 per y_i, (qt)^{-1} per z_i and -q^{1-i} per ytilde_i."""
-    sign, eu, et = 1, 0, 0   # sign * u^eu * t^et, u^2 = q
+    sign, eu, et = 1, 0, 0   # sign * u^eu * t^et
     for gen in reversed(gens):   # the first letter to act is the one named on error
-        kind = gen[0]
-        if kind == "T":
-            eu -= 1
-        elif kind == "Ti":
-            eu += 1
-        elif kind == "y":
-            sign = -sign
-        elif kind == "z":
-            eu, et = eu - 2, et - 1
-        elif kind == "yt":
-            sign, eu = -sign, eu + 2 * (1 - gen[1])
-        else:
-            raise ValueError(f"unknown braid generator {gen!r}")
+        if gen[0] not in _MONOMIALS:
+            raise ValueError(f"unknown braid generator {vk.word_str([gen])}")
+        s, u, t = _MONOMIALS[gen[0]](gen[1])
+        sign, eu, et = sign * s, eu + u, et + t
     return dom.monomial(sign, eu, et)
 
 
@@ -257,27 +252,18 @@ def expand_y(i: int, k: int):
     return word
 
 
+# each creation map: (the letter it expands, the expansion, the shift of every index)
+_CREATION = {"phi_plus": ("y", expand_y, 1), "phi_minus": ("yt", vk.ytilde_word, 0),
+             "phi_plus_star": ("yt", vk.ytilde_word, 1)}
+
+
 def creation_hom(w: BraidWord, which: str) -> BraidWord:
     """phi_+, phi_- or phi_+^* into the monoid on one more strand."""
-    k = w.k
-    out = []
-    if which == "phi_plus":
-        pre = []
-        for g in w.gens:
-            pre.extend(expand_y(g[1], k) if g[0] == "y" else [g])
-        shift = {"T": 1, "Ti": 1, "z": 1, "yt": 1}
-        for g in pre:
-            out.append((g[0], g[1] + shift[g[0]]))
-    elif which in ("phi_minus", "phi_plus_star"):
-        pre = []
-        for g in w.gens:
-            pre.extend(vk.ytilde_word(g[1], k) if g[0] == "yt" else [g])
-        delta = 0 if which == "phi_minus" else 1
-        for g in pre:
-            out.append((g[0], g[1] + delta))
-    else:
+    if which not in _CREATION:
         raise ValueError(f"unknown creation map {which!r}")
-    return BraidWord(k + 1, tuple(out))
+    kind, expand, delta = _CREATION[which]
+    gens = [h for g in w.gens for h in (expand(g[1], w.k) if g[0] == kind else [g])]
+    return BraidWord(w.k + 1, tuple((g[0], g[1] + delta) for g in gens))
 
 
 # ----------------------------------------------------- braids from colorings

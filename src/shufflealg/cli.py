@@ -6,9 +6,10 @@ with deterministic ordering; exit status is 1 when a verification fails and 2,
 with a JSON {"error": ...} on stdout and nothing on stderr, when the
 command line cannot be parsed or the input cannot be computed (this
 includes input too deep for Python's recursion limit, a path whose
-characteristic function is over `char_function`'s word budget, and a
+characteristic function is over `char_function`'s word budget, a
 relation whose k is over `vkspace.STRAND_BUDGET` or whose spanning set is over
-`vkspace.SPANNING_BUDGET`).
+`vkspace.SPANNING_BUDGET`, a `braid eval` k over `vkspace.STRAND_BUDGET`, and a
+`verify shuffle` triple whose (g n1)! words per path exceed `verify.SHUFFLE_BUDGET`).
 When the reader of stdout goes away (`shufflealg ... | head -1`), the exit
 status is 2 and nothing is printed on either stream.
 """

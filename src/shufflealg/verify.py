@@ -15,7 +15,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction as Fr
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 from . import actions as ac
 from . import braid as br
@@ -445,16 +447,17 @@ def verify_shuffle(cfg: JobConfig) -> dict:
 
     When the parking-function enumeration of the triple exceeds the budget,
     every composition is skipped and listed in the report rather than
-    attempted.
+    attempted.  A triple whose (g n1)! words per path alone exceed it raises
+    ResourceWarning before any composition or path is counted.
     """
-    alphas = [tuple(cfg.alpha)] if cfg.alpha else compositions_of(cfg.g)
-    alphas.sort()
-    skipped = []
-    per_word = cb.word_enumeration_size(cfg.g * cfg.n1)
-    if per_word * cb.dyck_path_count(cfg.g * cfg.m1, cfg.g * cfg.n1) > SHUFFLE_BUDGET:
-        skipped = [list(a) for a in alphas]
+    n = cfg.g * cfg.n1
+    if any(w > SHUFFLE_BUDGET for w in accumulate(range(1, n + 1), mul)):   # stops past it
+        raise ResourceWarning(f"{n}! standard words per Dyck path alone exceed budget "
+                              f"{SHUFFLE_BUDGET}")
+    alphas = sorted([tuple(cfg.alpha)] if cfg.alpha else compositions_of(cfg.g))
+    if cb.word_enumeration_size(n) * cb.dyck_path_count(cfg.g * cfg.m1, n) > SHUFFLE_BUDGET:
         return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "ok": False, "results": [],
-                "skipped": skipped,
+                "skipped": [list(a) for a in alphas],
                 "skip_reason": f"estimated work exceeds budget {SHUFFLE_BUDGET}",
                 "rhs_method": "coloring_dp"}
     dom = ExactDomain()
@@ -468,7 +471,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
         results.append(_compare_entry(alpha, lhs, rhs, t0))
     ok_all = all(e["equal"] and e["integer_q_degree"] for e in results)
     return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g,
-            "ok": ok_all, "results": results, "skipped": skipped,
+            "ok": ok_all, "results": results, "skipped": [],
             "rhs_method": "coloring_dp"}
 
 

@@ -14,11 +14,13 @@ output in place with `_fma` and drops zeros once with `_pruned`.  No
 operator divides.
 Operator words are tuples of generators in written order and act
 rightmost-first, all through `apply_word` on the freely reduced T^{+-1}, y,
-Z and d letters of `expand_word`.
+Z and d letters of `expand_word`.  One table, `_LETTERS`, spells, ranges and
+re-indexes every letter.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -187,10 +189,14 @@ def act_dplus(f: VElem) -> VElem:
 
 
 _DPLUS_POWERS = [{((), ()): _ONE}]   # the terms of d_+^k(1) at index k, each from the last
+STRAND_BUDGET = 150      # strands: ytilde_100 on V_150 at degree 1 takes about 30 s to check
 
 
 def dplus_power(dom, k: int) -> VElem:
-    """d_+^k applied to 1 in V_0 (1 for k < 0), on terms cached once per process."""
+    """d_+^k applied to 1 in V_0 (1 for k < 0), on terms cached once per process.  It
+    takes about k^3 work, so a k over STRAND_BUDGET raises ResourceWarning first."""
+    if k > STRAND_BUDGET:
+        raise ResourceWarning(f"V_{k} has over {STRAND_BUDGET} strands, the budget of d_+^k(1)")
     while len(_DPLUS_POWERS) <= k:
         n = len(_DPLUS_POWERS) - 1
         _DPLUS_POWERS.append(act_dplus(VElem(dom, n, _DPLUS_POWERS[n])).terms)
@@ -257,10 +263,8 @@ def train_up(a: int, b: int):
 
 
 def train_down(a: int, b: int):
-    """T_{a down b}; for a < b this is the starred ascending train."""
-    if a >= b:
-        return [("T", i) for i in range(a - 1, b - 1, -1)]
-    return [("Ti", i) for i in range(a, b)]
+    """T_{a down b}, T_{b up a} reversed; for a < b this is the starred ascending train."""
+    return train_up(b, a)[::-1]
 
 
 _INVERSE = {"T": "Ti", "Ti": "T"}
@@ -290,9 +294,14 @@ _GEN_ACTIONS = {"T": lambda f, i: act_T(f, i), "Ti": lambda f, i: act_T(f, i, in
                 "dps": lambda f: act_dplus_star(f), "y": lambda f, i: act_y(f, i),
                 "Z": lambda f: act_Z(f)}
 
-# the name of each letter that is defined on some V_k only; d_- and Z need k >= 1
-_LETTER_NAMES = {"T": "T_{}", "Ti": "T_{}", "y": "y_{}", "z": "z_{}", "yt": "ytilde_{}",
-                 "dm": "d_-", "Z": "Z"}
+# kind: (the token `parse_word` reads and `word_str` prints, None for Z; the name a bad
+# index is refused under, None where every index is fine; the largest index, less k;
+# the change of k).  An index-free letter counts as index 1, so d_- and Z need k >= 1.
+_LETTERS = {"T": ("T{}", "T_{}", -1, 0), "Ti": ("T{}^-1", "T_{}", -1, 0),
+            "y": ("y{}", "y_{}", 0, 0), "z": ("z{}", "z_{}", 0, 0),
+            "yt": ("ytilde{}", "ytilde_{}", 0, 0), "Z": (None, "Z", 0, 0),
+            "dm": ("d-", "d_-", 0, -1), "dp": ("d+", None, 0, 1), "dps": ("d+*", None, 0, 1)}
+_KINDS = {token: kind for kind, (token, *_) in _LETTERS.items() if token}
 
 
 @lru_cache(maxsize=None)
@@ -300,11 +309,12 @@ def _letters(gen, k: int):
     """One generator at V_k as ((letter, its inverse or None), ...) in the order they act,
     its power of q and the strand count it ends at.  A bad generator raises."""
     kind = gen[0]
-    if kind not in _GEN_ACTIONS and kind not in ("z", "yt"):
+    if kind not in _LETTERS:
         raise ValueError(f"unknown generator {gen!r}")
+    _, name, top, dk = _LETTERS[kind]
     i = gen[1] if len(gen) > 1 else 1
-    if kind in _LETTER_NAMES and not 1 <= i <= (k - 1 if kind in ("T", "Ti") else k):
-        raise ValueError(f"{_LETTER_NAMES[kind].format(i)} is not defined on V_{k}")
+    if name and not 1 <= i <= k + top:
+        raise ValueError(f"{name.format(i)} is not defined on V_{k}")
     word, e = (gen,), 0
     if kind == "z":
         word, e = around(gen[1], k, [("Z",)]), k + 1 - gen[1]
@@ -312,7 +322,7 @@ def _letters(gen, k: int):
         word = ytilde_word(gen[1], k)
     letters = tuple((g, (_INVERSE[g[0]],) + g[1:] if g[0] in _INVERSE else None)
                     for g in reversed(word))
-    return letters, e, k + {"dm": -1, "dp": 1, "dps": 1}.get(kind, 0)
+    return letters, e, k + dk
 
 
 def expand_word(word, k: int):
@@ -343,21 +353,14 @@ def apply_word(f: VElem, word, scalar=None) -> VElem:
     return f if scalar is None else f.scale(scalar)
 
 
-def apply_gen(f: VElem, gen) -> VElem:
-    """Apply one generator: the one-letter word."""
-    return apply_word(f, (gen,))
-
-
-def _token_index(tok: str, body: str) -> int:
-    """The index of generator token tok, whose digits are body."""
-    if not (body.isascii() and body.isdigit()):
-        raise ValueError(f"unknown generator token {tok!r}")
-    return int(body)
+_TOKEN = re.compile(r"([A-Za-z]*)([0-9]*)(.*)")   # name, ASCII index digits, rest
 
 
 def parse_word(text: str, dom=None):
     """Parse 'd- d+ T1 T2^-1 y3 z1 ytilde2', optionally with a leading scalar.
 
+    Each token is its name, ASCII index digits and rest, looked up in `_LETTERS`; a
+    token that starts with T, y or z and is no generator is refused, never a scalar.
     Returns (scalar, word); the scalar defaults to dom.one (or None when no
     domain is supplied and no scalar token is present).
     """
@@ -365,35 +368,28 @@ def parse_word(text: str, dom=None):
     word = []
     scalar = dom.one if dom is not None else None
     for pos, tok in enumerate(text.split()):
-        if tok == "d-":
-            word.append(("dm",))
-        elif tok == "d+":
-            word.append(("dp",))
-        elif tok == "d+*":
-            word.append(("dps",))
-        elif tok.startswith("ytilde"):
-            word.append(("yt", _token_index(tok, tok[6:])))
-        elif tok.startswith("T"):
-            body = tok[1:]
-            if body.endswith("^-1"):
-                word.append(("Ti", _token_index(tok, body[:-3])))
-            else:
-                word.append(("T", _token_index(tok, body)))
-        elif tok.startswith("y"):
-            word.append(("y", _token_index(tok, tok[1:])))
-        elif tok.startswith("z"):
-            word.append(("z", _token_index(tok, tok[1:])))
-        elif pos == 0 and dom is not None:
+        name, index, rest = _TOKEN.fullmatch(tok).groups()
+        kind = _KINDS.get(name + "{}" * bool(index) + rest)
+        if kind:
+            word.append((kind, int(index)) if index else (kind,))
+        elif pos == 0 and dom is not None and not tok.startswith(("T", "y", "z")):
             scalar = parse_scalar_token(tok, dom)
         else:
             raise ValueError(f"unknown generator token {tok!r}")
     return scalar, tuple(word)
 
 
+def word_str(gens) -> str:
+    """A word as `parse_word` reads it, "1" when empty; a letter with no token as its tuple."""
+    def token(gen):
+        tok = _LETTERS.get(gen[0], (None,))[0]
+        return tok.format(*gen[1:]) if tok else repr(gen)
+    return " ".join(map(token, gens)) or "1"
+
+
 # --------------------------------------------------------------- relations
 
 SPANNING_BUDGET = 1000   # basis elements one relation check acts on at most
-STRAND_BUDGET = 150      # strands: ytilde_100 on V_150 at degree 1 takes about 30 s
 
 
 def _exponents(k: int, d: int):
@@ -489,7 +485,7 @@ def check_relations(rels, k: int, degree: int, dom) -> list:
             return tagged
         f = held.pop(word, None)
         if f is None:
-            f = apply_gen(image(word[1:]), word[0])
+            f = apply_word(image(word[1:]), word[:1])
         left[word] -= 1
         if left[word] > 0:
             held[word] = f

@@ -268,10 +268,20 @@ def test_evaluate_examples(dom):
 
 def test_train_helpers():
     assert br.train_up(1, 3) == [("T", 1), ("T", 2)]
-    assert br.train_down(3, 1) == [("T", 2), ("T", 1)]
     assert br.train_up(3, 1) == [("Ti", 2), ("Ti", 1)]   # extension: starred descent
-    assert br.train_down(1, 3) == [("Ti", 1), ("Ti", 2)]
     assert br.train_up(2, 2) == []
+    T = lambda *idx: [("T", i) for i in idx]
+    Ti = lambda *idx: [("Ti", i) for i in idx]
+    want = {(1, 1): [], (1, 2): Ti(1), (1, 3): Ti(1, 2), (1, 4): Ti(1, 2, 3),
+            (2, 1): T(1), (2, 2): [], (2, 3): Ti(2), (2, 4): Ti(2, 3),
+            (3, 1): T(2, 1), (3, 2): T(2), (3, 3): [], (3, 4): Ti(3),
+            (4, 1): T(3, 2, 1), (4, 2): T(3, 2), (4, 3): T(3), (4, 4): []}
+    assert {(a, b): br.train_down(a, b) for a in range(1, 5) for b in range(1, 5)} == want
+
+
+@pytest.mark.parametrize("token", ["T1", "T2^-1", "y3", "z1", "ytilde2", "T10^-1 ytilde12 y1"])
+def test_braid_word_prints_its_tokens(token):
+    assert str(br.BraidWord(3, vk.parse_word(token)[1])) == token
 
 
 def test_gluing_rewrite():

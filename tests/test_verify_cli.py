@@ -43,7 +43,8 @@ def test_verify_shuffle_smallest(dom):
 
 
 def test_verify_shuffle_budget_skip(monkeypatch):
-    monkeypatch.setattr(vf, "SHUFFLE_BUDGET", 1)
+    # 4! words per path fit; times the 3 (2,4)-Dyck paths they do not
+    monkeypatch.setattr(vf, "SHUFFLE_BUDGET", 24)
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2))
     assert not rep["ok"] and rep["skipped"] and not rep["results"]
     assert "budget" in rep["skip_reason"] and rep["rhs_method"] == "coloring_dp"
@@ -57,6 +58,22 @@ def test_verify_shuffle_budget_prices_dyck_paths(monkeypatch):
     assert rep["ok"] and not rep["skipped"]
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=5))
     assert not rep["ok"] and len(rep["skipped"]) == 16
+
+
+def test_verify_shuffle_refuses_a_factorial_over_the_budget(monkeypatch):
+    # 11! = 39,916,800 words per path fit the budget, so (1,1,11) is priced by its paths
+    # and skipped; 12! does not, so g n1 >= 12 is refused before any composition is
+    # listed or any path counted
+    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=11))
+    assert not rep["ok"] and len(rep["skipped"]) == 2 ** 10
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("listed compositions or counted paths past the budget")
+    monkeypatch.setattr(vf, "compositions_of", no_work)
+    monkeypatch.setattr(vf.cb, "dyck_path_count", no_work)
+    for m1, n1, g, alpha in ((1, 1, 12, None), (1, 2, 6, None), (1, 1, 100000, (100000,))):
+        with pytest.raises(ResourceWarning, match=f"^{n1 * g}! standard words per Dyck path"):
+            vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, alpha=alpha))
 
 
 def test_verify_shuffle_bad_config():
@@ -89,13 +106,13 @@ def test_relations_suite_applies_each_suffix_once(dom, monkeypatch):
         words = {word for _, lhs, rhs in vf.vk.standard_relations(dom, k) for _, word in lhs + rhs}
         suffixes.update(s[0] for s in {word[i:] for word in words for i in range(len(word))})
     calls = Counter()
-    apply_gen = vf.vk.apply_gen
+    apply_word = vf.vk.apply_word
 
-    def counted(f, gen):
-        calls[gen] += 1
-        return apply_gen(f, gen)
+    def counted(f, word):   # the checker applies one-letter words
+        calls[word[0]] += 1
+        return apply_word(f, word)
 
-    monkeypatch.setattr(vf.vk, "apply_gen", counted)
+    monkeypatch.setattr(vf.vk, "apply_word", counted)
     rep = vf.relations_suite(dom, 3, 3)
     assert not rep["failures"] and calls == suffixes
 
@@ -636,7 +653,7 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     error = json.loads(captured.out)["error"]
     assert error
     if argv is _braid_word_with_d_letters:   # refused by the alphabet, not evaluated
-        assert "unknown braid generator" in error
+        assert error == "ValueError: unknown braid generator d+"
     if argv is _braid_word_z_out_of_range:
         assert error == "ValueError: z_3 is not defined on V_2"
     if argv is _braid_word_ytilde_out_of_range:
@@ -713,6 +730,31 @@ def test_cli_relation_refuses_a_huge_k_before_allocating(word):
     assert proc.returncode == 2 and proc.stderr == b""
     assert json.loads(proc.stdout) == {"error": "ResourceWarning: V_1000000000 has over 150 "
                                                 "strands, the budget of a relation check"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["braid", "eval", "--word", "T1", "--k", "1000000000"],
+     "ResourceWarning: V_1000000000 has over 150 strands, the budget of d_+^k(1)"),
+    (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "24"],
+     "ResourceWarning: 24! standard words per Dyck path alone exceed budget 50000000"),
+    (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "100000", "--alpha", "100000"],
+     "ResourceWarning: 100000! standard words per Dyck path alone exceed budget 50000000")])
+def test_cli_refuses_huge_braid_and_shuffle_input_before_allocating(argv, error):
+    # d_+^k(1) takes about k^3 work, and verify shuffle would list 2^(g-1) compositions and
+    # count paths by g^2 steps; under a 1 GiB address space both are refused first
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "shufflealg.cli", *argv], capture_output=True,
+                          env=env, timeout=120, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2 and proc.stderr == b""
+    assert json.loads(proc.stdout) == {"error": error}
+
+
+def test_cli_braid_eval_bounds_k(capsys):
+    code, data = _run_cli(["braid", "eval", "--word", "ytilde100", "--k", "150"], capsys)
+    assert code == 0 and data["k"] == 150 and data["value"].startswith("(-u^100)*m[]*y1*y2*")
+    code, data = _run_cli(["braid", "eval", "--word", "ytilde100", "--k", "151"], capsys)
+    assert code == 2
+    assert data == {"error": "ResourceWarning: V_151 has over 150 strands, the budget of d_+^k(1)"}
 
 
 @pytest.mark.parametrize("argv", [["paths", "enum", "--m", "10", "--n", "6"],

@@ -281,10 +281,23 @@ def test_word_parsing(dom):
     assert scalar == dom.q_power(-1) and word == (("T", 1), ("z", 1), ("T", 1))
 
 
-@pytest.mark.parametrize("token", ["T", "ytilde", "T1^-x", "y-1", "z"])
+@pytest.mark.parametrize("token", ["T", "ytilde", "T1^-x", "y-1", "z", "yq", "zq", "Tq", "d-1",
+                                   "T\u0661", "y1^-1", "ytilde2^-1", "T1^-1^-1"])
 def test_parse_word_names_the_bad_token(dom, token):
-    with pytest.raises(ValueError, match=re.escape(f"unknown generator token {token!r}")):
-        vk.parse_word(f"d+ {token}", dom)
+    for text, d in ((f"d+ {token}", dom), (f"d+ {token}", None), (f"{token} d+", None)):
+        with pytest.raises(ValueError, match=re.escape(f"unknown generator token {token!r}")):
+            vk.parse_word(text, d)
+    # first with a domain, only a token that does not start with T, y or z is a scalar
+    error = "bad scalar token" if token == "d-1" else "unknown generator token"
+    with pytest.raises(ValueError, match=re.escape(f"{error} {token!r}")):
+        vk.parse_word(f"{token} d+", dom)
+
+
+def test_word_str_prints_what_parse_word_reads():
+    text = "d- d+ d+* T1 T12^-1 y3 z1 ytilde2"
+    assert vk.word_str(vk.parse_word(text)[1]) == text
+    assert vk.word_str(()) == "1"
+    assert vk.word_str((("Z",), ("x", 1))) == "('Z',) ('x', 1)"   # no token: the tuple
 
 
 def test_expand_word_end_and_refusals():
@@ -437,7 +450,7 @@ def test_tagging_commutes_with_the_checkers_operators(dom):
     mixed = [b.scale(dom.u) if i % 3 else b.scale(two) for i, b in enumerate(basis)]
     gens = [("T", 1), ("T", 2), ("Ti", 1), ("Ti", 2), ("dm",), ("dp",), ("dps",)]
     gens += [(kind, i) for kind in ("y", "z", "yt") for i in (1, 2, 3)] + [("Z",)]
-    ops = [lambda f, gen=gen: vk.apply_gen(f, gen) for gen in gens]
+    ops = [lambda f, gen=gen: vk.apply_word(f, (gen,)) for gen in gens]
     ops += [lambda f: f.scale(dom.one - dom.q), lambda f: f.scale(two)]
     for elems in (basis, mixed):
         for op in ops:
