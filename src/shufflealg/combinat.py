@@ -4,8 +4,10 @@ Slope order is integer: a lattice point's height above the boundary line,
 y - (n1/m1 - eps) x, is read as the pair (m1 y - n1 x, x), m1 times its
 rational part and then its eps coefficient, compared lexicographically, so
 the tie-breaking infinitesimal never becomes a float.  chi counts S-admissible
-permutations by a DP over sets of filled positions, and rhs_compositional
-computes it once per attack structure.
+permutations by a DP over sets of filled positions that carries, per state,
+the sets of partitions whose partial sums hold every descent so far.
+rhs_compositional reads each path's attack structure in one pass and adds
+each structure's chi, times its paths' monomials, into one accumulator.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property, lru_cache
 from math import factorial, gcd
 
 from . import symfunc as sf
-from .scalars import CoefRat, InvariantError, pack
+from .scalars import InvariantError, _fma, _pruned, pack
 from .symfunc import SymFunc
 
 
@@ -68,7 +70,8 @@ class DyckPath:
         return tuple(p for p, b in zip(self.vertices, self.steps) if not b)
 
     def height_at(self, x: int) -> int:
-        """Path height over the open column (x-1, x); = full height at x = m."""
+        """Path height over the open column (x, x+1), where its (x+1)-th East step
+        runs: height_at(0) of 1010 is 1; the full height n for x >= m."""
         h = 0
         cx = 0
         for b in self.steps:
@@ -120,17 +123,37 @@ def compositions_of(g: int):
     return out
 
 
+def _touch_columns(m: int, n: int, alpha):
+    """None without alpha; else the columns where a path of touch composition
+    alpha meets the diagonal, alpha checked against g = gcd(m, n)."""
+    if alpha is None:
+        return None
+    alpha = tuple(alpha)
+    g = gcd(m, n)
+    check_composition(alpha, g)
+    return {m // g * s for s in itertools.accumulate(alpha)}
+
+
+PATH_BUDGET = 5_000_000  # steps of the paths one enumerate_paths call counts or builds
+
+
 def enumerate_paths(m: int, n: int, alpha=None):
-    """All (m,n)-Dyck paths; with alpha, only those with that touch composition."""
+    """All (m,n)-Dyck paths; with alpha, only those with that touch composition.
+    ResourceWarning, before any path is built, if counting them ((m+1)(n+1)
+    steps) or building them (count times m+n steps) exceeds PATH_BUDGET."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     g = gcd(m, n)
     m1, n1 = m // g, n // g
-    touch_xs = None
-    if alpha is not None:
-        alpha = tuple(alpha)
-        check_composition(alpha, g)
-        touch_xs = {m1 * s for s in itertools.accumulate(alpha)}
+    alpha = None if alpha is None else tuple(alpha)
+    touch_xs = _touch_columns(m, n, alpha)
+    if (m + 1) * (n + 1) > PATH_BUDGET:
+        raise ResourceWarning(f"counting ({m}, {n})-Dyck paths takes {(m + 1) * (n + 1)} "
+                              f"steps, over budget {PATH_BUDGET}")
+    count = dyck_path_count(m, n, alpha)
+    if count * (m + n) > PATH_BUDGET:
+        raise ResourceWarning(f"{count} Dyck paths of {m + n} steps exceed budget "
+                              f"{PATH_BUDGET} steps")
     out = []
 
     def rec(x, y, bits):
@@ -178,17 +201,23 @@ def _rank_map(m: int, n: int) -> dict:
     return {pt: i for i, pt in enumerate(reading_order(m, n))}
 
 
+def _attack_sets(p: DyckPath) -> tuple:
+    """(north start -> rank-order position, position -> set of attacked positions),
+    positions 1-indexed; a North step attacks those ranked between its two ends."""
+    ranks = _rank_map(p.m, p.n)
+    norths = sorted(p.north_starts, key=ranks.__getitem__)
+    pos = {pt: i for i, pt in enumerate(norths, 1)}
+    north_ranks = [ranks[pt] for pt in norths]
+    att = {}
+    for i, (x, y) in enumerate(norths, 1):
+        lo, hi = north_ranks[i - 1], ranks[(x, y + 1)]
+        att[i] = {j for j, r in enumerate(north_ranks, 1) if lo < r < hi}
+    return pos, att
+
+
 def attacks(p: DyckPath) -> dict:
     """rank-order position -> set of attacked positions (1-indexed)."""
-    ranks = _rank_map(p.m, p.n)
-    norths = sorted(p.north_starts, key=lambda pt: ranks[pt])
-    pos = {pt: i + 1 for i, pt in enumerate(norths)}
-    out = {}
-    for pt in norths:
-        lo = ranks[pt]
-        hi = ranks[(pt[0], pt[1] + 1)]
-        out[pos[pt]] = {pos[pt2] for pt2 in norths if lo < ranks[pt2] < hi}
-    return out
+    return _attack_sets(p)[1]
 
 
 @dataclass(frozen=True)
@@ -199,40 +228,25 @@ class MarkedSquarePath:
 
 def attack_structure(p: DyckPath) -> MarkedSquarePath:
     """The attack graph as an (n,n)-path, with consecutive-North corners marked."""
-    n = p.n
-    att = attacks(p)
+    pos, att = _attack_sets(p)
     # column heights: cells strictly above the diagonal, (i, j) with i < j <= top_i
-    heights = []
-    prev = 0
-    for i in range(1, n + 1):
+    bits = []
+    h = 0
+    for i in range(1, p.n + 1):
         top = max(att[i], default=i)
         if att[i] != set(range(i + 1, top + 1)):
             raise InvariantError("attack set is not an interval")
-        top = max(top, prev, i)
-        heights.append(top)
-        prev = top
-    bits = []
-    h = 0
-    for i in range(1, n + 1):
-        bits.extend([1] * (heights[i - 1] - h))
-        h = heights[i - 1]
+        bits.extend([1] * (top - h))
+        h = max(top, h)
         bits.append(0)
-    pi_prime = DyckPath(n, n, bits)
+    pi_prime = DyckPath(p.n, p.n, bits)
     if len(_area_cells(pi_prime)) != sum(len(s) for s in att.values()):
         raise InvariantError("attack graph does not bound a square path")
-    ranks = _rank_map(p.m, p.n)
-    norths = sorted(p.north_starts, key=lambda pt: ranks[pt])
-    pos = {pt: i + 1 for i, pt in enumerate(norths)}
-    marks = set()
-    nset = set(p.north_starts)
-    for (x, y) in p.north_starts:
-        if (x, y + 1) in nset:
-            marks.add((pos[(x, y)], pos[(x, y + 1)]))
-    mp = MarkedSquarePath(pi_prime, frozenset(marks))
+    marks = frozenset((i, pos[(x, y + 1)]) for (x, y), i in pos.items() if (x, y + 1) in pos)
     for (i, j) in marks:
         if not _is_corner(pi_prime, i, j):
             raise InvariantError("marked pair is not a corner")
-    return mp
+    return MarkedSquarePath(pi_prime, marks)
 
 
 def _is_corner(pi: DyckPath, i: int, j: int) -> bool:
@@ -286,11 +300,14 @@ def statistics(p: DyckPath) -> dict:
 
 def _area_cells(pi: DyckPath):
     """Cells (i, j), i < j, weakly below the square path and above the diagonal."""
-    n = pi.n
     cells = []
-    for i in range(1, n + 1):
-        h = pi.height_at(i - 1)
-        cells.extend((i, j) for j in range(i + 1, h + 1))
+    h = i = 0
+    for b in pi.steps:
+        if b:
+            h += 1
+        else:
+            i += 1
+            cells.extend((i, j) for j in range(i + 1, h + 1))
     return cells
 
 
@@ -303,7 +320,8 @@ def char_function(mp: MarkedSquarePath, dom, cap: int | None = None) -> SymFunc:
     Standardizing (equal letters numbered left to right) keeps attack inversions
     and strict marks, so chi = sum over S-admissible permutations sigma of
     q^inv(sigma) F_iDes(sigma), and F_D has m_lam coefficient 1 iff D lies among
-    lam's partial sums.  A DP over sets of filled positions counts them
+    lam's partial sums.  A DP over sets of filled positions counts them, each
+    state keeping the partitions whose partial sums hold its descents
     (_monomial_qcounts); CHAR_FUNCTION_BUDGET still prices the n! standard words.
     """
     pi, S = mp.pi_prime, mp.marks
@@ -326,55 +344,58 @@ def _monomial_qcounts(n: int, cells: tuple, marks: frozenset) -> tuple:
 
     Values 1..n are placed in increasing order, i only after j for a mark (i, j),
     from the state (filled positions, last value's position): v at p adds the
-    filled j with a cell (p, j) to inv and sets descent bit v - 1 iff p < last.
-    A state maps each inverse-descent mask to its q-counts packed in one int,
-    slot inv `width` bits wide; no count exceeds n!, so slots never carry.
+    filled j with a cell (p, j) to inv, and p < last is a descent at v - 1.  A
+    state maps each set of partitions (bit i: partitions_of(n)[i]) whose partial
+    sums hold every descent so far to its q-counts packed in one int, slot inv
+    `width` bits wide; no count exceeds n!, so slots never carry.
     """
     attacked, waits = [0] * (n + 1), [0] * (n + 1)  # bit j: cell / mark (i, j)
     for (i, j) in cells:
         attacked[i] |= 1 << j
     for (i, j) in marks:
         waits[i] |= 1 << j
+    lams = sf.partitions_of(n)
+    cuts = [set(itertools.accumulate(lam)) for lam in lams]
     width = factorial(n).bit_length()
-    layer = {(0, 0): {0: 1}}
+    layer = {0: {0: {(1 << len(lams)) - 1: 1}}}  # filled -> last -> partition set -> counts
     for v in range(1, n + 1):
-        bit = 1 << (v - 1)
+        keep = sum(1 << i for i, c in enumerate(cuts) if v - 1 in c)
         nxt = {}
-        for (filled, last), by_mask in layer.items():
+        for filled, by_last in layer.items():
             for p in range(1, n + 1):
                 if filled >> p & 1 or waits[p] & ~filled:
                     continue
                 shift = (attacked[p] & filled).bit_count() * width
-                dst = nxt.setdefault((filled | 1 << p, p), {})
-                for mask, c in by_mask.items():
-                    if p < last:
-                        mask |= bit
-                    dst[mask] = dst.get(mask, 0) + (c << shift)
+                dst = nxt.setdefault(filled | 1 << p, {}).setdefault(p, {})
+                for last, by_set in by_last.items():
+                    for lset, c in by_set.items():
+                        if p < last:
+                            lset &= keep
+                            if not lset:
+                                continue
+                        dst[lset] = dst.get(lset, 0) + (c << shift)
         layer = nxt
-    total = sum(map(Counter, layer.values()), Counter())  # mask -> packed q-counts
-    out = []
-    slot = (1 << width) - 1
-    for lam in sf.partitions_of(n):  # masks within lam's partial sums
-        cuts = sum(1 << s for s in itertools.accumulate(lam[:-1]))
-        packed, sub = total[cuts], cuts
-        while sub:
-            sub = (sub - 1) & cuts
-            packed += total[sub]
-        if packed:  # slot inv starts at bit inv * width
-            shifts = range(0, packed.bit_length(), width)
-            out.append((lam, tuple(packed >> s & slot for s in shifts)))
-    return tuple(out)
+    ends = [item for by_last in layer.values() for by_set in by_last.values()
+            for item in by_set.items()]
+    packed = (sum(c for lset, c in ends if lset >> i & 1) for i in range(len(lams)))
+    slot = (1 << width) - 1  # slot inv starts at bit inv * width
+    return tuple((lam, tuple(c >> s & slot for s in range(0, c.bit_length(), width)))
+                 for lam, c in zip(lams, packed) if c)
 
 
-def dyck_path_count(m: int, n: int) -> int:
+def dyck_path_count(m: int, n: int, alpha=None) -> int:
     """Number of (m, n)-Dyck paths: north/east lattice paths from (0, 0) to
-    (m, n) whose every point (x, y) has m*y >= n*x (see DyckPath)."""
+    (m, n) whose every point (x, y) has m*y >= n*x (see DyckPath).  With
+    alpha, only those of touch composition alpha: as in enumerate_paths, East
+    steps reach the diagonal exactly on its touch columns."""
+    touch_xs = _touch_columns(m, n, alpha)
     ways = [1] + [0] * n  # ways[y] = paths to (x, y) for the current column x
     for x in range(m + 1):
         for y in range(n + 1):
-            if m * y < n * x:
-                ways[y] = 0
-            elif y:
+            d = m * y - n * x
+            if d < 0 or x and touch_xs is not None and (d == 0) != (x in touch_xs):
+                ways[y] = 0  # no East step may arrive here
+            if d >= 0 and y:
                 ways[y] += ways[y - 1]
     return ways[n]
 
@@ -409,7 +430,8 @@ def rhs_compositional(m1: int, n1: int, g: int, alpha, dom) -> SymFunc:
     for p in enumerate_paths(g * m1, g * n1, alpha):
         mp, eu, et = _weight_term(p)
         monomials.setdefault(mp, Counter())[pack(eu, et)] += 1
-    total = SymFunc.zero(dom, cap)
+    acc: dict = {}
     for mp, by_exp in monomials.items():
-        total = total + char_function(mp, dom, cap=cap).scale(CoefRat(dict(by_exp)))
-    return total
+        for key, c in char_function(mp, dom, cap=cap).terms.items():
+            _fma(acc, key, c, by_exp)
+    return SymFunc(dom, cap, _pruned(acc))

@@ -210,6 +210,36 @@ def test_enumerate_alpha_partitions_path_set():
             cb.enumerate_paths(m, n, (g + 1,))
 
 
+def test_dyck_path_count_counts_enumerated_paths():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            assert cb.dyck_path_count(m, n) == len(cb.enumerate_paths(m, n)), (m, n)
+            for alpha in compositions_of(math.gcd(m, n)):
+                assert cb.dyck_path_count(m, n, alpha) == \
+                    len(cb.enumerate_paths(m, n, alpha)), (m, n, alpha)
+
+
+def test_enumerate_paths_budget(monkeypatch):
+    # (4, 4) has 14 paths of 8 steps, 112 in all, and counting them takes 5 * 5 steps;
+    # only alpha's paths are priced: 2 of them, 16 steps, at alpha = (1, 3)
+    monkeypatch.setattr(cb, "PATH_BUDGET", 112)
+    assert len(cb.enumerate_paths(4, 4)) == 14
+    monkeypatch.setattr(cb, "PATH_BUDGET", 25)
+    assert len(cb.enumerate_paths(4, 4, (1, 3))) == 2
+
+    def no_path(*args):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(cb, "DyckPath", no_path)
+    monkeypatch.setattr(cb, "PATH_BUDGET", 111)
+    with pytest.raises(ResourceWarning, match="^14 Dyck paths of 8 steps exceed budget 111 steps$"):
+        cb.enumerate_paths(4, 4)
+    monkeypatch.setattr(cb, "PATH_BUDGET", 24)
+    with pytest.raises(ResourceWarning,
+                       match=r"^counting \(4, 4\)-Dyck paths takes 25 steps, over budget 24$"):
+        cb.enumerate_paths(4, 4, (1, 3))
+
+
 def test_touch_composition():
     assert cb.touch_composition(FIG_PATH) == (2,)
     assert cb.touch_composition(cb.DyckPath(2, 2, (1, 0, 1, 0))) == (1, 1)
@@ -311,7 +341,7 @@ def test_char_function_full_check_agrees(dom):
 
 
 def test_char_function_budget(dom, monkeypatch):
-    # the word recursion prices n! standard words: 2 here
+    # the budget prices the n! standard words, 2 here, though the DP lists none of them
     mp = cb.MarkedSquarePath(cb.DyckPath(2, 2, (1, 0, 1, 0)), frozenset())
     want = cb.char_function(mp, dom)
     monkeypatch.setattr(cb, "CHAR_FUNCTION_BUDGET", 2)
@@ -343,6 +373,17 @@ def test_monomial_qcounts_matches_permutations_on_corner_marks():
                     args = _qcounts_args(pi, marks)
                     assert cb._monomial_qcounts(*args) == \
                         monomial_qcounts_by_permutations(*args), (str(pi), marks)
+
+
+def test_monomial_qcounts_matches_permutations_at_eight():
+    # n = 8 has 22 partitions; the least-marked attack structures of (9, 8) admit the most
+    # permutations, so the most descent sets fall into each set of partitions
+    structures = sorted({cb.attack_structure(p) for p in cb.enumerate_paths(9, 8)},
+                        key=lambda mp: (len(mp.marks), str(mp.pi_prime), sorted(mp.marks)))
+    assert [len(mp.marks) for mp in structures[:4]] == [0, 1, 1, 1]
+    for mp in structures[:4]:
+        args = _qcounts_args(mp.pi_prime, mp.marks)
+        assert cb._monomial_qcounts(*args) == monomial_qcounts_by_permutations(*args), str(mp)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

@@ -211,7 +211,9 @@ def test_pruned_dp_keeps_exactly_the_complete_colorings(dom, m, n):
 
 
 def test_assemble_matches_rhs(dom):
-    for (m1, n1, g) in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (3, 2, 1), (1, 1, 3)):
+    # the last two are parking-sum benchmark triples, where n = g * n1 reaches 8 and 6
+    for (m1, n1, g) in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (3, 2, 1), (1, 1, 3),
+                        (1, 2, 4), (3, 2, 3)):
         dp = sw.recursion_dp(g * m1, g * n1, dom)
         for alpha in _compositions(g):
             lhs = sw.assemble_composition(m1, n1, g, alpha, dp, dom)

@@ -738,10 +738,13 @@ def test_cli_relation_refuses_a_huge_k_before_allocating(word):
     (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "24"],
      "ResourceWarning: 24! standard words per Dyck path alone exceed budget 50000000"),
     (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "100000", "--alpha", "100000"],
-     "ResourceWarning: 100000! standard words per Dyck path alone exceed budget 50000000")])
+     "ResourceWarning: 100000! standard words per Dyck path alone exceed budget 50000000"),
+    (["paths", "enum", "--m", "30", "--n", "30"],
+     "ResourceWarning: 3814986502092304 Dyck paths of 60 steps exceed budget 5000000 steps")])
 def test_cli_refuses_huge_braid_and_shuffle_input_before_allocating(argv, error):
-    # d_+^k(1) takes about k^3 work, and verify shuffle would list 2^(g-1) compositions and
-    # count paths by g^2 steps; under a 1 GiB address space both are refused first
+    # d_+^k(1) takes about k^3 work, verify shuffle would list 2^(g-1) compositions and
+    # count paths by g^2 steps, and paths enum would list Catalan(30) paths; under a 1 GiB
+    # address space each is refused first
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "shufflealg.cli", *argv], capture_output=True,
                           env=env, timeout=120, preexec_fn=_limit_address_space)
