@@ -154,21 +154,23 @@ def enumerate_paths(m: int, n: int, alpha=None):
     if count * (m + n) > PATH_BUDGET:
         raise ResourceWarning(f"{count} Dyck paths of {m + n} steps exceed budget "
                               f"{PATH_BUDGET} steps")
-    out = []
-
-    def rec(x, y, bits):
+    # depth-first on a stack of (x, y, the step that reached it), North pushed last, so first
+    out, bits, stack = [], [], [(0, 0, None)]
+    while stack:
+        x, y, bit = stack.pop()
+        if bit is not None:
+            del bits[x + y - 1:]
+            bits.append(bit)
         if (x, y) == (m, n):
             out.append(DyckPath(m, n, bits))
-            return
-        if y < n:
-            rec(x, y + 1, bits + [1])
+            continue
         # an East step is legal iff the new point stays weakly above the diagonal;
         # with alpha, only East steps reach it, exactly on the touch columns
         d = m1 * y - n1 * (x + 1)
         if x < m and d >= 0 and (touch_xs is None or (d == 0) == (x + 1 in touch_xs)):
-            rec(x + 1, y, bits + [0])
-
-    rec(0, 0, [])
+            stack.append((x + 1, y, 0))
+        if y < n:
+            stack.append((x, y + 1, 1))
     return out
 
 

@@ -78,6 +78,13 @@ def _fma(acc: dict, key, c: dict, w: dict) -> None:
             p[k] = get(k, 0) + cc * cw
 
 
+def _mul(c: dict, w: dict) -> dict:
+    """c * w as a new polynomial; zeros stay until _pruned."""
+    acc: dict = {}
+    _fma(acc, None, c, w)
+    return acc[None]
+
+
 def _pruned(acc: dict) -> dict:
     """acc, changed in place, without zero coefficients and zero polynomials."""
     for key, p in list(acc.items()):

@@ -7,10 +7,13 @@ Event kinds at a lattice point swept by the line:
      interior diagonal touches, origin   -> d_-
   C  interior point of a vertical run    -> q^{-a} (d_- d_+ - d_+ d_-)/(q-1)
                                             = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1}
+                                            = -q^{-a} T_1...T_{k-1} y_k
   D  interior point of a horizontal run  -> multiply by q^a
   E  point strictly inside the region    -> multiply by t
 with a = number of North steps the line crosses strictly to the right.
-The closed form of C on V_k is the Carlsson-Mellit relation (arXiv:1508.06239).
+The closed form of C on V_k is the Carlsson-Mellit relation (arXiv:1508.06239);
+its last form, like A's d_+ = -T_1...T_k (y_{k+1} ...), raises the last y-exponent
+and applies a T-train, both by the cached image `vkspace._train_image`.
 The terminal point (m, n) emits no event.
 
 `_step` is the one statement of these events. A coloring is a set of
@@ -31,8 +34,9 @@ from math import gcd
 
 from .combinat import (DyckPath, check_composition, compositions_of, reading_order,
                        touch_composition)
-from .scalars import InvariantError
-from .vkspace import VElem, act_dminus, act_dplus, act_T, act_y1_T1inv, dminus_to_v0
+from .scalars import InvariantError, _fma, _mul, _pruned
+from .symfunc import _poly
+from .vkspace import VElem, _train_image, act_dminus, act_dplus, dminus_to_v0
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,19 @@ def event_sequence(p: DyckPath) -> list[SweepEvent]:
 
 
 def _c_op(f: VElem, a: int) -> VElem:
-    """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f,
-    by the identity (d_+ d_- - d_- d_+) T_{k-1}...T_1 = q^{k-1}(q-1) y_1 on V_k,
-    the relation `y1 from commutator` of `vkspace.standard_relations`."""
-    for i in range(f.k - 1, 1, -1):
-        f = act_T(f, i, inverse=True)
-    return act_y1_T1inv(f, -f.dom.q_power(f.k - 1 - a))
+    """q^{-a} (d_- d_+ - d_+ d_-) f / (q-1) = -q^{k-1-a} y_1 T_1^{-1}...T_{k-1}^{-1} f by the
+    relation `y1 from commutator` of `vkspace.standard_relations`, and = -q^{-a} T_1...T_{k-1}
+    y_k f by y_i T_i^{-1} = q^{-1} T_i y_{i+1} (`y{i+1} = q T{i}^-1 y{i} T{i}^-1`): one pass
+    by `vkspace._train_image`."""
+    if f.k < 1:
+        raise ValueError("the C event is not defined on V_0")
+    s = _poly(-f.dom.q_power(-a))
+    acc: dict = {}
+    for (lam, ys), c in f.terms.items():
+        cs = _mul(c, s)
+        for zs, w in _train_image(ys[:-1] + (ys[-1] + 1,)):
+            _fma(acc, (lam, zs), cs, w)
+    return VElem(f.dom, f.k, _pruned(acc))
 
 
 def _apply(f: VElem, kind: str, a: int) -> VElem:

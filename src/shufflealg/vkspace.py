@@ -6,12 +6,12 @@ Laurent-polynomial coefficients, so no element has a denominator: `scale`
 refuses a scalar such as 1/2, and the relation checker clears the
 denominators of a relation's scalars before it acts.
 
-T_i, d_-, its composed powers d_-^j, the one-variable expansion behind d_+
-and d_+^*, and the commutator Z behind z_i are per-term images, each a pure
-function of its integer arguments cached once per process (`lru_cache`), so
-every domain shares them; an operator accumulates each c * w into its
-output in place with `_fma` and drops zeros once with `_pruned`.  No
-operator divides.
+T_i, the train T_1...T_{k-1} on one y-monomial, d_-, its composed powers
+d_-^j, the one-variable expansion behind d_+ and d_+^*, and the commutator Z
+behind z_i are per-term images, each a pure function of its integer
+arguments cached once per process (`lru_cache`), so every domain shares
+them; an operator accumulates each c * w into its output in place with
+`_fma` and drops zeros once with `_pruned`.  No operator divides.
 Operator words are tuples of generators in written order and act
 rightmost-first, all through `apply_word` on the freely reduced T^{+-1}, y,
 Z and d letters of `expand_word`.  One table, `_LETTERS`, spells, ranges and
@@ -28,7 +28,7 @@ from itertools import combinations, islice
 from math import lcm
 
 from . import symfunc as sf
-from .scalars import _Q, TAG_SHIFT, CoefRat, _fma, _pruned, tag_of
+from .scalars import _Q, TAG_SHIFT, CoefRat, _fma, _mul, _pruned, tag_of
 from .symfunc import _ONE, VElem, _format, _poly, mono_mult_table, partitions_of
 
 
@@ -66,21 +66,21 @@ def act_T(f: VElem, i: int, inverse: bool = False) -> VElem:
     return VElem(f.dom, f.k, _pruned(acc))
 
 
-def act_y1_T1inv(f: VElem, s) -> VElem:
-    """s * y_1 T_1^{-1} f in one pass, s a monomial scalar; on V_1, s * y_1 f."""
-    if f.k < 1:
-        raise ValueError("y_1 is not defined on V_0")
-    ((e, sc),) = _poly(s).items()
-    acc: dict = {}
-    if f.k == 1:
-        for (lam, (p,)), c in f.terms.items():
-            acc[lam, (p + 1,)] = {kc + e: cc * sc for kc, cc in c.items()}
-        return VElem(f.dom, 1, acc)
-    for (lam, ys), c in f.terms.items():
-        tail = ys[2:]
-        for a, b, w in _dl_table(ys[0], ys[1], True):
-            _fma(acc, (lam, (a + 1, b) + tail), c, {kw + e: cw * sc for kw, cw in w.items()})
-    return VElem(f.dom, f.k, _pruned(acc))
+@lru_cache(maxsize=None)
+def _train_image(ys: tuple):
+    """T_1...T_{k-1}(y^ys), k = len(ys) >= 1, as ((zs, w), ...) meaning sum w * y^zs; T does not
+    touch Sym, so this is every m_lam's image.  T_{k-1} acts first, and each T_i meets
+    ys[i-1] and the exponent the last T left on y_{i+1}: a pass keys each term by that
+    exponent and the exponents after it, which no later T touches.  Only whole trains
+    are cached, not their partial images, which at a large k outweigh them."""
+    acc: dict = {(ys[-1], ()): _ONE}
+    for p in reversed(ys[:-1]):
+        nxt: dict = {}
+        for (r, tail), v in acc.items():
+            for a, b, w in _dl_table(p, r, False):
+                _fma(nxt, (a, (b,) + tail), v, w)
+        acc = _pruned(nxt)
+    return tuple(((a,) + tail, w) for (a, tail), w in acc.items())
 
 
 # ------------------------------------------------------ raising and lowering
@@ -176,16 +176,15 @@ def _dplus_image(lam, star: bool):
 
 
 def act_dplus(f: VElem) -> VElem:
-    """V_k -> V_{k+1}: -T_1...T_k ( y_{k+1} * F[X + (q-1)y_{k+1}] )."""
-    k = f.k
+    """V_k -> V_{k+1}: -T_1...T_k ( y_{k+1} * F[X + (q-1)y_{k+1}] ), in one pass: each
+    c * w of `_dplus_image` meets the `_train_image` of its raised exponents."""
     acc: dict = {}
     for (lam, ys), c in f.terms.items():
         for mu, j, w in _dplus_image(lam, False):
-            _fma(acc, (mu, ys + (j + 1,)), c, w)
-    tmp = VElem(f.dom, k + 1, _pruned(acc))
-    for i in range(k, 0, -1):
-        tmp = act_T(tmp, i)
-    return tmp
+            cw = _mul(c, w)
+            for zs, v in _train_image(ys + (j + 1,)):
+                _fma(acc, (mu, zs), cw, v)
+    return VElem(f.dom, f.k + 1, _pruned(acc))
 
 
 _DPLUS_POWERS = [{((), ()): _ONE}]   # the terms of d_+^k(1) at index k, each from the last

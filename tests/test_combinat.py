@@ -240,6 +240,20 @@ def test_enumerate_paths_budget(monkeypatch):
         cb.enumerate_paths(4, 4, (1, 3))
 
 
+def test_enumerate_paths_lists_north_first():
+    # a walk that takes North before East lists the step strings in decreasing order
+    for m, n, alpha in ((4, 6, None), (6, 6, None), (6, 6, (1, 5)), (5, 3, None)):
+        steps = [p.steps for p in cb.enumerate_paths(m, n, alpha)]
+        assert steps == sorted(set(steps), reverse=True) and len(steps) > 2, (m, n, alpha)
+
+
+def test_enumerate_paths_walks_deeper_than_the_recursion_limit():
+    (p,) = cb.enumerate_paths(1500, 1)
+    assert p.steps == (1,) + (0,) * 1500
+    (p,) = cb.enumerate_paths(1, 1500, (1,))
+    assert p.steps == (1,) * 1500 + (0,)
+
+
 def test_touch_composition():
     assert cb.touch_composition(FIG_PATH) == (2,)
     assert cb.touch_composition(cb.DyckPath(2, 2, (1, 0, 1, 0))) == (1, 1)

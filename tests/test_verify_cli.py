@@ -369,6 +369,12 @@ def test_cli_paths(capsys):
     assert data["chi"]["terms"] == [{"partition": [1, 1], "coef": "1"}]
 
 
+def test_cli_paths_enum_lists_a_path_deeper_than_the_recursion_limit(capsys):
+    # one path of 1,501 steps, within PATH_BUDGET, walked without a frame per step
+    code, data = _run_cli(["paths", "enum", "--m", "1500", "--n", "1"], capsys)
+    assert code == 0 and data["count"] == 1 and data["paths"] == ["1" + "0" * 1500]
+
+
 def test_cli_actions(capsys):
     code, data = _run_cli(["actions", "build", "--m", "2", "--n", "3"], capsys)
     assert code == 0
@@ -538,10 +544,6 @@ def _m1_not_an_int(tmp_path):
     return ["verify", "shuffle", "--m1", "x", "--n1", "1", "--g", "1"]
 
 
-def _path_deeper_than_recursion_limit(tmp_path):
-    return ["paths", "enum", "--m", "1000", "--n", "1"]
-
-
 def _dp_zero_m(tmp_path):
     return ["sweep", "dp", "--m", "0", "--n", "3"]
 
@@ -633,8 +635,7 @@ def _relation_over_spanning_budget(tmp_path):
                                   _stratum_out_of_range, _interval_outside_cell,
                                   _intervals_not_a_list, _out_in_missing_dir, _zero_m1,
                                   _mode_option, _jobs_option, _cap_option,
-                                  _shuffle_cap_option, _m1_not_an_int,
-                                  _path_deeper_than_recursion_limit, _dp_zero_m,
+                                  _shuffle_cap_option, _m1_not_an_int, _dp_zero_m,
                                   _dp_negative_m, _dp_zero_n, _negative_k, _empty_path,
                                   _path_not_binary, _relation_negative_degree,
                                   _relation_negative_k, _alpha_not_a_composition,

@@ -7,6 +7,7 @@ import pytest
 
 from qm1_division import divide_velem
 from shufflealg import actions as ac
+from shufflealg import sweep as sw
 from shufflealg import symfunc as sf
 from shufflealg import verify as vf
 from shufflealg import vkspace as vk
@@ -519,17 +520,61 @@ def test_dminus_power_image_is_the_chain_of_one_step_images(dom):
         assert VElem(dom, 0, image) == _dminus_chain(f), zs
 
 
-@pytest.mark.parametrize("k", range(1, 4))
-def test_y1_T1inv_is_its_two_generators(dom, k):
+def _train_chain(f):
+    """T_1...T_{k-1} f one letter at a time, T_{k-1} first."""
+    for i in range(f.k - 1, 0, -1):
+        f = vk.act_T(f, i)
+    return f
+
+
+def _mixed(dom, basis, k):
+    """The spanning set's sum, each element scaled by its own +-u^i t^j."""
+    return sum((b.scale(dom.monomial(1 - 2 * (i % 2), i % 3, -(i % 2)))
+                for i, b in enumerate(basis)), VElem(dom, k))
+
+
+def test_train_image_is_its_letters(dom):
+    # empty cache, so every image is built here, each prefix image included
+    vk._train_image.cache_clear()
+    cases = 0
+    for k in range(1, 6):
+        for d in range(5):
+            for ys in vk._exponents(k, d):
+                image = VElem(dom, k, {((), zs): dict(w) for zs, w in vk._train_image(ys)})
+                assert image == _train_chain(VElem(dom, k, {((), ys): dict(vk._ONE)})), ys
+                cases += 1
+    assert cases == 251
+
+
+def _dplus_by_letters(f):
+    """d_+ f as y_{k+1} F[X + (q-1)y_{k+1}], negated, then T_k, ..., T_1 one letter at a time."""
+    acc: dict = {}
+    for (lam, ys), c in f.terms.items():
+        for mu, j, w in vk._dplus_image(lam, False):
+            vk._fma(acc, (mu, ys + (j + 1,)), c, w)
+    return _train_chain(VElem(f.dom, f.k + 1, vk._pruned(acc)))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_dplus_is_its_letters(dom, k):
     basis = vk.spanning_set(dom, k, 3)
-    mixed = sum((b.scale(dom.monomial(1 - 2 * (i % 2), i % 3, -(i % 2)))
-                 for i, b in enumerate(basis)), VElem(dom, k))
+    for f in basis + [_mixed(dom, basis, k)]:
+        assert vk.act_dplus(f) == _dplus_by_letters(f), (k, str(f))
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_c_event_is_its_word(dom, k):
+    # the C event against its closed form -q^{k-1-a} y1 T1^-1 ... T{k-1}^-1 as a word
+    _, word = vk.parse_word(" ".join(["y1"] + [f"T{i}^-1" for i in range(1, k)]))
+    basis = vk.spanning_set(dom, k, 3)
     for s in (dom.one, -dom.q_power(2), dom.monomial(3, -1, 2)):
-        for f in basis + [mixed]:
-            g = vk.act_T(f, 1, inverse=True) if k > 1 else f
-            assert vk.act_y1_T1inv(f, s) == vk.act_y(g, 1).scale(s), (k, str(s), str(f))
-    with pytest.raises(ValueError, match="y_1 is not defined on V_0"):
-        vk.act_y1_T1inv(VElem.one(dom, 0), dom.one)
+        for f in basis + [_mixed(dom, basis, k)]:
+            f = f.scale(s)
+            for a in range(k):
+                assert sw._c_op(f, a) == vk.apply_word(f, word, -dom.q_power(k - 1 - a)), \
+                    (k, a, str(f))
+    with pytest.raises(ValueError, match="C event is not defined on V_0"):
+        sw._c_op(VElem.one(dom, 0), 0)
 
 
 def test_straightened_exponents_are_weakly_decreasing(dom):
