@@ -115,14 +115,16 @@ def cmd_sweep(args):
                           for e in events],
                "value": val.to_json()}, args.out)
     else:  # dp
-        dp = sw.recursion_dp(args.m, args.n, dom, every_coloring=True)
+        events = sw.dp_events(args.m, args.n)
+        for _, state in sw.dp_strata(sw.transitions(events), dom):
+            pass   # every reachable coloring, complete or not
         payload = {"m": args.m, "n": args.n,
-                   "events": [list(e) for e in dp.events],
-                   "colorings": len(dp.state)}
+                   "events": [list(e) for e in events],
+                   "colorings": len(state)}
         if args.emit_colorings:
             payload["state"] = [{"intervals": [list(iv) for iv in key],
                                  "value": str(val)}
-                                for key, val in sorted(dp.state.items())]
+                                for key, val in sorted(state.items())]
         _emit(payload, args.out)
     return 0
 

@@ -24,6 +24,7 @@ it builds constants and monomials and holds no other state.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -275,7 +276,8 @@ def _poly_str(p) -> str:
 
 
 def parse_scalar_token(tok: str, dom):
-    """Parse tokens like 'q', 'q^-1', 't^2', '-1', '3', 'u', 'q*t'.  A token whose exponents
+    """Parse tokens like 'q', 'q^-1', 't^2', '-1', '3', 'u', 'q*t'; every base and exponent
+    number is a run of ASCII digits, an exponent optionally signed by '-'.  A token whose exponents
     add up to 2^20 or more in absolute value is refused, which keeps every exponent far
     inside the key packing and bounds every power of an integer."""
     out = dom.one
@@ -287,6 +289,8 @@ def parse_scalar_token(tok: str, dom):
             piece = piece[1:]
         base, caret, e = piece.partition("^")
         try:
+            if caret and not re.fullmatch("-?[0-9]+", e):
+                raise ValueError
             e = int(e) if caret else 1
         except ValueError:
             raise ValueError(f"bad scalar token {tok!r}") from None
@@ -300,7 +304,7 @@ def parse_scalar_token(tok: str, dom):
             f = dom.monomial(1, e, 0)
         elif base == "t":
             f = dom.monomial(1, 0, e)
-        elif base.isdecimal() and (int(base) or e >= 0):
+        elif re.fullmatch("[0-9]+", base) and (int(base) or e >= 0):
             f = dom.from_fraction(Fraction(int(base)) ** e)
         else:
             raise ValueError(f"bad scalar token {tok!r}")

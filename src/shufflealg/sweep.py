@@ -20,11 +20,13 @@ The terminal point (m, n) emits no event.
 intervals, one per strand, and `_step` gives its transitions at a point
 strictly above the diagonal. A single path walks one coloring through them
 (`event_sequence`); the coloring DP runs them over all paths at once. A pass
-over keys alone tabulates the transitions and keeps the colorings from which
-a complete coloring (a c_alpha, read by `assemble_composition`) is still
+over keys alone tabulates the transitions and, given a set of final
+colorings, keeps only the colorings from which one of them is still
 reachable; the pass over values (`dp_strata`, which yields each stratum)
-then applies operators along the kept transitions only.
-`recursion_dp(..., every_coloring=True)` keeps every reachable coloring.
+then applies operators along the kept transitions only. With no set, every
+reachable coloring is kept. `recursion_dp` keeps the cone of the complete
+colorings (the c_alpha, read by `assemble_composition`) of the compositions
+it is given, by default every composition of gcd(m, n).
 """
 
 from __future__ import annotations
@@ -146,8 +148,6 @@ def stratum_bounds(m: int, n: int, events, s: int):
 
 @dataclass
 class DpResult:
-    m: int
-    n: int
     events: list
     state: dict                  # intervals tuple -> VElem, at the final stratum
 
@@ -189,12 +189,13 @@ def _step(key, px: int, py: int) -> tuple:
     return (("keep", key, None), ("A", key[:left] + ((px, py),) + key[left:], left))
 
 
-def transitions(m: int, n: int, events, every_coloring: bool) -> list:
+def transitions(events, targets=None) -> list:
     """Per event, {coloring: its transitions} over the colorings the DP visits.
 
-    A pass over keys alone runs forward from the empty coloring. Unless
-    every_coloring, a backward pass from the complete final colorings then
-    keeps only the colorings, and transitions, that can still reach one.
+    A pass over keys alone runs forward from the empty coloring. Given a set
+    of final colorings, targets, a backward pass from them then keeps only the
+    colorings, and transitions, that can still reach one; with none, every
+    reachable coloring is kept.
     """
     steps = []
     keys = {()}
@@ -202,10 +203,9 @@ def transitions(m: int, n: int, events, every_coloring: bool) -> list:
         step = {key: _step(key, px, py) for key in keys}
         steps.append(step)
         keys = {dst for out in step.values() for _, dst, _ in out}
-    if every_coloring:
+    if targets is None:
         return steps
-    g = gcd(m, n)
-    live = {composition_coloring(m // g, n // g, alpha) for alpha in compositions_of(g)}
+    live = set(targets)
     for s in range(len(steps) - 1, -1, -1):
         kept = {key: tuple(t for t in out if t[1] in live) for key, out in steps[s].items()}
         steps[s] = {key: out for key, out in kept.items() if out}
@@ -238,16 +238,14 @@ def dp_strata(steps: list, dom):
         yield step, state
 
 
-def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
-                 every_coloring: bool = False) -> DpResult:
+def recursion_dp(m: int, n: int, dom, cap: int | None = None, *, alphas=None) -> DpResult:
     """The last stratum of `dp_strata` above the diagonal, from the empty coloring.
 
-    By default only colorings that can still reach a complete coloring (a
-    c_alpha) are propagated, so the final state holds only the c_alpha. The
-    values there are the same either way: every predecessor of a kept
-    coloring is kept, and the order of summation is unchanged.
-    every_coloring=True propagates every reachable coloring, for callers that
-    read incomplete colorings.
+    Only colorings that can still reach the c_alpha of a composition in
+    alphas (by default every composition of gcd(m, n)) are propagated, so the
+    final state holds exactly those c_alpha. The value at each is the same
+    for any alphas that contain it: every predecessor of a kept coloring is
+    kept, and the order of summation is unchanged.
 
     cap is kept only for perfbench/child.py and perfbench/reference.py,
     which pass cap=n: it changes nothing, and a value below n raises.
@@ -255,9 +253,14 @@ def recursion_dp(m: int, n: int, dom, cap: int | None = None, *,
     events = dp_events(m, n)
     if cap is not None and cap < n:
         raise ValueError(f"cap must be at least n = {n}, got {cap}")
-    for _, state in dp_strata(transitions(m, n, events, every_coloring), dom):
+    g = gcd(m, n)
+    alphas = compositions_of(g) if alphas is None else alphas
+    for alpha in alphas:
+        check_composition(alpha, g)
+    targets = {composition_coloring(m // g, n // g, alpha) for alpha in alphas}
+    for _, state in dp_strata(transitions(events, targets), dom):
         pass
-    return DpResult(m, n, events, state)
+    return DpResult(events, state)
 
 
 def composition_coloring(m1: int, n1: int, alpha) -> tuple:

@@ -8,12 +8,9 @@ Laurent polynomial, and equality of both sides is the only judge.
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Fr
 from itertools import accumulate
 from math import gcd
@@ -25,8 +22,7 @@ from . import combinat as cb
 from . import sweep as sw
 from . import vkspace as vk
 from .combinat import compositions_of
-from .scalars import ExactDomain, InvariantError, fraction_str, pack, unpack
-from .vkspace import VElem
+from .scalars import ExactDomain, InvariantError, fraction_str
 
 
 # ------------------------------------------------------------------- suites
@@ -97,7 +93,7 @@ def braid_formula_suite(dom, total_max: int = 7, q_degree_check: bool = True) ->
             g = gcd(m, n)
             m1, n1 = m // g, n // g
             events = sw.dp_events(m, n)
-            strata = sw.dp_strata(sw.transitions(m, n, events, True), dom)
+            strata = sw.dp_strata(sw.transitions(events), dom)
             for s, (step, state) in enumerate(strata):
                 keys = _changed_keys(step) if step else []   # the top holds () only
                 if not keys:
@@ -129,7 +125,7 @@ def braid_transition_suite(dom, total_max: int = 7) -> dict:
             g = gcd(m, n)
             m1, n1 = m // g, n // g
             events = sw.dp_events(m, n)
-            steps = sw.transitions(m, n, events, True)
+            steps = sw.transitions(events)
             heights = [br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
                        for s in range(len(steps) + 1)]
             values = {}  # (key, h) -> its braid applied to d_+^k(1); h_dst of s is h_src of s+1
@@ -419,7 +415,6 @@ class JobConfig:
     n1: int
     g: int
     alpha: tuple | None = None       # None = all compositions of g
-    cache_dir: str | None = field(default_factory=lambda: os.environ.get("SHUFFLEALG_CACHE_DIR"))
 
     def __post_init__(self):
         if min(self.m1, self.n1, self.g) < 1:
@@ -443,7 +438,8 @@ def _compare_entry(alpha, lhs, rhs, t0) -> dict:
 
 def verify_shuffle(cfg: JobConfig) -> dict:
     """Compare both sides of the compositional identity for each composition:
-    the operator tower against the coloring DP.
+    the operator tower against the coloring DP, which runs only the colorings
+    that can still reach the c_alpha of the compositions compared.
 
     When the parking-function enumeration of the triple exceeds the budget,
     every composition is skipped and listed in the report rather than
@@ -462,7 +458,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
                 "rhs_method": "coloring_dp"}
     dom = ExactDomain()
     tower = ac.ActionTower(dom)
-    dp = _load_dp_cache(cfg, dom)
+    dp = sw.recursion_dp(cfg.g * cfg.m1, n, dom, alphas=alphas)
     results = []
     for alpha in alphas:
         t0 = time.monotonic()
@@ -482,107 +478,3 @@ def _coeff_diff(lhs, rhs):
         if a != b:
             out.append({"partition": list(key[0]), "lhs": fraction_str(a), "rhs": fraction_str(b)})
     return out
-
-
-def _dp_cache_path(cfg: JobConfig):
-    if not cfg.cache_dir:
-        return None
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    return os.path.join(cfg.cache_dir, f"dp_{cfg.m1 * cfg.g}x{cfg.n1 * cfg.g}.json")
-
-
-DP_CACHE_VERSION = 4
-
-
-def _read_dp_cache(path: str, m: int, n: int, dom):
-    """The cached DP at path, or None if the file is missing, unreadable or stale.
-
-    Stale is another version, (m, n) or event list, or a state whose colorings
-    are not exactly the c_alpha of the compositions alpha of gcd(m, n).
-    """
-    g = gcd(m, n)
-    events = sw.dp_events(m, n)
-    want = sorted(sw.composition_coloring(m // g, n // g, a) for a in compositions_of(g))
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if [payload.get(key) for key in ("version", "m", "n", "events")] != \
-                [DP_CACHE_VERSION, m, n, [list(e) for e in events]]:
-            return None
-        keys = [tuple(_int_row(iv, 2) for iv in item["key"]) for item in payload["state"]]
-        if sorted(keys) != want:
-            return None
-        state = {key: _velem_from_json(item["value"], len(key), dom)
-                 for key, item in zip(keys, payload["state"])}
-        return sw.DpResult(m, n, events, state)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError):
-        return None
-
-
-def _load_dp_cache(cfg: JobConfig, dom):
-    """DP results memoized per (m,n) so several alpha queries share one run.
-
-    The cache file carries a version and its (m, n); a file that does
-    not parse or does not match is recomputed and replaced atomically.
-    """
-    m, n = cfg.m1 * cfg.g, cfg.n1 * cfg.g
-    path = _dp_cache_path(cfg)
-    dp = _read_dp_cache(path, m, n, dom) if path else None
-    if dp is not None:
-        return dp
-    dp = sw.recursion_dp(m, n, dom)
-    if path:
-        _write_dp_cache(path, dp)
-    return dp
-
-
-def _write_dp_cache(path: str, dp: sw.DpResult) -> None:
-    """Replace the file at path atomically by the final state of dp."""
-    payload = {"version": DP_CACHE_VERSION, "m": dp.m, "n": dp.n,
-               "events": [list(e) for e in dp.events],
-               "state": [{"key": [list(iv) for iv in key],
-                          "value": _velem_to_json(val)}
-                         for key, val in sorted(dp.state.items())]}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _velem_to_json(f: VElem) -> dict:
-    return {"k": f.k, "terms": [{"partition": list(lam), "ys": list(ys),
-                                 "poly": [[*unpack(m), c] for m, c in sorted(p.items())]}
-                                for (lam, ys), p in sorted(f.terms.items())]}
-
-
-def _int_row(row, length=None) -> tuple:
-    """A JSON list of ints (of the given length) as a tuple; else ValueError."""
-    if type(row) is not list or any(type(v) is not int for v in row) \
-            or length not in (None, len(row)):
-        raise ValueError(f"malformed row {row!r} in the DP cache")
-    return tuple(row)
-
-
-def _velem_from_json(payload: dict, k: int, dom) -> VElem:
-    """The element of V_k that _velem_to_json wrote.
-
-    A k other than the given one, a partition that is not positive and
-    non-increasing, ys that are not k ints, a term listed twice, or an
-    exponent or coefficient that is not an int or is zero raises ValueError,
-    so the file is recomputed.
-    """
-    if type(payload["k"]) is not int or payload["k"] != k:
-        raise ValueError("malformed strand count in the DP cache")
-    terms = {}
-    for item in payload["terms"]:
-        lam, ys = _int_row(item["partition"]), _int_row(item["ys"], k)
-        poly = [_int_row(row, 3) for row in item["poly"]]
-        if lam != tuple(sorted(lam, reverse=True)) or min(lam, default=1) < 1 \
-                or (lam, ys) in terms or not poly or not all(c for _, _, c in poly):
-            raise ValueError("malformed term in the DP cache")
-        terms[(lam, ys)] = {pack(eu, et): c for eu, et, c in poly}
-    return VElem(dom, k, terms)

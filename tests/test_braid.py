@@ -428,7 +428,7 @@ def _evaluate_per_generator(w, f):
 def _strata_keys(m, n):
     """The colorings of each stratum of the full coloring DP, read off `sweep.transitions`
     with no value computed."""
-    steps = sw.transitions(m, n, sw.dp_events(m, n), True)
+    steps = sw.transitions(sw.dp_events(m, n))
     return [{()}] + [{dst for out in step.values() for _, dst, _ in out} for step in steps]
 
 
@@ -495,7 +495,7 @@ def test_single_strand_words_realize_tower_y1(dom):
 
 def test_braid_formula_integer_q_degree(dom):
     events = sw.dp_events(2, 3)
-    for s, (_, state) in enumerate(sw.dp_strata(sw.transitions(2, 3, events, True), dom)):
+    for s, (_, state) in enumerate(sw.dp_strata(sw.transitions(events), dom)):
         lower, upper = sw.stratum_bounds(2, 3, events, s)
         for key, want in state.items():
             if not key:

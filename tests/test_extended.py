@@ -69,7 +69,7 @@ def test_fast_mode_prescreens_extended():
     # the machines `verify shuffle` runs (operator tower against the coloring
     # DP) on extended triples; (3, 2, 2) is beyond the coloring suite's bound
     for (m1, n1, g) in ((2, 5, 1), (1, 2, 3), (3, 2, 2)):
-        rep = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, cache_dir=None))
+        rep = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g))
         assert rep["ok"] and not rep["skipped"], (m1, n1, g)
         assert len(rep["results"]) == len(vf.compositions_of(g))
 
@@ -85,7 +85,7 @@ def test_braid_formula_beyond_acceptance(dom, m, n):
     g = gcd(m, n)
     m1, n1 = m // g, n // g
     events = sw.dp_events(m, n)
-    for s, (step, state) in enumerate(sw.dp_strata(sw.transitions(m, n, events, True), dom)):
+    for s, (step, state) in enumerate(sw.dp_strata(sw.transitions(events), dom)):
         if step is None:
             continue   # the top stratum holds the empty coloring only
         h = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)

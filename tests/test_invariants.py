@@ -18,6 +18,18 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_environment_knobs_in_package():
+    # every setting of the package is an argument or a constant: nothing reads os.environ
+    # or calls os.getenv
+    pkg = Path(shufflealg.__file__).parent
+    found = [f"{path.relative_to(pkg)}:{node.lineno}"
+             for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             and isinstance(node.value, ast.Name) and node.value.id == "os"]
+    assert found == []
+
+
 def test_every_export_resolves():
     # a name left in __all__ after its definition is deleted breaks `import *`
     missing = [name for name in shufflealg.__all__ if not hasattr(shufflealg, name)]

@@ -257,7 +257,6 @@ def test_sympy_never_imported():
             "assert verify_shuffle(JobConfig(1, 1, 2))['ok']\n"
             "print('sympy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shufflealg.__file__)))
-    env.pop("SHUFFLEALG_CACHE_DIR", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -148,15 +148,21 @@ def _step_by_scans(key, px: int, py: int) -> tuple:
     return (("keep", key, None), ("A", key[:pos] + ((px, py),) + key[pos:], pos))
 
 
-@pytest.mark.parametrize("every_coloring", [False, True])
-def test_transitions_match_the_scanning_step(every_coloring, monkeypatch):
+def _c_alphas(m, n):
+    g = gcd(m, n)
+    return {sw.composition_coloring(m // g, n // g, alpha) for alpha in _compositions(g)}
+
+
+@pytest.mark.parametrize("pruned", [True, False])
+def test_transitions_match_the_scanning_step(pruned, monkeypatch):
     for m in range(1, 9):
         for n in range(1, 10 - m):
             events = sw.dp_events(m, n)
-            got = sw.transitions(m, n, events, every_coloring)
+            targets = _c_alphas(m, n) if pruned else None
+            got = sw.transitions(events, targets)
             with monkeypatch.context() as mp:
                 mp.setattr(sw, "_step", _step_by_scans)
-                want = sw.transitions(m, n, events, every_coloring)
+                want = sw.transitions(events, targets)
             assert got == want, (m, n)
 
 
@@ -187,27 +193,37 @@ def test_dp_square(dom):
                              sw.composition_coloring(1, 1, (2,))}
 
 
+def _full_state(m, n, dom):
+    """The last stratum of the DP that keeps every reachable coloring."""
+    for _, state in sw.dp_strata(sw.transitions(sw.dp_events(m, n)), dom):
+        pass
+    return state
+
+
 def test_dp_strand_counts(dom):
     # the V-index of each value always equals the interval count of its key
-    for _, state in sw.dp_strata(sw.transitions(3, 2, sw.dp_events(3, 2), True), dom):
+    for _, state in sw.dp_strata(sw.transitions(sw.dp_events(3, 2)), dom):
         for key, val in state.items():
             assert val.k == len(key)
-    # the last stratum is the DP's final state
-    assert state == sw.recursion_dp(3, 2, dom, every_coloring=True).state
+    # pruned to the c_alpha, the last stratum is the DP's final state there
+    assert {key: state[key] for key in _c_alphas(3, 2)} == sw.recursion_dp(3, 2, dom).state
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 9) for n in range(1, 10 - m)])
 def test_pruned_dp_keeps_exactly_the_complete_colorings(dom, m, n):
     # pruning drops only colorings that cannot complete a path; the values
-    # and their order at the complete ones, the c_alpha, are those of the full DP
-    g = gcd(m, n)
-    c_alphas = {sw.composition_coloring(m // g, n // g, alpha) for alpha in _compositions(g)}
+    # and their order at the complete ones, the c_alpha, are those of the full DP,
+    # and so is the value at each c_alpha of the DP pruned to it alone
+    c_alphas = _c_alphas(m, n)
     pruned = sw.recursion_dp(m, n, dom)
-    full = sw.recursion_dp(m, n, dom, every_coloring=True).state
-    full = {key: val for key, val in full.items() if key in c_alphas}
+    full = {key: val for key, val in _full_state(m, n, dom).items() if key in c_alphas}
     assert list(pruned.state) == list(full)
     for key, val in full.items():
         assert pruned.state[key] == val, key
+    g = gcd(m, n)
+    for alpha in _compositions(g):
+        key = sw.composition_coloring(m // g, n // g, alpha)
+        assert sw.recursion_dp(m, n, dom, alphas=[alpha]).state == {key: full[key]}, alpha
 
 
 def test_assemble_matches_rhs(dom):

@@ -8,6 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from test_acceptance import SHUFFLE_CONFIGS
 
 from shufflealg import braid as br
 from shufflealg import cli
@@ -133,15 +134,15 @@ def test_relations_suite_operator_counts(dom, monkeypatch):
 
 
 def _counted_braid_builds(monkeypatch):
-    """Counter of braid_of_coloring calls by (m, n, key, h), m and n from the last
+    """Counter of braid_of_coloring calls by (events, key, h), events those of the last
     transition tables built."""
     builds = Counter()
     cell = []
     transitions, braid_of_coloring = sw.transitions, br.braid_of_coloring
 
-    def tables(m, n, *args):
-        cell[:] = [m, n]
-        return transitions(m, n, *args)
+    def tables(events, *args):
+        cell[:] = [tuple(events)]
+        return transitions(events, *args)
 
     def build(m1, n1, key, h):
         builds[(*cell, key, h)] += 1
@@ -170,9 +171,9 @@ def test_braid_formula_suite_builds_each_table_once(dom, monkeypatch):
     built = Counter()
     transitions = sw.transitions
 
-    def tables(m, n, *args):
-        built[(m, n)] += 1
-        return transitions(m, n, *args)
+    def tables(events, *args):
+        built[tuple(events)] += 1
+        return transitions(events, *args)
 
     monkeypatch.setattr(sw, "transitions", tables)
     rep = vf.braid_formula_suite(dom, total_max=5)
@@ -186,7 +187,7 @@ def _transition_reads(dom, m, n):
     m1, n1 = m // g, n // g
     events = sw.dp_events(m, n)
     reads = {}
-    for s, step in enumerate(sw.transitions(m, n, events, True)):
+    for s, step in enumerate(sw.transitions(events)):
         h_src = br.safe_height(*sw.stratum_bounds(m, n, events, s), m1, n1)
         h_dst = br.safe_height(*sw.stratum_bounds(m, n, events, s + 1), m1, n1)
         px, py = events[s]
@@ -224,133 +225,21 @@ def test_braid_transition_suite_reports_every_reader_of_a_wrong_braid(dom, monke
     assert len(want) >= 3 and sorted(f["id"] for f in rep["failures"]) == want
 
 
-def test_dp_cache_roundtrip(dom, tmp_path):
-    cfg = vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path))
-    rep1 = vf.verify_shuffle(cfg)
-    files = os.listdir(tmp_path)
-    assert any(f.startswith("dp_2x2") for f in files)
-    rep2 = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
-    assert rep1["ok"] and rep2["ok"]
-    assert [r["alpha"] for r in rep1["results"]] == [r["alpha"] for r in rep2["results"]]
-
-
 def _without_seconds(report):
     return {**report, "results": [{k: v for k, v in r.items() if k != "seconds"}
                                   for r in report["results"]]}
 
 
-def _truncate(payload, text):
-    return text[:len(text) // 2]
-
-
-def _stale_version(payload, text):
-    # zeroed values under an old version: read back, they would fail the check
-    for item in payload["state"]:
-        item["value"]["terms"] = []
-    return json.dumps({**payload, "version": vf.DP_CACHE_VERSION - 1})
-
-
-def _zero_coefficient(payload, text):
-    # same version, but a zero coefficient in every term: not a valid element
-    for item in payload["state"]:
-        for term in item["value"]["terms"]:
-            term["poly"][0][2] = 0
-    return json.dumps(payload)
-
-
-def _fractional_exponent(payload, text):
-    payload["state"][0]["value"]["terms"][0]["poly"][0][1] += 0.5
-    return json.dumps(payload)
-
-
-def _version_3_with_den(payload, text):
-    # the format before V_k lost its denominator: version 3, each element with a den
-    for item in payload["state"]:
-        item["value"]["den"] = 1
-    return json.dumps({**payload, "version": 3})
-
-
-def _first_term(payload):
-    return payload["state"][0]["value"]["terms"][0]
-
-
-def _k_not_an_int(payload, text):
-    payload["state"][0]["value"]["k"] = "x"
-    return json.dumps(payload)
-
-
-def _k_off_by_one(payload, text):
-    payload["state"][0]["value"]["k"] += 1
-    return json.dumps(payload)
-
-
-def _ys_too_long(payload, text):
-    _first_term(payload)["ys"].append(0)
-    return json.dumps(payload)
-
-
-def _ys_not_a_list(payload, text):
-    _first_term(payload)["ys"] = "ab"
-    return json.dumps(payload)
-
-
-def _partition_not_ints(payload, text):
-    _first_term(payload)["partition"] = ["a"]
-    return json.dumps(payload)
-
-
-def _partition_increasing(payload, text):
-    _first_term(payload)["partition"] = [1, 2]
-    return json.dumps(payload)
-
-
-def _key_not_int_pairs(payload, text):
-    payload["state"][0]["key"][0] = [0, 1, 2]
-    return json.dumps(payload)
-
-
-def _term_listed_twice(payload, text):
-    terms = payload["state"][0]["value"]["terms"]
-    terms.append(dict(terms[0], poly=[[0, 0, 7]]))
-    return json.dumps(payload)
-
-
-def _other_events(payload, text):
-    payload["events"].reverse()
-    return json.dumps(payload)
-
-
-def _missing_state_entry(payload, text):
-    del payload["state"][0]
-    return json.dumps(payload)
-
-
-@pytest.mark.parametrize("spoil", [_truncate, _stale_version, _zero_coefficient,
-                                   _fractional_exponent, _version_3_with_den, _k_not_an_int,
-                                   _k_off_by_one, _ys_too_long, _ys_not_a_list,
-                                   _partition_not_ints, _partition_increasing,
-                                   _key_not_int_pairs, _term_listed_twice, _other_events,
-                                   _missing_state_entry])
-def test_dp_cache_bad_file_is_recomputed(dom, tmp_path, spoil):
-    uncached = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=None))
-    vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
-    (path,) = tmp_path.iterdir()
-    text = path.read_text()
-    path.write_text(spoil(json.loads(text), text))
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=2, cache_dir=str(tmp_path)))
-    assert _without_seconds(rep) == _without_seconds(uncached)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]   # no temp file left
-    assert json.loads(path.read_text())["version"] == vf.DP_CACHE_VERSION
-    assert path.read_text() == text   # recomputed and rewritten as first written
-
-
-def test_dp_cache_values_exact(dom, tmp_path):
-    cfg = vf.JobConfig(m1=2, n1=3, g=1, cache_dir=str(tmp_path))
-    dp1 = vf._load_dp_cache(cfg, dom)   # computes and writes
-    dp2 = vf._load_dp_cache(cfg, dom)   # parses the file back
-    assert set(dp1.state) == set(dp2.state)
-    for key in dp1.state:
-        assert dp1.state[key] == dp2.state[key], key
+@pytest.mark.parametrize("m1,n1,g", SHUFFLE_CONFIGS + [(1, 2, 4), (2, 3, 3)])
+def test_verify_shuffle_one_alpha_matches_the_full_run(m1, n1, g):
+    # --alpha runs only the DP cone of its c_alpha and reports what the full run does
+    # for that alpha; (2, 3, 3) is over the budget, so every report skips it
+    full = _without_seconds(vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g)))
+    for alpha in vf.compositions_of(g):
+        one = _without_seconds(vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, alpha=alpha)))
+        assert one["results"] == [r for r in full["results"] if r["alpha"] == list(alpha)]
+        assert one["skipped"] == [a for a in full["skipped"] if a == list(alpha)]
+        assert one["results"] or one["skipped"]
 
 
 def _run_cli(args, capsys):
@@ -447,7 +336,6 @@ def test_cli_verify_shuffle_reports_a_perturbed_side(monkeypatch, capsys):
         n = g * n1
         return rhs + SymFunc.from_terms(dom, rhs.cap, [((1,) * n, dom.t), ((n,), -dom.u)])
 
-    monkeypatch.delenv("SHUFFLEALG_CACHE_DIR", raising=False)
     monkeypatch.setattr(sw, "assemble_composition", perturbed)
     code, data = _run_cli(["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "2",
                            "--alpha", "2"], capsys)
@@ -776,31 +664,18 @@ def test_cli_closed_stdout_is_quiet(argv):
     assert proc.returncode == 2 and proc.stderr == b""
 
 
-def test_dp_cache_keeps_its_format(dom, tmp_path):
-    # version 4 on disk, each element as it is held: {k, terms: [{partition, ys,
-    # poly: [[eu, et, c], ...]}]}; negative exponents and an integer content read back
-    assert vf.DP_CACHE_VERSION == 4
-    dp = sw.recursion_dp(2, 3, dom)
-    key = max(dp.state, key=lambda k: len(dp.state[k].terms))
-    dp.state[key] = dp.state[key].scale(dom.monomial(2, -3, -1))
-    path = tmp_path / "dp.json"
-    vf._write_dp_cache(str(path), dp)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 4
-    (value,) = [item["value"] for item in payload["state"]
-                if item["key"] == [list(iv) for iv in key]]
-    assert set(value) == {"k", "terms"} and value["k"] == dp.state[key].k
-    rows = [row for term in value["terms"] for row in term["poly"]]
-    assert min(eu for eu, _, _ in rows) == -3 and min(et for _, et, _ in rows) == -1
-    assert all(c % 2 == 0 for _, _, c in rows)
-    back = vf._read_dp_cache(str(path), 2, 3, dom)
-    assert back.events == dp.events and back.state == dp.state
-
-
 def test_cli_relation_refuses_zero_to_a_negative_power(capsys):
     code, data = _run_cli(["verify", "relation", "--lhs", "0^-1 d- d+", "--rhs", "d- d+",
                            "--k", "1"], capsys)
     assert code == 2 and data == {"error": "ValueError: bad scalar token '0^-1'"}
+
+
+@pytest.mark.parametrize("token", ["\u0663", "q^1_0"])
+def test_cli_relation_refuses_a_number_that_is_not_ascii_digits(token, capsys):
+    # an Arabic-Indic 3 and an underscore-grouped exponent are refused, not read as 3 and 10
+    code, data = _run_cli(["verify", "relation", "--lhs", f"{token} T1", "--rhs", "T1",
+                           "--k", "2"], capsys)
+    assert code == 2 and data == {"error": f"ValueError: bad scalar token {token!r}"}
 
 
 def test_cli_relation_witness_over_an_integer_denominator(capsys):
