@@ -126,7 +126,7 @@ def _expand_one_var(f: SymFunc, sign: int) -> dict:
         for j, gdict in sf.m_expand_one_var(lam, sign):
             terms = acc.setdefault(j, {})
             for mu, w in gdict.items():
-                _fma(terms, (mu, ()), c, sf._poly(w))
+                _fma(terms, (mu, ()), c, w)
     return {j: SymFunc(f.dom, f.cap, _pruned(terms)) for j, terms in acc.items()}
 
 

@@ -9,7 +9,8 @@ includes input too deep for Python's recursion limit, a path whose
 characteristic function is over `char_function`'s word budget, a
 relation whose k is over `vkspace.STRAND_BUDGET` or whose spanning set is over
 `vkspace.SPANNING_BUDGET`, a `braid eval` k over `vkspace.STRAND_BUDGET`, and a
-`verify shuffle` triple whose (g n1)! words per path exceed `verify.SHUFFLE_BUDGET`).
+`verify shuffle` triple whose (g n1)! words per path times its Dyck paths exceed
+`verify.SHUFFLE_BUDGET`).
 When the reader of stdout goes away (`shufflealg ... | head -1`), the exit
 status is 2 and nothing is printed on either stream.
 """

@@ -13,10 +13,14 @@ element i of a spanning set as s^i times it through operators that treat
 coefficients as opaque polynomials; no tagged coefficient leaves it.
 
 A CoefRat is num / d: num a polynomial and d a positive integer coprime to
-num's integer content.  Scalars form a ring: the only division is by a
-monomial, a key shift, and any other divisor raises CoefRatError.  No
-machine divides by a polynomial: each quotient of a commutator by (q - 1)
-has a closed form.
+num's integer content.  It is the scalar the package is called with and
+answers in: it enters an element only through `symfunc._poly` (in
+`VElem.scale` and the C event) and leaves one only through the read-only
+`SymFunc.coeffs` view, while the operator images hold polynomials.  Scalars
+form a ring with no division: every scalar an operator applies is a
+monomial, an inverse monomial is built with negative exponents, and each
+quotient of a commutator by (q - 1) has a closed form.  Only
+`from_fraction` makes a d other than 1, as a relation's 2^-1 needs.
 
 ExactDomain is the scalar factory the rest of the package takes as `dom`:
 it builds constants and monomials and holds no other state.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 KEY_SHIFT = 32
 _HALF = 1 << (KEY_SHIFT - 1)
@@ -173,16 +177,6 @@ class CoefRat:
         _fma(acc, 0, b, a)
         return CoefRat(_pruned(acc).get(0, {}), self.d * other.d)
 
-    def __truediv__(self, other):
-        """self / other for a monomial other; any other divisor raises CoefRatError."""
-        if not isinstance(other, CoefRat):
-            return NotImplemented
-        if len(other.num) != 1:
-            raise CoefRatError(f"({other}) is not a monomial" if other else "division by zero")
-        ((k, c),) = other.num.items()
-        s = other.d if c > 0 else -other.d
-        return CoefRat({m - k: v * s for m, v in self.num.items()}, self.d * abs(c))
-
     def __bool__(self):
         return bool(self.num)
 
@@ -193,28 +187,21 @@ class CoefRat:
             return NotImplemented
         return self.num == other.num and self.d == other.d
 
-    def __hash__(self):
-        return hash((tuple(sorted(self.num.items())), self.d))
-
     # -- predicates and views ----------------------------------------
     def has_integer_q_degree(self) -> bool:
         """True iff every monomial's u-exponent is even."""
         return not any(map(odd_u, self.num))
 
     def eval_at(self, q0, t0) -> Fraction:
-        """Exact value at q = q0, t = t0 (u = sqrt(q0) when needed).
+        """Exact value at q = q0, t = t0; u with an odd exponent raises CoefRatError.
 
-        With x = a/b (q0, or u0 when u has an odd exponent) and t0 = c/e, every
-        term is an integer over one denominator a^-lo b^hi c^-lo' e^hi', the
-        exponent bounds of x and t0 each widened to take in 0.
+        With q0 = a/b and t0 = c/e, every term is an integer over one denominator
+        a^-lo b^hi c^-lo' e^hi', the exponent bounds of q0 and t0 each widened to take in 0.
         """
-        q0, t0 = Fraction(q0), Fraction(t0)
-        if self.has_integer_q_degree():
-            x, exps = q0, [(eu // 2, et) for eu, et in map(unpack, self.num)]
-        else:
-            x, exps = _rational_sqrt(q0), list(map(unpack, self.num))
-            if x is None:
-                raise CoefRatError("q0 has no rational square root and u occurs with odd exponent")
+        if not self.has_integer_q_degree():
+            raise CoefRatError(f"({self}) has an odd power of u, whose value needs sqrt(q0)")
+        x, t0 = Fraction(q0), Fraction(t0)
+        exps = [(eu // 2, et) for eu, et in map(unpack, self.num)]
         es, fs = zip(*exps) if exps else ((0,), (0,))
         lo, hi, lo_t, hi_t = min(0, *es), max(0, *es), min(0, *fs), max(0, *fs)
         if (lo < 0 and not x) or (lo_t < 0 and not t0):
@@ -240,15 +227,6 @@ def fraction_str(num: dict, d: int = 1) -> str:
     if shift or d != 1:
         s += " / " + _poly_str({shift: d})
     return s
-
-
-def _rational_sqrt(fr: Fraction):
-    if fr < 0:
-        return None
-    a, b = isqrt(fr.numerator), isqrt(fr.denominator)
-    if a * a == fr.numerator and b * b == fr.denominator:
-        return Fraction(a, b)
-    return None
 
 
 def _poly_str(p) -> str:

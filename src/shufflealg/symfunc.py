@@ -3,13 +3,14 @@
 An element of V_k = Sym[X] (x) Q(q,t)[y_1..y_k] is a `VElem`,
 {(partition, y-exponents): coefficient}, and a coefficient is a polynomial
 of `scalars`: an integer Laurent polynomial in u and t (u^2 = q) keyed by
-packed exponents, the same form as a CoefRat's numerator, so an element
-reads and builds scalars without conversion.  A symmetric function is the
-k = 0 case: a `SymFunc` is a VElem of V_0 whose keys are (partition, ()),
-with a total-degree cap, h_n, e_n and the product by `mono_mult_table`.
-The substitution X + sign*(q-1)*y of one rank-one letter y, behind d_+,
-d_+^*, d_- and the Sym operator C_a, expands m_lam by the monomial
-coproduct (`m_expand_one_var`).
+packed exponents, the same form as a CoefRat's numerator.  A CoefRat enters
+an element only through `_poly`, which refuses a denominator, and leaves a
+SymFunc only through `SymFunc.coeffs`.  A symmetric function is the k = 0
+case: a `SymFunc` is a VElem of V_0 whose keys are (partition, ()), with a
+total-degree cap that h_n and the product by `mono_mult_table` keep.  The
+substitution X + sign*(q-1)*y of one rank-one letter y, behind d_+, d_+^*,
+d_- and the Sym operator C_a, expands m_lam by the monomial coproduct
+(`m_expand_one_var`) into polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from .scalars import CoefRat, CoefRatError, _added, _fma, _pruned, fraction_str, odd_u
+from .scalars import _Q, CoefRat, CoefRatError, _added, _fma, _pruned, fraction_str, odd_u
 
 
 # ----------------------------------------------------------------- partitions
@@ -183,7 +184,7 @@ def _poly(c) -> dict:
 
 class SymFunc(VElem):
     """Element of V_0 = Sym[X] in the monomial basis, with a total-degree cap:
-    `from_terms`, `h`, `e` and the product leave out every term above it."""
+    `h` and the product leave out every term above it."""
 
     __slots__ = ("cap",)
 
@@ -203,28 +204,11 @@ class SymFunc(VElem):
         return SymFunc(dom, cap, {((), ()): dict(_ONE)})
 
     @staticmethod
-    def from_terms(dom, cap, items) -> "SymFunc":
-        """The sum of c * m_lam over the (lam, c) of items with |lam| <= cap; a scalar c
-        that is not a Laurent polynomial raises CoefRatError."""
-        acc: dict = {}
-        for lam, c in items:
-            if c and sum(lam) <= cap:
-                _fma(acc, (lam, ()), _poly(c), _ONE)
-        return SymFunc(dom, cap, _pruned(acc))
-
-    @staticmethod
     def h(dom, cap, n: int) -> "SymFunc":
         """h_n, the sum of every m_lam with |lam| = n."""
         if n > cap:
             return SymFunc(dom, cap)
         return SymFunc(dom, cap, {(lam, ()): dict(_ONE) for lam in partitions_of(n)})
-
-    @staticmethod
-    def e(dom, cap, n: int) -> "SymFunc":
-        """e_n = m_(1^n); zero for n < 0."""
-        if n < 0 or n > cap:
-            return SymFunc(dom, cap)
-        return SymFunc(dom, cap, {((1,) * n, ()): dict(_ONE)})
 
     @property
     def coeffs(self) -> dict:
@@ -260,7 +244,7 @@ def _m_at_minus_one(mult: Counter) -> int:
 
 @lru_cache(maxsize=None)
 def m_expand_one_var(lam: tuple, sign: int):
-    """Expansion of m_lam[X + sign*(q-1)*y] as [(j, {partition: scalar})].
+    """Expansion of m_lam[X + sign*(q-1)*y] as [(j, {partition: polynomial})].
 
     j is the exponent of the single auxiliary variable y; entry j carries
     the symmetric-function coefficient of y^j.  By the monomial coproduct,
@@ -276,10 +260,10 @@ def m_expand_one_var(lam: tuple, sign: int):
     for taken in itertools.product(*(range(c + 1) for c in mult.values())):
         nu = Counter(dict(zip(mult, taken)))
         size = sum(v * n for v, n in nu.items())
-        coef = CoefRat.from_int(0)
+        coef: dict = {}
         for a in [0] + [v for v, n in nu.items() if n]:  # nu - {0} is nu
             e = a if sign > 0 else size - a
-            coef = coef + CoefRat.monomial(_m_at_minus_one(nu - Counter({a: 1})), 2 * e)
+            coef = _added(coef, {e * _Q: _m_at_minus_one(nu - Counter({a: 1}))})
         if coef:
             acc.setdefault(size, {})[tuple(sorted((mult - nu).elements(), reverse=True))] = coef
     return [(j, acc[j]) for j in sorted(acc)]

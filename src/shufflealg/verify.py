@@ -441,21 +441,17 @@ def verify_shuffle(cfg: JobConfig) -> dict:
     the operator tower against the coloring DP, which runs only the colorings
     that can still reach the c_alpha of the compositions compared.
 
-    When the parking-function enumeration of the triple exceeds the budget,
-    every composition is skipped and listed in the report rather than
-    attempted.  A triple whose (g n1)! words per path alone exceed it raises
-    ResourceWarning before any composition or path is counted.
+    A triple whose parking-function enumeration, (g n1)! words times its Dyck
+    paths, exceeds the budget raises ResourceWarning before anything runs;
+    when the words per path alone exceed it, no composition or path is counted.
     """
     n = cfg.g * cfg.n1
-    if any(w > SHUFFLE_BUDGET for w in accumulate(range(1, n + 1), mul)):   # stops past it
-        raise ResourceWarning(f"{n}! standard words per Dyck path alone exceed budget "
-                              f"{SHUFFLE_BUDGET}")
+    # the partial factorials stop past the budget, before n! or the paths are counted
+    if any(w > SHUFFLE_BUDGET for w in accumulate(range(1, n + 1), mul)) or \
+            cb.word_enumeration_size(n) * cb.dyck_path_count(cfg.g * cfg.m1, n) > SHUFFLE_BUDGET:
+        raise ResourceWarning(f"{n}! standard words per Dyck path times the "
+                              f"({cfg.g * cfg.m1},{n})-Dyck paths exceed budget {SHUFFLE_BUDGET}")
     alphas = sorted([tuple(cfg.alpha)] if cfg.alpha else compositions_of(cfg.g))
-    if cb.word_enumeration_size(n) * cb.dyck_path_count(cfg.g * cfg.m1, n) > SHUFFLE_BUDGET:
-        return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g, "ok": False, "results": [],
-                "skipped": [list(a) for a in alphas],
-                "skip_reason": f"estimated work exceeds budget {SHUFFLE_BUDGET}",
-                "rhs_method": "coloring_dp"}
     dom = ExactDomain()
     tower = ac.ActionTower(dom)
     dp = sw.recursion_dp(cfg.g * cfg.m1, n, dom, alphas=alphas)
@@ -467,8 +463,7 @@ def verify_shuffle(cfg: JobConfig) -> dict:
         results.append(_compare_entry(alpha, lhs, rhs, t0))
     ok_all = all(e["equal"] and e["integer_q_degree"] for e in results)
     return {"m1": cfg.m1, "n1": cfg.n1, "g": cfg.g,
-            "ok": ok_all, "results": results, "skipped": [],
-            "rhs_method": "coloring_dp"}
+            "ok": ok_all, "results": results, "rhs_method": "coloring_dp"}
 
 
 def _coeff_diff(lhs, rhs):

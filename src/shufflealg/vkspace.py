@@ -28,8 +28,8 @@ from itertools import combinations, islice
 from math import lcm
 
 from . import symfunc as sf
-from .scalars import _Q, TAG_SHIFT, CoefRat, _fma, _mul, _pruned, tag_of
-from .symfunc import _ONE, VElem, _format, _poly, mono_mult_table, partitions_of
+from .scalars import _Q, TAG_SHIFT, CoefRat, _fma, _mul, _pruned, pack, tag_of
+from .symfunc import _ONE, VElem, _format, mono_mult_table, partitions_of
 
 
 # ------------------------------------------------------------- T operators
@@ -97,7 +97,7 @@ def _dminus_image(lam, a: int):
         jj = a + j
         for mu, c in gdict.items():
             for nu, n in mono_mult_table(mu, (1,) * jj).items():
-                _fma(acc, nu, _poly(c), {0: -n if jj % 2 else n})
+                _fma(acc, nu, c, {0: -n if jj % 2 else n})
     return tuple(_pruned(acc).items())
 
 
@@ -171,7 +171,8 @@ def _dplus_image(lam, star: bool):
     For d_+ (star False) each w is negated, the sign of its formula; for
     d_+^* (star True) each w carries the t^j of y_{k+1} -> t*y_1.
     """
-    return tuple((mu, j, _poly(w * CoefRat.monomial(1, 0, j) if star else -w))
+    return tuple((mu, j, {m + pack(0, j): c for m, c in w.items()} if star
+                  else {m: -c for m, c in w.items()})
                  for j, gdict in sf.m_expand_one_var(lam, 1) for mu, w in gdict.items())
 
 
@@ -236,7 +237,7 @@ def _z_image(lam, a: int):
         for jj, gdict in sf.m_expand_one_var(mu, -1):
             m = a + jj
             for rho, c in gdict.items():
-                cw = _poly(c * CoefRat(w))
+                cw = _mul(c, w)
                 for i in range(1, m + 1):
                     for nu, n in mono_mult_table(rho, (1,) * (m - i)).items():
                         _fma(acc, (nu, j + i), cw, {i: -n if (m + i) % 2 else n})
@@ -536,56 +537,40 @@ def standard_relations(dom, k: int):
     z = lambda i: ("z", i)
     yt = lambda i: ("yt", i)
 
+    def shared(mark, T, dp, q):
+        """The relations that the q-algebra, on (T, d_+, q), and the conjugate algebra, on
+        (T^{-1}, d_+^*, q^{-1}), state alike; each name is `mark` and the letters' tokens."""
+        tok, d = lambda i: word_str((T(i),)), word_str((dp,))
+        for i in range(1, k):
+            add(f"{mark}quadratic {tok(i)} @k={k}", (T(i), T(i)), [(one - q, (T(i),)), (q, ())])
+        if k >= 2:
+            add(f"{mark}d-^2 {tok(k - 1)} @k={k}", (dm, dm, T(k - 1)), (dm, dm))
+        add(f"{mark}{tok(1)} {d}^2 @k={k}", (T(1), dp, dp), (dp, dp))
+        for i in range(1, k):
+            add(f"{mark}{d} {tok(i)} = {tok(i + 1)} {d} @k={k}", (dp, T(i)), (T(i + 1), dp))
+        # the two commutator relations
+        if k >= 2:
+            add(f"{mark}low comm rel @k={k}",
+                [(one, (dm, dp, dm, T(k - 1))), (-one, (dm, dm, dp, T(k - 1)))],
+                [(q, (dp, dm, dm)), (-q, (dm, dp, dm))])
+        if k >= 1:
+            add(f"{mark}high comm rel @k={k}",
+                [(one, (T(1), dp, dm, dp)), (-one, (T(1), dm, dp, dp))],
+                [(q, (dp, dp, dm)), (-q, (dp, dm, dp))])
+
+    qi = dom.q_power(-1)
+    shared("", T, dp, q)
+    shared("* ", Ti, dps, qi)
+    # the q-algebra's T alone: T T^-1 = 1, the braid relations and T_i d_- = d_- T_i
     for i in range(1, k):
-        # quadratic relation, via T^2 = (1-q)T + q
-        add(f"T{i}^2=(1-q)T{i}+q @k={k}", (T(i), T(i)),
-            [(one - q, (T(i),)), (q, ())])
         add(f"T{i}T{i}^-1=1 @k={k}", (T(i), Ti(i)), ())
     for i in range(1, k - 1):
         add(f"braid T{i} @k={k}", (T(i), T(i + 1), T(i)), (T(i + 1), T(i), T(i + 1)))
     for i in range(1, k):
         for j in range(i + 2, k):
             add(f"far comm T{i},T{j} @k={k}", (T(i), T(j)), (T(j), T(i)))
-
-    # lowering: d_-^2 T_{k-1} = d_-^2 and T_i d_- = d_- T_i
-    if k >= 2:
-        add(f"d-^2 T{k-1} @k={k}", (dm, dm, T(k - 1)), (dm, dm))
     for i in range(1, k - 1):
         add(f"T{i} d- = d- T{i} @k={k}", (T(i), dm), (dm, T(i)))
-
-    # raising: T_1 d_+^2 = d_+^2 and d_+ T_i = T_{i+1} d_+
-    add(f"T1 d+^2 @k={k}", (T(1), dp, dp), (dp, dp))
-    for i in range(1, k):
-        add(f"d+ T{i} = T{i+1} d+ @k={k}", (dp, T(i)), (T(i + 1), dp))
-
-    # the two commutator relations
-    if k >= 2:
-        add(f"low comm rel @k={k}",
-            [(one, (dm, dp, dm, T(k - 1))), (-one, (dm, dm, dp, T(k - 1)))],
-            [(q, (dp, dm, dm)), (-q, (dm, dp, dm))])
-    if k >= 1:
-        add(f"high comm rel @k={k}",
-            [(one, (T(1), dp, dm, dp)), (-one, (T(1), dm, dp, dp))],
-            [(q, (dp, dp, dm)), (-q, (dp, dm, dp))])
-
-    # conjugate algebra on (T^{-1}, d_-, d_+^*): same shape with q -> q^{-1}
-    qi = dom.q_power(-1)
-    for i in range(1, k):
-        add(f"* T{i}^-2 rel @k={k}", (Ti(i), Ti(i)),
-            [(one - qi, (Ti(i),)), (qi, ())])
-    if k >= 2:
-        add(f"* d-^2 T{k-1}^-1 @k={k}", (dm, dm, Ti(k - 1)), (dm, dm))
-    add(f"* T1^-1 d+*^2 @k={k}", (Ti(1), dps, dps), (dps, dps))
-    for i in range(1, k):
-        add(f"* d+* T{i}^-1 = T{i+1}^-1 d+* @k={k}", (dps, Ti(i)), (Ti(i + 1), dps))
-    if k >= 2:
-        add(f"* low comm rel @k={k}",
-            [(one, (dm, dps, dm, Ti(k - 1))), (-one, (dm, dm, dps, Ti(k - 1)))],
-            [(qi, (dps, dm, dm)), (-qi, (dm, dps, dm))])
-    if k >= 1:
-        add(f"* high comm rel @k={k}",
-            [(one, (Ti(1), dps, dm, dps)), (-one, (Ti(1), dm, dps, dps))],
-            [(qi, (dps, dps, dm)), (-qi, (dps, dm, dps))])
 
     # y relations
     for i in range(1, k + 1):

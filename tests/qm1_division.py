@@ -1,8 +1,8 @@
 """Exact division by a monomial times q - 1: the oracle of the commutator formulas.
 
-The package divides by monomials only; each commutator over q - 1 that it uses
-(y_1, z_1, the C event) has a closed form.  The tests divide the commutators
-themselves here and compare.
+The package never divides: each commutator over q - 1 that it uses (y_1, z_1,
+the C event) has a closed form, and an inverse monomial is built with negative
+exponents.  The tests divide the commutators themselves here and compare.
 """
 
 from math import gcd
@@ -41,11 +41,19 @@ def div_qm1(p: dict, w: dict) -> dict:
 
 
 def divide(a: CoefRat, b: CoefRat) -> CoefRat:
-    """a / b for b a monomial, or a monomial times q - 1, over a positive integer."""
-    if len(b.num) <= 1:
-        return a / b
+    """a / b for b a monomial, or a monomial times q - 1, over a positive integer.
+
+    b is g times a primitive w, g > 0 its content: a monomial w is a unit, +-u^i t^j,
+    and one times q - 1 is divided by long division."""
+    if not b:
+        raise CoefRatError("division by zero")
     g = gcd(*b.num.values())
-    num = div_qm1(a.num, {k: c // g for k, c in b.num.items()})
+    w = {k: c // g for k, c in b.num.items()}
+    if len(w) == 1:
+        ((k, c),) = w.items()
+        num = {m - k: v * c for m, v in a.num.items()}
+    else:
+        num = div_qm1(a.num, w)
     return CoefRat({m: v * b.d for m, v in num.items()}, a.d * g)
 
 

@@ -409,7 +409,7 @@ def _evaluate_per_generator(w, f):
     from test_vkspace import _ytilde_recursive, _z_recursive
     dom = f.dom
     u_inv = dom.monomial(1, -1, 0)
-    qt_inv = dom.one / (dom.q * dom.t)
+    qt_inv = dom.monomial(1, -2, -1)
     for gen in reversed(w.gens):
         kind = gen[0]
         if kind == "T":

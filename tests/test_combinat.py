@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import e, symfunc
 from shufflealg import combinat as cb
 from shufflealg.combinat import compositions_of
 from shufflealg.scalars import CoefRat, pack
@@ -86,7 +87,7 @@ def from_word_multiset(dom, cap: int, words, alphabet: int | None = None) -> Sym
                 raise ValueError(f"inconsistent coefficients on shape {shape}: input not symmetric")
         if expected:
             coeffs[shape] = expected
-    return SymFunc.from_terms(dom, cap, coeffs.items())
+    return symfunc(dom, cap, coeffs.items())
 
 
 def _count_multisets(shape: tuple, alphabet: int) -> int:
@@ -336,14 +337,14 @@ def test_char_function_single_letter(dom):
 
 def test_char_function_marked_corner(dom):
     mp = cb.attack_structure(cb.DyckPath(1, 2, (1, 1, 0)))
-    assert cb.char_function(mp, dom) == SymFunc.e(dom, 2, 2)
+    assert cb.char_function(mp, dom) == e(dom, 2, 2)
 
 
 def test_char_function_free_square(dom):
     # no attacks, no marks: sum over all 2-letter words = p_1^2 = h_2 + e_2
     mp = cb.MarkedSquarePath(cb.DyckPath(2, 2, (1, 0, 1, 0)), frozenset())
     chi = cb.char_function(mp, dom)
-    assert chi == SymFunc.h(dom, 2, 2) + SymFunc.e(dom, 2, 2)
+    assert chi == SymFunc.h(dom, 2, 2) + e(dom, 2, 2)
 
 
 def test_char_function_full_check_agrees(dom):
@@ -410,13 +411,13 @@ def test_char_function_full_staircase_is_q_multinomial(dom, n, monkeypatch):
     chi = cb.char_function(cb.MarkedSquarePath(pi, frozenset()), dom)
     want = {lam: CoefRat({pack(2 * i, 0): c for i, c in enumerate(q_multinomial(lam)) if c})
             for lam in partitions_of(n)}
-    assert chi == SymFunc.from_terms(dom, n, want.items())
+    assert chi == symfunc(dom, n, want.items())
 
 
 def test_rhs_examples(dom):
-    assert cb.rhs_compositional(1, 1, 1, (1,), dom) == SymFunc.e(dom, 1, 1)
-    assert cb.rhs_compositional(1, 2, 1, (1,), dom) == SymFunc.e(dom, 2, 2)
-    t_e2 = SymFunc.e(dom, 2, 2).scale(dom.t)
+    assert cb.rhs_compositional(1, 1, 1, (1,), dom) == e(dom, 1, 1)
+    assert cb.rhs_compositional(1, 2, 1, (1,), dom) == e(dom, 2, 2)
+    t_e2 = e(dom, 2, 2).scale(dom.t)
     assert cb.rhs_compositional(1, 1, 2, (2,), dom) == t_e2
     with pytest.raises(ValueError, match=r"alpha must be a composition of g = 2, got \[0, 2\]"):
         cb.rhs_compositional(1, 1, 2, (0, 2), dom)
@@ -446,7 +447,7 @@ def test_from_word_multiset_e2(dom):
     # all strictly decreasing two-letter words over {1,2,3}
     words = [((2, 1), dom.one), ((3, 1), dom.one), ((3, 2), dom.one)]
     out = from_word_multiset(dom, 3, words, alphabet=3)
-    assert out == SymFunc.e(dom, 3, 2)
+    assert out == e(dom, 3, 2)
 
 
 def test_from_word_multiset_rejects_asymmetric(dom):

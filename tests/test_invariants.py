@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import shufflealg
-from shufflealg.scalars import CoefRat, CoefRatError, ExactDomain
+from shufflealg.scalars import CoefRat, ExactDomain
 from shufflealg.vkspace import VElem
 
 
@@ -53,9 +53,33 @@ def test_exact_domain_is_stateless():
     assert fields and all(type(v) is CoefRat for v in fields.values())
 
 
-def test_scalars_divide_by_monomials_only(dom):
-    # no machine divides by a polynomial, so an exact quotient by q - 1 is refused too
-    for num in (dom.one, dom.q * dom.q - dom.one):
-        with pytest.raises(CoefRatError, match="not a monomial"):
-            num / (dom.q - dom.one)
+def _scopes_naming(tree, name):
+    """The dotted scope (class and function names) of every use of `name`, imports aside."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and child.id == name or \
+                    isinstance(child, ast.Attribute) and child.attr == name:
+                out.append(".".join(scope))
+            walk(child, scope)
+
+    walk(tree, ())
+    return out
+
+
+def test_coefrat_is_only_a_scalar(dom):
+    # the operator images hold polynomials: a CoefRat is read into an element by
+    # symfunc._poly, which takes any scalar, and made from one only by SymFunc.coeffs
+    # and the lowest-terms witness printer of check_relations
+    pkg = Path(shufflealg.__file__).parent
+    found = {(path.name, scope) for path in sorted(pkg.glob("*.py")) if path.name != "scalars.py"
+             for scope in _scopes_naming(ast.parse(path.read_text()), "CoefRat")}
+    assert found <= {("symfunc.py", "SymFunc.coeffs"), ("vkspace.py", "check_relations.untagged")}
+    # no machine divides, so scalars have no division
+    with pytest.raises(TypeError):
+        dom.one / dom.q
     assert not hasattr(VElem, "divide")

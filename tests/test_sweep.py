@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import e
 from shufflealg import combinat as cb
 from shufflealg import sweep as sw
 from shufflealg import vkspace as vk
 from shufflealg.scalars import ExactDomain, InvariantError
-from shufflealg.symfunc import SymFunc
 from shufflealg.vkspace import VElem
 
 
@@ -37,8 +37,8 @@ def test_event_kinds_figure():
 
 
 def test_sweep_values(dom):
-    assert sw.sweep_path(cb.DyckPath(1, 1, (1, 0)), dom) == SymFunc.e(dom, 1, 1)
-    assert sw.sweep_path(cb.DyckPath(1, 2, (1, 1, 0)), dom) == SymFunc.e(dom, 2, 2)
+    assert sw.sweep_path(cb.DyckPath(1, 1, (1, 0)), dom) == e(dom, 1, 1)
+    assert sw.sweep_path(cb.DyckPath(1, 2, (1, 1, 0)), dom) == e(dom, 2, 2)
 
 
 def test_sweep_matches_statistics_formula(dom):
@@ -242,7 +242,7 @@ def test_assemble_t_power(dom):
     # diagonal point
     dp = sw.recursion_dp(2, 2, dom)
     val = sw.assemble_composition(1, 1, 2, (2,), dp, dom)
-    assert val == SymFunc.e(dom, 2, 2).scale(dom.t)
+    assert val == e(dom, 2, 2).scale(dom.t)
 
 
 def test_assemble_bad_alpha(dom):

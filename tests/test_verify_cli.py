@@ -8,13 +8,13 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from conftest import symfunc
 from test_acceptance import SHUFFLE_CONFIGS
 
 from shufflealg import braid as br
 from shufflealg import cli
 from shufflealg import sweep as sw
 from shufflealg import verify as vf
-from shufflealg.symfunc import SymFunc
 
 
 def test_run_suite_names(dom):
@@ -44,11 +44,12 @@ def test_verify_shuffle_smallest(dom):
 
 
 def test_verify_shuffle_budget_skip(monkeypatch):
-    # 4! words per path fit; times the 3 (2,4)-Dyck paths they do not
+    # 4! words per path fit; times the 3 (2,4)-Dyck paths they do not, so the triple is
+    # refused before anything runs
     monkeypatch.setattr(vf, "SHUFFLE_BUDGET", 24)
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2))
-    assert not rep["ok"] and rep["skipped"] and not rep["results"]
-    assert "budget" in rep["skip_reason"] and rep["rhs_method"] == "coloring_dp"
+    with pytest.raises(ResourceWarning, match=r"^4! standard words per Dyck path times the "
+                                              r"\(2,4\)-Dyck paths exceed budget 24$"):
+        vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=2))
 
 
 def test_verify_shuffle_budget_prices_dyck_paths(monkeypatch):
@@ -56,21 +57,20 @@ def test_verify_shuffle_budget_prices_dyck_paths(monkeypatch):
     # (1,2,5) is still refused: 273 (5,10)-Dyck paths times 10! = 990,662,400
     monkeypatch.setattr(vf, "SHUFFLE_BUDGET", 50_000_000)
     rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=4, alpha=(4,)))
-    assert rep["ok"] and not rep["skipped"]
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=5))
-    assert not rep["ok"] and len(rep["skipped"]) == 16
+    assert rep["ok"] and set(rep) == {"m1", "n1", "g", "ok", "results", "rhs_method"}
+    with pytest.raises(ResourceWarning, match="budget 50000000"):
+        vf.verify_shuffle(vf.JobConfig(m1=1, n1=2, g=5))
 
 
 def test_verify_shuffle_refuses_a_factorial_over_the_budget(monkeypatch):
     # 11! = 39,916,800 words per path fit the budget, so (1,1,11) is priced by its paths
-    # and skipped; 12! does not, so g n1 >= 12 is refused before any composition is
-    # listed or any path counted
-    rep = vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=11))
-    assert not rep["ok"] and len(rep["skipped"]) == 2 ** 10
-
+    # and refused; 12! does not, so g n1 >= 12 is refused before any path is counted.
+    # No refused triple lists its compositions
     def no_work(*args, **kwargs):
         raise AssertionError("listed compositions or counted paths past the budget")
     monkeypatch.setattr(vf, "compositions_of", no_work)
+    with pytest.raises(ResourceWarning, match=r"^11! standard words per Dyck path times"):
+        vf.verify_shuffle(vf.JobConfig(m1=1, n1=1, g=11))
     monkeypatch.setattr(vf.cb, "dyck_path_count", no_work)
     for m1, n1, g, alpha in ((1, 1, 12, None), (1, 2, 6, None), (1, 1, 100000, (100000,))):
         with pytest.raises(ResourceWarning, match=f"^{n1 * g}! standard words per Dyck path"):
@@ -225,21 +225,26 @@ def test_braid_transition_suite_reports_every_reader_of_a_wrong_braid(dom, monke
     assert len(want) >= 3 and sorted(f["id"] for f in rep["failures"]) == want
 
 
-def _without_seconds(report):
-    return {**report, "results": [{k: v for k, v in r.items() if k != "seconds"}
-                                  for r in report["results"]]}
+def _results_or_refusal(cfg):
+    """The report's results without their timings, or the refusal of an over-budget triple."""
+    try:
+        report = vf.verify_shuffle(cfg)
+    except ResourceWarning as exc:
+        return str(exc)
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in report["results"]]
 
 
 @pytest.mark.parametrize("m1,n1,g", SHUFFLE_CONFIGS + [(1, 2, 4), (2, 3, 3)])
 def test_verify_shuffle_one_alpha_matches_the_full_run(m1, n1, g):
     # --alpha runs only the DP cone of its c_alpha and reports what the full run does
-    # for that alpha; (2, 3, 3) is over the budget, so every report skips it
-    full = _without_seconds(vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g)))
+    # for that alpha; (2, 3, 3) is over the budget, so every run refuses it alike
+    full = _results_or_refusal(vf.JobConfig(m1=m1, n1=n1, g=g))
     for alpha in vf.compositions_of(g):
-        one = _without_seconds(vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g, alpha=alpha)))
-        assert one["results"] == [r for r in full["results"] if r["alpha"] == list(alpha)]
-        assert one["skipped"] == [a for a in full["skipped"] if a == list(alpha)]
-        assert one["results"] or one["skipped"]
+        one = _results_or_refusal(vf.JobConfig(m1=m1, n1=n1, g=g, alpha=alpha))
+        if isinstance(full, str):
+            assert one == full and "exceed budget" in one
+        else:
+            assert one == [r for r in full if r["alpha"] == list(alpha)] and one
 
 
 def _run_cli(args, capsys):
@@ -334,7 +339,7 @@ def test_cli_verify_shuffle_reports_a_perturbed_side(monkeypatch, capsys):
     def perturbed(m1, n1, g, alpha, dp, dom):
         rhs = assemble(m1, n1, g, alpha, dp, dom)
         n = g * n1
-        return rhs + SymFunc.from_terms(dom, rhs.cap, [((1,) * n, dom.t), ((n,), -dom.u)])
+        return rhs + symfunc(dom, rhs.cap, [((1,) * n, dom.t), ((n,), -dom.u)])
 
     monkeypatch.setattr(sw, "assemble_composition", perturbed)
     code, data = _run_cli(["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "2",
@@ -514,6 +519,11 @@ def _lhs_negative_slope(tmp_path):
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
 
 
+def _shuffle_over_budget(tmp_path):
+    # 10! words times 273 (5,10)-Dyck paths: refused with status 2, not a failed verification
+    return ["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "5"]
+
+
 def _relation_over_spanning_budget(tmp_path):
     # refused once one element past the budget is built
     return ["verify", "relation", "--lhs", "T1", "--rhs", "T1", "--k", "2", "--degree", "99999"]
@@ -534,7 +544,7 @@ def _relation_over_spanning_budget(tmp_path):
                                   _lhs_negative_slope, _lhs_alpha_not_a_composition,
                                   _coloring_empty_at_height, _relation_exponent_past_packing,
                                   _shuffle_alpha_empty, _enum_alpha_empty,
-                                  _relation_over_spanning_budget])
+                                  _relation_over_spanning_budget, _shuffle_over_budget])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -556,6 +566,9 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     if argv is _relation_over_spanning_budget:
         assert error == ("ResourceWarning: V_2 has over 1000 basis elements of degree at "
                          "most 99999, the budget of a relation check")
+    if argv is _shuffle_over_budget:
+        assert error == ("ResourceWarning: 10! standard words per Dyck path times the "
+                         "(5,10)-Dyck paths exceed budget 50000000")
     if argv is _relation_exponent_past_packing:
         assert error == ("ValueError: bad scalar token 't^4294967296': the absolute values "
                          "of its exponents must add up to less than 2^20")
@@ -625,9 +638,11 @@ def test_cli_relation_refuses_a_huge_k_before_allocating(word):
     (["braid", "eval", "--word", "T1", "--k", "1000000000"],
      "ResourceWarning: V_1000000000 has over 150 strands, the budget of d_+^k(1)"),
     (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "24"],
-     "ResourceWarning: 24! standard words per Dyck path alone exceed budget 50000000"),
+     "ResourceWarning: 24! standard words per Dyck path times the (24,24)-Dyck paths "
+     "exceed budget 50000000"),
     (["verify", "shuffle", "--m1", "1", "--n1", "1", "--g", "100000", "--alpha", "100000"],
-     "ResourceWarning: 100000! standard words per Dyck path alone exceed budget 50000000"),
+     "ResourceWarning: 100000! standard words per Dyck path times the (100000,100000)-Dyck paths "
+     "exceed budget 50000000"),
     (["paths", "enum", "--m", "30", "--n", "30"],
      "ResourceWarning: 3814986502092304 Dyck paths of 60 steps exceed budget 5000000 steps")])
 def test_cli_refuses_huge_braid_and_shuffle_input_before_allocating(argv, error):

@@ -20,7 +20,7 @@ def V(dom, k, terms):
     a scalar that is not a Laurent polynomial raises CoefRatError."""
     if isinstance(terms, list):
         terms = {key: dom.one for key in terms}
-    return VElem(dom, k, {key: vk._poly(c) for key, c in terms.items() if c})
+    return VElem(dom, k, {key: sf._poly(c) for key, c in terms.items() if c})
 
 
 def scalars(f: VElem) -> dict:
@@ -70,7 +70,7 @@ def _dminus_reference(f: VElem) -> VElem:
             sign = dom.one if jj % 2 == 0 else -dom.one
             ej = (1,) * jj
             for mu, c2 in gdict.items():
-                cc = c * c2 * sign
+                cc = c * CoefRat(c2) * sign
                 for nu, n in sf.mono_mult_table(mu, ej).items():
                     out[(nu, rest)] = out.get((nu, rest), dom.zero) + cc * dom.from_int(n)
     return V(dom, f.k - 1, out)
@@ -230,7 +230,7 @@ def test_scale_refuses_a_denominator(dom):
     # V_k has integer Laurent coefficients: only the relation checker meets 1/2
     f = V(dom, 1, {((), (1,)): dom.one, ((1,), (0,)): dom.t})
     assert f.scale(dom.from_int(2)) == f + f and str(f) == "(1)*m[]*y1 + (t)*m[1]"
-    for bad in (dom.from_fraction(Fraction(1, 2)), dom.t / dom.from_int(3)):
+    for bad in (dom.from_fraction(Fraction(1, 2)), dom.t * dom.from_fraction(Fraction(1, 3))):
         with pytest.raises(CoefRatError):
             f.scale(bad)
         with pytest.raises(CoefRatError):
