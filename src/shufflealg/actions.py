@@ -102,7 +102,8 @@ def lhs_compositional(m1: int, n1: int, g: int, alpha, dom,
 
     The tower gives y^(alpha-1) d_+^r 1 in V_r, and `vkspace.dminus_to_v0`
     takes it, times the closing monomial, to V_0 with its y-exponents
-    straightened first.
+    straightened first; the tail keeps its last input and image, so a DP
+    value equal to this one in V_r, tailed next, costs no second tail.
     """
     alpha = tuple(alpha)
     r = len(alpha)

@@ -10,7 +10,8 @@ characteristic function is over `char_function`'s word budget, a
 relation whose k is over `vkspace.STRAND_BUDGET` or whose spanning set is over
 `vkspace.SPANNING_BUDGET`, a `braid eval` k over `vkspace.STRAND_BUDGET`, and a
 `verify shuffle` triple whose (g n1)! words per path times its Dyck paths exceed
-`verify.SHUFFLE_BUDGET`).
+`verify.SHUFFLE_BUDGET`).  Integer options and the parts of --alpha are ASCII
+digits after an optional '-', so '٣' and '1_0' do not parse.
 When the reader of stdout goes away (`shufflealg ... | head -1`), the exit
 status is 2 and nothing is printed on either stream.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import gcd
 
@@ -56,11 +58,18 @@ def _check_at_least_zero(args, *names):
             raise ValueError(f"--{name} must be at least 0, got {getattr(args, name)}")
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after an optional '-', where `int` also reads '٣'
+    and '1_0'.  A negative one is left for `_check_at_least_zero` to name."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_alpha(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"--alpha must be comma-separated integers, got {text!r}") from None
+    if not re.fullmatch("-?[0-9]+(,-?[0-9]+)*", text):
+        raise ValueError(f"--alpha must be comma-separated integers, got {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 def cmd_paths(args):
@@ -204,8 +213,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("paths")
     ps = p.add_subparsers(dest="paths_cmd", required=True)
     q = ps.add_parser("enum")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=_integer, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--alpha", default=None)
     q = ps.add_parser("stats")
     q.add_argument("--path", required=True)
@@ -217,12 +226,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("actions")
     ps = p.add_subparsers(dest="actions_cmd", required=True)
     q = ps.add_parser("build")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=_integer, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q = ps.add_parser("lhs")
-    q.add_argument("--m1", type=int, required=True)
-    q.add_argument("--n1", type=int, required=True)
-    q.add_argument("--g", type=int, required=True)
+    q.add_argument("--m1", type=_integer, required=True)
+    q.add_argument("--n1", type=_integer, required=True)
+    q.add_argument("--g", type=_integer, required=True)
     q.add_argument("--alpha", required=True)
     p.set_defaults(func=cmd_actions)
 
@@ -231,8 +240,8 @@ def main(argv=None) -> int:
     q = ps.add_parser("path")
     q.add_argument("--path", required=True)
     q = ps.add_parser("dp")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=_integer, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--emit-colorings", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -240,27 +249,27 @@ def main(argv=None) -> int:
     ps = p.add_subparsers(dest="braid_cmd", required=True)
     q = ps.add_parser("eval")
     q.add_argument("--word", required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_integer, required=True)
     q = ps.add_parser("of-coloring")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=_integer, required=True)
+    q.add_argument("--n", type=_integer, required=True)
     q.add_argument("--coloring", required=True, help="JSON file with intervals")
     p.set_defaults(func=cmd_braid)
 
     p = sub.add_parser("verify")
     ps = p.add_subparsers(dest="verify_cmd", required=True)
     q = ps.add_parser("shuffle")
-    q.add_argument("--m1", type=int, required=True)
-    q.add_argument("--n1", type=int, required=True)
-    q.add_argument("--g", type=int, required=True)
+    q.add_argument("--m1", type=_integer, required=True)
+    q.add_argument("--n1", type=_integer, required=True)
+    q.add_argument("--g", type=_integer, required=True)
     q.add_argument("--alpha", default=None)
     q = ps.add_parser("suite")
     q.add_argument("name", help="relations|sweep|coloring|braid_formula|braid|trains|specialbraids|all")
     q = ps.add_parser("relation")
     q.add_argument("--lhs", required=True, help='e.g. "z1 d+"')
     q.add_argument("--rhs", required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--degree", type=int, default=2)
+    q.add_argument("--k", type=_integer, required=True)
+    q.add_argument("--degree", type=_integer, default=2)
     p.set_defaults(func=cmd_verify)
 
     try:

@@ -275,7 +275,8 @@ def composition_coloring(m1: int, n1: int, alpha) -> tuple:
 
 def assemble_composition(m1: int, n1: int, g: int, alpha, dp: DpResult, dom):
     """t^(sum(alpha_i - 1)) d_-^r applied to the DP value at c_alpha, by
-    `vkspace.dminus_to_v0`, which straightens the y-exponents first."""
+    `vkspace.dminus_to_v0`, which straightens the y-exponents first.  The tail
+    keeps its last input and image: right after an equal lhs it runs no operator."""
     alpha = tuple(alpha)
     check_composition(alpha, g)
     key = composition_coloring(m1, n1, alpha)

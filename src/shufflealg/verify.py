@@ -444,6 +444,9 @@ def verify_shuffle(cfg: JobConfig) -> dict:
     A triple whose parking-function enumeration, (g n1)! words times its Dyck
     paths, exceeds the budget raises ResourceWarning before anything runs;
     when the words per path alone exceed it, no composition or path is counted.
+    Each composition tails its lhs and then its rhs through `vkspace.dminus_to_v0`,
+    which keeps its last input and image, so two sides equal in V_r pay for one
+    tail and two that differ get one each, compared in Sym.
     """
     n = cfg.g * cfg.n1
     # the partial factorials stop past the budget, before n! or the paths are counted

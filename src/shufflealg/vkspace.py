@@ -142,26 +142,38 @@ def _dminus_power_image(lam, zs: tuple):
     return tuple(_pruned(acc).items())
 
 
+_LAST_TAIL: list = [None, None]   # the last input of dminus_to_v0 with k >= 1, and its image
+
+
 def dminus_to_v0(f: VElem) -> VElem:
     """d_-^k f in V_0, k = f.k, on y-exponents straightened so that d_- meets the smallest
     last: d_-^2 T_{k-1} = d_-^2 and T_i d_- = d_- T_i give d_-^k T_i = d_-^k on V_k.
 
     The first k-1 d_- take each straightened term to V_1 in one step, by the composed
     image of its y_2..y_k part, and the last d_- acts on V_1, where the terms have
-    merged: it is the step whose images are largest."""
+    merged: it is the step whose images are largest.
+
+    The tail keeps its last input and image: an input equal to the last one in V_k
+    gets that image again, on its own domain and in a fresh dict, with no operator
+    run, so two sides that agree in V_r pay for one tail."""
     if f.k == 0:
         return f
+    last, image = _LAST_TAIL
+    if f == last:
+        return VElem(f.dom, 0, dict(image.terms))
+    v1 = f
     if f.k >= 2:
         acc: dict = {}
         for (lam, ys), c in f.terms.items():
             for zs, w in _straightened(ys):
                 _fma(acc, (lam, zs), c, w)
-        v1: dict = {}
+        terms: dict = {}
         for (lam, zs), c in _pruned(acc).items():
             for mu, w in _dminus_power_image(lam, zs[1:]):
-                _fma(v1, (mu, zs[:1]), c, w)
-        f = VElem(f.dom, 1, _pruned(v1))
-    return act_dminus(f)
+                _fma(terms, (mu, zs[:1]), c, w)
+        v1 = VElem(f.dom, 1, _pruned(terms))
+    _LAST_TAIL[:] = f, act_dminus(v1)
+    return _LAST_TAIL[1]
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from shufflealg import braid as br
 from shufflealg import cli
 from shufflealg import sweep as sw
 from shufflealg import verify as vf
+from shufflealg import vkspace as vk
 
 
 def test_run_suite_names(dom):
@@ -245,6 +246,50 @@ def test_verify_shuffle_one_alpha_matches_the_full_run(m1, n1, g):
             assert one == full and "exceed budget" in one
         else:
             assert one == [r for r in full if r["alpha"] == list(alpha)] and one
+
+
+@pytest.mark.parametrize("m1,n1,g", [(1, 1, 3), (1, 1, 4)])
+def test_verify_shuffle_catches_a_changed_dp_value(m1, n1, g, monkeypatch):
+    # 1 added to one coefficient of the DP's value at one c_alpha: the two sides reach the
+    # tail unequal, so that alpha alone gets its own tails and fails in Sym
+    alphas = sorted(vf.compositions_of(g))
+    bad = alphas[len(alphas) // 2]
+    recursion_dp = sw.recursion_dp
+
+    def changed(*args, **kwargs):
+        dp = recursion_dp(*args, **kwargs)
+        key = sw.composition_coloring(m1, n1, bad)
+        f = dp.state[key]
+        dp.state[key] = f + vk.VElem(f.dom, f.k, {min(f.terms): {0: 1}})
+        return dp
+
+    monkeypatch.setattr(sw, "recursion_dp", changed)
+    report = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g))
+    assert report["ok"] is False
+    for entry in report["results"]:
+        if tuple(entry["alpha"]) == bad:
+            assert entry["equal"] is False and entry["diff"]
+        else:
+            assert entry["equal"] is True and "diff" not in entry, entry["alpha"]
+
+
+@pytest.mark.parametrize("m1,n1,g", SHUFFLE_CONFIGS + [(1, 2, 4), (1, 3, 3)])
+def test_both_sides_reach_the_tail_equal_in_v_r(m1, n1, g, monkeypatch):
+    # the premise of the tail's one-slot reuse: at each composition the lhs and the DP
+    # hand d_-^r the same element of V_r
+    inputs = []
+    dminus_to_v0 = vk.dminus_to_v0
+
+    def record(f):
+        inputs.append(f)
+        return dminus_to_v0(f)
+
+    monkeypatch.setattr(vk, "dminus_to_v0", record)
+    monkeypatch.setattr(sw, "dminus_to_v0", record)
+    report = vf.verify_shuffle(vf.JobConfig(m1=m1, n1=n1, g=g))
+    assert len(inputs) == 2 * len(report["results"]) == 2 * len(vf.compositions_of(g))
+    for entry, lhs, rhs in zip(report["results"], inputs[::2], inputs[1::2]):
+        assert lhs.k == len(entry["alpha"]) and lhs == rhs, entry["alpha"]
 
 
 def _run_cli(args, capsys):
@@ -519,6 +564,20 @@ def _lhs_negative_slope(tmp_path):
     return ["actions", "lhs", "--m1", "-1", "--n1", "1", "--g", "1", "--alpha", "1"]
 
 
+def _lhs_alpha_not_ascii(tmp_path):
+    # int() reads the Arabic-Indic digit three as 3
+    return ["actions", "lhs", "--m1", "1", "--n1", "1", "--g", "3", "--alpha", "\u0663"]
+
+
+def _lhs_g_with_underscore(tmp_path):
+    # int() reads 1_0 as 10
+    return ["actions", "lhs", "--m1", "1", "--n1", "1", "--g", "1_0", "--alpha", "10"]
+
+
+def _braid_k_not_ascii(tmp_path):
+    return ["braid", "eval", "--word", "T1", "--k", "\u0663"]
+
+
 def _shuffle_over_budget(tmp_path):
     # 10! words times 273 (5,10)-Dyck paths: refused with status 2, not a failed verification
     return ["verify", "shuffle", "--m1", "1", "--n1", "2", "--g", "5"]
@@ -544,7 +603,9 @@ def _relation_over_spanning_budget(tmp_path):
                                   _lhs_negative_slope, _lhs_alpha_not_a_composition,
                                   _coloring_empty_at_height, _relation_exponent_past_packing,
                                   _shuffle_alpha_empty, _enum_alpha_empty,
-                                  _relation_over_spanning_budget, _shuffle_over_budget])
+                                  _relation_over_spanning_budget, _shuffle_over_budget,
+                                  _lhs_alpha_not_ascii, _lhs_g_with_underscore,
+                                  _braid_k_not_ascii])
 def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
     code = cli.main(argv(tmp_path))
     captured = capsys.readouterr()
@@ -563,6 +624,12 @@ def test_cli_bad_input_is_json_error(argv, tmp_path, capsys):
         assert error == "ValueError: alpha must be a composition of g = 2, got [0, 2]"
     if argv in (_shuffle_alpha_empty, _enum_alpha_empty):
         assert error == "ValueError: --alpha must be comma-separated integers, got ''"
+    if argv is _lhs_alpha_not_ascii:
+        assert error == "ValueError: --alpha must be comma-separated integers, got '\u0663'"
+    if argv is _lhs_g_with_underscore:
+        assert error == "ValueError: shufflealg actions lhs: argument --g: invalid int value: '1_0'"
+    if argv is _braid_k_not_ascii:
+        assert error == "ValueError: shufflealg braid eval: argument --k: invalid int value: '\u0663'"
     if argv is _relation_over_spanning_budget:
         assert error == ("ResourceWarning: V_2 has over 1000 basis elements of degree at "
                          "most 99999, the budget of a relation check")

@@ -510,6 +510,25 @@ def test_dminus_to_v0_matches_the_plain_chain(dom, k):
         assert vk.dminus_to_v0(mixed.scale(s)) == _dminus_chain(mixed).scale(s)
 
 
+def test_dminus_to_v0_reuses_the_image_of_an_equal_input(monkeypatch):
+    # the tail keeps its last input and image: an equal element that is another object,
+    # on another domain, runs no d_- and gets a fresh dict; one coefficient off runs the tail
+    dom, other = ExactDomain(), ExactDomain()
+    f = _tagged(vk.spanning_set(dom, 3, 3))
+    twin = VElem(other, f.k, {key: dict(p) for key, p in f.terms.items()})
+    off = twin + VElem(other, f.k, {min(f.terms): {0: 1}})
+    want, want_off = _dminus_chain(f), _dminus_chain(off)
+    assert want_off != want
+    first = vk.dminus_to_v0(f)
+    calls = []
+    act_dminus = vk.act_dminus
+    monkeypatch.setattr(vk, "act_dminus", lambda g: calls.append(g.k) or act_dminus(g))
+    again = vk.dminus_to_v0(twin)
+    assert calls == [] and first == again == want
+    assert again.dom is other and again.terms is not first.terms
+    assert vk.dminus_to_v0(off) == want_off and calls == [1]
+
+
 def test_dminus_power_image_is_the_chain_of_one_step_images(dom):
     # the composed image of a term's y_2..y_k part, taken whole; d_-^0 is the identity on V_0
     assert vk.dminus_to_v0(VElem.one(dom, 0)) == VElem.one(dom, 0)
