@@ -16,8 +16,7 @@ monomial, so a word evaluates as its operator word times one monomial.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import gcd, lcm
 
 from . import vkspace as vk
@@ -50,18 +49,19 @@ def _axpy(a: int, x: tuple, y: tuple) -> tuple:
     return tuple([a * p + q for p, q in zip(x, y)])
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(namedtuple("PointConfig", "v s d")):
     """k labelled points on the antidiagonal, with the slope, as rows over d.
+
+    v: tuple   position rows in (0, s + 1), in units of t, by strand label
+    s: tuple   the slope row (n1/m1 - eps)
+    d: int     the one positive denominator
 
     The row (n[0], n[1], ...) is the germ (n[0] + n[1] eps + ...) / d.  Every
     row of a configuration, and of each one moved from it, has one width and
     the one denominator d > 0, so rows compare as their germs do, as tuples.
     """
 
-    v: tuple          # position rows in (0, s + 1), in units of t, by strand label
-    s: tuple          # the slope row (n1/m1 - eps)
-    d: int            # the one positive denominator
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -96,12 +96,11 @@ def opnext(cfg: PointConfig, x: tuple) -> tuple:
 
 # --------------------------------------------------------------- braid words
 
-@dataclass(frozen=True)
-class BraidWord:
-    """Generators in written order; the rightmost one acts first."""
+class BraidWord(namedtuple("BraidWord", "k gens")):
+    """A word on k strands: its generators `gens` in written order; the
+    rightmost one acts first."""
 
-    k: int
-    gens: tuple
+    __slots__ = ()
 
     def __str__(self):
         return vk.word_str(self.gens)

@@ -13,8 +13,7 @@ each structure's chi, times its paths' monomials, into one accumulator.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from math import factorial, gcd
 
@@ -222,10 +221,9 @@ def attacks(p: DyckPath) -> dict:
     return _attack_sets(p)[1]
 
 
-@dataclass(frozen=True)
-class MarkedSquarePath:
-    pi_prime: DyckPath
-    marks: frozenset
+MarkedSquarePath = namedtuple("MarkedSquarePath", "pi_prime marks")
+MarkedSquarePath.__doc__ = """A path's attack graph as the (n,n)-path pi_prime (a DyckPath),
+and marks, the frozenset of its corners (i, j) marked for consecutive North steps."""
 
 
 def attack_structure(p: DyckPath) -> MarkedSquarePath:

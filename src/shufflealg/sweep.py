@@ -31,7 +31,7 @@ it is given, by default every composition of gcd(m, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .combinat import (DyckPath, check_composition, compositions_of, reading_order,
@@ -41,11 +41,9 @@ from .symfunc import _poly
 from .vkspace import VElem, _train_image, act_dminus, act_dplus, dminus_to_v0
 
 
-@dataclass(frozen=True)
-class SweepEvent:
-    point: tuple
-    kind: str
-    a: int = 0
+SweepEvent = namedtuple("SweepEvent", "point kind a", defaults=(0,))
+SweepEvent.__doc__ = """An event of the per-path sweep: its lattice point, its kind (A to E)
+and a, the extra of C and D (0 otherwise)."""
 
 
 def event_sequence(p: DyckPath) -> list[SweepEvent]:
@@ -146,10 +144,9 @@ def stratum_bounds(m: int, n: int, events, s: int):
     return lower, upper
 
 
-@dataclass
-class DpResult:
-    events: list
-    state: dict                  # intervals tuple -> VElem, at the final stratum
+DpResult = namedtuple("DpResult", "events state")
+DpResult.__doc__ = """The coloring DP's events, in sweep order, and its state: intervals
+tuple -> VElem, at the final stratum."""
 
 
 def _step(key, px: int, py: int) -> tuple:

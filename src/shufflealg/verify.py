@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Fr
 from itertools import accumulate
 from math import gcd
@@ -409,19 +409,21 @@ def run_suite(name: str, dom) -> dict:
 SHUFFLE_BUDGET = 50_000_000   # standard words over all Dyck paths that verify_shuffle accepts
 
 
-@dataclass
-class JobConfig:
-    m1: int
-    n1: int
-    g: int
-    alpha: tuple | None = None       # None = all compositions of g
+class JobConfig(namedtuple("JobConfig", "m1 n1 g alpha")):
+    """A `verify shuffle` job at the slope n1/m1 and multiple g, checked when made.
 
-    def __post_init__(self):
-        if min(self.m1, self.n1, self.g) < 1:
+    alpha: tuple | None   one composition of g; None = all compositions of g
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m1: int, n1: int, g: int, alpha: tuple | None = None):
+        if min(m1, n1, g) < 1:
             raise ValueError("m1, n1 and g must be at least 1")
-        cb.check_slope(self.m1, self.n1)
-        if self.alpha is not None:
-            cb.check_composition(self.alpha, self.g)
+        cb.check_slope(m1, n1)
+        if alpha is not None:
+            cb.check_composition(alpha, g)
+        return super().__new__(cls, m1, n1, g, alpha)
 
 
 def _compare_entry(alpha, lhs, rhs, t0) -> dict:

@@ -21,8 +21,7 @@ re-indexes every letter.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, islice
 from math import lcm
@@ -432,12 +431,11 @@ def spanning_set(dom, k: int, degree: int) -> list:
     return basis
 
 
-@dataclass
-class RelationReport:
-    name: str
-    passed: bool
-    cases: int
-    witness: tuple | None = None
+class RelationReport(namedtuple("RelationReport", "name passed cases witness", defaults=(None,))):
+    """A relation's verdict over `cases` basis elements; a failing one keeps its
+    witness, the strings (input, lhs, rhs) of its first failing element."""
+
+    __slots__ = ()
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"

@@ -224,6 +224,8 @@ def test_opnext_walls():
     after = br.opnext(cfg, nxt)
     assert after == tuple(a - b for a, b in zip(nxt, cfg.one))
     assert EpsRat(after, cfg.d) == EpsRat(nxt, cfg.d) - ONE
+    with pytest.raises(AttributeError):
+        cfg.d = 1
 
 
 def test_elementary_step_single_strand():
@@ -281,7 +283,10 @@ def test_train_helpers():
 
 @pytest.mark.parametrize("token", ["T1", "T2^-1", "y3", "z1", "ytilde2", "T10^-1 ytilde12 y1"])
 def test_braid_word_prints_its_tokens(token):
-    assert str(br.BraidWord(3, vk.parse_word(token)[1])) == token
+    word = br.BraidWord(3, vk.parse_word(token)[1])
+    assert str(word) == token
+    with pytest.raises(AttributeError):
+        word.gens = ()
 
 
 def test_gluing_rewrite():

@@ -311,6 +311,11 @@ def test_attack_structure_nne():
     mp = cb.attack_structure(cb.DyckPath(1, 2, (1, 1, 0)))
     assert str(mp.pi_prime) == "1010"
     assert sorted(mp.marks) == [(1, 2)]
+    # two (6,4)-paths share one structure, which rhs_compositional's grouping keys on
+    a, b = (cb.attack_structure(cb.DyckPath(6, 4, tuple(map(int, s))))
+            for s in ("1110010000", "1110001000"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == (cb.DyckPath(4, 4, (1, 0, 1, 1, 0, 1, 0, 0)), frozenset({(1, 2), (2, 4)}))
 
 
 def test_dinv_two_implementations_agree():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,23 @@ def test_no_environment_knobs_in_package():
              if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
              and isinstance(node.value, ast.Name) and node.value.id == "os"]
     assert found == []
+
+
+def test_package_loads_no_dataclasses():
+    # the records are namedtuples: a fresh process that imports every module and runs a
+    # CLI verification loads neither dataclasses nor the inspect it pulls in
+    code = ("import contextlib, io, sys\n"
+            "import shufflealg\n"
+            "from shufflealg import (actions, braid, cli, combinat, scalars, sweep, symfunc,\n"
+            "                        verify, vkspace)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', 'shuffle', '--m1', '1', '--n1', '1', '--g', '2'])\n"
+            "print(code, sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(shufflealg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_every_export_resolves():

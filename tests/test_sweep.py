@@ -15,6 +15,7 @@ from shufflealg.vkspace import VElem
 def test_event_sequence_unit():
     evs = sw.event_sequence(cb.DyckPath(1, 1, (1, 0)))
     assert [(e.point, e.kind) for e in evs] == [((0, 1), "A"), ((0, 0), "B")]
+    assert evs[0] == sw.SweepEvent((0, 1), "A") and sw.SweepEvent((0, 1), "A").a == 0
 
 
 def test_event_sequence_nne():
@@ -179,6 +180,8 @@ def test_dp_unit(dom):
     dp = sw.recursion_dp(1, 1, dom)
     assert set(dp.state) == {((0, 1),)}
     assert dp.state[((0, 1),)] == -vk.act_y(VElem.one(dom, 1), 1)
+    with pytest.raises(AttributeError):
+        dp.state = {}
 
 
 def test_dp_cap_keyword_changes_nothing(dom):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -79,11 +80,16 @@ def test_verify_shuffle_refuses_a_factorial_over_the_budget(monkeypatch):
 
 
 def test_verify_shuffle_bad_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need m, n >= 0 coprime and not both zero, "
+                                                   "got (2, 4)")):
         vf.JobConfig(m1=2, n1=4, g=1)
     for m1, n1, g in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m1, n1 and g must be at least 1$"):
             vf.JobConfig(m1=m1, n1=n1, g=g)
+    cfg = vf.JobConfig(1, 2, 4, (4,))
+    assert cfg == vf.JobConfig(m1=1, n1=2, g=4, alpha=(4,)) and vf.JobConfig(1, 2, 4).alpha is None
+    with pytest.raises(AttributeError):
+        cfg.g = 5
 
 
 @pytest.mark.parametrize("alpha", [(1, 2), (3,), (), (0, 2), (-1, 3)])

@@ -328,6 +328,10 @@ def test_expand_word_end_and_refusals():
 def test_relation_check_reports_failure(dom):
     rep = vk.relation_check((("T", 1),), (), 2, 2, dom, name="bogus")
     assert not rep.passed and rep.witness is not None
+    assert str(rep) == (f"bogus: FAIL ({rep.cases} cases)\n  witness input: {rep.witness[0]}\n"
+                        f"  lhs: {rep.witness[1]}\n  rhs: {rep.witness[2]}")
+    ok = vk.RelationReport("r", True, 3)
+    assert ok.witness is None and str(ok) == "r: pass (3 cases)"
 
 
 def test_relation_check_refuses_sides_in_different_spaces(dom):
